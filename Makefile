@@ -4,10 +4,15 @@
 
 GO ?= go
 
-# The wall-time-gated benchmarks CI compares between the PR base and head.
-BENCH_GATE = BenchmarkFig6aTestbedSmall|BenchmarkFig7aAllocationTimeline
+# The wall-time-gated benchmarks CI compares between the PR base and head:
+# two paper experiments end to end, and the fill kernel on Philly demands.
+BENCH_GATE = BenchmarkFig6aTestbedSmall|BenchmarkFig7aAllocationTimeline|BenchmarkFillPhilly
 
-.PHONY: all build test vet lint race fuzz-smoke obs-check faults-check store-check trace-check transfer-check sim-check front-check ci ci-sync-check bench bench-base
+# Where `make bench-real` writes its run files (one JSON per workload, seed
+# and traced/untraced run; see benchmark/README.md).
+BENCH_REAL_OUT ?= .bench_build/runs
+
+.PHONY: all build test vet lint race fuzz-smoke obs-check faults-check store-check trace-check transfer-check sim-check front-check ci ci-sync-check bench bench-base bench-real bench-real-compare
 
 all: build test
 
@@ -135,3 +140,16 @@ bench:
 
 bench-base:
 	$(GO) test -run=^$$ -bench '$(BENCH_GATE)' -benchtime=1x -count=6 . | tee bench-base.txt
+
+# bench-real runs the real-path benchmark BENCHMARK.json declares — every
+# workload, untraced (end-to-end metrics) then traced (per-layer metrics) —
+# on seed 1. To judge a change: run it on the base commit and on the change
+# into two directories (make bench-real BENCH_REAL_OUT=<dir>), then
+# `make bench-real-compare A=<base dir> B=<change dir>` holds every
+# end-to-end metric against its BENCHMARK.json bound. CI runs the same
+# command as a non-gating job (ci-sync-check keeps the two identical).
+bench-real:
+	$(GO) run ./benchmark -seed 1 -out $(BENCH_REAL_OUT)
+
+bench-real-compare:
+	$(GO) run ./benchmark -compare $(A) $(B)

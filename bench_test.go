@@ -2,6 +2,7 @@ package elasticflow_test
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 
 	"github.com/elasticflow/elasticflow/internal/allreduce"
@@ -12,6 +13,7 @@ import (
 	"github.com/elasticflow/elasticflow/internal/plan"
 	"github.com/elasticflow/elasticflow/internal/throughput"
 	"github.com/elasticflow/elasticflow/internal/topology"
+	"github.com/elasticflow/elasticflow/internal/trace"
 )
 
 // benchExperiment wraps one paper experiment as a benchmark. Quick mode
@@ -150,6 +152,46 @@ func BenchmarkProgressiveFilling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		f := plan.NewFiller(128, 60, true)
 		f.Fill(d)
+	}
+}
+
+// BenchmarkFillPhilly measures the fill kernel on the inputs the scheduler
+// actually sees: the demands of a trace.PhillyScale prefix (the paper's job
+// mix on 2,048 GPUs), filled in deadline order against the staircase of
+// plans already committed — one Algorithm 1 fold per iteration.
+func BenchmarkFillPhilly(b *testing.B) {
+	const gpus, slot = 2048, 60.0
+	tr := trace.PhillyScale(2048, 1)
+	est := throughput.NewEstimator(model.DefaultA100())
+	jobs, err := tr.Jobs(throughput.NewProfiler(est, 8, 128), est)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sort.Slice(jobs, func(i, k int) bool { return jobs[i].Deadline-jobs[i].SubmitTime < jobs[k].Deadline-jobs[k].SubmitTime })
+	demands := make([]plan.Demand, len(jobs))
+	for i, j := range jobs {
+		demands[i] = plan.Demand{
+			Curve:        j.Curve,
+			Remaining:    j.TotalIters,
+			DeadlineSlot: int((j.Deadline - j.SubmitTime) / slot),
+			MinGPUs:      j.MinGPUs,
+			MaxGPUs:      j.MaxGPUs,
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := plan.NewFiller(gpus, slot, true)
+		satisfied := 0
+		for _, d := range demands {
+			if a := f.Fill(d); a.Satisfied {
+				f.Commit(a)
+				satisfied++
+			}
+		}
+		if satisfied == 0 {
+			b.Fatal("no Philly demand satisfiable on an empty cluster")
+		}
 	}
 }
 

@@ -29,16 +29,21 @@ func MakeCICommands(makefilePath, target string) ([]string, error) {
 		recipe []string
 	}
 	rules := make(map[string]*rule)
+	vars := make(map[string]string)
 	var cur *rule
 	for _, line := range strings.Split(string(data), "\n") {
 		if strings.HasPrefix(line, "\t") {
 			if cur != nil {
-				cur.recipe = append(cur.recipe, normalizeMake(line))
+				cur.recipe = append(cur.recipe, normalizeMake(line, vars))
 			}
 			continue
 		}
 		cur = nil
 		trimmed := strings.TrimSpace(line)
+		if m := varRE.FindStringSubmatch(trimmed); m != nil {
+			vars[m[1]] = m[2]
+			continue
+		}
 		if trimmed == "" || strings.HasPrefix(trimmed, "#") || strings.Contains(trimmed, "=") {
 			continue
 		}
@@ -85,13 +90,19 @@ func MakeCICommands(makefilePath, target string) ([]string, error) {
 	return out, nil
 }
 
+// varRE matches a simple Makefile variable definition (`GO ?= go`).
+var varRE = regexp.MustCompile(`^([A-Z][A-Z0-9_]*)\s*\??=\s*(.*)$`)
+
 // normalizeMake turns one Makefile recipe line into the shell command CI
-// would run: variables the Makefile defines ($(GO) → go), make's $$ escape,
-// and the @/- echo/ignore prefixes.
-func normalizeMake(line string) string {
+// would run: variables the Makefile defines above the recipe, at their
+// default values ($(GO) → go), make's $$ escape, and the @/- echo/ignore
+// prefixes.
+func normalizeMake(line string, vars map[string]string) string {
 	c := strings.TrimSpace(line)
 	c = strings.TrimLeft(c, "@-")
-	c = strings.ReplaceAll(c, "$(GO)", "go")
+	for name, value := range vars {
+		c = strings.ReplaceAll(c, "$("+name+")", value)
+	}
 	c = strings.ReplaceAll(c, "$$", "$")
 	return strings.TrimSpace(c)
 }

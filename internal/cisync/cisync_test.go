@@ -14,9 +14,14 @@ import (
 var mirrorJobs = []string{"lint", "test-race", "fuzz-smoke"}
 
 // TestRepoCISync is the real check: the repository's own Makefile and
-// workflow must agree. `make ci-sync-check` runs this test.
+// workflow must agree — `make ci` with the mirror jobs, and `make bench-real`
+// with the non-gating job that records the real-path benchmark.
+// `make ci-sync-check` runs this test.
 func TestRepoCISync(t *testing.T) {
 	if err := Check("../../Makefile", "../../.github/workflows/ci.yml", "ci", mirrorJobs); err != nil {
+		t.Fatal(err)
+	}
+	if err := Check("../../Makefile", "../../.github/workflows/ci.yml", "bench-real", []string{"bench-real"}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -32,6 +37,7 @@ func writeFile(t *testing.T, name, content string) string {
 
 const fakeMakefile = `# header
 GO ?= go
+FUZZ_TIME = 10s
 
 .PHONY: build test ci
 
@@ -39,14 +45,14 @@ build:
 	$(GO) build ./...
 
 fuzz:
-	@$(GO) test -run=^$$ -fuzz=FuzzX -fuzztime=10s ./internal/x/
+	@$(GO) test -run=^$$ -fuzz=FuzzX -fuzztime=$(FUZZ_TIME) ./internal/x/
 
 ci: build fuzz
 	$(GO) vet ./...
 `
 
 // TestMakeCICommands covers recursive prerequisite expansion and recipe
-// normalization ($(GO), $$, @ prefix).
+// normalization (variables at their defaults, $$, @ prefix).
 func TestMakeCICommands(t *testing.T) {
 	mk := writeFile(t, "Makefile", fakeMakefile)
 	got, err := MakeCICommands(mk, "ci")

@@ -108,12 +108,7 @@ type ElasticFlow struct {
 // configuration: 60-second slots with power-of-two buddy-compatible
 // allocations.
 func New(opts Options) *ElasticFlow {
-	o := opts
-	if !o.PowerOfTwo {
-		// Distinguish "explicitly unit mode" only via the option the
-		// caller set; the default is power-of-two.
-	}
-	return &ElasticFlow{opts: o.withDefaults()}
+	return &ElasticFlow{opts: opts.withDefaults()}
 }
 
 // NewDefault returns a scheduler with the paper's default configuration.
@@ -215,18 +210,7 @@ func splitJobs(active []*job.Job) (slo, be []*job.Job) {
 			be = append(be, j)
 		}
 	}
-	// Ordered comparisons instead of float != keep the comparator exact
-	// (an epsilon here would break strict weak ordering); ties fall
-	// through to the ID for determinism.
-	sort.Slice(slo, func(i, k int) bool {
-		if slo[i].Deadline < slo[k].Deadline {
-			return true
-		}
-		if slo[i].Deadline > slo[k].Deadline {
-			return false
-		}
-		return slo[i].ID < slo[k].ID
-	})
+	sort.Slice(slo, func(i, k int) bool { return deadlineBefore(slo[i], slo[k]) })
 	sort.Slice(be, func(i, k int) bool {
 		if be[i].SubmitTime < be[k].SubmitTime {
 			return true
@@ -239,6 +223,20 @@ func splitJobs(active []*job.Job) (slo, be []*job.Job) {
 	return slo, be
 }
 
+// deadlineBefore is the fill order of SLO jobs: earliest deadline first.
+// Ordered comparisons instead of float != keep the comparator exact (an
+// epsilon here would break strict weak ordering); ties fall through to the ID
+// for determinism.
+func deadlineBefore(a, b *job.Job) bool {
+	if a.Deadline < b.Deadline {
+		return true
+	}
+	if a.Deadline > b.Deadline {
+		return false
+	}
+	return a.ID < b.ID
+}
+
 // Admit implements Algorithm 1. It checks whether adding cand to the active
 // SLO jobs leaves every deadline satisfiable by progressive filling in
 // deadline order; if not, cand is dropped. Best-effort and soft-deadline
@@ -249,22 +247,7 @@ func splitJobs(active []*job.Job) (slo, be []*job.Job) {
 // rejects cand only when cand itself cannot be satisfied or when admitting
 // cand turns a currently satisfiable job unsatisfiable.
 func (e *ElasticFlow) Admit(now float64, cand *job.Job, active []*job.Job, g int) bool {
-	admitDecisions.Add(1)
-	var v admitVerdict
-	if cand.Class != job.SLO {
-		if e.quotaOK(cand) {
-			v = admitVerdict{ok: true, reason: "no-guarantee-needed"}
-		} else {
-			v = admitVerdict{reason: "quota-denied"}
-		}
-	} else {
-		v = e.admitExplained(now, cand, active, g)
-		if v.ok && !e.quotaOK(cand) {
-			v = admitVerdict{reason: "quota-denied"}
-		}
-	}
-	e.traceAdmit(now, cand, v)
-	return v.ok
+	return e.BeginAdmitBatch(now, g).Admit(cand, active)
 }
 
 // admitVerdict is the explained outcome of one Algorithm 1 run: whether the
@@ -286,37 +269,48 @@ type admitVerdict struct {
 	mss plan.Allocation
 }
 
-// admissible is Admit without the operator-policy hook or tracing: the pure
-// feasibility decision of Algorithm 1 (EarliestDeadline probes through it).
-func (e *ElasticFlow) admissible(now float64, cand *job.Job, active []*job.Job, g int) bool {
-	return e.admitExplained(now, cand, active, g).ok
-}
-
-// admitExplained runs Algorithm 1 and reports which check decided the
-// verdict.
-func (e *ElasticFlow) admitExplained(now float64, cand *job.Job, active []*job.Job, g int) admitVerdict {
-	// Admission plans against the failure reserve so that guarantees
-	// survive losing that much capacity (§4.4).
-	gAdmit := g - e.opts.ReserveGPUs
-	if gAdmit < 1 {
-		gAdmit = 1
-	}
-	// Pass 1: which active jobs are satisfiable today?
-	okWithout, _ := e.feasibleSet(now, active, nil, gAdmit)
-	// Pass 2: and with the candidate added?
-	okWith, candFill := e.feasibleSet(now, active, cand, gAdmit)
-	if !okWith[cand.ID] {
-		return admitVerdict{reason: "candidate-infeasible", mss: candFill}
-	}
-	// Deterministic victim: report the first broken guarantee in deadline
-	// order rather than map order.
-	slo, _ := splitJobs(active)
-	for _, j := range slo {
-		if okWithout[j.ID] && !okWith[j.ID] {
-			return admitVerdict{reason: "breaks-guarantee", victim: j.ID, mss: candFill}
+// verdict runs Algorithm 1 — the pure feasibility decision, without the
+// operator-policy hook or tracing — for cand against slo, the active SLO jobs
+// in deadline order, and reports which check decided it. Every admission
+// decision and every EarliestDeadline probe goes through here.
+//
+// Progressive filling is a fold in deadline order, so the jobs ahead of the
+// candidate fill the same with or without it, and only the jobs behind it
+// can lose their guarantee. The fold therefore runs once, with the
+// candidate: it ends at the candidate when the candidate itself is
+// unsatisfiable, and otherwise continues through the tail. Only when a tail
+// job comes out unsatisfied is the fold without the candidate extended —
+// from the shared prefix, up to that job — to learn whether the job was
+// satisfiable before; the first such job is the victim, and one that was
+// already unsatisfiable (demoted, §4.4) does not poison the admission.
+// Unsatisfiable jobs other than the candidate reserve their recovery plan,
+// mirroring their demotion in Schedule.
+func (e *ElasticFlow) verdict(now float64, cand *job.Job, slo []*job.Job, g int) admitVerdict {
+	k := sort.Search(len(slo), func(i int) bool { return deadlineBefore(cand, slo[i]) })
+	with := make([]*job.Job, 0, len(slo)+1)
+	with = append(append(append(with, slo[:k]...), cand), slo[k:]...)
+	stop := k
+	for {
+		recs, _ := e.fillPass(now, with, nil, cand.ID, g, stop)
+		last := len(recs) - 1
+		mss := recs[k].fill
+		switch {
+		case recs[last].satisfied:
+			// The fold reached the end without (further) casualties.
+			return admitVerdict{ok: true, reason: "ok", mss: mss}
+		case last == k:
+			return admitVerdict{reason: "candidate-infeasible", mss: mss}
 		}
+		// with[last] is slo[last-1]: was it satisfiable before the candidate?
+		without, _ := e.fillPass(now, slo[:last], nil, "", g, last)
+		switch {
+		case without[last-1].satisfied:
+			return admitVerdict{reason: "breaks-guarantee", victim: with[last].ID, mss: mss}
+		case last == len(with)-1:
+			return admitVerdict{ok: true, reason: "ok", mss: mss}
+		}
+		stop = last + 1
 	}
-	return admitVerdict{ok: true, reason: "ok", mss: candFill}
 }
 
 // traceAdmit publishes the admission decision trace.
@@ -358,29 +352,30 @@ func (e *ElasticFlow) traceAdmit(now float64, cand *job.Job, v admitVerdict) {
 
 // AdmitBatch amortizes Algorithm 1 across one admission batch — a sequence
 // of candidates decided at a single timestamp against an append-only active
-// set (the serverless platform's batched submit path). Two folds are reused:
+// set (the serverless platform's batched submit path; a lone Admit is a
+// one-item batch). Two things are reused:
 //
-//   - Pass 1 of admitExplained (which active jobs are satisfiable today)
-//     depends only on (now, active, g), so it is computed once per active-set
-//     length instead of once per candidate.
+//   - The deadline order of the active SLO jobs, sorted once per active-set
+//     length instead of once per verdict. The fills themselves are shared
+//     through the plan cache: every verdict of the batch is a fold at the
+//     same timestamp and resumes from the longest prefix already filled.
 //   - A rejected candidate's verdict and counter-offer depend only on its
 //     shape (model, batch geometry, work, deadline, GPU bounds) — never its
 //     ID, because every batch candidate carries a later sequence number than
 //     any active job, so same-shape candidates occupy the same fill
 //     position. Later same-shape candidates reuse the memoized drop.
 //
-// Both caches invalidate when an admission grows the active set. Sessions
-// are single-goroutine, like the scheduler itself.
+// Both invalidate when an admission grows the active set. Sessions are
+// single-goroutine, like the scheduler itself.
 type AdmitBatch struct {
 	e   *ElasticFlow
 	now float64
-	g   int
+	g   int // admission capacity (reserve already withheld)
 
-	okWithout map[string]bool         // pass-1 cache, valid at passLen
-	passLen   int                     // active length the caches were built at
-	passValid bool                    // false until the first SLO candidate
-	drops     map[string]admitVerdict // shape → memoized rejection
-	offers    map[string]offerMemo    // shape → memoized counter-offer
+	slo    []*job.Job              // active SLO jobs in deadline order, valid at sloLen
+	sloLen int                     // active length slo and the memos were built at (-1: not yet)
+	drops  map[string]admitVerdict // shape → memoized rejection
+	offers map[string]offerMemo    // shape → memoized counter-offer
 }
 
 // offerMemo is a memoized EarliestDeadline answer.
@@ -392,7 +387,13 @@ type offerMemo struct {
 // BeginAdmitBatch opens an admission session for one batch decided at now
 // against capacity g.
 func (e *ElasticFlow) BeginAdmitBatch(now float64, g int) *AdmitBatch {
-	return &AdmitBatch{e: e, now: now, g: g}
+	return &AdmitBatch{e: e, now: now, g: e.admitCapacity(g), sloLen: -1}
+}
+
+// admitCapacity is the capacity admission plans against: the failure reserve
+// is withheld so that guarantees survive losing that much (§4.4).
+func (e *ElasticFlow) admitCapacity(g int) int {
+	return max(g-e.opts.ReserveGPUs, 1)
 }
 
 // shapeKey identifies the candidate fields the feasibility fill reads. IDs
@@ -403,87 +404,74 @@ func shapeKey(j *job.Job) string {
 		j.MinGPUs, j.MaxGPUs, j.RescaleOverheadSec)
 }
 
-// refresh rebuilds the pass-1 cache and clears the shape memos when the
+// refresh re-sorts the active SLO jobs and clears the shape memos when the
 // active set has changed since they were built.
-func (b *AdmitBatch) refresh(active []*job.Job, gAdmit int) {
-	if b.passValid && len(active) == b.passLen {
+func (b *AdmitBatch) refresh(active []*job.Job) {
+	if len(active) == b.sloLen {
 		return
 	}
-	b.okWithout, _ = b.e.feasibleSet(b.now, active, nil, gAdmit)
-	b.passLen = len(active)
-	b.passValid = true
+	b.slo, _ = splitJobs(active)
+	b.sloLen = len(active)
 	b.drops = nil
 	b.offers = nil
 }
 
-// Admit is Algorithm 1 for one candidate of the batch, trace-identical to
-// ElasticFlow.Admit. active must reflect every admission the batch has made
-// so far (append-only between calls).
+// Admit is Algorithm 1 for one candidate of the batch. active must reflect
+// every admission the batch has made so far (append-only between calls).
 func (b *AdmitBatch) Admit(cand *job.Job, active []*job.Job) bool {
 	admitDecisions.Add(1)
-	var v admitVerdict
+	v := b.decide(cand, active)
+	b.e.traceAdmit(b.now, cand, v)
+	return v.ok
+}
+
+// decide is Admit without the decision count and trace: class, memoized
+// rejection, Algorithm 1, then operator policy.
+func (b *AdmitBatch) decide(cand *job.Job, active []*job.Job) admitVerdict {
 	if cand.Class != job.SLO {
 		if b.e.quotaOK(cand) {
-			v = admitVerdict{ok: true, reason: "no-guarantee-needed"}
-		} else {
-			v = admitVerdict{reason: "quota-denied"}
+			return admitVerdict{ok: true, reason: "no-guarantee-needed"}
 		}
-		b.e.traceAdmit(b.now, cand, v)
-		return v.ok
+		return admitVerdict{reason: "quota-denied"}
 	}
-	gAdmit := b.g - b.e.opts.ReserveGPUs
-	if gAdmit < 1 {
-		gAdmit = 1
-	}
-	b.refresh(active, gAdmit)
+	b.refresh(active)
 	key := shapeKey(cand)
-	if dv, ok := b.drops[key]; ok {
-		b.e.traceAdmit(b.now, cand, dv)
-		return false
+	if v, ok := b.drops[key]; ok {
+		return v
 	}
-	okWith, candFill := b.e.feasibleSet(b.now, active, cand, gAdmit)
+	v := b.e.verdict(b.now, cand, b.slo, b.g)
 	switch {
-	case !okWith[cand.ID]:
-		v = admitVerdict{reason: "candidate-infeasible", mss: candFill}
-	default:
-		v = admitVerdict{ok: true, reason: "ok", mss: candFill}
-		slo, _ := splitJobs(active)
-		for _, j := range slo {
-			if b.okWithout[j.ID] && !okWith[j.ID] {
-				v = admitVerdict{reason: "breaks-guarantee", victim: j.ID, mss: candFill}
-				break
-			}
-		}
-		if v.ok && !b.e.quotaOK(cand) {
-			v = admitVerdict{reason: "quota-denied"}
-		}
-	}
-	// Quota is operator policy — it may depend on more than the shape, so
-	// only feasibility rejections are memoized.
-	if !v.ok && v.reason != "quota-denied" {
+	case !v.ok:
 		if b.drops == nil {
 			b.drops = make(map[string]admitVerdict)
 		}
 		b.drops[key] = v
+	case !b.e.quotaOK(cand):
+		// Quota is operator policy — it may depend on more than the shape,
+		// so only feasibility rejections are memoized.
+		return admitVerdict{reason: "quota-denied"}
 	}
-	b.e.traceAdmit(b.now, cand, v)
-	return v.ok
+	return v
 }
 
 // EarliestDeadline is the memoized counter-offer for a rejected candidate:
 // the binary search is shape-determined, so same-shape drops in one batch
 // pay for it once.
 func (b *AdmitBatch) EarliestDeadline(cand *job.Job, active []*job.Job) (float64, bool) {
-	gAdmit := b.g - b.e.opts.ReserveGPUs
-	if gAdmit < 1 {
-		gAdmit = 1
-	}
-	b.refresh(active, gAdmit)
+	b.refresh(active)
 	key := shapeKey(cand)
 	if m, ok := b.offers[key]; ok {
 		return m.deadline, m.ok
 	}
-	dl, ok := b.e.EarliestDeadline(b.now, cand, active, b.g)
+	lo := 0
+	if _, refused := b.drops[key]; refused {
+		// This deadline was just refused, so the search starts at its slot
+		// instead of at zero: feasibility is monotone in the deadline (but
+		// for demoted jobs in the active set, and an offer earlier than the
+		// deadline just refused would contradict the refusal anyway).
+		lo = b.e.demand(cand, b.now).DeadlineSlot
+	}
+	dl, ok := b.e.earliestDeadline(b.now, cand, b.slo, b.g, lo)
 	if b.offers == nil {
 		b.offers = make(map[string]offerMemo)
 	}
@@ -498,15 +486,28 @@ func (b *AdmitBatch) EarliestDeadline(cand *job.Job, active []*job.Job) (float64
 // answer is found by binary search over planning slots. ok is false when
 // even the planning horizon cannot fit the job.
 func (e *ElasticFlow) EarliestDeadline(now float64, cand *job.Job, active []*job.Job, g int) (float64, bool) {
+	slo, _ := splitJobs(active)
+	return e.earliestDeadline(now, cand, slo, e.admitCapacity(g), 0)
+}
+
+// earliestDeadline searches the planning slots from lo up, against slo (the
+// active SLO jobs in deadline order) and admission capacity g. Every probe
+// is one verdict at the same timestamp, so probes share fills through the
+// plan cache and an infeasible one costs the candidate's own fill.
+func (e *ElasticFlow) earliestDeadline(now float64, cand *job.Job, slo []*job.Job, g, lo int) (float64, bool) {
+	if cand.Class != job.SLO {
+		// Only SLO jobs take part in the deadline-ordered fold.
+		return 0, false
+	}
 	deadlineAt := func(slots int) float64 {
 		return now + e.rescaleMargin(cand) + float64(slots+1)*e.opts.SlotSec
 	}
 	check := func(slots int) bool {
 		c := *cand
 		c.Deadline = deadlineAt(slots)
-		return e.admissible(now, &c, active, g)
+		return e.verdict(now, &c, slo, g).ok
 	}
-	lo, hi := 0, e.opts.HorizonSlots
+	hi := e.opts.HorizonSlots
 	if !check(hi) {
 		return 0, false
 	}
@@ -519,31 +520,6 @@ func (e *ElasticFlow) EarliestDeadline(now float64, cand *job.Job, active []*job
 		}
 	}
 	return deadlineAt(lo), true
-}
-
-// feasibleSet runs the deadline-ordered progressive filling over the SLO
-// jobs of active (plus cand when non-nil) and reports which job IDs end up
-// satisfied, along with the candidate's own fill — its minimum satisfactory
-// share when feasible. Unsatisfiable jobs do not reserve capacity,
-// mirroring their demotion to best-effort in Schedule.
-func (e *ElasticFlow) feasibleSet(now float64, active []*job.Job, cand *job.Job, g int) (map[string]bool, plan.Allocation) {
-	jobs := active
-	skip := ""
-	if cand != nil {
-		jobs = append(append(make([]*job.Job, 0, len(active)+1), active...), cand)
-		skip = cand.ID
-	}
-	slo, _ := splitJobs(jobs)
-	recs, _ := e.fillPass(now, slo, nil, skip, g)
-	out := make(map[string]bool, len(slo))
-	var candFill plan.Allocation
-	for i := range recs {
-		out[recs[i].id] = recs[i].satisfied
-		if cand != nil && recs[i].id == cand.ID {
-			candFill = recs[i].fill
-		}
-	}
-	return out, candFill
 }
 
 func (e *ElasticFlow) quotaOK(j *job.Job) bool {
@@ -572,7 +548,7 @@ type prioJob struct {
 	d          plan.Demand
 	bestEffort bool            // scheduled without a deadline guarantee
 	cur        plan.Allocation // committed allocation
-	alt        plan.Allocation // probe: one level more at slot 0
+	alt        plan.Allocation // probe: cur priced with slot 0 at nextStep (no Levels)
 	nextStep   int             // slot-0 worker count of the probe
 	priority   float64         // GPU time saved by the probe
 	won        int             // spare-GPU rounds won (adopted probes)
@@ -624,21 +600,18 @@ func (e *ElasticFlow) nextStep(j *job.Job, cur int) int {
 // probe computes the marginal-return candidate for p's job: the current
 // plan with slot 0 raised to the next step (Algorithm 2 lines 5–10; the
 // tail is kept rather than minimally re-filled so the probe is a strict
-// improvement — see plan.RaiseSlot0). It requires p.cur to be uncommitted
-// from f during the call; the caller manages commit state. Returns false
-// when no beneficial probe exists.
+// improvement — see plan.RaiseSlot0). p.cur stays committed in f: a probe
+// reads the usage grid at slot 0 only, where p's own share counts as free.
+// Returns false when no beneficial probe exists.
 func (e *ElasticFlow) probe(f *plan.Filler, p *prioJob) bool {
 	step := e.nextStep(p.j, p.cur.GPUsAt(0))
 	if step == 0 {
 		return false
 	}
-	if step-p.cur.GPUsAt(0) > f.FreeAt(0) {
-		return false
-	}
-	alt := f.RaiseSlot0(p.d, p.cur, step)
-	if alt.GPUsAt(0) != step {
-		// The pinned level was clamped away (capacity or feasibility):
-		// no usable probe.
+	alt, ok := f.RaiseSlot0(p.d, p.cur, step, f.FreeAt(0)+p.cur.GPUsAt(0))
+	if !ok {
+		// The raised level does not fit slot 0 or is not a feasible
+		// worker count: no usable probe.
 		return false
 	}
 	// Line 10: only consider probes that actually finish the job earlier.
@@ -772,7 +745,7 @@ func (e *ElasticFlow) allocate(now float64, active []*job.Job, g int) ([]*prioJo
 	// least-bad outcome is minimal lateness (§4.4 treats expired deadlines
 	// like soft deadlines — still worth finishing, and as soon as
 	// possible). The recovery plan stays ahead of best-effort work.
-	recs, f := e.fillPass(now, slo, be, "", g)
+	recs, f := e.fillPass(now, slo, be, "", g, len(slo)+len(be))
 
 	entries := make([]*prioJob, 0, len(active))
 	late := make([]*prioJob, 0, 2)
@@ -793,10 +766,7 @@ func (e *ElasticFlow) allocate(now float64, active []*job.Job, g int) ([]*prioJo
 	// Lines 5–11: initial marginal returns.
 	q := &prioQueue{}
 	for _, p := range entries {
-		f.Uncommit(p.cur)
-		ok := e.probe(f, p)
-		f.Commit(p.cur)
-		if ok {
+		if e.probe(f, p) {
 			heap.Push(q, p)
 		}
 	}
@@ -808,27 +778,23 @@ func (e *ElasticFlow) allocate(now float64, active []*job.Job, g int) ([]*prioJo
 		p := heap.Pop(q).(*prioJob)
 		// Re-validate against current usage (other adoptions may have
 		// consumed the capacity this probe assumed).
-		f.Uncommit(p.cur)
 		if !e.probe(f, p) {
-			f.Commit(p.cur)
 			continue
 		}
 		if q.Len() > 0 && p.priority < (*q)[0].priority {
 			// Stale ordering: someone else is now better; requeue.
-			f.Commit(p.cur)
 			heap.Push(q, p)
 			continue
 		}
-		// Adopt the probe.
-		p.cur = p.alt
+		// Adopt the probe: the only point the raised plan is built and the
+		// whole plan re-reserved.
+		f.Uncommit(p.cur)
+		p.cur = plan.Raised(p.cur, p.alt, p.nextStep)
 		p.won++
 		adoptions++
 		f.Commit(p.cur)
 		// Compute the next probe for this job.
-		f.Uncommit(p.cur)
-		ok := e.probe(f, p)
-		f.Commit(p.cur)
-		if ok {
+		if e.probe(f, p) {
 			heap.Push(q, p)
 		}
 	}

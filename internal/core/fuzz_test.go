@@ -15,10 +15,27 @@ import (
 	"github.com/elasticflow/elasticflow/internal/topology"
 )
 
+// checkedScheduler compares every admission verdict the simulator asks for
+// with the two-pass reference of Algorithm 1 before deciding it.
+type checkedScheduler struct {
+	*core.ElasticFlow
+	t *testing.T
+}
+
+func (c checkedScheduler) Admit(now float64, cand *job.Job, active []*job.Job, g int) bool {
+	if cand.Class == job.SLO {
+		if msg := c.VerdictMismatch(now, cand, active, g); msg != "" {
+			c.t.Fatal(msg)
+		}
+	}
+	return c.ElasticFlow.Admit(now, cand, active, g)
+}
+
 // FuzzAdmissionControl fuzzes the §3.1 performance guarantee: for any
 // workload the fuzzer derives, no job that admission control accepts may
-// miss its deadline. The fuzz inputs seed a deterministic workload
-// generator, so every crash reproduces from its corpus entry alone.
+// miss its deadline — and every verdict on the way agrees with the two-pass
+// reference. The fuzz inputs seed a deterministic workload generator, so
+// every crash reproduces from its corpus entry alone.
 func FuzzAdmissionControl(f *testing.F) {
 	f.Add(int64(1), uint8(5), uint8(2))
 	f.Add(int64(42), uint8(12), uint8(0))
@@ -58,7 +75,7 @@ func FuzzAdmissionControl(f *testing.F) {
 		ef := core.New(core.Options{SlotSec: 30, PowerOfTwo: true})
 		res, err := sim.Run(sim.Config{
 			Topology:  topology.Config{Servers: 2, GPUsPerServer: 8},
-			Scheduler: ef,
+			Scheduler: checkedScheduler{ef, t},
 		}, jobs, "fuzz-admission")
 		if err != nil {
 			t.Fatalf("seed %d: sim failed: %v", seed, err)

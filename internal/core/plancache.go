@@ -9,22 +9,24 @@ import (
 )
 
 // The plan cache memoizes the deadline-ordered progressive-filling pass that
-// both admission control (feasibleSet) and allocation (allocate's
+// both admission control (verdict) and allocation (allocate's
 // minimum-satisfactory-share phase) start from. The pass is a fold: jobs are
 // filled in a deterministic order against a Filler whose state depends only
 // on the jobs already processed, so a pass whose first k jobs are unchanged
-// can restore the Filler snapshot taken after job k and fill only the tail.
+// can put the Filler back where it stood after job k (the nearest snapshot
+// plus the recorded commits since) and fill only the tail.
 //
 // Correctness rests on three properties:
 //   - Every input that can change a job's fill is folded into its
 //     fingerprint (mutable planning fields plus the scaling curve's content
 //     hash) or into the cache key (time, capacity, generation); scheduler
 //     options are immutable after construction.
-//   - Snapshots copy the exact committed integers, and resumed passes run
-//     the same plan.Filler operations in the same order as a from-scratch
-//     pass, so cached and uncached decisions are byte-identical (asserted by
-//     TestPlanCacheDeterminism and the sim golden test).
-//   - The one asymmetry between the callers — feasibleSet leaves an
+//   - Snapshots copy, and re-commits re-add, the exact committed integers,
+//     and resumed passes run the same plan.Filler operations in the same
+//     order as a from-scratch pass, so cached and uncached decisions are
+//     byte-identical (asserted by TestPlanCacheDeterminism and the sim
+//     golden test).
+//   - The one asymmetry between the callers — admission leaves an
 //     unsatisfiable *candidate* uncommitted while every other unsatisfiable
 //     job commits its FillEarliest recovery plan — is recorded per pass
 //     (skipID) and checked during prefix matching.
@@ -101,9 +103,11 @@ type fillRec struct {
 }
 
 // fillState is one memoized fill pass: the records in processing order plus
-// Filler snapshots around them — snaps[i] is the committed usage before
-// position i, so len(snaps) == len(recs)+1 and snaps[len(recs)] seeds the
-// allocator's greedy phase.
+// Filler snapshots every snapStride positions — snaps[k] is the committed
+// usage before position k·snapStride, so len(snaps) == len(recs)/snapStride+1.
+// A snapshot is a copy of the whole usage grid, by far the largest thing a
+// pass allocates; the positions in between are reached by re-committing the
+// recorded plans, a few integer additions per slot.
 type fillState struct {
 	now    float64
 	g      int
@@ -111,6 +115,23 @@ type fillState struct {
 	skipID string // candidate whose unsatisfied fill was not committed ("" = none)
 	recs   []fillRec
 	snaps  []plan.Snapshot
+}
+
+const snapStride = 8
+
+// seek positions f after the first p commits of the pass, exactly as the
+// pass left it there: the nearest snapshot at or before p, then the commits
+// recorded since (an unsatisfied candidate's empty recovery plan commits
+// nothing, as it did in the pass).
+func (s *fillState) seek(f *plan.Filler, p int) {
+	f.Restore(s.snaps[p/snapStride])
+	for i := p - p%snapStride; i < p; i++ {
+		if r := &s.recs[i]; r.satisfied || r.mode == fillBE {
+			f.Commit(r.fill)
+		} else {
+			f.Commit(r.earliest)
+		}
+	}
 }
 
 // fingerprintJob hashes everything that can change how a job fills at a
@@ -194,9 +215,12 @@ func matchPrefix(s *fillState, fps []uint64, slo, be []*job.Job, skipCand string
 // progressive-filling pass over slo (deadline order) then be (submission
 // order) against capacity g at time now. skipCand, when non-empty, names the
 // admission candidate whose unsatisfiable recovery plan must not reserve
-// capacity. It returns one record per job plus the Filler positioned after
-// the last commit, ready for the greedy spare-capacity phase.
-func (e *ElasticFlow) fillPass(now float64, slo, be []*job.Job, skipCand string, g int) ([]fillRec, *plan.Filler) {
+// capacity. The pass ends early at the first position ≥ stopFrom that comes
+// out unsatisfied (admission needs nothing past it; pass the job count to run
+// to the end). It returns one record per position filled plus the Filler
+// positioned after the last commit, ready for the greedy spare-capacity
+// phase.
+func (e *ElasticFlow) fillPass(now float64, slo, be []*job.Job, skipCand string, g, stopFrom int) ([]fillRec, *plan.Filler) {
 	n := len(slo) + len(be)
 	fps := make([]uint64, n)
 	for i, j := range slo {
@@ -209,33 +233,51 @@ func (e *ElasticFlow) fillPass(now float64, slo, be []*job.Job, skipCand string,
 
 	if e.opts.DisablePlanCache {
 		st := &fillState{now: now, g: g, skipID: skipCand}
-		e.extendFill(st, f, now, slo, be, skipCand, fps, false)
-		e.countPlanCache(0, n)
+		e.extendFill(st, f, now, slo, be, skipCand, fps, stopFrom, false)
+		e.countPlanCache(0, len(st.recs))
 		return st.recs, f
 	}
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
 
+	// The donor is the cached pass sharing the longest prefix; on equal
+	// prefixes the longer pass, which has more to offer the next query.
 	var best *fillState
 	bestP := -1
-	for _, s := range e.states {
-		// A cached pass is only valid at the exact decision time it was
-		// computed for — bit equality is the requirement, not a hazard.
-		//eflint:ignore floatlint cache key demands bit-identical now, nearby times must miss
-		if s == nil || s.gen != e.gen || s.g != g || s.now != now {
+	for i, s := range e.states {
+		if s == nil {
 			continue
 		}
-		if p := matchPrefix(s, fps, slo, be, skipCand); p > bestP {
+		// A cached pass is only valid at the exact decision time it was
+		// computed for — bit equality, nearby times must miss. Decision time
+		// only moves forward, so a pass from another time is dropped on
+		// sight rather than kept for later: its snapshots are the bulk of the
+		// scheduler's memory.
+		if s.gen != e.gen || math.Float64bits(s.now) != math.Float64bits(now) {
+			e.states[i] = nil
+			continue
+		}
+		if s.g != g {
+			continue
+		}
+		if p := matchPrefix(s, fps, slo, be, skipCand); p > bestP || p == bestP && len(s.recs) > len(best.recs) {
 			best, bestP = s, p
 		}
 	}
+	// A reusable record may already be the one that ends the pass.
+	for i := stopFrom; i < bestP; i++ {
+		if !best.recs[i].satisfied {
+			n = i + 1
+			break
+		}
+	}
 
-	if best != nil && bestP == n {
+	if bestP >= n {
 		// Full hit: every position reusable; reposition the filler after
 		// the n-th commit. (The cached pass may extend further — a cached
 		// allocate pass serves an admission query over its SLO prefix.)
-		f.Restore(best.snaps[n])
+		best.seek(f, n)
 		if best != e.states[0] {
 			e.states[0], e.states[1] = best, e.states[0]
 		}
@@ -244,28 +286,40 @@ func (e *ElasticFlow) fillPass(now float64, slo, be []*job.Job, skipCand string,
 	}
 
 	st := &fillState{now: now, g: g, gen: e.gen, skipID: skipCand}
-	if best != nil && bestP > 0 {
+	// keep is the cached pass that stays beside the new one: the donor while
+	// it holds records the new pass does not (a short admission probe must not
+	// push out the long pass it branched from), else the most recent other.
+	var keep *fillState
+	for _, s := range e.states {
+		if s == nil || s == best && bestP >= len(s.recs) {
+			continue
+		}
+		if keep == nil || s == best {
+			keep = s
+		}
+	}
+	if bestP > 0 {
 		// Three-index slices: extending the new pass must not clobber the
 		// shared backing arrays of the donor state.
 		st.recs = best.recs[:bestP:bestP]
-		st.snaps = best.snaps[: bestP+1 : bestP+1]
-		f.Restore(st.snaps[bestP])
+		st.snaps = best.snaps[: bestP/snapStride+1 : bestP/snapStride+1]
+		st.seek(f, bestP)
 	} else {
 		bestP = 0
 		st.snaps = []plan.Snapshot{f.Snapshot()}
 	}
-	e.extendFill(st, f, now, slo, be, skipCand, fps, true)
-	e.states[0], e.states[1] = st, e.states[0]
-	e.countPlanCache(bestP, n-bestP)
+	e.extendFill(st, f, now, slo, be, skipCand, fps, stopFrom, true)
+	e.states[0], e.states[1] = st, keep
+	e.countPlanCache(bestP, len(st.recs)-bestP)
 	return st.recs, f
 }
 
 // extendFill fills the positions st does not cover yet, committing per the
-// fill modes and (when snapshot is set) snapshotting after every job. The
-// loop body is the original pre-cache pass verbatim; resumed and
-// from-scratch passes therefore execute identical Filler operation
+// fill modes and (when snapshot is set) snapshotting every snapStride jobs,
+// until the jobs run out or a position ≥ stopFrom comes out unsatisfied.
+// Resumed and from-scratch passes execute identical Filler operation
 // sequences.
-func (e *ElasticFlow) extendFill(st *fillState, f *plan.Filler, now float64, slo, be []*job.Job, skipCand string, fps []uint64, snapshot bool) {
+func (e *ElasticFlow) extendFill(st *fillState, f *plan.Filler, now float64, slo, be []*job.Job, skipCand string, fps []uint64, stopFrom int, snapshot bool) {
 	for i := len(st.recs); i < len(slo)+len(be); i++ {
 		var r fillRec
 		if i < len(slo) {
@@ -291,8 +345,11 @@ func (e *ElasticFlow) extendFill(st *fillState, f *plan.Filler, now float64, slo
 			r = fillRec{id: j.ID, fp: fps[i], mode: fillBE, d: d, fill: a, satisfied: a.Satisfied}
 		}
 		st.recs = append(st.recs, r)
-		if snapshot {
+		if snapshot && len(st.recs)%snapStride == 0 {
 			st.snaps = append(st.snaps, f.Snapshot())
+		}
+		if i >= stopFrom && !r.satisfied {
+			return
 		}
 	}
 }

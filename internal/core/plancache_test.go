@@ -156,7 +156,8 @@ func TestPlanCacheDeterminismUnitMode(t *testing.T) {
 
 // TestPlanCacheHitsSteadyState asserts the cache actually engages: repeated
 // Schedule calls with unchanged jobs must be (near-)pure hits after the
-// first, and Admit's second pass must reuse the first pass's prefix.
+// first, and an admission must resume from the cached pass and refill only
+// the jobs behind the candidate.
 func TestPlanCacheHitsSteadyState(t *testing.T) {
 	e := New(Options{PowerOfTwo: true})
 	curve := throughput.MustCurve(map[int]float64{1: 1, 2: 1.5, 4: 2})
@@ -179,6 +180,20 @@ func TestPlanCacheHitsSteadyState(t *testing.T) {
 	hits, misses := PlanCacheStats()
 	if misses != 0 || hits != 60 {
 		t.Errorf("steady-state Schedule: hits=%d misses=%d, want 60/0", hits, misses)
+	}
+
+	// One fold per verdict: a candidate whose deadline falls between the 3rd
+	// and 4th job's reuses the three fills ahead of it, then fills itself and
+	// the three jobs behind it. (The eager two-pass admit read hits=9 misses=4
+	// here: a full-hit pass without the candidate ran first, every time.)
+	cand := &job.Job{ID: "cand", TotalIters: 100, Deadline: 1e4 + 250, Class: job.SLO, Curve: curve, MinGPUs: 1}
+	ResetPlanCacheStats()
+	if !e.Admit(0, cand, active, 16) {
+		t.Fatal("candidate rejected on an almost empty cluster")
+	}
+	hits, misses = PlanCacheStats()
+	if hits != 3 || misses != 4 {
+		t.Errorf("Admit behind 3 cached jobs: hits=%d misses=%d, want 3/4", hits, misses)
 	}
 
 	// A progress advance on the job with the 3rd-earliest deadline keeps a

@@ -12,6 +12,8 @@ package plan
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"sync"
 
 	"github.com/elasticflow/elasticflow/internal/throughput"
 )
@@ -117,13 +119,21 @@ func (f *Filler) UsedAt(t int) int {
 // FreeAt returns the free capacity in slot t.
 func (f *Filler) FreeAt(t int) int { return f.G - f.UsedAt(t) }
 
+// ensure extends the usage grid to n slots. Plans are committed in deadline
+// order, each a little longer than the last, so capacity doubles rather than
+// following every plan's length.
 func (f *Filler) ensure(n int) {
-	if len(f.used) >= n {
+	old := len(f.used)
+	if old >= n {
 		return
 	}
-	grown := make([]int, n)
-	copy(grown, f.used)
-	f.used = grown
+	if cap(f.used) < n {
+		grown := make([]int, old, max(n, 2*cap(f.used)))
+		copy(grown, f.used)
+		f.used = grown
+	}
+	f.used = f.used[:n]
+	clear(f.used[old:]) // capacity left behind by Restore is not zero
 }
 
 // Snapshot is an immutable copy of a Filler's committed usage: cheap to take
@@ -140,8 +150,9 @@ func (s Snapshot) Slots() int { return len(s.used) }
 
 // Snapshot captures the current committed usage.
 func (f *Filler) Snapshot() Snapshot {
-	used := make([]int, len(f.used))
-	copy(used, f.used)
+	grid := f.used // a plain local, so make+copy is one unzeroed allocation
+	used := make([]int, len(grid))
+	copy(used, grid)
 	return Snapshot{used: used}
 }
 
@@ -178,22 +189,14 @@ func (f *Filler) Uncommit(a Allocation) {
 // clampLevel maps a raw candidate worker count to a feasible one: capped by
 // MaxGPUs, rounded down to a power of two when required, and floored to zero
 // when below MinGPUs.
-func (f *Filler) clampLevel(x int, d Demand) int {
+func (f *Filler) clampLevel(x int, d *Demand) int {
 	if d.MaxGPUs > 0 && x > d.MaxGPUs {
 		x = d.MaxGPUs
 	}
 	if f.PowerOfTwo && x > 0 {
-		p := 1
-		for p*2 <= x {
-			p *= 2
-		}
-		x = p
+		x = 1 << (bits.Len(uint(x)) - 1)
 	}
-	minG := d.MinGPUs
-	if minG < 1 {
-		minG = 1
-	}
-	if x < minG {
+	if x < max(d.MinGPUs, 1) {
 		return 0
 	}
 	return x
@@ -207,14 +210,14 @@ func (f *Filler) clampLevel(x int, d Demand) int {
 // When no level satisfies the demand, Fill returns the maximal-progress
 // allocation with Satisfied=false.
 func (f *Filler) Fill(d Demand) Allocation {
-	return f.fill(d, 0, -1)
+	return f.fill(&d, 0, -1)
 }
 
 // FillFixedSlot0 runs progressive filling with slot 0 pinned to exactly
 // slot0 workers (Algorithm 2's marginal-return probe: x_i(0) ← a_i(0)+1,
 // then ProgressiveFilling(i, 1)). slot0 may be 0.
 func (f *Filler) FillFixedSlot0(d Demand, slot0 int) Allocation {
-	return f.fill(d, 1, slot0)
+	return f.fill(&d, 1, slot0)
 }
 
 // FillEarliest finds an allocation that completes the demand as soon as
@@ -224,49 +227,63 @@ func (f *Filler) FillFixedSlot0(d Demand, slot0 int) Allocation {
 // This is the recovery plan for an admitted job whose guarantee slipped —
 // it must race to the finish, not idle at its memory floor.
 func (f *Filler) FillEarliest(d Demand, maxSlots int) Allocation {
-	h := d.DeadlineSlot
-	if h < 1 {
-		h = 1
-	}
-	for ; h < maxSlots; h *= 2 {
-		d2 := d
-		d2.DeadlineSlot = h
-		if a := f.fill(d2, 0, -1); a.Satisfied {
+	for h := max(d.DeadlineSlot, 1); h < maxSlots; h *= 2 {
+		d.DeadlineSlot = h
+		if a := f.fill(&d, 0, -1); a.Satisfied {
 			return a
 		}
 	}
-	d2 := d
-	d2.DeadlineSlot = maxSlots
-	return f.fill(d2, 0, -1)
+	d.DeadlineSlot = maxSlots
+	return f.fill(&d, 0, -1)
 }
 
-// RaiseSlot0 returns cur with its slot-0 worker count raised to slot0 and
-// the remaining slots kept as they are, re-trimmed at the new (earlier)
+// finishFrac is the fraction of a slot adding delta iterations that the
+// demand still needs after progress iterations.
+func finishFrac(remaining, progress, delta float64) float64 {
+	if delta <= 0 {
+		return 0
+	}
+	frac := (remaining - progress) / delta
+	if frac < 0 {
+		return 0
+	}
+	if frac > 1 {
+		return 1
+	}
+	return frac
+}
+
+// RaiseSlot0 prices cur with its slot-0 worker count raised to slot0 and the
+// remaining slots kept as they are, re-trimmed at the new (earlier)
 // completion point. This is the marginal-return probe Algorithm 2 needs for
 // loose-deadline jobs: re-filling the tail minimally (FillFixedSlot0) would
 // slow the tail down and mask the benefit of the extra GPU, leaving spare
 // capacity unused; keeping the tail makes the probe a strict improvement
-// whenever the raised slot 0 adds throughput. cur must be uncommitted from
-// the filler during the call (the caller manages commit state).
-func (f *Filler) RaiseSlot0(d Demand, cur Allocation, slot0 int) Allocation {
-	levels := make([]int, len(cur.Levels))
-	copy(levels, cur.Levels)
-	if len(levels) == 0 {
-		levels = []int{0}
+// whenever the raised slot 0 adds throughput. free0 is the slot-0 capacity
+// open to the job — the filler's free capacity there plus cur's own share
+// when cur is committed; nothing else of the usage grid is read. ok is false
+// when slot0 workers do not fit or are not a feasible worker count for the
+// demand.
+//
+// The result carries the raised plan's accounting — finish point, GPU time,
+// Satisfied — with Levels left nil: Algorithm 2 prices a raise per job per
+// round and adopts few of them, so only Raised builds the plan.
+func (f *Filler) RaiseSlot0(d Demand, cur Allocation, slot0, free0 int) (a Allocation, ok bool) {
+	if slot0 > free0 || f.clampLevel(slot0, &d) != slot0 {
+		return Allocation{}, false
 	}
-	x := slot0
-	if free := f.FreeAt(0); x > free {
-		x = free
-	}
-	levels[0] = f.clampLevel(x, d)
-
-	a := Allocation{Levels: levels, FinishSlot: len(levels)}
-	progress := 0.0
+	n := max(len(cur.Levels), 1)
+	a.FinishSlot = n
+	progress, gpuTime := 0.0, 0.0
 	// Plans are long runs of equal levels; look up the per-slot throughput
 	// and GPU time once per run. Accumulation stays one addition per slot.
 	lastLv := 0
 	var delta, slotTime float64
-	for t, lv := range levels {
+	for t := 0; t < n; t++ {
+		lv := slot0
+		if t > 0 {
+			lv = cur.Levels[t]
+		}
 		if lv == 0 {
 			continue
 		}
@@ -276,59 +293,106 @@ func (f *Filler) RaiseSlot0(d Demand, cur Allocation, slot0 int) Allocation {
 			lastLv = lv
 		}
 		if progress+delta >= d.Remaining-1e-9 {
-			frac := 0.0
-			if delta > 0 {
-				frac = (d.Remaining - progress) / delta
-				if frac < 0 {
-					frac = 0
-				}
-				if frac > 1 {
-					frac = 1
-				}
-			}
 			a.Satisfied = true
 			a.FinishSlot = t
-			a.FinishFrac = frac
-			a.GPUTime += float64(lv) * frac * f.SlotDur
-			a.Levels = levels[:t+1]
-			return a
+			a.FinishFrac = finishFrac(d.Remaining, progress, delta)
+			gpuTime += float64(lv) * a.FinishFrac * f.SlotDur
+			break
 		}
 		progress += delta
-		a.GPUTime += slotTime
+		gpuTime += slotTime
 	}
-	a.Satisfied = d.Remaining <= 1e-9
-	return a
+	if !a.Satisfied {
+		a.Satisfied = d.Remaining <= 1e-9
+	}
+	a.GPUTime = gpuTime
+	return a, true
 }
+
+// Raised completes what RaiseSlot0 priced into the plan itself: cur's levels
+// with slot 0 at slot0, trimmed at the raised plan's completion point.
+func Raised(cur, priced Allocation, slot0 int) Allocation {
+	kept := cur.Levels[:min(priced.FinishSlot+1, len(cur.Levels))]
+	levels := make([]int, len(kept))
+	copy(levels, kept)
+	if len(levels) == 0 {
+		levels = []int{0} // an empty plan gains its first slot
+	}
+	levels[0] = slot0
+	priced.Levels = levels
+	return priced
+}
+
+// pruneGuard inflates the level-pruning bound of fill: a sum of up to 2^20
+// per-slot additions can exceed horizon × delta by a relative 2^20 × 2^-53 ≈
+// 1e-10, and a level must never be skipped that the slot walk would accept.
+const pruneGuard = 1e-6
+
+// levelScratch holds the per-slot level buffers fill walks into before it
+// copies out the finish-trimmed plan: a horizon's worth of ints that would
+// otherwise be allocated and dropped by every call.
+var levelScratch = sync.Pool{New: func() any { return new([]int) }}
 
 // fill is the common implementation. startSlot is the first slot whose level
 // the candidate j controls; slots before it are pinned to fixed0 (only slot
 // 0 can be pinned). fixed0 < 0 means no pin.
 //
-// Levels are probed in ascending order with a single early-exiting pass per
-// level, so a job satisfiable at a low level costs O(finish slot) rather
-// than O(horizon). Because per-slot allocations — and hence progress — are
-// monotone in the level, the highest level doubles as the maximal-progress
+// Levels are tried in ascending order with one early-exiting walk per level,
+// so a job satisfiable at a low level costs O(finish slot) rather than
+// O(horizon), and a level is not walked at all when even horizon slots at
+// the best throughput seen so far fall short of the demand: level j grants
+// every slot a level visited at or before j (clampLevel only caps, floors to
+// a power of two or zeroes), so the running maximum of Curve.At over visited
+// levels bounds every slot's progress, monotone curve or not. A pinned slot 0
+// may hold more than any visited level, so pinned fills walk every level.
+// The highest level is always walked: it doubles as the maximal-progress
 // fallback when no level satisfies the demand.
-func (f *Filler) fill(d Demand, startSlot, fixed0 int) Allocation {
-	horizon := d.DeadlineSlot
-	if horizon < 0 {
-		horizon = 0
-	}
-	// No upfront ensure: FreeAt treats slots beyond the usage grid as
-	// fully free, and Commit grows the grid to the (finish-trimmed) plan.
-
+func (f *Filler) fill(d *Demand, startSlot, fixed0 int) Allocation {
+	horizon := max(d.DeadlineSlot, 0)
 	maxJ := f.G
 	if d.MaxGPUs > 0 && d.MaxGPUs < maxJ {
 		maxJ = d.MaxGPUs
 	}
-	lastJ := 0
-	for j := 1; j <= maxJ; j = f.nextLevel(j) {
-		lastJ = j
-		if fin, frac, ok := f.probeLevel(d, j, startSlot, fixed0, horizon); ok {
-			return f.materialize(d, j, startSlot, fixed0, fin, frac)
+	// No upfront ensure: FreeAt treats slots beyond the usage grid as
+	// fully free, and Commit grows the grid to the (finish-trimmed) plan.
+	switch {
+	case maxJ < 1:
+		// No level to try: the empty plan over the whole horizon.
+		a := Allocation{Levels: make([]int, horizon), FinishSlot: horizon}
+		if d.Remaining <= 1e-9 {
+			a.Satisfied, a.FinishSlot = true, 0
+		}
+		return a
+	case d.Remaining <= 1e-9:
+		// Nothing to run: an empty, satisfied plan.
+		return Allocation{Satisfied: true}
+	}
+	scratch := levelScratch.Get().(*[]int)
+	defer levelScratch.Put(scratch)
+	if cap(*scratch) < horizon {
+		*scratch = make([]int, max(horizon, 2*cap(*scratch)))
+	}
+	levels := (*scratch)[:horizon]
+	best := 0.0 // highest Curve.At over the levels visited so far
+	for j := 1; ; j = f.nextLevel(j) {
+		last := f.nextLevel(j) > maxJ
+		if fixed0 < 0 && !last {
+			best = max(best, d.Curve.At(j))
+			if float64(horizon)*best*f.SlotDur*(1+pruneGuard) < d.Remaining-1e-9 {
+				continue
+			}
+		}
+		a := f.walk(d, j, startSlot, fixed0, levels)
+		if a.Satisfied || last {
+			// Out of the scratch buffer. (make+copy of plain locals compiles
+			// to one allocation that is not zeroed first.)
+			walked := a.Levels
+			trimmed := make([]int, len(walked))
+			copy(trimmed, walked)
+			a.Levels = trimmed
+			return a
 		}
 	}
-	return f.materializeUnsatisfied(d, lastJ, startSlot, fixed0, horizon)
 }
 
 // nextLevel advances the candidate level per the allocation discipline.
@@ -341,7 +405,7 @@ func (f *Filler) nextLevel(j int) int {
 
 // levelAt returns the worker count level j grants in slot t under the
 // pinning rules and current usage.
-func (f *Filler) levelAt(d Demand, j, startSlot, fixed0, t int) int {
+func (f *Filler) levelAt(d *Demand, j, startSlot, fixed0, t int) int {
 	x := j
 	if t < startSlot {
 		if t == 0 && fixed0 >= 0 {
@@ -361,8 +425,8 @@ func (f *Filler) levelAt(d Demand, j, startSlot, fixed0, t int) int {
 // its own run, other pinned slots share one, and past the pin slots group by
 // equal committed usage (slots beyond the usage grid are one fully-free run).
 // Filled plans are long runs of equal usage, so the per-slot level/clamp/
-// curve work in the loops below amortizes to O(1) per slot — one level
-// computation plus an integer comparison per slot of run.
+// curve work in walk amortizes to O(1) per slot — one level computation plus
+// an integer comparison per slot of run.
 func (f *Filler) segEnd(t, startSlot, horizon int) int {
 	if t < startSlot {
 		end := startSlot
@@ -390,100 +454,39 @@ func (f *Filler) segEnd(t, startSlot, horizon int) int {
 	return end
 }
 
-// probeLevel walks slots accumulating progress until the demand is met,
-// returning the finish slot and its fractional use. ok is false when the
-// demand cannot complete by the horizon at this level. Progress accumulates
-// with one addition per slot in slot order — runs only hoist the (identical)
-// level and throughput computation, keeping results bit-identical to a
-// slot-by-slot walk.
-func (f *Filler) probeLevel(d Demand, j, startSlot, fixed0, horizon int) (fin int, frac float64, ok bool) {
-	if d.Remaining <= 1e-9 {
-		return 0, 0, true
-	}
-	progress := 0.0
+// walk lays level j over levels (one entry per slot of the horizon) until the
+// demand is met, in a single pass that produces the whole allocation: the
+// result's Levels aliases levels up to and including the finish slot, or all
+// of it when the demand cannot complete by the horizon at this level.
+// Progress and GPU time each accumulate with one addition per slot in slot
+// order — runs only hoist the (identical) level and throughput computation,
+// keeping results bit-identical to a slot-by-slot walk; a closed form per
+// run rounds differently and moves finish slots.
+func (f *Filler) walk(d *Demand, j, startSlot, fixed0 int, levels []int) Allocation {
+	horizon := len(levels)
+	progress, gpuTime := 0.0, 0.0
 	for t := 0; t < horizon; {
 		end := f.segEnd(t, startSlot, horizon)
 		x := f.levelAt(d, j, startSlot, fixed0, t)
 		if x == 0 {
+			clear(levels[t:end])
 			t = end
 			continue
 		}
 		delta := d.Curve.At(x) * f.SlotDur
+		slotTime := float64(x) * f.SlotDur
 		for ; t < end; t++ {
+			levels[t] = x
 			if progress+delta >= d.Remaining-1e-9 {
-				fr := 0.0
-				if delta > 0 {
-					fr = (d.Remaining - progress) / delta
-					if fr < 0 {
-						fr = 0
-					}
-					if fr > 1 {
-						fr = 1
-					}
-				}
-				return t, fr, true
+				frac := finishFrac(d.Remaining, progress, delta)
+				gpuTime += float64(x) * frac * f.SlotDur
+				return Allocation{Levels: levels[:t+1], Satisfied: true, FinishSlot: t, FinishFrac: frac, GPUTime: gpuTime}
 			}
 			progress += delta
-		}
-	}
-	return horizon, 0, false
-}
-
-// materialize builds the satisfied allocation for level j finishing at
-// (fin, frac): levels up to and including the finish slot, fractional GPU
-// time.
-func (f *Filler) materialize(d Demand, j, startSlot, fixed0, fin int, frac float64) Allocation {
-	levels := make([]int, fin+1)
-	gpuTime := 0.0
-	for t := 0; t <= fin; {
-		end := f.segEnd(t, startSlot, fin+1)
-		x := f.levelAt(d, j, startSlot, fixed0, t)
-		slotTime := float64(x) * f.SlotDur
-		finTime := float64(x) * frac * f.SlotDur
-		for ; t < end; t++ {
-			levels[t] = x
-			if t < fin {
-				gpuTime += slotTime
-			} else {
-				gpuTime += finTime
-			}
-		}
-	}
-	if d.Remaining <= 1e-9 {
-		// Nothing to run: an empty, satisfied plan.
-		levels = nil
-		gpuTime = 0
-	}
-	return Allocation{Levels: levels, Satisfied: true, FinishSlot: fin, FinishFrac: frac, GPUTime: gpuTime}
-}
-
-// materializeUnsatisfied builds the maximal best-effort plan over the whole
-// horizon for an unsatisfiable demand.
-func (f *Filler) materializeUnsatisfied(d Demand, j, startSlot, fixed0, horizon int) Allocation {
-	levels := make([]int, horizon)
-	gpuTime := 0.0
-	for t := 0; t < horizon; {
-		end := f.segEnd(t, startSlot, horizon)
-		x := f.levelAt(d, j, startSlot, fixed0, t)
-		slotTime := float64(x) * f.SlotDur
-		for ; t < end; t++ {
-			levels[t] = x
 			gpuTime += slotTime
 		}
 	}
-	if d.Remaining <= 1e-9 {
-		return Allocation{Levels: make([]int, horizon), Satisfied: true, FinishSlot: 0, GPUTime: 0}
-	}
-	return Allocation{Levels: levels, Satisfied: false, FinishSlot: horizon, GPUTime: gpuTime}
-}
-
-// progress returns the iterations the levels achieve over the horizon.
-func (f *Filler) progress(d Demand, levels []int) float64 {
-	p := 0.0
-	for _, x := range levels {
-		p += d.Curve.At(x) * f.SlotDur
-	}
-	return p
+	return Allocation{Levels: levels, FinishSlot: horizon, GPUTime: gpuTime}
 }
 
 // TotalCommitted returns the committed GPU·slots across all slots, a debug

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -63,6 +64,15 @@ func TestFig4IntermediateLevelInsufficient(t *testing.T) {
 	if got := f.progress(d, a.Levels); got != 2.5 {
 		t.Errorf("progress at j=2 = %v want 2.5", got)
 	}
+}
+
+// progress returns the iterations the levels achieve over the horizon.
+func (f *Filler) progress(d Demand, levels []int) float64 {
+	p := 0.0
+	for _, x := range levels {
+		p += d.Curve.At(x) * f.SlotDur
+	}
+	return p
 }
 
 func TestFillInfeasibleDeadline(t *testing.T) {
@@ -306,9 +316,13 @@ func TestRaiseSlot0(t *testing.T) {
 	if cur.GPUsAt(0) != 1 || cur.FinishSlot != 3 {
 		t.Fatalf("setup plan %+v", cur)
 	}
-	alt := f.RaiseSlot0(d, cur, 2)
+	alt, ok := f.RaiseSlot0(d, cur, 2, f.FreeAt(0))
+	if !ok || alt.Levels != nil {
+		t.Fatalf("raise priced as %+v ok=%v, want accounting without levels", alt, ok)
+	}
+	alt = Raised(cur, alt, 2)
 	if alt.GPUsAt(0) != 2 {
-		t.Fatalf("slot0=%d want 2", alt.GPUsAt(0))
+		t.Fatalf("slot0=%d ok=%v want 2", alt.GPUsAt(0), ok)
 	}
 	// Tail stays at level 1; progress 1.5+1+1 = 3.5 then 0.5 into slot 3.
 	if alt.GPUsAt(1) != 1 {
@@ -320,17 +334,27 @@ func TestRaiseSlot0(t *testing.T) {
 	if !alt.Satisfied {
 		t.Error("raised plan unsatisfied")
 	}
-	// Raising is clamped by free capacity.
+	// A raise that does not fit the free capacity is no probe at all, and
+	// neither is one to an infeasible worker count.
 	f.Commit(Allocation{Levels: []int{3}})
-	alt2 := f.RaiseSlot0(d, cur, 4)
-	if alt2.GPUsAt(0) != 1 {
-		t.Errorf("slot0=%d want 1 (only 1 GPU free)", alt2.GPUsAt(0))
+	if alt2, ok := f.RaiseSlot0(d, cur, 4, f.FreeAt(0)); ok {
+		t.Errorf("raise to 4 with 1 GPU free = %+v, want no probe", alt2)
+	}
+	if alt2, ok := f.RaiseSlot0(d, cur, 3, 4); ok {
+		t.Errorf("raise to 3 in power-of-two mode = %+v, want no probe", alt2)
+	}
+	// cur's own committed share counts as free for its raise.
+	f.Uncommit(Allocation{Levels: []int{3}})
+	f.Commit(cur)
+	if _, ok := f.RaiseSlot0(d, cur, 4, f.FreeAt(0)+cur.GPUsAt(0)); !ok {
+		t.Error("raise of a committed plan to 4 refused with its own GPU plus 3 free")
 	}
 	// Empty current plan gets a single raised slot.
 	empty := Allocation{}
 	f2 := NewFiller(4, 1, true)
-	alt3 := f2.RaiseSlot0(d, empty, 2)
-	if alt3.GPUsAt(0) != 2 || len(alt3.Levels) != 1 {
+	alt3, ok := f2.RaiseSlot0(d, empty, 2, f2.FreeAt(0))
+	alt3 = Raised(empty, alt3, 2)
+	if !ok || alt3.GPUsAt(0) != 2 || len(alt3.Levels) != 1 {
 		t.Errorf("raise of empty plan = %+v", alt3)
 	}
 }
@@ -353,7 +377,7 @@ func refFill(f *Filler, d Demand, startSlot, fixed0 int) Allocation {
 		}
 		progress := 0.0
 		for t := 0; t < horizon; t++ {
-			x := f.levelAt(d, j, startSlot, fixed0, t)
+			x := f.levelAt(&d, j, startSlot, fixed0, t)
 			if x == 0 {
 				continue
 			}
@@ -382,7 +406,7 @@ func refFill(f *Filler, d Demand, startSlot, fixed0 int) Allocation {
 			levels := make([]int, fin+1)
 			gpuTime := 0.0
 			for t := 0; t <= fin; t++ {
-				x := f.levelAt(d, j, startSlot, fixed0, t)
+				x := f.levelAt(&d, j, startSlot, fixed0, t)
 				levels[t] = x
 				if t < fin {
 					gpuTime += float64(x) * f.SlotDur
@@ -400,7 +424,7 @@ func refFill(f *Filler, d Demand, startSlot, fixed0 int) Allocation {
 	levels := make([]int, horizon)
 	gpuTime := 0.0
 	for t := 0; t < horizon; t++ {
-		x := f.levelAt(d, lastJ, startSlot, fixed0, t)
+		x := f.levelAt(&d, lastJ, startSlot, fixed0, t)
 		levels[t] = x
 		gpuTime += float64(x) * f.SlotDur
 	}
@@ -410,62 +434,98 @@ func refFill(f *Filler, d Demand, startSlot, fixed0 int) Allocation {
 	return Allocation{Levels: levels, Satisfied: false, FinishSlot: horizon, GPUTime: gpuTime}
 }
 
-func allocEqual(a, b Allocation) bool {
-	if a.Satisfied != b.Satisfied || a.FinishSlot != b.FinishSlot ||
-		a.FinishFrac != b.FinishFrac || a.GPUTime != b.GPUTime ||
-		len(a.Levels) != len(b.Levels) {
-		return false
-	}
-	for i := range a.Levels {
-		if a.Levels[i] != b.Levels[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// TestRunFillMatchesSlotBySlot cross-checks the run-segment fill against the
-// slot-by-slot oracle over randomized usage grids, curves, pins, and both
-// allocation disciplines — Levels, FinishFrac, and GPUTime must be
-// bit-identical, not merely close.
+// TestRunFillMatchesSlotBySlot cross-checks the pruned single-walk fill
+// against the slot-by-slot oracle over randomized usage grids, curves
+// (monotone and not), capacities and worker caps off the powers of two, pins,
+// and both allocation disciplines — whole Allocations must be identical
+// (Levels, FinishFrac and GPUTime to the bit), not merely close.
 func TestRunFillMatchesSlotBySlot(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	curves := []throughput.Curve{
 		fig4Curve(),
 		throughput.MustCurve(map[int]float64{1: 0.7, 2: 1.2, 4: 1.9, 8: 2.4}),
 		throughput.MustCurve(map[int]float64{2: 1, 4: 1.3}),
+		// Non-monotone: the pruning bound must track the best level seen,
+		// not the current one.
+		throughput.MustCurve(map[int]float64{1: 1, 2: 2.2, 4: 1.6, 8: 2.1, 16: 0.9}),
+		throughput.MustCurve(map[int]float64{1: 1.5, 2: 1.1, 3: 1.4, 5: 0.8, 6: 1.45}),
 	}
-	for i := 0; i < 3000; i++ {
-		g := 1 << rng.Intn(5) // 1..16 GPUs
-		f := NewFiller(g, 0.5+rng.Float64(), rng.Intn(2) == 0)
+	randomGrid := func(f *Filler) {
 		// Random committed usage with runs and spikes.
 		n := rng.Intn(20)
 		used := make([]int, n)
 		for t := 0; t < n; {
-			u := rng.Intn(g + 1)
+			u := rng.Intn(f.G + 1)
 			end := t + 1 + rng.Intn(6)
 			for ; t < n && t < end; t++ {
 				used[t] = u
 			}
 		}
 		f.used = used
+	}
+	check := func(i int, f *Filler, d Demand, startSlot, fixed0 int) {
+		t.Helper()
+		got := f.fill(&d, startSlot, fixed0)
+		want := refFill(f, d, startSlot, fixed0)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("case %d: fill mismatch\n grid=%v G=%d pow2=%v slot=%v d=%+v start=%d fixed0=%d\n got  %+v\n want %+v",
+				i, f.used, f.G, f.PowerOfTwo, f.SlotDur, d, startSlot, fixed0, got, want)
+		}
+	}
+	for i := 0; i < 6000; i++ {
+		g := 1 << rng.Intn(5) // 1..16 GPUs
+		if rng.Intn(3) == 0 {
+			g = 1 + rng.Intn(20) // capacities off the powers of two
+		}
+		f := NewFiller(g, 0.5+rng.Float64(), rng.Intn(2) == 0)
+		randomGrid(f)
 		d := Demand{
 			Curve:        curves[rng.Intn(len(curves))],
 			Remaining:    rng.Float64() * 20,
 			DeadlineSlot: rng.Intn(30),
 			MinGPUs:      1 + rng.Intn(2),
-			MaxGPUs:      rng.Intn(2) * (1 << rng.Intn(4)),
+			MaxGPUs:      rng.Intn(2) * (1 + rng.Intn(12)), // 0 = uncapped; caps off the powers of two
 		}
 		startSlot, fixed0 := 0, -1
 		if rng.Intn(2) == 0 {
 			startSlot, fixed0 = 1, rng.Intn(g+1)
 		}
-		got := f.fill(d, startSlot, fixed0)
-		want := refFill(f, d, startSlot, fixed0)
-		if !allocEqual(got, want) {
-			t.Fatalf("case %d: fill mismatch\n grid=%v d=%+v start=%d fixed0=%d\n got  %+v\n want %+v",
-				i, f.used, d, startSlot, fixed0, got, want)
+		check(i, f, d, startSlot, fixed0)
+	}
+
+	// Demands sitting on the pruning bound: Remaining within a relative 1e-9
+	// (and out to either side of the guard) of what horizon slots at one
+	// level's throughput deliver — with and without the walk's own 1e-9
+	// completion tolerance added — where skipping a level one rounding too
+	// early would move the chosen level or the finish slot.
+	for i := 0; i < 4000; i++ {
+		g := 1 + rng.Intn(16)
+		f := NewFiller(g, 0.5+rng.Float64(), rng.Intn(2) == 0)
+		if rng.Intn(2) == 0 {
+			randomGrid(f)
 		}
+		curve := curves[rng.Intn(len(curves))]
+		horizon := 1 + rng.Intn(40)
+		if rng.Intn(4) == 0 {
+			horizon = 1 + rng.Intn(3000) // long sums drift further from the closed-form bound
+		}
+		level := 1 + rng.Intn(g)
+		eps := []float64{0, 1e-15, 1e-12, 1e-10, 1e-9, 5e-7, pruneGuard, 2 * pruneGuard}[rng.Intn(8)]
+		if rng.Intn(2) == 0 {
+			eps = -eps
+		}
+		d := Demand{
+			Curve:        curve,
+			Remaining:    float64(horizon)*curve.At(level)*f.SlotDur*(1+eps) + float64(rng.Intn(2))*1e-9,
+			DeadlineSlot: horizon,
+			MinGPUs:      1 + rng.Intn(2),
+			MaxGPUs:      rng.Intn(2) * (1 + rng.Intn(12)),
+		}
+		startSlot, fixed0 := 0, -1
+		if rng.Intn(4) == 0 {
+			startSlot, fixed0 = 1, rng.Intn(g+1)
+		}
+		check(i, f, d, startSlot, fixed0)
 	}
 }
 
@@ -506,7 +566,7 @@ func TestSnapshotRestore(t *testing.T) {
 	f2 := NewFiller(8, 1, true)
 	f2.Restore(snap)
 	d := Demand{Curve: fig4Curve(), Remaining: 5, DeadlineSlot: 8, MinGPUs: 1}
-	if got, want := f2.Fill(d), f.Fill(d); !allocEqual(got, want) {
+	if got, want := f2.Fill(d), f.Fill(d); !reflect.DeepEqual(got, want) {
 		t.Fatalf("restored filler fills differ: %+v vs %+v", got, want)
 	}
 }
@@ -523,5 +583,13 @@ func TestRestoreShrinksGrid(t *testing.T) {
 	}
 	if got := f.FreeAt(2); got != 4 {
 		t.Fatalf("FreeAt(2) = %d want 4", got)
+	}
+	// Growing the grid again reuses the capacity the restore left behind;
+	// what was committed there before must not resurface.
+	f.Commit(Allocation{Levels: []int{1, 0, 0, 1}})
+	for slot, want := range []int{1, 0, 0, 1, 0} {
+		if got := f.UsedAt(slot); got != want {
+			t.Fatalf("after recommit UsedAt(%d) = %d want %d (grid %v)", slot, got, want, f.used)
+		}
 	}
 }

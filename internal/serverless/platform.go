@@ -475,7 +475,7 @@ func (p *Platform) applySubmitLocked(req SubmitRequest, now float64) (JobStatus,
 // reschedule and compute its post-schedule status (possibly amortized over a
 // whole batch); a dropped submission returns (nil, dropStatus, nil) with the
 // counter-offer filled in. The lifecycle root parents under batch when set.
-// ba is the batch's admission session: one pass-1 fold and one counter-offer
+// ba is the batch's admission session: one deadline sort and one counter-offer
 // search amortize across same-shape arrivals (a single submission passes a
 // fresh one-item session, which computes exactly what Admit would).
 func (p *Platform) applySubmitItemLocked(req SubmitRequest, now float64, batch tracing.Ref, ba *core.AdmitBatch) (*job.Job, JobStatus, error) {
@@ -652,6 +652,7 @@ func (p *Platform) applyCancelLocked(id string, now float64) error {
 		}
 	}
 	j.State = job.Dropped
+	j.GPUs = 0 // a cancelled job holds no workers: status must not show GPUs or an estimated finish
 	delete(p.infeasible, id)
 	p.eventLocked(now, obs.KindCancel, id)
 	p.tr.EndJob(now, id, p.curLSN, tracing.A("outcome", "cancelled"))

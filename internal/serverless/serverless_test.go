@@ -123,6 +123,31 @@ func TestCancelFreesGPUs(t *testing.T) {
 	}
 }
 
+// TestCancelledStatusHoldsNoGPUs: a cancelled job's status, alone and in the
+// job list, shows no workers, placement or estimated finish.
+func TestCancelledStatusHoldsNoGPUs(t *testing.T) {
+	p, _ := newTestPlatform(t)
+	st, err := p.Submit(SubmitRequest{Model: "resnet50", GlobalBatch: 128, Iterations: 1e8, DeadlineSeconds: 1e6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.GPUs == 0 || st.EstimatedDone == 0 {
+		t.Fatalf("lone job is not running before the cancel: %+v", st)
+	}
+	if err := p.Cancel(st.ID); err != nil {
+		t.Fatal(err)
+	}
+	got, err := p.Get(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range append(p.List(), got) {
+		if s.State != "dropped" || s.GPUs != 0 || s.LocalBatch != 0 || s.EstimatedDone != 0 || s.Placement != "" {
+			t.Errorf("cancelled job status = %+v, want dropped with no GPUs, local batch, placement or estimated_done", s)
+		}
+	}
+}
+
 func TestElasticDownscaleOnContention(t *testing.T) {
 	p, clk := newTestPlatform(t)
 	first, err := p.Submit(SubmitRequest{Model: "resnet50", GlobalBatch: 256, Iterations: 5e6, DeadlineSeconds: 1e6})
