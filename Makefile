@@ -12,7 +12,7 @@ BENCH_GATE = BenchmarkFig6aTestbedSmall|BenchmarkFig7aAllocationTimeline|Benchma
 # and traced/untraced run; see benchmark/README.md).
 BENCH_REAL_OUT ?= .bench_build/runs
 
-.PHONY: all build test vet lint race fuzz-smoke obs-check faults-check store-check trace-check transfer-check sim-check front-check ci ci-sync-check bench bench-base bench-real bench-real-compare
+.PHONY: all build test vet lint loc race fuzz-smoke obs-check faults-check store-check trace-check transfer-check sim-check front-check ci ci-sync-check bench bench-base bench-real bench-real-compare
 
 all: build test
 
@@ -38,6 +38,12 @@ lint: ci-sync-check
 	$(GO) run ./cmd/eflint ./...
 	$(GO) run ./cmd/eflint -json ./internal/analysis/...
 	./scripts/nilness.sh
+
+# loc prints the non-test Go line count of every internal/* package and the
+# module total. CI prints it in the lint job's log, so the ROADMAP's LOC
+# trend has a recorded source per commit.
+loc:
+	./scripts/loc.sh
 
 # ci-sync-check fails when the `ci` target here and the mirror jobs in
 # .github/workflows/ci.yml run different command sets.
@@ -125,7 +131,7 @@ front-check:
 	$(GO) run ./cmd/eflint ./internal/frontdoor/
 	$(GO) run ./cmd/efbench -exp frontdoor -quick
 
-ci: build vet lint race fuzz-smoke obs-check faults-check store-check trace-check transfer-check sim-check front-check
+ci: build vet lint loc race fuzz-smoke obs-check faults-check store-check trace-check transfer-check sim-check front-check
 
 # bench runs the gated benchmarks and, when a baseline exists, applies the
 # same regression gate CI does. Capture the baseline on the base commit with

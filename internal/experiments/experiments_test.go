@@ -191,26 +191,28 @@ func TestTableRendering(t *testing.T) {
 }
 
 // TestFidelityWithinPaperBand: the simulator and the live platform agree on
-// admissions and track each other's completion times within the paper's
-// validation band (≤3%, we allow 5% for the tick-quantized live leg).
+// admissions and on every job's transition sequence (Fidelity itself errors
+// when a trail diverges), so completion times differ only by the live
+// clock's quantum — orders of magnitude inside the paper's ≤3% band.
 func TestFidelityWithinPaperBand(t *testing.T) {
 	table, err := Fidelity(quick())
 	if err != nil {
 		t.Fatal(err)
 	}
-	foundErr, foundAgree := false, false
+	foundErr, foundAgree, foundTrails := false, false, false
 	for _, n := range table.Notes {
 		var pct float64
 		var cnt int
 		if _, err := fmt.Sscanf(n, "mean completion-time error: %f%% over %d completed jobs", &pct, &cnt); err == nil {
 			foundErr = true
-			if pct > 5 {
-				t.Errorf("mean fidelity error %.2f%% exceeds 5%%", pct)
+			if pct > 1e-6 {
+				t.Errorf("mean fidelity error %g%% is beyond clock-quantum scale", pct)
 			}
 			if cnt == 0 {
 				t.Error("no jobs completed in both legs")
 			}
 		}
+		foundTrails = foundTrails || strings.HasPrefix(n, "place/rescale/migrate/complete transitions")
 		var agree, total int
 		if _, err := fmt.Sscanf(n, "admission decisions agree on %d/%d jobs", &agree, &total); err == nil {
 			foundAgree = true
@@ -219,7 +221,7 @@ func TestFidelityWithinPaperBand(t *testing.T) {
 			}
 		}
 	}
-	if !foundErr || !foundAgree {
+	if !foundErr || !foundAgree || !foundTrails {
 		t.Errorf("fidelity notes missing: %v", table.Notes)
 	}
 }

@@ -6,23 +6,18 @@ import (
 
 	"github.com/elasticflow/elasticflow/internal/job"
 	"github.com/elasticflow/elasticflow/internal/obs"
-	"github.com/elasticflow/elasticflow/internal/obs/tracing"
 )
 
-// This file is the platform's §4.4 fault model on the live path, mirroring
-// the simulator's Failures semantics: a failed server's GPUs leave the
+// This file is the platform's §4.4 fault model on the live path. The server
+// transition itself is the engine's (sched.Engine.Evict/Restore — the code
+// the simulator's Failures run): a failed server's GPUs leave the
 // schedulable pool (held by a reservation so the buddy allocator cannot
-// place anything there), its jobs are evicted back to Admitted and re-placed
-// at the next scheduling pass, and every admitted SLO job's guarantee is
+// place anything there) and its jobs are evicted back to Admitted and
+// re-placed at the next scheduling pass. What is the platform's own: the
+// down set and capacity, and that every admitted SLO job's guarantee is
 // re-checked against the shrunken capacity — jobs whose deadlines became
 // infeasible keep running demoted but are surfaced with a counter-offer
 // (DeadlineAtRisk + EarliestFeasibleSec) instead of being silently broken.
-
-// downReservation names the placement reservation that holds a failed
-// server's block out of the pool — the same idiom the simulator uses.
-func downReservation(server int) string {
-	return fmt.Sprintf("__down-server-%d__", server)
-}
 
 // capLocked returns the schedulable GPU count: the cluster total minus the
 // capacity of down servers. Every admission/scheduling decision uses it;
@@ -39,9 +34,21 @@ func (p *Platform) capLocked() int {
 // restarts them from mirrored checkpoints), its capacity leaves the pool,
 // and admission guarantees are re-checked. Idempotent; returns the evicted
 // job IDs, sorted.
+func (p *Platform) NodeDown(server int) ([]string, error) {
+	return p.setNode(server, true)
+}
+
+// NodeUp returns a failed server's capacity to the pool and re-checks
+// guarantees (at-risk jobs may become feasible again). Idempotent.
+func (p *Platform) NodeUp(server int) error {
+	_, err := p.setNode(server, false)
+	return err
+}
+
+// setNode journals and applies one server transition.
 //
 //eflint:journal entry
-func (p *Platform) NodeDown(server int) ([]string, error) {
+func (p *Platform) setNode(server int, down bool) ([]string, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if err := p.checkMutableLocked(); err != nil {
@@ -51,109 +58,49 @@ func (p *Platform) NodeDown(server int) ([]string, error) {
 	if server < 0 || server >= p.cluster.Config().Servers {
 		return nil, fmt.Errorf("serverless: server %d out of range [0,%d)", server, p.cluster.Config().Servers)
 	}
-	if p.down[server] {
+	if p.down[server] == down {
 		return nil, nil
 	}
 	now := p.lastTick
 	if p.journalingLocked() {
-		if err := p.journalLocked(recNodeDown, now, nodeBody{Server: server}, true); err != nil {
+		kind := recNodeUp
+		if down {
+			kind = recNodeDown
+		}
+		if err := p.journalLocked(kind, now, nodeBody{Server: server}, true); err != nil {
 			return nil, err
 		}
 	}
-	evicted, err := p.applyNodeDownLocked(server, now)
+	evicted, err := p.applyNodeLocked(server, down, now)
 	p.maybeSnapshotLocked()
 	return evicted, err
 }
 
-// applyNodeDownLocked performs the failure transition at time now — shared
-// by the live path and journal replay. Idempotent on an already-down server.
+// applyNodeLocked performs the failure (down) or recovery transition at time
+// now — shared by the live path and journal replay. Idempotent on a server
+// already in that state.
 //
 //eflint:journal apply
-func (p *Platform) applyNodeDownLocked(server int, now float64) ([]string, error) {
-	if p.down[server] {
+func (p *Platform) applyNodeLocked(server int, down bool, now float64) (evicted []string, err error) {
+	if p.down[server] == down {
 		return nil, nil
 	}
-	block, err := p.cluster.ServerBlock(server)
-	if err != nil {
-		return nil, err
-	}
-	evicted := p.cluster.JobsOn(block)
-	sort.Strings(evicted)
-	for _, id := range evicted {
-		if err := p.cluster.Release(id); err != nil {
+	if down {
+		if evicted, err = p.eng.Evict(now, server, p.active); err != nil {
 			return nil, err
 		}
-		if j, ok := p.all[id]; ok {
-			// The workers died with the node; the job resumes from its
-			// checkpoint at the next placement.
-			j.GPUs = 0
-			j.State = job.Admitted
+		p.down[server] = true
+		p.downGPUs += p.cluster.Config().GPUsPerServer
+	} else {
+		if err = p.eng.Restore(now, server); err != nil {
+			return nil, err
 		}
-	}
-	if err := p.cluster.Reserve(downReservation(server), block); err != nil {
-		return nil, err
-	}
-	p.down[server] = true
-	p.downGPUs += p.cluster.Config().GPUsPerServer
-	p.ef.InvalidatePlanCache()
-	p.eventLocked(now, obs.KindFailure, "",
-		obs.F("server", server), obs.F("evicted", len(evicted)))
-	for _, id := range evicted {
-		p.tr.EmitLSN(now, tracing.SpanNodeDownRecover, id, p.curLSN, tracing.A("server", server))
+		delete(p.down, server)
+		p.downGPUs -= p.cluster.Config().GPUsPerServer
 	}
 	p.recheckGuaranteesLocked(now)
 	p.rescheduleLocked(now)
 	return evicted, nil
-}
-
-// NodeUp returns a failed server's capacity to the pool and re-checks
-// guarantees (at-risk jobs may become feasible again). Idempotent.
-//
-//eflint:journal entry
-func (p *Platform) NodeUp(server int) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err := p.checkMutableLocked(); err != nil {
-		return err
-	}
-	p.advanceLocked()
-	if server < 0 || server >= p.cluster.Config().Servers {
-		return fmt.Errorf("serverless: server %d out of range [0,%d)", server, p.cluster.Config().Servers)
-	}
-	if !p.down[server] {
-		return nil
-	}
-	now := p.lastTick
-	if p.journalingLocked() {
-		if err := p.journalLocked(recNodeUp, now, nodeBody{Server: server}, true); err != nil {
-			return err
-		}
-	}
-	if err := p.applyNodeUpLocked(server, now); err != nil {
-		return err
-	}
-	p.maybeSnapshotLocked()
-	return nil
-}
-
-// applyNodeUpLocked performs the recovery transition at time now — shared
-// by the live path and journal replay. Idempotent on an already-up server.
-//
-//eflint:journal apply
-func (p *Platform) applyNodeUpLocked(server int, now float64) error {
-	if !p.down[server] {
-		return nil
-	}
-	if err := p.cluster.Release(downReservation(server)); err != nil {
-		return err
-	}
-	delete(p.down, server)
-	p.downGPUs -= p.cluster.Config().GPUsPerServer
-	p.ef.InvalidatePlanCache()
-	p.eventLocked(now, obs.KindRecovery, "", obs.F("server", server))
-	p.recheckGuaranteesLocked(now)
-	p.rescheduleLocked(now)
-	return nil
 }
 
 // recheckGuaranteesLocked re-runs the admission feasibility check over the

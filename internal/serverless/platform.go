@@ -19,6 +19,7 @@ import (
 	"github.com/elasticflow/elasticflow/internal/model"
 	"github.com/elasticflow/elasticflow/internal/obs"
 	"github.com/elasticflow/elasticflow/internal/obs/tracing"
+	"github.com/elasticflow/elasticflow/internal/sched"
 	"github.com/elasticflow/elasticflow/internal/store"
 	"github.com/elasticflow/elasticflow/internal/throughput"
 	"github.com/elasticflow/elasticflow/internal/topology"
@@ -108,8 +109,8 @@ type Options struct {
 	Clock func() time.Time
 	// Observer, when non-nil, receives the worker-count snapshot after
 	// every rescheduling — the hook the elastic training executor
-	// (package executor / package agent) plugs into, closing the loop of
-	// Fig. 1. It is invoked with the platform lock held; observers must
+	// (package cluster driving package agent) plugs into, closing the loop
+	// of Fig. 1. It is invoked with the platform lock held; observers must
 	// not call back into the platform.
 	Observer func(alloc map[string]int)
 	// Obs is the observability sink (event bus + metrics registry) behind
@@ -151,9 +152,22 @@ type Platform struct {
 	clock   func() time.Time
 	start   time.Time
 	scale   float64
+	// eng applies every decision, completion and server transition to
+	// cluster and the jobs — the same sched.Engine the simulator drives
+	// (DESIGN.md §5.1). Its emitter's LSN is the journal LSN of the mutation
+	// record currently being applied — the flight-recorder correlation
+	// stamped onto every span the apply emits, the platform's own included.
+	// The live path sets it at append time, replay sets it from the record
+	// being replayed, so the two produce identical spans. Zero on a
+	// storeless platform. guarded by mu
+	eng sched.Engine
 	// lastTick is the platform time of the latest advance. journaled;
 	// guarded by mu
 	lastTick float64
+	// wake is the time the last decision asked to be re-run at (a planned
+	// allocation change at a slot boundary); the first advance that reaches
+	// it reschedules. 0 = none. journaled; guarded by mu
+	wake float64
 
 	seq       int                 // job ID counter. journaled; guarded by mu
 	prefix    string              // job ID prefix (Options.JobPrefix)
@@ -171,12 +185,6 @@ type Platform struct {
 	obs         *obs.Obs
 	// tr is the span tracer (nil-safe; nil when tracing is disabled).
 	tr *tracing.Tracer
-	// curLSN is the journal LSN of the mutation record currently being
-	// applied — the flight-recorder correlation stamped onto every span the
-	// apply emits. The live path sets it at append time, replay sets it
-	// from the record being replayed, so the two produce identical spans.
-	// Zero on a storeless platform. guarded by mu
-	curLSN uint64
 
 	// down marks servers declared failed via NodeDown. journaled; guarded by mu
 	down map[int]bool
@@ -256,12 +264,13 @@ func newPlatform(opts Options) (*Platform, error) {
 		scale = 1
 	}
 	est := throughput.NewEstimator(hw)
-	return &Platform{
+	p := &Platform{
 		observer:    opts.Observer,
 		obs:         o,
 		tr:          o.Tracer(),
 		ef:          ef,
 		cluster:     cluster,
+		eng:         sched.Engine{Cluster: cluster, Sched: ef, Costs: est.CostModel(), Obs: o},
 		est:         est,
 		prof:        throughput.NewProfiler(est, opts.Topology.GPUsPerServer, cluster.TotalGPUs()),
 		clock:       clock,
@@ -274,7 +283,11 @@ func newPlatform(opts Options) (*Platform, error) {
 		infeasible:  make(map[string]float64),
 		store:       opts.Store,
 		snapEvery:   opts.SnapshotEvery,
-	}, nil
+	}
+	p.mu.Lock()
+	p.eng.Emit.Event = p.eventLocked
+	p.mu.Unlock()
+	return p, nil
 }
 
 // Now returns the platform clock in seconds.
@@ -430,7 +443,7 @@ func (p *Platform) applySubmitBatchLocked(reqs []SubmitRequest, now float64) []J
 			out[i] = p.statusLocked(j)
 		}
 	}
-	p.tr.EndLSN(now, ref, p.curLSN,
+	p.tr.EndLSN(now, ref, p.eng.Emit.LSN,
 		tracing.A("batch", batch), tracing.A("size", len(reqs)), tracing.A("admitted", admitted))
 	return out
 }
@@ -542,9 +555,9 @@ func (p *Platform) applySubmitItemLocked(req SubmitRequest, now float64, batch t
 		}
 		p.eventLocked(now, obs.KindDrop, j.ID, fields...)
 		p.obs.IncAdmission("drop")
-		p.tr.EmitLSN(now, tracing.SpanAdmit, j.ID, p.curLSN,
+		p.tr.EmitLSN(now, tracing.SpanAdmit, j.ID, p.eng.Emit.LSN,
 			tracing.A("verdict", "drop"), tracing.A("earliest_feasible_sec", st.EarliestFeasibleSec))
-		p.tr.EndJob(now, j.ID, p.curLSN, tracing.A("outcome", "dropped"))
+		p.tr.EndJob(now, j.ID, p.eng.Emit.LSN, tracing.A("outcome", "dropped"))
 		return nil, st, nil
 	}
 	j.State = job.Admitted
@@ -555,7 +568,7 @@ func (p *Platform) applySubmitItemLocked(req SubmitRequest, now float64, batch t
 	}
 	p.eventLocked(now, obs.KindAdmit, j.ID, fields...)
 	p.obs.IncAdmission("admit")
-	p.tr.EmitLSN(now, tracing.SpanAdmit, j.ID, p.curLSN,
+	p.tr.EmitLSN(now, tracing.SpanAdmit, j.ID, p.eng.Emit.LSN,
 		tracing.A("verdict", "admit"), tracing.A("model", j.Model.Name), tracing.A("class", j.Class.String()))
 	return j, JobStatus{}, nil
 }
@@ -655,7 +668,7 @@ func (p *Platform) applyCancelLocked(id string, now float64) error {
 	j.GPUs = 0 // a cancelled job holds no workers: status must not show GPUs or an estimated finish
 	delete(p.infeasible, id)
 	p.eventLocked(now, obs.KindCancel, id)
-	p.tr.EndJob(now, id, p.curLSN, tracing.A("outcome", "cancelled"))
+	p.tr.EndJob(now, id, p.eng.Emit.LSN, tracing.A("outcome", "cancelled"))
 	p.rescheduleLocked(now)
 	return nil
 }
@@ -732,13 +745,13 @@ func (p *Platform) advanceLocked() {
 }
 
 // advanceToLocked accrues progress since the last tick up to now, retires
-// completed jobs, and reschedules if anything changed. Every advance is
-// journaled: lastTick is state — later submit times and deadlines are
-// measured against it, so recovery must resume at the last observed tick.
-// A completion-bearing advance changes scheduling state and is recorded
-// durably before applying; a pure time observation is recorded non-durably
-// (its loss on power failure only rewinds idle time nothing was
-// acknowledged against).
+// completed jobs, and reschedules if anything changed or the last decision's
+// wake-up has come. Every advance is journaled: lastTick is state — later
+// submit times and deadlines are measured against it, so recovery must
+// resume at the last observed tick. An advance that will reschedule changes
+// scheduling state and is recorded durably before applying; a pure time
+// observation is recorded non-durably (its loss on power failure only
+// rewinds idle time nothing was acknowledged against).
 //
 //eflint:journal entry
 func (p *Platform) advanceToLocked(now float64) {
@@ -752,12 +765,12 @@ func (p *Platform) advanceToLocked(now float64) {
 		// record-then-apply. Either way, time stops.
 		return
 	}
+	changed := p.wake > 0 && p.wake <= now
 	if p.journalingLocked() {
-		if err := p.journalLocked(recAdvance, now, nil, p.completionPendingLocked(now)); err != nil {
+		if err := p.journalLocked(recAdvance, now, nil, changed || p.completionPendingLocked(now)); err != nil {
 			return
 		}
 	}
-	changed := false
 	for _, j := range p.active {
 		j.Advance(p.lastTick, dt)
 	}
@@ -767,30 +780,10 @@ func (p *Platform) advanceToLocked(now float64) {
 			kept = append(kept, j)
 			continue
 		}
-		j.State = job.Completed
-		j.CompletionTime = now // conservative: completion observed at tick
-		j.GPUs = 0
-		if _, owned := p.cluster.Placement(j.ID); owned {
-			if err := p.cluster.Release(j.ID); err != nil {
-				panic(err)
-			}
-		}
+		// Conservative: the completion is stamped with the observing tick.
+		p.eng.Retire(now, j)
 		p.completed++
 		delete(p.infeasible, j.ID)
-		met := j.MetDeadline()
-		p.eventLocked(now, obs.KindComplete, j.ID, obs.F("met", met))
-		p.obs.IncCompletion(met)
-		if met {
-			p.tr.EmitLSN(now, tracing.SpanComplete, j.ID, p.curLSN,
-				tracing.A("iters", j.TotalIters), tracing.A("rescales", j.Rescales))
-		} else {
-			p.tr.EmitLSN(now, tracing.SpanMiss, j.ID, p.curLSN,
-				tracing.A("iters", j.TotalIters), tracing.A("rescales", j.Rescales))
-		}
-		p.tr.EndJob(now, j.ID, p.curLSN, tracing.A("deadline_met", met))
-		if j.HasDeadline() {
-			p.obs.ObserveDeadline(now, met, obs.DeadlineBudgetRatio(j.SubmitTime, j.Deadline, now))
-		}
 		changed = true
 	}
 	p.active = kept
@@ -800,86 +793,16 @@ func (p *Platform) advanceToLocked(now float64) {
 	}
 }
 
-// rescheduleLocked applies a fresh scheduling decision.
+// rescheduleLocked applies a fresh scheduling decision, then refreshes the
+// gauges and tells the observer.
 func (p *Platform) rescheduleLocked(now float64) {
-	stop := p.obs.Timer()
-	dec := p.ef.Schedule(now, p.active, p.capLocked())
-	p.obs.ObserveDecision("allocate", stop())
-	// Remember where every job sat before this pass: the freeze charge for
-	// a moved job depends on the link its checkpoint actually crosses.
-	prev := p.cluster.Placements()
-	costs := p.est.CostModel()
-	cfg := p.cluster.Config()
-	// Shrink/release first, then grow (buddy-friendly ordering).
-	for _, j := range p.active {
-		if ng := dec.Alloc[j.ID]; ng != j.GPUs {
-			if _, owned := p.cluster.Placement(j.ID); owned {
-				if err := p.cluster.Release(j.ID); err != nil {
-					panic(err)
-				}
-			}
-		}
-	}
-	ordered := append([]*job.Job{}, p.active...)
-	sort.Slice(ordered, func(i, k int) bool { return dec.Alloc[ordered[i].ID] > dec.Alloc[ordered[k].ID] })
-	defer p.notifyLocked()
-	defer p.gaugesLocked()
-	for _, j := range ordered {
-		ng := dec.Alloc[j.ID]
-		if ng == j.GPUs {
-			continue
-		}
-		if ng > 0 {
-			blk, migs, err := p.cluster.AllocateWithMigration(j.ID, ng)
-			if err != nil {
-				panic(err)
-			}
-			for _, m := range migs {
-				p.eventLocked(now, obs.KindMigrate, m.JobID, obs.F("from", m.From), obs.F("to", m.To))
-				p.obs.IncMigration()
-				p.tr.EmitLSN(now, tracing.SpanMigrate, m.JobID, p.curLSN,
-					tracing.A("from", m.From), tracing.A("to", m.To))
-				// The bystander's trainer stops, its checkpoint crosses the
-				// m.From→m.To link, and it restores — the same shared price
-				// the simulator charges.
-				if b, ok := p.all[m.JobID]; ok {
-					b.FrozenUntil = now + b.MoveCharge(costs, cfg, m.From, m.To)
-					b.Rescales++
-				}
-			}
-			started := j.GPUs > 0 || j.DoneIters > 0
-			if started {
-				// In-place rescales (same block) price at the plain rescale
-				// overhead; a placement change adds wire time over the
-				// crossed link. A job resuming from preemption has no
-				// previous block — its bytes come from wherever it was
-				// parked, priced conservatively at the cross-rack tier.
-				charge := j.MoveOverheadSec()
-				if from, ok := prev[j.ID]; ok {
-					charge = j.MoveCharge(costs, cfg, from, blk)
-				}
-				j.FrozenUntil = now + charge
-				j.Rescales++
-				p.eventLocked(now, obs.KindRescale, j.ID, obs.F("gpus", ng))
-				p.obs.IncRescale()
-				p.obs.IncJobRescale(j.ID)
-				p.tr.EmitLSN(now, tracing.SpanRescale, j.ID, p.curLSN,
-					tracing.A("gpus", ng), tracing.A("was", j.GPUs))
-			} else {
-				p.tr.EmitLSN(now, tracing.SpanPlace, j.ID, p.curLSN, tracing.A("gpus", ng))
-			}
-			j.State = job.Running
-		} else {
-			j.State = job.Admitted
-		}
-		j.GPUs = ng
-	}
+	p.wake = p.eng.Reschedule(now, p.active, p.capLocked())
+	p.gaugesLocked()
+	p.notifyLocked()
 }
 
 // gaugesLocked refreshes the utilization gauges after a scheduling pass:
-// allocated GPUs and Eq. 8 cluster efficiency (each running job's
-// throughput normalized by its single-GPU throughput, summed over the
-// cluster).
+// allocated GPUs (total and per tenant) and Eq. 8 cluster efficiency.
 func (p *Platform) gaugesLocked() {
 	used := 0
 	eff := 0.0
@@ -892,15 +815,7 @@ func (p *Platform) gaugesLocked() {
 		if j.Tenant != "" {
 			byTenant[j.Tenant] += j.GPUs
 		}
-		t1 := j.Curve.At(1)
-		if t1 <= 0 {
-			if minW := j.Curve.MinWorkers(); minW > 0 {
-				t1 = j.Curve.At(minW) / float64(minW)
-			}
-		}
-		if t1 > 0 {
-			eff += j.Throughput(j.GPUs) / t1
-		}
+		eff += sched.Efficiency(j)
 	}
 	p.obs.SetUsedGPUs(used)
 	p.obs.SetClusterEfficiency(eff / float64(p.cluster.TotalGPUs()))

@@ -3,12 +3,15 @@ package serverless
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/elasticflow/elasticflow/internal/core"
+	"github.com/elasticflow/elasticflow/internal/obs"
 	"github.com/elasticflow/elasticflow/internal/policy"
 	"github.com/elasticflow/elasticflow/internal/topology"
 )
@@ -414,5 +417,132 @@ func TestDroppedSubmissionCounterOffer(t *testing.T) {
 	}
 	if st2.State == "dropped" {
 		t.Errorf("counter-offered deadline %.0f rejected on resubmission", st.EarliestFeasibleSec)
+	}
+}
+
+// TestBystanderMigrationKeepsLongerFreeze is the live end of the engine's
+// "freeze never shortens" row. Five 1-GPU-floor jobs fill the cluster; two
+// cancels at t=10 first grow job-0001 in place and then let job-0003 grow to
+// a whole server, which compacts job-0001 across to the other one as a
+// bystander. With job-0001 still frozen until t=500 (as an earlier cross-rack
+// move would leave it), the cheap bystander charge must not rewind that: the
+// job stays frozen until 500 and accrues nothing before it. The bystander is
+// a charged rescale in every sense — budget, event and counter.
+func TestBystanderMigrationKeepsLongerFreeze(t *testing.T) {
+	p, clk := newTestPlatform(t)
+	var ids []string
+	for i := 0; i < 5; i++ {
+		st, err := p.Submit(SubmitRequest{Model: "resnet50", GlobalBatch: 64, Iterations: 2e6, DeadlineSeconds: 4e6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, st.ID)
+	}
+	clk.advance(10 * time.Second)
+	if err := p.Cancel(ids[1]); err != nil {
+		t.Fatal(err)
+	}
+	const frozenUntil = 500.0
+	p.mu.Lock()
+	by := p.all[ids[0]]
+	by.FrozenUntil = frozenUntil
+	rescalesBefore, doneBefore := by.Rescales, by.DoneIters
+	p.mu.Unlock()
+	seq := p.Obs().Bus.LastSeq()
+	if err := p.Cancel(ids[3]); err != nil {
+		t.Fatal(err)
+	}
+	var migrated, rescaled bool
+	for _, ev := range p.Obs().Bus.Since(seq + 1) {
+		if ev.JobID == ids[0] {
+			migrated = migrated || ev.Kind == obs.KindMigrate
+			rescaled = rescaled || ev.Kind == obs.KindRescale
+		}
+	}
+	if !migrated {
+		t.Fatalf("scenario no longer migrates %s as a bystander; rebuild it", ids[0])
+	}
+	if !rescaled {
+		t.Errorf("bystander migration of %s emitted no rescale event", ids[0])
+	}
+	var metrics bytes.Buffer
+	if err := p.Obs().Metrics.WritePrometheus(&metrics); err != nil {
+		t.Fatal(err)
+	}
+	p.mu.Lock()
+	series := fmt.Sprintf("ef_job_rescales_total{job=%q} %d\n", ids[0], by.Rescales)
+	p.mu.Unlock()
+	if !strings.Contains(metrics.String(), series) {
+		t.Errorf("/metrics lacks %q: the per-job counter and the job's budget disagree", series)
+	}
+	clk.advance(400 * time.Second) // t=410, still inside the freeze
+	p.Tick()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if by.FrozenUntil != frozenUntil {
+		t.Errorf("FrozenUntil = %v after the bystander move, want the longer freeze %v kept", by.FrozenUntil, frozenUntil)
+	}
+	if by.Rescales != rescalesBefore+1 {
+		t.Errorf("Rescales = %d, want %d: the bystander move is charged to the budget", by.Rescales, rescalesBefore+1)
+	}
+	if by.DoneIters != doneBefore {
+		t.Errorf("frozen job progressed %v → %v iterations before its freeze ended", doneBefore, by.DoneIters)
+	}
+}
+
+// TestTickHonorsSchedulerWake: a decision that plans an allocation change at
+// a later slot boundary asks to be re-run then (sched.Decision.Wake). With no
+// arrival, completion or cancel in between, the first tick that reaches the
+// wake-up must reschedule — the simulator has always acted on it; the
+// platform used to wait for the next unrelated event.
+func TestTickHonorsSchedulerWake(t *testing.T) {
+	p, clk := newTestPlatform(t)
+	if _, err := p.Submit(SubmitRequest{Model: "resnet50", GlobalBatch: 128, Iterations: 1e6, DeadlineSeconds: 1e6}); err != nil {
+		t.Fatal(err)
+	}
+	p.mu.Lock()
+	wake := p.wake
+	p.mu.Unlock()
+	if wake <= 0 {
+		t.Fatal("scenario plans no future allocation change; rebuild it")
+	}
+	passes := func() (n int) {
+		for _, ev := range p.Obs().Bus.Since(0) {
+			if ev.Kind == obs.KindSchedAlloc {
+				n++
+			}
+		}
+		return n
+	}
+	before := passes()
+	clk.advance(time.Duration(wake/2) * time.Second)
+	p.Tick()
+	if got := passes(); got != before {
+		t.Fatalf("tick at t=%v before the wake-up at %v rescheduled (%d → %d passes)", wake/2, wake, before, got)
+	}
+	clk.advance(time.Duration(wake) * time.Second)
+	p.Tick()
+	if got := passes(); got != before+1 {
+		t.Fatalf("tick past the wake-up at %v ran %d scheduling passes, want 1", wake, got-before)
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.wake <= p.lastTick {
+		t.Fatalf("wake %v not moved past the tick at %v", p.wake, p.lastTick)
+	}
+	// The pending wake-up is state: a platform restored from a snapshot must
+	// reschedule at the same instant the uninterrupted one would.
+	snap, err := json.Marshal(p.stateLocked())
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, _ := newTestPlatform(t)
+	restored.mu.Lock()
+	defer restored.mu.Unlock()
+	if err := restored.restoreStateLocked(snap); err != nil {
+		t.Fatal(err)
+	}
+	if restored.wake != p.wake {
+		t.Errorf("restored wake = %v, want %v", restored.wake, p.wake)
 	}
 }

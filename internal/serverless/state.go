@@ -106,7 +106,7 @@ func (p *Platform) journalLocked(kind string, t float64, body any, durable bool)
 	}
 	// The apply that follows stamps its spans with this record's LSN —
 	// replay restores the same value from the record itself.
-	p.curLSN = lsn
+	p.eng.Emit.LSN = lsn
 	return nil
 }
 
@@ -246,6 +246,8 @@ type platformState struct {
 	// Batches counts front-door admission batches applied so far. Additive
 	// field: absent in pre-front-door snapshots, which decode as 0.
 	Batches uint64 `json:"batches,omitempty"`
+	// Wake is the pending scheduler wake-up (0 = none).
+	Wake float64 `json:"wake,omitempty"`
 	// Down lists failed servers, sorted.
 	Down []int `json:"down,omitempty"`
 	// Infeasible maps at-risk job IDs to their counter-offers.
@@ -306,6 +308,7 @@ func (p *Platform) stateLocked() platformState {
 		Version:   1,
 		Seq:       p.seq,
 		LastTick:  p.lastTick,
+		Wake:      p.wake,
 		Completed: p.completed,
 		Dropped:   p.dropped,
 		Batches:   p.batches,
@@ -383,6 +386,7 @@ func (p *Platform) restoreStateLocked(payload []byte) error {
 	}
 	p.seq = st.Seq
 	p.lastTick = st.LastTick
+	p.wake = st.Wake
 	p.completed = st.Completed
 	p.dropped = st.Dropped
 	p.batches = st.Batches
@@ -521,7 +525,7 @@ func Recover(opts Options) (*Platform, error) {
 //
 //eflint:journal replay
 func (p *Platform) replayRecordLocked(rec store.Record) error {
-	p.curLSN = rec.LSN
+	p.eng.Emit.LSN = rec.LSN
 	switch rec.Kind {
 	case recAdvance:
 		p.replayPos++
@@ -557,25 +561,15 @@ func (p *Platform) replayRecordLocked(rec store.Record) error {
 		if err := p.applyCancelLocked(body.ID, rec.Time); err != nil {
 			return fmt.Errorf("serverless: replaying cancel of %s (LSN %d): %w", body.ID, rec.LSN, err)
 		}
-	case recNodeDown:
+	case recNodeDown, recNodeUp:
 		var body nodeBody
 		if err := json.Unmarshal(rec.Data, &body); err != nil {
-			return fmt.Errorf("serverless: decoding node-down record %d: %w", rec.LSN, err)
+			return fmt.Errorf("serverless: decoding %s record %d: %w", rec.Kind, rec.LSN, err)
 		}
 		p.replayPos++
 		p.advanceToLocked(rec.Time)
-		if _, err := p.applyNodeDownLocked(body.Server, rec.Time); err != nil {
-			return fmt.Errorf("serverless: replaying node-down of %d (LSN %d): %w", body.Server, rec.LSN, err)
-		}
-	case recNodeUp:
-		var body nodeBody
-		if err := json.Unmarshal(rec.Data, &body); err != nil {
-			return fmt.Errorf("serverless: decoding node-up record %d: %w", rec.LSN, err)
-		}
-		p.replayPos++
-		p.advanceToLocked(rec.Time)
-		if err := p.applyNodeUpLocked(body.Server, rec.Time); err != nil {
-			return fmt.Errorf("serverless: replaying node-up of %d (LSN %d): %w", body.Server, rec.LSN, err)
+		if _, err := p.applyNodeLocked(body.Server, rec.Kind == recNodeDown, rec.Time); err != nil {
+			return fmt.Errorf("serverless: replaying %s of %d (LSN %d): %w", rec.Kind, body.Server, rec.LSN, err)
 		}
 	case recEvent:
 		return fmt.Errorf("serverless: replay divergence at LSN %d: journaled %s event was not re-emitted", rec.LSN, kindOfEvent(rec))

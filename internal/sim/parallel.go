@@ -24,6 +24,7 @@ import (
 	"sync/atomic"
 
 	"github.com/elasticflow/elasticflow/internal/job"
+	"github.com/elasticflow/elasticflow/internal/sched"
 )
 
 // opKind selects the operation a barrier release fans out.
@@ -206,7 +207,7 @@ func (p *pool) runShard(s int) {
 	case opEffScan:
 		for i := s; i < len(jobs); i += p.n {
 			if jobs[i].GPUs > 0 {
-				p.eff[i] = jobEfficiency(jobs[i])
+				p.eff[i] = sched.Efficiency(jobs[i])
 			}
 		}
 	}
@@ -295,7 +296,7 @@ func (e *engine) effValues() []float64 {
 		e.effScratch = scratchFloats(e.effScratch, len(e.active))
 		for i, j := range e.active {
 			if j.GPUs > 0 {
-				e.effScratch[i] = jobEfficiency(j)
+				e.effScratch[i] = sched.Efficiency(j)
 			}
 		}
 		return e.effScratch

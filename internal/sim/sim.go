@@ -194,13 +194,14 @@ func (r Result) AvgClusterEfficiency() float64 {
 	return area / span
 }
 
-// engine carries the run state.
+// engine carries the run state: the event queue, the scans and the result
+// statistics. Everything a decision, a completion or a failure does to the
+// cluster and the jobs goes through eng — the same sched.Engine the live
+// platform drives.
 type engine struct {
-	cfg     Config
-	g       int
-	cluster *topology.Cluster
-	sched   sched.Scheduler
-	costs   transfer.CostModel
+	cfg Config
+	g   int
+	eng sched.Engine
 	// tr is Config.Obs's tracer (nil when tracing is off). Spans carry
 	// LSN 0 here: the simulator has no write-ahead journal to correlate
 	// against.
@@ -241,17 +242,27 @@ type failEvent struct {
 // avail returns the schedulable capacity: total GPUs minus failed servers.
 func (e *engine) avail() int { return e.g - e.downGPUs }
 
-// logEvent is a thin adapter onto the obs bus: the event goes to
-// Config.Obs when wired, and its legacy rendering (Detail is the "k=v ..."
-// form of the fields) to Result.Events when RecordEvents is set.
-func (e *engine) logEvent(kind, jobID string, fields ...obs.Field) {
-	if e.cfg.Obs == nil && !e.cfg.RecordEvents {
+// logEvent is the run's one event sink — the simulator's own admissions and
+// drops, and everything the engine emits (it is the engine's
+// sched.Emitter.Event). The rescale and migration tallies count the engine's
+// emissions; then the event goes to Config.Obs when wired, and its legacy
+// rendering (Detail is the "k=v ..." form of the fields) to Result.Events
+// when RecordEvents is set.
+func (e *engine) logEvent(now float64, kind, jobID string, fields ...obs.Field) {
+	switch kind {
+	case obs.KindRescale:
+		e.res.Rescales++
+		e.stats[jobID].Rescales++
+	case obs.KindMigrate:
+		e.res.Migrations++
+	}
+	if e.eng.Emit.Bare {
 		return
 	}
-	ev := obs.Event{Time: e.now, Kind: kind, JobID: jobID, Fields: fields}
+	ev := obs.Event{Time: now, Kind: kind, JobID: jobID, Fields: fields}
 	e.cfg.Obs.Publish(ev)
 	if e.cfg.RecordEvents {
-		e.res.Events = append(e.res.Events, Event{Time: e.now, Kind: kind, JobID: jobID, Detail: ev.Detail()})
+		e.res.Events = append(e.res.Events, Event{Time: now, Kind: kind, JobID: jobID, Detail: ev.Detail()})
 	}
 }
 
@@ -276,16 +287,22 @@ func Run(cfg Config, jobs []*job.Job, traceName string) (Result, error) {
 		costs = *cfg.Costs
 	}
 	e := &engine{
-		cfg:     cfg,
-		g:       cluster.TotalGPUs(),
-		cluster: cluster,
-		sched:   cfg.Scheduler,
-		costs:   costs,
+		cfg: cfg,
+		g:   cluster.TotalGPUs(),
+		eng: sched.Engine{
+			Cluster:       cluster,
+			Sched:         cfg.Scheduler,
+			Costs:         costs,
+			PlacementFree: cfg.PlacementFree,
+			NoOverheads:   cfg.NoOverheads,
+			Obs:           cfg.Obs,
+		},
 		tr:      cfg.Obs.Tracer(),
 		pending: pending,
 		stats:   make(map[string]*JobResult, len(pending)),
 		res:     &Result{Scheduler: cfg.Scheduler.Name(), Trace: traceName},
 	}
+	e.eng.Emit = sched.Emitter{Event: e.logEvent, Bare: cfg.Obs == nil && !cfg.RecordEvents}
 	for _, f := range cfg.Failures {
 		if f.Server < 0 || f.Server >= cfg.Topology.Servers {
 			return Result{}, fmt.Errorf("sim: failure server %d out of range", f.Server)
@@ -320,7 +337,7 @@ func (e *engine) run() error {
 	stuck := 0
 	for {
 		if e.now > e.cfg.MaxSimSec {
-			return fmt.Errorf("sim: exceeded MaxSimSec=%g at %d active jobs (scheduler %s)", e.cfg.MaxSimSec, len(e.active), e.sched.Name())
+			return fmt.Errorf("sim: exceeded MaxSimSec=%g at %d active jobs (scheduler %s)", e.cfg.MaxSimSec, len(e.active), e.eng.Sched.Name())
 		}
 		tNext, kind := e.nextEvent()
 		if math.IsInf(tNext, 1) {
@@ -336,7 +353,7 @@ func (e *engine) run() error {
 				}
 				break
 			}
-			e.reschedule()
+			e.wake = e.eng.Reschedule(e.now, e.active, e.avail())
 			continue
 		}
 		stuck = 0
@@ -363,7 +380,7 @@ func (e *engine) run() error {
 			changed = e.completeDone() || changed
 		}
 		if changed {
-			e.reschedule()
+			e.wake = e.eng.Reschedule(e.now, e.active, e.avail())
 		}
 		e.sample()
 	}
@@ -430,50 +447,24 @@ func predictFinish(j *job.Job, now float64) float64 {
 }
 
 // completeDone retires all active jobs that reached their termination
-// condition. The done scan fans out across shards; retirement — cluster
-// release, events, spans, metrics — stays on the coordinator in canonical
-// admission order, so the emitted stream is identical at every worker count.
-// Returns whether anything completed.
+// condition. The done scan fans out across shards; retirement stays on the
+// coordinator in canonical admission order, so the emitted stream is
+// identical at every worker count. Returns whether anything completed.
 func (e *engine) completeDone() bool {
 	flags := e.doneFlags()
-	changed := false
 	kept := e.active[:0]
 	for i, j := range e.active {
 		if !flags[i] {
 			kept = append(kept, j)
 			continue
 		}
-		j.State = job.Completed
-		j.CompletionTime = e.now
-		j.GPUs = 0
-		if !e.cfg.PlacementFree {
-			if _, ok := e.cluster.Placement(j.ID); ok {
-				if err := e.cluster.Release(j.ID); err != nil {
-					panic(err)
-				}
-			}
-		}
 		st := e.stats[j.ID]
+		st.Met = e.eng.Retire(e.now, j)
 		st.Finished = true
 		st.Completion = e.now
-		st.Met = j.MetDeadline()
 		e.completed++
-		e.logEvent(obs.KindComplete, j.ID, obs.F("met", st.Met))
-		e.cfg.Obs.IncCompletion(st.Met)
-		if st.Met {
-			e.tr.Emit(e.now, tracing.SpanComplete, j.ID,
-				tracing.A("iters", j.TotalIters), tracing.A("rescales", j.Rescales))
-		} else {
-			e.tr.Emit(e.now, tracing.SpanMiss, j.ID,
-				tracing.A("iters", j.TotalIters), tracing.A("rescales", j.Rescales))
-		}
-		e.tr.EndJob(e.now, j.ID, 0, tracing.A("deadline_met", st.Met))
-		if j.HasDeadline() {
-			e.cfg.Obs.ObserveDeadline(e.now, st.Met,
-				obs.DeadlineBudgetRatio(j.SubmitTime, j.Deadline, e.now))
-		}
-		changed = true
 	}
+	changed := len(kept) < len(e.active)
 	e.active = kept
 	return changed
 }
@@ -491,12 +482,12 @@ func (e *engine) admitArrivals() bool {
 		// scheduler's plan span lands under it.
 		e.tr.StartJob(e.now, j.ID)
 		stop := e.cfg.Obs.Timer()
-		admitted := e.sched.Admit(e.now, j, e.active, e.avail())
+		admitted := e.eng.Sched.Admit(e.now, j, e.active, e.avail())
 		e.cfg.Obs.ObserveDecision("admit", stop())
 		if admitted {
 			j.State = job.Admitted
 			e.active = append(e.active, j)
-			e.logEvent(obs.KindAdmit, j.ID)
+			e.logEvent(e.now, obs.KindAdmit, j.ID)
 			e.cfg.Obs.IncAdmission("admit")
 			e.tr.Emit(e.now, tracing.SpanAdmit, j.ID,
 				tracing.A("verdict", "admit"), tracing.A("class", j.Class.String()))
@@ -505,7 +496,7 @@ func (e *engine) admitArrivals() bool {
 			j.State = job.Dropped
 			st.Dropped = true
 			e.dropped++
-			e.logEvent(obs.KindDrop, j.ID, obs.F("reason", "admission control"))
+			e.logEvent(e.now, obs.KindDrop, j.ID, obs.F("reason", "admission control"))
 			e.cfg.Obs.IncAdmission("drop")
 			e.tr.Emit(e.now, tracing.SpanAdmit, j.ID,
 				tracing.A("verdict", "drop"), tracing.A("class", j.Class.String()))
@@ -524,182 +515,20 @@ func (e *engine) applyFailures() bool {
 	for e.nextFail < len(e.failEvents) && e.failEvents[e.nextFail].at <= e.now+1e-9 {
 		ev := e.failEvents[e.nextFail]
 		e.nextFail++
-		reservation := fmt.Sprintf("__down-server-%d__", ev.server)
+		var err error
 		if ev.down {
-			e.logEvent(obs.KindFailure, "", obs.F("server", ev.server))
-			e.downGPUs += e.cluster.Config().GPUsPerServer
-			if !e.cfg.PlacementFree {
-				block, err := e.cluster.ServerBlock(ev.server)
-				if err != nil {
-					panic(err)
-				}
-				for _, id := range e.cluster.JobsOn(block) {
-					if err := e.cluster.Release(id); err != nil {
-						panic(err)
-					}
-					if j := e.findActive(id); j != nil {
-						// The job's workers died with the node; it
-						// resumes from its checkpoint elsewhere.
-						j.GPUs = 0
-						j.State = job.Admitted
-						e.tr.Emit(e.now, tracing.SpanNodeDownRecover, id,
-							tracing.A("server", ev.server))
-					}
-				}
-				if err := e.cluster.Reserve(reservation, block); err != nil {
-					panic(err)
-				}
-			}
+			e.downGPUs += e.cfg.Topology.GPUsPerServer
+			_, err = e.eng.Evict(e.now, ev.server, e.active)
 		} else {
-			e.logEvent(obs.KindRecovery, "", obs.F("server", ev.server))
-			e.downGPUs -= e.cluster.Config().GPUsPerServer
-			if !e.cfg.PlacementFree {
-				if err := e.cluster.Release(reservation); err != nil {
-					panic(err)
-				}
-			}
+			e.downGPUs -= e.cfg.Topology.GPUsPerServer
+			err = e.eng.Restore(e.now, ev.server)
+		}
+		if err != nil {
+			panic(err)
 		}
 		changed = true
 	}
-	if changed {
-		// Node capacity moved under the scheduler; drop any memoized plans.
-		sched.Invalidate(e.sched)
-	}
 	return changed
-}
-
-// reschedule queries the scheduler and applies the new allocation: releasing
-// shrunk jobs, placing grown jobs through the buddy allocator (migrating
-// others when fragmentation demands it), charging rescale overheads, and
-// recording the scheduler's requested wake-up.
-func (e *engine) reschedule() {
-	stop := e.cfg.Obs.Timer()
-	dec := e.sched.Schedule(e.now, e.active, e.avail())
-	e.cfg.Obs.ObserveDecision("allocate", stop())
-	total := 0
-	for _, g := range dec.Alloc {
-		total += g
-	}
-	if total > e.avail() {
-		panic(fmt.Sprintf("sim: scheduler %s overcommitted %d/%d GPUs", e.sched.Name(), total, e.avail()))
-	}
-
-	type change struct {
-		j    *job.Job
-		newG int
-	}
-	var changes []change
-	for _, j := range e.active {
-		if ng := dec.Alloc[j.ID]; ng != j.GPUs {
-			changes = append(changes, change{j, ng})
-		}
-	}
-	// Release every changed job's block first so growth has room, then
-	// place in descending size order (buddy-friendly). Remember where each
-	// job sat: the freeze charge for a moved job depends on the link its
-	// checkpoint crosses (job.MoveCharge — the same formula the live
-	// platform stamps FrozenUntil with).
-	prev := e.cluster.Placements()
-	if !e.cfg.PlacementFree {
-		for _, c := range changes {
-			if _, ok := e.cluster.Placement(c.j.ID); ok {
-				if err := e.cluster.Release(c.j.ID); err != nil {
-					panic(err)
-				}
-			}
-		}
-		sort.Slice(changes, func(i, k int) bool {
-			if changes[i].newG != changes[k].newG {
-				return changes[i].newG > changes[k].newG
-			}
-			return changes[i].j.ID < changes[k].j.ID
-		})
-		for _, c := range changes {
-			if c.newG <= 0 {
-				continue
-			}
-			_, migs, err := e.cluster.AllocateWithMigration(c.j.ID, c.newG)
-			if err != nil {
-				panic(fmt.Sprintf("sim: placement failed for %s (%d GPUs): %v", c.j.ID, c.newG, err))
-			}
-			e.res.Migrations += len(migs)
-			// Migrated bystanders checkpoint/restore too, paying the wire
-			// time of the link their relocation crosses.
-			for _, m := range migs {
-				e.logEvent(obs.KindMigrate, m.JobID, obs.F("from", m.From), obs.F("to", m.To))
-				e.cfg.Obs.IncMigration()
-				e.tr.Emit(e.now, tracing.SpanMigrate, m.JobID,
-					tracing.A("from", m.From), tracing.A("to", m.To))
-				if other := e.findActive(m.JobID); other != nil && !e.cfg.NoOverheads {
-					e.freeze(other, other.MoveCharge(e.costs, e.cfg.Topology, m.From, m.To))
-				}
-			}
-		}
-	}
-	for _, c := range changes {
-		started := c.j.GPUs > 0 || c.j.DoneIters > 0
-		if c.newG > 0 {
-			if started {
-				e.tr.Emit(e.now, tracing.SpanRescale, c.j.ID,
-					tracing.A("gpus", c.newG), tracing.A("was", c.j.GPUs))
-			} else {
-				e.tr.Emit(e.now, tracing.SpanPlace, c.j.ID,
-					tracing.A("gpus", c.newG))
-			}
-		}
-		c.j.GPUs = c.newG
-		if c.newG > 0 {
-			c.j.State = job.Running
-		} else {
-			c.j.State = job.Admitted
-		}
-		if c.newG > 0 && started && !e.cfg.NoOverheads {
-			e.freeze(c.j, e.moveCharge(c.j, prev))
-		}
-	}
-	e.wake = dec.Wake
-}
-
-// moveCharge prices the freeze a placement change costs j: the in-place
-// rescale overhead plus the checkpoint's wire time over the crossed link.
-// A job resuming from preemption has no previous block — its bytes come
-// from wherever it was parked, priced conservatively at the cross-rack
-// tier (MoveOverheadSec). The placement-free ablation models no links and
-// keeps the plain rescale overhead.
-func (e *engine) moveCharge(j *job.Job, prev map[string]topology.Block) float64 {
-	if e.cfg.PlacementFree {
-		return j.RescaleOverheadSec
-	}
-	from, had := prev[j.ID]
-	to, has := e.cluster.Placement(j.ID)
-	if !had || !has {
-		return j.MoveOverheadSec()
-	}
-	return j.MoveCharge(e.costs, e.cfg.Topology, from, to)
-}
-
-func (e *engine) freeze(j *job.Job, charge float64) {
-	until := e.now + charge
-	if until > j.FrozenUntil {
-		j.FrozenUntil = until
-	}
-	e.res.Rescales++
-	e.stats[j.ID].Rescales++
-	// Charge the rescale against the job's own SafetyRescales budget: the
-	// scheduler's next replan sees it via rescaleMargin.
-	j.Rescales++
-	e.logEvent(obs.KindRescale, j.ID, obs.F("gpus", j.GPUs))
-	e.cfg.Obs.IncRescale()
-	e.cfg.Obs.IncJobRescale(j.ID)
-}
-
-func (e *engine) findActive(id string) *job.Job {
-	for _, j := range e.active {
-		if j.ID == id {
-			return j
-		}
-	}
-	return nil
 }
 
 // sample records a timeline point with the current utilization and Eq. 8
@@ -733,20 +562,4 @@ func (e *engine) sample() {
 		Completed:         e.completed,
 		Dropped:           e.dropped,
 	})
-}
-
-// jobEfficiency is job j's contribution to Eq. 8: its current throughput
-// normalized by its single-GPU throughput. When the memory floor prevents a
-// single-GPU measurement, the per-GPU throughput at the minimum feasible
-// count approximates it. A free function so shard goroutines can call it.
-func jobEfficiency(j *job.Job) float64 {
-	t1 := j.Curve.At(1)
-	if t1 <= 0 {
-		minW := j.Curve.MinWorkers()
-		if minW <= 0 {
-			return 0
-		}
-		t1 = j.Curve.At(minW) / float64(minW)
-	}
-	return j.Throughput(j.GPUs) / t1
 }
