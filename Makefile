@@ -5,8 +5,9 @@
 GO ?= go
 
 # The wall-time-gated benchmarks CI compares between the PR base and head:
-# two paper experiments end to end, and the fill kernel on Philly demands.
-BENCH_GATE = BenchmarkFig6aTestbedSmall|BenchmarkFig7aAllocationTimeline|BenchmarkFillPhilly
+# two paper experiments end to end, the fill kernel on Philly demands, and
+# one snapshot of a durable platform with 5 000 retained terminal jobs.
+BENCH_GATE = BenchmarkFig6aTestbedSmall|BenchmarkFig7aAllocationTimeline|BenchmarkFillPhilly|BenchmarkSnapshotRetained
 
 # Where `make bench-real` writes its run files (one JSON per workload, seed
 # and traced/untraced run; see benchmark/README.md).

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"testing"
+	"time"
 
 	"github.com/elasticflow/elasticflow/internal/allreduce"
 	"github.com/elasticflow/elasticflow/internal/core"
@@ -11,6 +12,8 @@ import (
 	"github.com/elasticflow/elasticflow/internal/job"
 	"github.com/elasticflow/elasticflow/internal/model"
 	"github.com/elasticflow/elasticflow/internal/plan"
+	"github.com/elasticflow/elasticflow/internal/serverless"
+	"github.com/elasticflow/elasticflow/internal/store"
 	"github.com/elasticflow/elasticflow/internal/throughput"
 	"github.com/elasticflow/elasticflow/internal/topology"
 	"github.com/elasticflow/elasticflow/internal/trace"
@@ -192,6 +195,63 @@ func BenchmarkFillPhilly(b *testing.B) {
 		if satisfied == 0 {
 			b.Fatal("no Philly demand satisfiable on an empty cluster")
 		}
+	}
+}
+
+// BenchmarkSnapshotRetained measures one snapshot of a durable platform that
+// has been up for a while: 5 000 jobs it finished or refused and 200 it is
+// still running. Each iteration is a 1 ms tick with SnapshotEvery = 1 — an
+// advance record, then the snapshot; nothing completes and no decision
+// re-runs. Fsync is off, so the figure is the assembly, checksum and write
+// cost. The cost must follow the 200, not the 5 000 (DESIGN.md §11).
+func BenchmarkSnapshotRetained(b *testing.B) {
+	const terminal, active, batch = 5000, 200, 100
+	st, err := store.Open(b.TempDir(), store.Options{NoSync: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	now := time.Unix(1_700_000_000, 0)
+	p, err := serverless.NewPlatform(serverless.Options{
+		Topology:      topology.Config{Servers: 32, GPUsPerServer: 8},
+		Clock:         func() time.Time { return now },
+		Store:         st,
+		SnapshotEvery: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	submit := func(n int, iters float64) {
+		reqs := make([]serverless.SubmitRequest, n)
+		for i := range reqs {
+			reqs[i] = serverless.SubmitRequest{Tenant: "acme", Model: "resnet50", GlobalBatch: 128, Iterations: iters, DeadlineSeconds: 1e6}
+		}
+		if _, err := p.SubmitBatch(reqs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for n := 0; n < terminal; n += batch {
+		submit(batch, 40)
+		for p.Cluster().Admitted > 0 {
+			now = now.Add(100 * time.Second)
+			p.Tick()
+		}
+	}
+	submit(active, 1e6)
+	if c := p.Cluster(); c.Completed != terminal || c.Admitted != active {
+		b.Fatalf("set-up left %+v, want %d completed and %d active", c, terminal, active)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now = now.Add(time.Millisecond)
+		p.Tick()
+		if n := st.RecordsSinceSnapshot(); n != 0 {
+			b.Fatalf("tick %d left %d records unsnapshotted", i, n)
+		}
+	}
+	b.StopTimer()
+	if c := p.Cluster(); c.Completed != terminal || c.Admitted != active {
+		b.Fatalf("the measured ticks changed the job set: %+v", c)
 	}
 }
 

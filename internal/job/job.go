@@ -184,8 +184,10 @@ func (j *Job) RemainingIters() float64 {
 // Done reports whether the termination condition is met. The tolerance is
 // relative so that long jobs (billions of iterations) complete despite
 // floating-point progress accumulation.
-func (j *Job) Done() bool {
-	return j.DoneIters >= j.TotalIters-1e-9-1e-12*j.TotalIters
+func (j *Job) Done() bool { return doneAt(j.DoneIters, j.TotalIters) }
+
+func doneAt(done, total float64) bool {
+	return done >= total-1e-9-1e-12*total
 }
 
 // MoveOverheadSec is the per-event cost planning margins reserve: the
@@ -245,12 +247,25 @@ func (j *Job) TimeToFinish(g int) float64 {
 // Advance accrues dt seconds of progress at the current allocation,
 // respecting the rescale freeze. It returns the progress made in iterations.
 func (j *Job) Advance(now, dt float64) float64 {
+	delta := j.progress(now, dt)
+	j.DoneIters += delta
+	return delta
+}
+
+// DoneAfter reports whether Advance(now, dt) would leave the job Done,
+// without advancing it.
+func (j *Job) DoneAfter(now, dt float64) bool {
+	return doneAt(j.DoneIters+j.progress(now, dt), j.TotalIters)
+}
+
+// progress is the iterations dt seconds from now add at the current
+// allocation: none while unallocated or frozen, never past the remaining work.
+func (j *Job) progress(now, dt float64) float64 {
 	if j.GPUs <= 0 || dt <= 0 {
 		return 0
 	}
-	start := now
-	if j.FrozenUntil > start {
-		frozen := j.FrozenUntil - start
+	if j.FrozenUntil > now {
+		frozen := j.FrozenUntil - now
 		if frozen >= dt {
 			return 0
 		}
@@ -260,7 +275,6 @@ func (j *Job) Advance(now, dt float64) float64 {
 	if delta > j.RemainingIters() {
 		delta = j.RemainingIters()
 	}
-	j.DoneIters += delta
 	return delta
 }
 

@@ -124,6 +124,39 @@ func TestAdvanceFreeze(t *testing.T) {
 	}
 }
 
+// TestDoneAfterMatchesAdvance holds the non-mutating probe against Advance
+// itself: for every shape of interval the verdict equals Done() on a copy
+// that was really advanced, and the probed job is left untouched.
+func TestDoneAfterMatchesAdvance(t *testing.T) {
+	for _, c := range []struct {
+		name                   string
+		gpus                   int
+		done, frozenUntil, now float64
+		dt                     float64
+	}{
+		{"unallocated", 0, 990, 0, 0, 1e6},
+		{"running-short", 2, 0, 0, 0, 100},
+		{"running-finishes", 4, 990, 0, 200, 1000},
+		{"running-exactly", 1, 0, 0, 0, 1000},
+		{"frozen-throughout", 4, 990, 500, 0, 400},
+		{"partially-frozen-finishes", 4, 990, 50, 0, 80},
+		{"partially-frozen-short", 1, 0, 50, 0, 80},
+		{"below-done-tolerance", 1, 1000 - 1e-10, 0, 0, 0},
+		{"negative-dt", 4, 990, 0, 10, -5},
+	} {
+		j := testJob()
+		j.GPUs, j.DoneIters, j.FrozenUntil = c.gpus, c.done, c.frozenUntil
+		cp := *j
+		cp.Advance(c.now, c.dt)
+		if got, want := j.DoneAfter(c.now, c.dt), cp.Done(); got != want {
+			t.Errorf("%s: DoneAfter = %v, Advance then Done = %v", c.name, got, want)
+		}
+		if j.DoneIters != c.done {
+			t.Errorf("%s: DoneAfter moved DoneIters %v → %v", c.name, c.done, j.DoneIters)
+		}
+	}
+}
+
 func TestMetDeadline(t *testing.T) {
 	j := testJob()
 	j.State = Completed

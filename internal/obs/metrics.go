@@ -248,9 +248,15 @@ func labelSuffix(labels, values []string) string {
 	return b.String()
 }
 
+// labelEscaper is built once: constructing a Replacer costs more than most
+// label renderings, and family.child renders on every labelled update.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
 func escapeLabel(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
+	if !strings.ContainsAny(v, "\\\"\n") {
+		return v
+	}
+	return labelEscaper.Replace(v)
 }
 
 // formatValue renders a sample value the way Prometheus expects.

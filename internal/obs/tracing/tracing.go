@@ -22,6 +22,7 @@ package tracing
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 )
 
@@ -127,16 +128,25 @@ type Tracer struct {
 	mu sync.Mutex
 	// count is the number of spans ever begun. guarded by mu
 	count uint64
-	// closed holds finished spans in close order, oldest first. guarded by mu
-	closed []Span
+	// ring holds finished spans in close order. It grows by append up to
+	// cap and then wraps, so head is non-zero only at len(ring) == cap.
+	// guarded by mu
+	ring []Span
+	// head indexes the oldest span in ring. guarded by mu
+	head int
 	// dropped counts closed spans evicted from the ring. guarded by mu
 	dropped uint64
 	// open maps span ID to its in-flight record. guarded by mu
-	open map[uint64]*Span
-	// order lists open span IDs in begin order. guarded by mu
-	order []uint64
+	open map[uint64]*openSpan
 	// roots maps job ID to its open job.lifecycle span ID. guarded by mu
 	roots map[string]uint64
+}
+
+// openSpan is an in-flight span plus the value of Tracer.count when it
+// began — what Spans orders the open set by.
+type openSpan struct {
+	Span
+	seq uint64
 }
 
 // New creates a tracer whose span IDs are derived from seed. Two tracers
@@ -146,12 +156,13 @@ func New(seed uint64) *Tracer {
 	return &Tracer{
 		seed:  seed,
 		cap:   DefaultCap,
-		open:  make(map[uint64]*Span),
+		open:  make(map[uint64]*openSpan),
 		roots: make(map[string]uint64),
 	}
 }
 
-// WithCap overrides the closed-span ring capacity (min 1).
+// WithCap overrides the closed-span ring capacity (min 1). A capacity below
+// the number of spans already held evicts the oldest.
 func (t *Tracer) WithCap(n int) *Tracer {
 	if t == nil {
 		return nil
@@ -160,8 +171,16 @@ func (t *Tracer) WithCap(n int) *Tracer {
 		n = 1
 	}
 	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.head != 0 || len(t.ring) > n {
+		kept := t.closedLocked(make([]Span, 0, len(t.ring)))
+		if over := len(kept) - n; over > 0 {
+			t.dropped += uint64(over)
+			kept = kept[over:]
+		}
+		t.ring, t.head = kept, 0
+	}
 	t.cap = n
-	t.mu.Unlock()
 	return t
 }
 
@@ -210,9 +229,10 @@ func (t *Tracer) StartJobUnder(now float64, jobID string, parent Ref) {
 		return
 	}
 	id := t.nextIDLocked()
-	s := &Span{ID: id, Parent: parent.id, Name: SpanJobLifecycle, JobID: jobID, Start: now, End: now, Open: true}
-	t.open[id] = s
-	t.order = append(t.order, id)
+	t.open[id] = &openSpan{
+		Span: Span{ID: id, Parent: parent.id, Name: SpanJobLifecycle, JobID: jobID, Start: now, End: now, Open: true},
+		seq:  t.count,
+	}
 	t.roots[jobID] = id
 }
 
@@ -243,9 +263,10 @@ func (t *Tracer) Begin(now float64, name, jobID string) Ref {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	id := t.nextIDLocked()
-	s := &Span{ID: id, Parent: t.roots[jobID], Name: name, JobID: jobID, Start: now, End: now, Open: true}
-	t.open[id] = s
-	t.order = append(t.order, id)
+	t.open[id] = &openSpan{
+		Span: Span{ID: id, Parent: t.roots[jobID], Name: name, JobID: jobID, Start: now, End: now, Open: true},
+		seq:  t.count,
+	}
 	return Ref{id: id}
 }
 
@@ -289,12 +310,6 @@ func (t *Tracer) closeLocked(id uint64, now float64, lsn uint64, attrs []Attr) {
 		return
 	}
 	delete(t.open, id)
-	for i, oid := range t.order {
-		if oid == id {
-			t.order = append(t.order[:i], t.order[i+1:]...)
-			break
-		}
-	}
 	s.End = now
 	if s.End < s.Start {
 		s.End = s.Start
@@ -304,15 +319,28 @@ func (t *Tracer) closeLocked(id uint64, now float64, lsn uint64, attrs []Attr) {
 		s.LSN = lsn
 	}
 	s.Attrs = append(s.Attrs, attrs...)
-	t.pushLocked(*s)
+	t.pushLocked(s.Span)
 }
 
+// pushLocked records a finished span, overwriting the oldest once the ring
+// is full.
 func (t *Tracer) pushLocked(s Span) {
-	t.closed = append(t.closed, s)
-	if over := len(t.closed) - t.cap; over > 0 {
-		t.dropped += uint64(over)
-		t.closed = append(t.closed[:0], t.closed[over:]...)
+	if len(t.ring) < t.cap {
+		t.ring = append(t.ring, s)
+		return
 	}
+	t.ring[t.head] = s
+	t.head++
+	if t.head == len(t.ring) {
+		t.head = 0
+	}
+	t.dropped++
+}
+
+// closedLocked appends the ring's spans to out, oldest first.
+func (t *Tracer) closedLocked(out []Span) []Span {
+	out = append(out, t.ring[t.head:]...)
+	return append(out, t.ring[:t.head]...)
 }
 
 // Spans returns every recorded span: closed spans in close order followed
@@ -323,10 +351,14 @@ func (t *Tracer) Spans() []Span {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Span, 0, len(t.closed)+len(t.order))
-	out = append(out, t.closed...)
-	for _, id := range t.order {
-		s := *t.open[id]
+	out := t.closedLocked(make([]Span, 0, len(t.ring)+len(t.open)))
+	open := make([]*openSpan, 0, len(t.open))
+	for _, s := range t.open {
+		open = append(open, s)
+	}
+	sort.Slice(open, func(i, k int) bool { return open[i].seq < open[k].seq })
+	for _, o := range open {
+		s := o.Span
 		s.Attrs = append([]Attr(nil), s.Attrs...)
 		out = append(out, s)
 	}

@@ -2,6 +2,7 @@ package tracing
 
 import (
 	"encoding/json"
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -172,5 +173,136 @@ func TestConcurrentEmission(t *testing.T) {
 	wg.Wait()
 	if got, want := tr.Count(), uint64(8*(1+200)); got != want {
 		t.Fatalf("count = %d, want %d", got, want)
+	}
+}
+
+// TestRingWrapAround drives the ring several laps past its capacity with
+// open spans interleaved: closed spans come back oldest-first in close
+// order, open spans follow in begin order (not close or map order), and the
+// eviction count is exact at every step.
+func TestRingWrapAround(t *testing.T) {
+	const capN = 5
+	tr := New(6).WithCap(capN)
+	// Opened in this order, never closed before the final check; b closes
+	// mid-run so the open set has a hole in its begin sequence.
+	tr.StartJob(0, "job-keep")
+	a := tr.Begin(1, SpanSchedEpoch, "")
+	b := tr.Begin(2, SpanHeartbeat, "")
+	c := tr.Begin(3, SpanSchedEpoch, "")
+	for i := 0; i < 23; i++ {
+		tr.Emit(float64(10+i), SpanRescale, "job-keep", A("i", i))
+		if i == 11 {
+			tr.End(50, b)
+		}
+		closed := i + 1
+		if i >= 11 {
+			closed++
+		}
+		wantDropped := 0
+		if closed > capN {
+			wantDropped = closed - capN
+		}
+		if got := tr.Dropped(); got != uint64(wantDropped) {
+			t.Fatalf("after %d closes Dropped = %d, want %d", closed, got, wantDropped)
+		}
+	}
+	spans := tr.Spans()
+	if len(spans) != capN+3 {
+		t.Fatalf("got %d spans, want %d closed + 3 open", len(spans), capN)
+	}
+	for i, s := range spans[:capN] {
+		if want := float64(10 + 23 - capN + i); s.Open || s.Start != want {
+			t.Fatalf("closed span %d = %+v, want a closed span starting at %v", i, s, want)
+		}
+	}
+	open := spans[capN:]
+	if open[0].Name != SpanJobLifecycle || open[1].Start != 1 || open[2].Start != 3 {
+		t.Fatalf("open spans not in begin order: %+v", open)
+	}
+	for _, s := range open {
+		if !s.Open {
+			t.Fatalf("span %+v exported after the closed ones but not marked open", s)
+		}
+	}
+	// Job filters the same order: the surviving rescales, then the open root.
+	job := tr.Job("job-keep")
+	if len(job) != capN+1 || job[capN].Name != SpanJobLifecycle || job[0].Start != spans[0].Start {
+		t.Fatalf("Job() = %+v", job)
+	}
+	tr.End(60, c)
+	tr.End(61, a)
+	spans = tr.Spans()
+	if n := len(spans); n != capN+1 || spans[capN-1].Start != 1 || spans[capN-2].Start != 3 {
+		t.Fatalf("closing c then a should append them in close order: %+v", spans)
+	}
+}
+
+// TestWithCapShrinkKeepsNewest lowers the capacity of a wrapped ring: the
+// newest spans survive, the rest count as dropped, and the ring keeps
+// working at the new size (and at a larger one afterwards).
+func TestWithCapShrinkKeepsNewest(t *testing.T) {
+	tr := New(7).WithCap(8)
+	for i := 0; i < 13; i++ { // wrapped: holds 5..12, head mid-ring
+		tr.Emit(float64(i), SpanHeartbeat, "")
+	}
+	tr.WithCap(3)
+	starts := func() (out []float64) {
+		for _, s := range tr.Spans() {
+			out = append(out, s.Start)
+		}
+		return out
+	}
+	if got := starts(); len(got) != 3 || got[0] != 10 || got[2] != 12 {
+		t.Fatalf("after shrink to 3 ring holds %v, want [10 11 12]", got)
+	}
+	if tr.Dropped() != 10 {
+		t.Fatalf("dropped = %d, want 10", tr.Dropped())
+	}
+	tr.Emit(13, SpanHeartbeat, "")
+	if got := starts(); len(got) != 3 || got[0] != 11 || got[2] != 13 {
+		t.Fatalf("after one more emit ring holds %v, want [11 12 13]", got)
+	}
+	tr.WithCap(5) // grow a wrapped ring
+	tr.Emit(14, SpanHeartbeat, "")
+	tr.Emit(15, SpanHeartbeat, "")
+	tr.Emit(16, SpanHeartbeat, "")
+	if got := starts(); len(got) != 5 || got[0] != 12 || got[4] != 16 {
+		t.Fatalf("after growing to 5 ring holds %v, want [12 .. 16]", got)
+	}
+	if tr.Dropped() != 12 {
+		t.Fatalf("dropped = %d, want 12", tr.Dropped())
+	}
+}
+
+// TestEmitFullRingDoesNotAllocate pins the steady state of a long-running
+// server: once the ring is full, recording a span moves no other span and
+// allocates nothing beyond the caller's attrs.
+func TestEmitFullRingDoesNotAllocate(t *testing.T) {
+	tr := New(8).WithCap(64)
+	attrs := []Attr{{K: "k", V: "v"}}
+	for i := 0; i < 64; i++ {
+		tr.EmitLSN(0, SpanHeartbeat, "", 1, attrs...)
+	}
+	if n := testing.AllocsPerRun(200, func() { tr.EmitLSN(0, SpanHeartbeat, "", 1, attrs...) }); n != 0 {
+		t.Fatalf("emit into a full ring allocates %v times, want 0", n)
+	}
+}
+
+// BenchmarkTracerEmitFullRing emits into an already-full ring at two
+// capacities; the cost per span must not depend on the capacity.
+func BenchmarkTracerEmitFullRing(b *testing.B) {
+	attrs := []Attr{{K: "k", V: "v"}}
+	for _, capN := range []int{1 << 10, 1 << 15} {
+		b.Run(fmt.Sprintf("cap=%d", capN), func(b *testing.B) {
+			tr := New(9).WithCap(capN)
+			for i := 0; i < capN; i++ {
+				tr.EmitLSN(0, SpanHeartbeat, "", 1, attrs...)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tr.EmitLSN(float64(i), SpanHeartbeat, "", 1, attrs...)
+			}
+		})
 	}
 }

@@ -215,6 +215,9 @@ type Platform struct {
 	replayPos int
 	// replayErr records the first replay divergence. guarded by mu
 	replayErr error
+	// snap assembles snapshots, keeping the encoding of every job that can
+	// no longer change (snapshot.go). guarded by mu
+	snap snapshotAssembler
 }
 
 // NewPlatform creates a platform over a fresh virtual cluster. A store
@@ -528,10 +531,7 @@ func (p *Platform) applySubmitItemLocked(req SubmitRequest, now float64, batch t
 	if err := j.Validate(); err != nil {
 		return nil, JobStatus{}, err
 	}
-	p.all[j.ID] = j
-	if j.Tenant != "" {
-		p.tenantsSeen[j.Tenant] = true
-	}
+	p.addJobLocked(j)
 	// Open the lifecycle root before admission so the scheduler's plan
 	// span lands under it; a drop closes the tree immediately. Batched
 	// arrivals parent under the batch's frontdoor.batch span.
@@ -855,6 +855,17 @@ func (p *Platform) notifyLocked() {
 		alloc[j.ID] = j.GPUs
 	}
 	p.observer(alloc)
+}
+
+// addJobLocked enters a job into the job table.
+func (p *Platform) addJobLocked(j *job.Job) {
+	p.all[j.ID] = j
+	if j.Tenant != "" {
+		p.tenantsSeen[j.Tenant] = true
+	}
+	if p.store != nil {
+		p.snap.pending = append(p.snap.pending, j)
+	}
 }
 
 func (p *Platform) removeActiveLocked(id string) {

@@ -152,21 +152,26 @@ func (p *Platform) verifyReplayEventLocked(t float64, kind, jobID string, fields
 		p.replayErr = fmt.Errorf("serverless: replay divergence at LSN %d: replay emitted %s event, journal has %s record", rec.LSN, kind, rec.Kind)
 		return
 	}
-	var want eventBody
-	if err := json.Unmarshal(rec.Data, &want); err != nil {
-		p.replayErr = fmt.Errorf("serverless: decoding event record %d: %w", rec.LSN, err)
-		return
-	}
 	got, err := json.Marshal(eventBody{Kind: kind, Job: jobID, Fields: fields})
 	if err != nil {
 		p.replayErr = err
 		return
 	}
-	wantRaw, _ := json.Marshal(want)
-	if rec.Time != t || !bytes.Equal(got, wantRaw) {
-		p.replayErr = fmt.Errorf("serverless: replay divergence at LSN %d: journaled event (t=%v) %s, replay emitted (t=%v) %s",
-			rec.LSN, rec.Time, wantRaw, t, got)
-		return
+	// The journaled body is json.Marshal of the same struct, so an equal
+	// event is equal bytes; only a mismatch is worth decoding, to compare in
+	// canonical form and to word the divergence.
+	if rec.Time != t || !bytes.Equal(rec.Data, got) {
+		var want eventBody
+		if err := json.Unmarshal(rec.Data, &want); err != nil {
+			p.replayErr = fmt.Errorf("serverless: decoding event record %d: %w", rec.LSN, err)
+			return
+		}
+		wantRaw, _ := json.Marshal(want)
+		if rec.Time != t || !bytes.Equal(got, wantRaw) {
+			p.replayErr = fmt.Errorf("serverless: replay divergence at LSN %d: journaled event (t=%v) %s, replay emitted (t=%v) %s",
+				rec.LSN, rec.Time, wantRaw, t, got)
+			return
+		}
 	}
 	p.replayPos++
 }
@@ -177,9 +182,7 @@ func (p *Platform) verifyReplayEventLocked(t float64, kind, jobID string, fields
 func (p *Platform) completionPendingLocked(now float64) bool {
 	dt := now - p.lastTick
 	for _, j := range p.active {
-		cp := *j
-		cp.Advance(p.lastTick, dt)
-		if cp.Done() {
+		if j.DoneAfter(p.lastTick, dt) {
 			return true
 		}
 	}
@@ -198,13 +201,17 @@ func (p *Platform) maybeSnapshotLocked() {
 	}
 }
 
-// snapshotLocked marshals the full platform state and hands it to the store.
+// snapshotLocked assembles the platform state (snapshot.go) and streams it
+// into the store.
 func (p *Platform) snapshotLocked() error {
-	buf, err := json.Marshal(p.stateLocked())
+	parts, err := p.snap.assemble(p.stateHeadLocked(), p.stateTailLocked())
 	if err != nil {
 		return err
 	}
-	return p.store.Snapshot(buf)
+	if testHookSnapshot != nil {
+		testHookSnapshot(p, parts)
+	}
+	return p.store.Snapshot(parts...)
 }
 
 // Shutdown begins graceful shutdown: mutations arriving after this point
@@ -236,8 +243,18 @@ func (p *Platform) Shutdown() error {
 
 // platformState is the full scheduler-visible state, marshaled into store
 // snapshots. Every collection is sorted (or order-preserved where order is
-// semantic) so the encoding is deterministic.
+// semantic) so the encoding is deterministic. It is split around Jobs — the
+// one collection that grows with history — so a snapshot can be assembled
+// from the head, per-job encodings and the tail (snapshot.go); embedded
+// fields encode in place, so the JSON is that of one flat struct.
 type platformState struct {
+	stateHead
+	// Jobs is every job ever submitted, sorted by ID.
+	Jobs []jobState `json:"jobs"`
+	stateTail
+}
+
+type stateHead struct {
 	Version   int     `json:"version"`
 	Seq       int     `json:"seq"`
 	LastTick  float64 `json:"last_tick"`
@@ -255,8 +272,9 @@ type platformState struct {
 	// Active preserves p.active's order: the scheduler sorts with
 	// sort.Slice (unstable), so element order is decision-relevant.
 	Active []string `json:"active,omitempty"`
-	// Jobs is every job ever submitted, sorted by ID.
-	Jobs []jobState `json:"jobs"`
+}
+
+type stateTail struct {
 	// Placements is the buddy allocator's owned set (including down-server
 	// reservations), sorted by ID. The buddy free list is canonical given
 	// the owned set, so this fully determines allocator state.
@@ -302,9 +320,9 @@ type placementState struct {
 	Size  int    `json:"size"`
 }
 
-// stateLocked captures the current platform state.
-func (p *Platform) stateLocked() platformState {
-	st := platformState{
+// stateHeadLocked captures everything in the snapshot ahead of the job table.
+func (p *Platform) stateHeadLocked() stateHead {
+	st := stateHead{
 		Version:   1,
 		Seq:       p.seq,
 		LastTick:  p.lastTick,
@@ -326,45 +344,47 @@ func (p *Platform) stateLocked() platformState {
 	for _, j := range p.active {
 		st.Active = append(st.Active, j.ID)
 	}
-	for _, j := range p.all {
-		js := jobState{
-			ID:                 j.ID,
-			User:               j.User,
-			Tenant:             j.Tenant,
-			Model:              j.Model.Name,
-			GlobalBatch:        j.GlobalBatch,
-			TotalIters:         j.TotalIters,
-			SubmitTime:         j.SubmitTime,
-			Deadline:           j.Deadline,
-			Class:              int(j.Class),
-			MinGPUs:            j.MinGPUs,
-			MaxGPUs:            j.MaxGPUs,
-			RequestedGPUs:      j.RequestedGPUs,
-			RescaleOverheadSec: j.RescaleOverheadSec,
-			CheckpointBytes:    j.CheckpointBytes,
-			MigrateOverheadSec: j.MigrateOverheadSec,
-			State:              int(j.State),
-			DoneIters:          j.DoneIters,
-			GPUs:               j.GPUs,
-			FrozenUntil:        j.FrozenUntil,
-			Rescales:           j.Rescales,
-			CompletionTime:     j.CompletionTime,
-		}
-		if math.IsInf(j.Deadline, 1) {
-			js.Deadline, js.DeadlineInf = 0, true
-		}
-		pts := j.Curve.Points()
-		workers := make([]int, 0, len(pts))
-		for w := range pts {
-			workers = append(workers, w)
-		}
-		sort.Ints(workers)
-		for _, w := range workers {
-			js.Curve = append(js.Curve, curvePoint{Workers: w, Tput: pts[w]})
-		}
-		st.Jobs = append(st.Jobs, js)
+	return st
+}
+
+// fillJobState overwrites js with j's snapshot form, reusing js.Curve's
+// backing array.
+func fillJobState(js *jobState, j *job.Job) {
+	*js = jobState{
+		ID:                 j.ID,
+		User:               j.User,
+		Tenant:             j.Tenant,
+		Model:              j.Model.Name,
+		GlobalBatch:        j.GlobalBatch,
+		TotalIters:         j.TotalIters,
+		SubmitTime:         j.SubmitTime,
+		Deadline:           j.Deadline,
+		Class:              int(j.Class),
+		Curve:              js.Curve[:0],
+		MinGPUs:            j.MinGPUs,
+		MaxGPUs:            j.MaxGPUs,
+		RequestedGPUs:      j.RequestedGPUs,
+		RescaleOverheadSec: j.RescaleOverheadSec,
+		CheckpointBytes:    j.CheckpointBytes,
+		MigrateOverheadSec: j.MigrateOverheadSec,
+		State:              int(j.State),
+		DoneIters:          j.DoneIters,
+		GPUs:               j.GPUs,
+		FrozenUntil:        j.FrozenUntil,
+		Rescales:           j.Rescales,
+		CompletionTime:     j.CompletionTime,
 	}
-	sort.Slice(st.Jobs, func(i, k int) bool { return st.Jobs[i].ID < st.Jobs[k].ID })
+	if math.IsInf(j.Deadline, 1) {
+		js.Deadline, js.DeadlineInf = 0, true
+	}
+	for _, w := range j.Curve.Workers() {
+		js.Curve = append(js.Curve, curvePoint{Workers: w, Tput: j.Curve.At(w)})
+	}
+}
+
+// stateTailLocked captures what follows the job table.
+func (p *Platform) stateTailLocked() stateTail {
+	var st stateTail
 	for id, b := range p.cluster.Placements() {
 		st.Placements = append(st.Placements, placementState{ID: id, Start: b.Start, Size: b.Size})
 	}
@@ -430,10 +450,7 @@ func (p *Platform) restoreStateLocked(payload []byte) error {
 		if js.DeadlineInf {
 			j.Deadline = math.Inf(1)
 		}
-		p.all[j.ID] = j
-		if j.Tenant != "" {
-			p.tenantsSeen[j.Tenant] = true
-		}
+		p.addJobLocked(j)
 	}
 	for _, id := range st.Active {
 		j, ok := p.all[id]

@@ -66,11 +66,17 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // encodeFrame appends one length-prefixed, CRC-checked frame carrying
 // payload (already including its version byte) to buf.
 func encodeFrame(buf, payload []byte) []byte {
-	var hdr [frameHeaderLen]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
+	hdr := frameHeader(len(payload), crc32.Checksum(payload, castagnoli))
 	buf = append(buf, hdr[:]...)
 	return append(buf, payload...)
+}
+
+// frameHeader renders the length and CRC-32C that precede a frame's payload.
+func frameHeader(payloadLen int, crc uint32) [frameHeaderLen]byte {
+	var hdr [frameHeaderLen]byte
+	binary.BigEndian.PutUint32(hdr[0:4], uint32(payloadLen))
+	binary.BigEndian.PutUint32(hdr[4:8], crc)
+	return hdr
 }
 
 // encodeRecord frames rec: version byte + JSON body.

@@ -1,9 +1,11 @@
 package store
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -60,10 +62,17 @@ type Store struct {
 	// synced is how many bytes of syncF are known durable. guarded by syncMu
 	synced int64
 
-	// Recovery results: set at Open, superseded by Snapshot. guarded by mu
+	// snapW batches a snapshot's small parts into file-sized writes; parts
+	// larger than its buffer pass straight through. guarded by mu
+	snapW *bufio.Writer
+
+	// snapLSN is the newest snapshot's LSN (recovered or taken); hasSnap
+	// says there is one. guarded by mu
+	snapLSN uint64
+	hasSnap bool // guarded by mu
+	// Recovery results: set at Open, released by the first Snapshot — only
+	// Recover reads them, and it runs before that. guarded by mu
 	snapPayload []byte
-	snapLSN     uint64   // guarded by mu
-	hasSnap     bool     // guarded by mu
 	tail        []Record // guarded by mu
 	// tornTails is written once during the single-threaded Open and
 	// read-only afterwards, so it needs no guard.
@@ -84,7 +93,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{dir: dir, obs: opts.Obs, sync: (*os.File).Sync}
+	s := &Store{dir: dir, obs: opts.Obs, sync: (*os.File).Sync, snapW: bufio.NewWriterSize(nil, snapWriteBuf)}
 	if opts.NoSync {
 		s.sync = func(*os.File) error { return nil }
 	}
@@ -286,11 +295,13 @@ func readSnapshot(path string, lsn uint64) ([]byte, error) {
 }
 
 // RecoveredSnapshot returns the payload and LSN of the snapshot recovery
-// started from; ok is false on a fresh (or snapshot-less) directory.
+// started from; ok is false on a fresh (or snapshot-less) directory. It is
+// meaningful until the first Snapshot, which releases the payload (the LSN
+// then names the newest snapshot taken).
 func (s *Store) RecoveredSnapshot() (payload []byte, lsn uint64, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Copied so the caller cannot alias the buffer Snapshot will reuse.
+	// Copied so callers cannot alias each other's payload.
 	return append([]byte(nil), s.snapPayload...), s.snapLSN, s.hasSnap
 }
 
@@ -404,13 +415,18 @@ func (s *Store) Sync() error {
 	return s.syncTo(f, end)
 }
 
-// Snapshot atomically records payload as the platform state after the last
-// appended record, rotates the journal to a fresh segment, and deletes the
-// history the snapshot supersedes. The write protocol tolerates a crash at
-// any point: temp write → fsync → rename → fsync dir → new segment → delete
-// old files; recovery always finds either the new snapshot or the old chain
-// intact.
-func (s *Store) Snapshot(payload []byte) error {
+// snapWriteBuf sizes the write buffer snapshots stream through.
+const snapWriteBuf = 32 << 10
+
+// Snapshot atomically records the concatenation of parts as the platform
+// state after the last appended record, rotates the journal to a fresh
+// segment, and deletes the history the snapshot supersedes. The parts are
+// checksummed and written through in order — never joined, copied or
+// retained — so a caller can hand over a large state as the pieces it
+// already holds. The write protocol tolerates a crash at any point: temp
+// write → fsync → rename → fsync dir → new segment → delete old files;
+// recovery always finds either the new snapshot or the old chain intact.
+func (s *Store) Snapshot(parts ...[]byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -423,11 +439,14 @@ func (s *Store) Snapshot(payload []byte) error {
 	}
 	lsn := s.lastLSN
 
-	framed := fileHeader(snapMagic, lsn)
-	vp := make([]byte, 0, 1+len(payload))
-	vp = append(vp, recordVersion)
-	vp = append(vp, payload...)
-	framed = encodeFrame(framed, vp)
+	// One frame whose payload is the version byte followed by the parts.
+	size := 1
+	crc := crc32.Update(0, castagnoli, []byte{recordVersion})
+	for _, p := range parts {
+		size += len(p)
+		crc = crc32.Update(crc, castagnoli, p)
+	}
+	hdr := frameHeader(size, crc)
 
 	tmp := filepath.Join(s.dir, snapFile(lsn)+".tmp")
 	final := filepath.Join(s.dir, snapFile(lsn))
@@ -435,7 +454,15 @@ func (s *Store) Snapshot(payload []byte) error {
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	if err := writeAll(f, framed); err == nil {
+	// Write errors stick to the bufio.Writer and surface at Flush.
+	s.snapW.Reset(f)
+	_, _ = s.snapW.Write(fileHeader(snapMagic, lsn))
+	_, _ = s.snapW.Write(hdr[:])
+	_ = s.snapW.WriteByte(recordVersion)
+	for _, p := range parts {
+		_, _ = s.snapW.Write(p)
+	}
+	if err = s.snapW.Flush(); err == nil {
 		err = s.sync(f)
 	}
 	if cerr := f.Close(); err == nil {
@@ -471,8 +498,8 @@ func (s *Store) Snapshot(payload []byte) error {
 	}
 	s.sinceSnap = 0
 	s.tail = nil
-	s.snapPayload, s.snapLSN, s.hasSnap = payload, lsn, true
-	s.obs.ObserveStoreSnapshot(len(framed))
+	s.snapPayload, s.snapLSN, s.hasSnap = nil, lsn, true
+	s.obs.ObserveStoreSnapshot(fileHeaderLen + frameHeaderLen + size)
 	s.removeStaleLocked()
 	return nil
 }

@@ -1,11 +1,13 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -124,6 +126,145 @@ func TestSnapshotTruncatesJournal(t *testing.T) {
 		t.Fatalf("RecoveredSnapshot = (%q, %d, %v), want (%q, 5, true)", payload, lsn, ok, state)
 	}
 	sameRecords(t, s2.RecoveredTail(), tail)
+}
+
+// TestSnapshotPartsFrame pins the streamed write against the frame a joined
+// payload encodes to: wherever the part boundaries fall — at 0, 1, len,
+// around empty parts, across the write buffer — the file on disk is the
+// same bytes (header, length, CRC-32C, version byte, payload), and the
+// store keeps no reference to what it was handed.
+func TestSnapshotPartsFrame(t *testing.T) {
+	payload := make([]byte, 3*snapWriteBuf+17)
+	for i := range payload {
+		payload[i] = byte(i*31 + i>>8)
+	}
+	n := len(payload)
+	splits := map[string][][]byte{
+		"whole":        {payload},
+		"boundary-0":   {payload[:0], payload},
+		"boundary-1":   {payload[:1], payload[1:]},
+		"boundary-len": {payload, payload[n:]},
+		"last-byte":    {payload[:n-1], payload[n-1:]},
+		"empty-middle": {payload[:10], nil, payload[10:]},
+		"none":         nil,
+	}
+	var small [][]byte // every part smaller than the buffer, straddling it
+	for off := 0; off < n; off += 1000 {
+		end := off + 1000
+		if end > n {
+			end = n
+		}
+		small = append(small, payload[off:end])
+	}
+	splits["small"] = small
+
+	for name, parts := range splits {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			appendN(t, s, 0, 3)
+			if err := s.Snapshot(parts...); err != nil {
+				t.Fatal(err)
+			}
+			var joined []byte
+			for _, p := range parts {
+				joined = append(joined, p...)
+			}
+			want := encodeFrame(fileHeader(snapMagic, 3), append([]byte{recordVersion}, joined...))
+			got, err := os.ReadFile(filepath.Join(dir, snapFile(3)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("streamed snapshot file (%d bytes) differs from the joined frame (%d bytes)", len(got), len(want))
+			}
+			back, err := readSnapshot(filepath.Join(dir, snapFile(3)), 3)
+			if err != nil || !bytes.Equal(back, joined) {
+				t.Fatalf("readSnapshot = %d bytes, %v; want the %d-byte payload", len(back), err, len(joined))
+			}
+			if held, lsn, ok := s.RecoveredSnapshot(); len(held) != 0 || lsn != 3 || !ok {
+				t.Fatalf("after a live snapshot the store reports (%d bytes, %d, %v), want (0, 3, true)", len(held), lsn, ok)
+			}
+		})
+	}
+}
+
+// TestSnapshotSyncFailure fails the fsync of the snapshot's temp file. At
+// that instant — the image a crash mid-snapshot would leave — the directory
+// holds the streamed bytes only under the .tmp name, and recovery from it
+// picks the previous snapshot and the whole journal since. The failed
+// Snapshot cleans up and leaves the store appendable.
+func TestSnapshotSyncFailure(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, s, 0, 3)
+	if err := s.Snapshot([]byte("good")); err != nil {
+		t.Fatal(err)
+	}
+	tail := appendN(t, s, 3, 4)
+
+	crashed := t.TempDir()
+	s.sync = func(f *os.File) error {
+		if !strings.HasSuffix(f.Name(), ".tmp") {
+			return nil
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(crashed, e.Name()), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return errors.New("injected fsync failure")
+	}
+	if err := s.Snapshot([]byte("new-"), []byte("state")); err == nil {
+		t.Fatal("Snapshot succeeded over a failing fsync")
+	}
+	s.sync = (*os.File).Sync
+
+	tmp := snapFile(7) + ".tmp"
+	if data, err := os.ReadFile(filepath.Join(crashed, tmp)); err != nil || !bytes.HasSuffix(data, []byte("new-state")) {
+		t.Fatalf("crash image holds no streamed %s (%q, %v)", tmp, data, err)
+	}
+	if _, err := os.Stat(filepath.Join(crashed, snapFile(7))); !os.IsNotExist(err) {
+		t.Fatalf("snapshot 7 was published before its fsync (stat err = %v)", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, tmp)); !os.IsNotExist(err) {
+		t.Fatalf("failed Snapshot left %s behind (stat err = %v)", tmp, err)
+	}
+	more := appendN(t, s, 7, 1)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, c := range []struct {
+		dir  string
+		tail []Record
+	}{{crashed, tail}, {dir, append(tail, more...)}} {
+		s2, err := Open(c.dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, lsn, ok := s2.RecoveredSnapshot()
+		if !ok || lsn != 3 || string(payload) != "good" {
+			t.Fatalf("RecoveredSnapshot = (%q, %d, %v), want the previous (good, 3, true)", payload, lsn, ok)
+		}
+		sameRecords(t, s2.RecoveredTail(), c.tail)
+		s2.Close()
+	}
 }
 
 func TestSnapshotFallback(t *testing.T) {
