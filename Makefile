@@ -5,9 +5,10 @@
 GO ?= go
 
 # The wall-time-gated benchmarks CI compares between the PR base and head:
-# two paper experiments end to end, the fill kernel on Philly demands, and
+# two paper experiments end to end, the fill kernel on Philly demands, one
+# Schedule at a moved now over 200 jobs (a full refill; watch its B/op), and
 # one snapshot of a durable platform with 5 000 retained terminal jobs.
-BENCH_GATE = BenchmarkFig6aTestbedSmall|BenchmarkFig7aAllocationTimeline|BenchmarkFillPhilly|BenchmarkSnapshotRetained
+BENCH_GATE = BenchmarkFig6aTestbedSmall|BenchmarkFig7aAllocationTimeline|BenchmarkFillPhilly|BenchmarkScheduleMovedNow|BenchmarkSnapshotRetained
 
 # Where `make bench-real` writes its run files (one JSON per workload, seed
 # and traced/untraced run; see benchmark/README.md).

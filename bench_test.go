@@ -147,6 +147,30 @@ func BenchmarkResourceAllocationCached(b *testing.B) {
 	}
 }
 
+// BenchmarkScheduleMovedNow measures the decision both hosts pay for most
+// often: Schedule at a now one slot past the last over an unchanged 200-job
+// set. The plan cache is keyed on the instant, so every iteration refills
+// every plan; what it must not do is allocate them. Deadlines move with now
+// so that iterations are alike at any -benchtime.
+func BenchmarkScheduleMovedNow(b *testing.B) {
+	const gpus, slot = 512, 60.0
+	ef := core.NewDefault()
+	jobs := benchJobs(200, gpus)
+	now := 0.0
+	ef.Schedule(now, jobs, gpus) // warm: the scheduler's buffers reach their sizes
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now += slot
+		for _, j := range jobs {
+			j.Deadline += slot
+		}
+		if dec := ef.Schedule(now, jobs, gpus); len(dec.Alloc) != len(jobs) {
+			b.Fatalf("Schedule placed %d of %d jobs", len(dec.Alloc), len(jobs))
+		}
+	}
+}
+
 // BenchmarkProgressiveFilling measures one Fill over a long horizon.
 func BenchmarkProgressiveFilling(b *testing.B) {
 	curve := throughput.MustCurve(map[int]float64{1: 1, 2: 1.8, 4: 3.1, 8: 4.8})

@@ -12,6 +12,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -57,7 +58,8 @@ type Options struct {
 	// Admit/Schedule recomputes plans from scratch. Decisions are
 	// byte-identical either way (the cache replays the exact operation
 	// sequence from snapshots); the switch exists for cold-path benchmarks
-	// and the determinism cross-checks.
+	// and the determinism cross-checks. The same plan.Filler code runs with
+	// it set, only with no block attached: every plan is a heap slice.
 	DisablePlanCache bool
 	// Obs, when non-nil, receives decision traces on its event bus: one
 	// "sched-admit" event per admission verdict explaining why (which
@@ -95,20 +97,36 @@ func (o Options) withDefaults() Options {
 // ElasticFlow is the scheduler. Decisions are pure functions of the current
 // job set, exactly as the paper recomputes plans on every scheduling event
 // (§4.2); the only state between calls is the plan cache, a transparent
-// memo of fill passes that never changes a decision (see plancache.go).
+// memo of fill passes that never changes a decision (see plancache.go), and
+// the storage the passes of one instant are computed in.
+//
+// A scheduler is single-goroutine, and what it computes lives as long as the
+// cache would keep it: plans reachable from an unexported result (fillPass
+// records, a verdict's mss, allocate's entries, an AdmitBatch's memos) are
+// valid until the scheduler is asked about another instant or
+// InvalidatePlanCache is called — see "Where plans live" in plancache.go.
+// What the exported methods return is the caller's to keep: Schedule's
+// Decision holds no plan, and Plans copies its levels out.
 type ElasticFlow struct {
 	opts Options
 
 	mu     sync.Mutex
 	gen    uint64        // guarded by mu
+	at     uint64        // guarded by mu; bits of the instant the cached passes and the block belong to
 	states [2]*fillState // guarded by mu; most recently used first
+	spare  []*fillState  // guarded by mu; dropped passes whose record arrays the next ones reuse (at most two)
+	filler *plan.Filler  // guarded by mu; the one filler every pass runs in, its Arena the instant's block
+	fps    []uint64      // guarded by mu; job fingerprints of the pass being matched
+	jobs   []prioJob     // guarded by mu; allocate's entries
+	queue  prioQueue     // guarded by mu; allocate's heap over them
 }
 
 // New creates an ElasticFlow scheduler. The zero Options select the paper's
 // configuration: 60-second slots with power-of-two buddy-compatible
 // allocations.
 func New(opts Options) *ElasticFlow {
-	return &ElasticFlow{opts: opts.withDefaults()}
+	opts = opts.withDefaults()
+	return &ElasticFlow{opts: opts, filler: plan.NewFiller(0, opts.SlotSec, opts.PowerOfTwo)}
 }
 
 // NewDefault returns a scheduler with the paper's default configuration.
@@ -265,7 +283,8 @@ type admitVerdict struct {
 	// "breaks-guarantee".
 	victim string
 	// mss is the candidate's minimum satisfactory share fill, valid when
-	// the candidate itself was feasible.
+	// the candidate itself was feasible. Its levels live in the scheduler's
+	// block: readable until the scheduler is asked about another instant.
 	mss plan.Allocation
 }
 
@@ -285,6 +304,10 @@ type admitVerdict struct {
 // already unsatisfiable (demoted, §4.4) does not poison the admission.
 // Unsatisfiable jobs other than the candidate reserve their recovery plan,
 // mirroring their demotion in Schedule.
+//
+// Each fillPass may recycle the records of the one before, so everything the
+// verdict needs of a pass is read — mss by value — before the next one runs;
+// the levels mss points to stay valid for the rest of the instant.
 func (e *ElasticFlow) verdict(now float64, cand *job.Job, slo []*job.Job, g int) admitVerdict {
 	k := sort.Search(len(slo), func(i int) bool { return deadlineBefore(cand, slo[i]) })
 	with := make([]*job.Job, 0, len(slo)+1)
@@ -366,7 +389,8 @@ func (e *ElasticFlow) traceAdmit(now float64, cand *job.Job, v admitVerdict) {
 //     position. Later same-shape candidates reuse the memoized drop.
 //
 // Both invalidate when an admission grows the active set. Sessions are
-// single-goroutine, like the scheduler itself.
+// single-goroutine, like the scheduler itself, and end with their instant:
+// the memoized verdicts point into the scheduler's block.
 type AdmitBatch struct {
 	e   *ElasticFlow
 	now float64
@@ -659,7 +683,8 @@ func (e *ElasticFlow) Schedule(now float64, active []*job.Job, g int) sched.Deci
 	// Emit slot-0 allocations and the earliest planned change.
 	dec := sched.Decision{Alloc: make(map[string]int, len(entries))}
 	wake := math.Inf(1)
-	for _, p := range entries {
+	for i := range entries {
+		p := &entries[i]
 		dec.Alloc[p.j.ID] = p.cur.GPUsAt(0)
 		if t := p.cur.FirstChangeSlot(); t > 0 {
 			if w := now + float64(t)*e.opts.SlotSec; w < wake {
@@ -672,8 +697,8 @@ func (e *ElasticFlow) Schedule(now float64, active []*job.Job, g int) sched.Deci
 	}
 	e.traceSchedule(now, g, entries, adoptions)
 	used := 0
-	for _, p := range entries {
-		used += p.cur.GPUsAt(0)
+	for i := range entries {
+		used += entries[i].cur.GPUsAt(0)
 	}
 	e.opts.Obs.Tracer().End(now, epoch,
 		tracing.A("jobs", len(entries)), tracing.A("spare_rounds", adoptions),
@@ -683,14 +708,15 @@ func (e *ElasticFlow) Schedule(now float64, active []*job.Job, g int) sched.Deci
 
 // traceSchedule publishes one allocation-round summary: how Algorithm 2
 // spent the spare capacity on top of the minimum satisfactory shares.
-func (e *ElasticFlow) traceSchedule(now float64, g int, entries []*prioJob, adoptions int) {
+func (e *ElasticFlow) traceSchedule(now float64, g int, entries []prioJob, adoptions int) {
 	o := e.opts.Obs
 	if o == nil || len(entries) == 0 {
 		return
 	}
 	used, nBE, nLate := 0, 0, 0
 	var winners []string
-	for _, p := range entries {
+	for i := range entries {
+		p := &entries[i]
 		used += p.cur.GPUsAt(0)
 		if p.bestEffort {
 			nBE++
@@ -722,18 +748,24 @@ func (e *ElasticFlow) traceSchedule(now float64, g int, entries []*prioJob, adop
 // completion, including the spare-capacity expansions. Slot t of a plan
 // covers [now + t·SlotSec, now + (t+1)·SlotSec). The platform exposes this
 // for observability; Schedule's decision is exactly slot 0 of these plans.
+// The result outlives the instant (the platform serializes it after its lock
+// is released), so the levels are copied out of the scheduler's block.
 func (e *ElasticFlow) Plans(now float64, active []*job.Job, g int) map[string]plan.Allocation {
 	entries, _ := e.allocate(now, active, g)
 	out := make(map[string]plan.Allocation, len(entries))
-	for _, p := range entries {
-		out[p.j.ID] = p.cur
+	for i := range entries {
+		a := entries[i].cur
+		a.Levels = slices.Clone(a.Levels)
+		out[entries[i].j.ID] = a
 	}
 	return out
 }
 
 // allocate runs Algorithm 2 and returns the final per-job entries plus the
-// number of spare-GPU rounds the greedy loop adopted.
-func (e *ElasticFlow) allocate(now float64, active []*job.Job, g int) ([]*prioJob, int) {
+// number of spare-GPU rounds the greedy loop adopted. The entries are the
+// scheduler's reused buffer and their plans live in its block: both are valid
+// until the scheduler is next asked anything.
+func (e *ElasticFlow) allocate(now float64, active []*job.Job, g int) ([]prioJob, int) {
 	allocationRuns.Add(1)
 	slo, be := splitJobs(active)
 	// Lines 2–4: commit each SLO job's minimum satisfactory share, in
@@ -747,27 +779,31 @@ func (e *ElasticFlow) allocate(now float64, active []*job.Job, g int) ([]*prioJo
 	// possible). The recovery plan stays ahead of best-effort work.
 	recs, f := e.fillPass(now, slo, be, "", g, len(slo)+len(be))
 
-	entries := make([]*prioJob, 0, len(active))
-	late := make([]*prioJob, 0, 2)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.jobs = sized(e.jobs, len(active))
+	entries := e.jobs[:0]
 	for i, j := range slo {
-		r := &recs[i]
-		if !r.satisfied {
-			late = append(late, &prioJob{j: j, d: r.d, cur: r.earliest, late: true})
-			continue
+		if r := &recs[i]; r.satisfied {
+			entries = append(entries, prioJob{j: j, d: r.d, cur: r.fill})
 		}
-		entries = append(entries, &prioJob{j: j, d: r.d, cur: r.fill})
 	}
-	entries = append(entries, late...)
+	for i, j := range slo {
+		if r := &recs[i]; !r.satisfied {
+			entries = append(entries, prioJob{j: j, d: r.d, cur: r.earliest, late: true})
+		}
+	}
 	for i, j := range be {
 		r := &recs[len(slo)+i]
-		entries = append(entries, &prioJob{j: j, d: r.d, cur: r.fill, bestEffort: true})
+		entries = append(entries, prioJob{j: j, d: r.d, cur: r.fill, bestEffort: true})
 	}
 
 	// Lines 5–11: initial marginal returns.
-	q := &prioQueue{}
-	for _, p := range entries {
-		if e.probe(f, p) {
-			heap.Push(q, p)
+	e.queue = sized(e.queue, len(active))[:0]
+	q := e.queue // never outgrows the buffer: at most one element per entry
+	for i := range entries {
+		if p := &entries[i]; e.probe(f, p) {
+			heap.Push(&q, p)
 		}
 	}
 
@@ -775,27 +811,22 @@ func (e *ElasticFlow) allocate(now float64, active []*job.Job, g int) ([]*prioJo
 	// strictly increases committed slot-0 usage, bounding the loop.
 	adoptions := 0
 	for q.Len() > 0 && f.FreeAt(0) > 0 {
-		p := heap.Pop(q).(*prioJob)
-		// Re-validate against current usage (other adoptions may have
-		// consumed the capacity this probe assumed).
-		if !e.probe(f, p) {
+		p := heap.Pop(&q).(*prioJob)
+		// The probe was priced against p.cur, which has not changed since;
+		// only slot 0 may have: other adoptions can have consumed the
+		// capacity it assumed, and then it is no probe any more.
+		if p.nextStep > f.FreeAt(0)+p.cur.GPUsAt(0) {
 			continue
 		}
-		if q.Len() > 0 && p.priority < (*q)[0].priority {
-			// Stale ordering: someone else is now better; requeue.
-			heap.Push(q, p)
-			continue
-		}
-		// Adopt the probe: the only point the raised plan is built and the
-		// whole plan re-reserved.
-		f.Uncommit(p.cur)
-		p.cur = plan.Raised(p.cur, p.alt, p.nextStep)
+		// Adopt the probe: slot 0 rises and the tail past the earlier finish
+		// is given back. The plan is the cached fill's until the job's first
+		// win and the entry's own after.
+		p.cur = f.Raise(p.cur, p.alt, p.nextStep, p.won > 0)
 		p.won++
 		adoptions++
-		f.Commit(p.cur)
 		// Compute the next probe for this job.
 		if e.probe(f, p) {
-			heap.Push(q, p)
+			heap.Push(&q, p)
 		}
 	}
 	return entries, adoptions

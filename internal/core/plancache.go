@@ -19,8 +19,8 @@ import (
 // Correctness rests on three properties:
 //   - Every input that can change a job's fill is folded into its
 //     fingerprint (mutable planning fields plus the scaling curve's content
-//     hash) or into the cache key (time, capacity, generation); scheduler
-//     options are immutable after construction.
+//     hash) or into the cache key (time, capacity); scheduler options are
+//     immutable after construction.
 //   - Snapshots copy, and re-commits re-add, the exact committed integers,
 //     and resumed passes run the same plan.Filler operations in the same
 //     order as a from-scratch pass, so cached and uncached decisions are
@@ -33,9 +33,25 @@ import (
 //
 // Fingerprints make invalidation implicit: a job arrival, completion,
 // progress advance, or rescale changes the sequence and misses naturally.
-// The generation counter (InvalidatePlanCache) is the explicit lever for
-// exogenous events — node failures and recoveries — belt and suspenders on
-// top of the capacity term already in the key.
+// InvalidatePlanCache is the explicit lever for exogenous events — node
+// failures and recoveries — belt and suspenders on top of the capacity term
+// already in the key.
+//
+// Where plans live. A cached pass is only valid at the exact decision time it
+// was computed for — bit equality, nearby times must miss — and decision time
+// only moves forward, so the first pass at a new instant drops everything
+// cached (dropInstantLocked). Nothing computed at one instant is reachable at
+// the next, and that is the lifetime every plan gets: the levels of filled and
+// raised plans and the grids of snapshots are carved from one fixed block of
+// ints (the Arena of the scheduler's one long-lived plan.Filler) that is
+// emptied at exactly that point — and by InvalidatePlanCache, the other reset
+// — instead of being allocated one by one and left to the collector, which is
+// where almost half of a replay's CPU used to go. What does not fit the block
+// is an ordinary heap slice: the block is a bound, not a pool that grows.
+// The records of a dropped pass go to the next pass that needs an array (at
+// most two wait), and a new pass either grows the donor it extends to the end
+// or copies its donor's prefix, so no two passes ever share a backing array. With DisablePlanCache the same filler
+// runs with no arena and every pass gets fresh records.
 
 // Lifetime tallies of per-job cache outcomes across all schedulers, for
 // efbench's hit-rate report. The obs counters carry the same numbers per
@@ -102,22 +118,46 @@ type fillRec struct {
 	satisfied bool
 }
 
-// fillState is one memoized fill pass: the records in processing order plus
-// Filler snapshots every snapStride positions — snaps[k] is the committed
-// usage before position k·snapStride, so len(snaps) == len(recs)/snapStride+1.
-// A snapshot is a copy of the whole usage grid, by far the largest thing a
-// pass allocates; the positions in between are reached by re-committing the
-// recorded plans, a few integer additions per slot.
+// fillState is one memoized fill pass at the scheduler's current instant: the
+// records in processing order plus Filler snapshots every snapStride
+// positions — snaps[k] is the committed usage before position k·snapStride, so
+// len(snaps) == len(recs)/snapStride+1. A snapshot is a copy of the whole
+// usage grid, by far the largest thing a pass stores; the positions in between
+// are reached by re-committing the recorded plans, a few integer additions per
+// slot.
 type fillState struct {
-	now    float64
 	g      int
-	gen    uint64
 	skipID string // candidate whose unsatisfied fill was not committed ("" = none)
 	recs   []fillRec
 	snaps  []plan.Snapshot
 }
 
 const snapStride = 8
+
+// blockInts is the size of a scheduler's block: 1 MiB of ints. The largest
+// instant of the sim_philly replay (trace.PhillyScale, 1 440 jobs on 2 048
+// GPUs, seed 1) carves 122 420 ints and the median live_philly instant 29 000
+// to 70 000 on its two shards, so the block holds a whole instant of the one
+// and an ordinary instant of the other. It must not grow instead: a refusal's
+// counter-offer search runs some 80 fill passes at its instant, a batch of
+// refusals several times that — live_philly's worst instant ran 258 passes
+// asking for 5.5 M ints (44 MB) — and a prototype whose block grew to hold an
+// instant doubled efserver's peak RSS; every retained byte counts twice under
+// GOGC=100. Past the block those passes allocate as every pass used to.
+const blockInts = 1 << 17
+
+// sized returns buf resized to n entries, contents kept. The scheduler's
+// reused buffers grow with an eighth of headroom where append would double:
+// they are as long as the active set and retained for good, and a shard's
+// peak RSS follows them.
+func sized[S ~[]E, E any](buf S, n int) S {
+	if cap(buf) < n {
+		grown := make(S, n, n+n/8)
+		copy(grown, buf)
+		return grown
+	}
+	return buf[:n]
+}
 
 // seek positions f after the first p commits of the pass, exactly as the
 // pass left it there: the nearest snapshot at or before p, then the commits
@@ -134,20 +174,17 @@ func (s *fillState) seek(f *plan.Filler, p int) {
 	}
 }
 
-// fingerprintJob hashes everything that can change how a job fills at a
-// fixed (now, g): identity, class, deadline and rescale-margin inputs,
-// remaining work, worker bounds, and the scaling curve's content.
+// fingerprintJob hashes everything but the ID — matchPrefix compares that
+// itself — that can change how a job fills at a fixed (now, g): class and fill
+// mode, deadline and rescale-margin inputs, remaining work, worker bounds, and
+// the scaling curve's content. Fields are mixed a word at a time; every step
+// is a bijection of the running hash, so two jobs that differ in one field
+// never collide. Fingerprints are never persisted.
 func fingerprintJob(j *job.Job, mode fillMode) uint64 {
-	h := uint64(14695981039346656037) // FNV-1a 64-bit offset basis
+	h := uint64(14695981039346656037)
 	mix := func(v uint64) {
-		for s := 0; s < 64; s += 8 {
-			h ^= (v >> s) & 0xff
-			h *= 1099511628211
-		}
-	}
-	for i := 0; i < len(j.ID); i++ {
-		h ^= uint64(j.ID[i])
-		h *= 1099511628211
+		h = (h ^ v) * 0x9e3779b97f4a7c15
+		h ^= h >> 32
 	}
 	mix(uint64(mode)<<8 | uint64(j.Class))
 	mix(math.Float64bits(j.Deadline))
@@ -164,15 +201,58 @@ func fingerprintJob(j *job.Job, mode fillMode) uint64 {
 	return h
 }
 
-// InvalidatePlanCache drops every cached fill pass and bumps the cache
-// generation. Engines call it on exogenous events the job fingerprints do
-// not see — node failures and recoveries. (Job arrival/completion/advance/
-// rescale need no call: they change the fingerprints and miss naturally.)
+// InvalidatePlanCache drops every cached fill pass, empties the block and
+// bumps the cache generation. Engines call it on exogenous events the job
+// fingerprints do not see — node failures and recoveries. (Job arrival/
+// completion/advance/rescale need no call: they change the fingerprints and
+// miss naturally.) Like a move to another instant, it ends the life of every
+// plan the scheduler has handed out internally.
 func (e *ElasticFlow) InvalidatePlanCache() {
 	e.mu.Lock()
 	e.gen++
-	e.states[0], e.states[1] = nil, nil
+	e.dropInstantLocked()
 	e.mu.Unlock()
+}
+
+// dropInstantLocked is the reset point of everything computed at the current
+// instant: the cached passes go to the spares and the block is emptied.
+func (e *ElasticFlow) dropInstantLocked() {
+	for i, s := range e.states {
+		if s != nil {
+			e.recycleLocked(s)
+			e.states[i] = nil
+		}
+	}
+	if a := e.filler.Arena; a != nil {
+		a.Reset()
+	}
+}
+
+// recycleLocked takes a pass out of the cache to wait as a spare. Its records
+// are cleared so that it retains no job, curve or heap-allocated plan. Cached
+// and spare passes together never number more than two: a new instant moves
+// both cached passes here and its first two passes pick them up again, and
+// within an instant a pass either grows its donor or takes over the array of
+// the pass it pushes out. (Four spares with append's 2× headroom cost
+// efserver 8 MB of peak RSS per shard under live_uniform.)
+func (e *ElasticFlow) recycleLocked(s *fillState) {
+	clear(s.recs)
+	clear(s.snaps)
+	s.recs, s.snaps = s.recs[:0], s.snaps[:0]
+	e.spare = append(e.spare, s)
+}
+
+// newStateLocked returns an empty pass with room for n records, a spare when
+// one waits.
+func (e *ElasticFlow) newStateLocked(g int, skipID string, n int) *fillState {
+	s := &fillState{}
+	if last := len(e.spare) - 1; last >= 0 {
+		s, e.spare[last] = e.spare[last], nil
+		e.spare = e.spare[:last]
+	}
+	s.g, s.skipID = g, skipID
+	s.recs = sized(s.recs, n)[:0]
+	return s
 }
 
 // Generation returns the plan-cache generation counter. It only moves on
@@ -217,48 +297,56 @@ func matchPrefix(s *fillState, fps []uint64, slo, be []*job.Job, skipCand string
 // admission candidate whose unsatisfiable recovery plan must not reserve
 // capacity. The pass ends early at the first position ≥ stopFrom that comes
 // out unsatisfied (admission needs nothing past it; pass the job count to run
-// to the end). It returns one record per position filled plus the Filler
-// positioned after the last commit, ready for the greedy spare-capacity
-// phase.
+// to the end). It returns one record per position filled plus the scheduler's
+// Filler positioned after the last commit, ready for the greedy
+// spare-capacity phase.
+//
+// Both results are the scheduler's own. The filler and the record slice are
+// valid until the next fillPass, which repositions the one and may recycle
+// the other; the plans the records point to are valid until the scheduler is
+// asked about another instant or InvalidatePlanCache is called (with
+// DisablePlanCache they are heap slices and simply stay).
 func (e *ElasticFlow) fillPass(now float64, slo, be []*job.Job, skipCand string, g, stopFrom int) ([]fillRec, *plan.Filler) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+
 	n := len(slo) + len(be)
-	fps := make([]uint64, n)
+	e.fps = sized(e.fps, n)
+	fps := e.fps
 	for i, j := range slo {
 		fps[i] = fingerprintJob(j, fillSLO)
 	}
 	for i, j := range be {
 		fps[len(slo)+i] = fingerprintJob(j, fillBE)
 	}
-	f := plan.NewFiller(g, e.opts.SlotSec, e.opts.PowerOfTwo)
+	f := e.filler
+	f.Reset(g)
 
 	if e.opts.DisablePlanCache {
-		st := &fillState{now: now, g: g, skipID: skipCand}
+		st := &fillState{g: g, skipID: skipCand}
 		e.extendFill(st, f, now, slo, be, skipCand, fps, stopFrom, false)
 		e.countPlanCache(0, len(st.recs))
 		return st.recs, f
 	}
 
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	// A cached pass is only valid at the exact decision time it was computed
+	// for — bit equality, nearby times must miss. Decision time only moves
+	// forward, so at a new instant every pass is dropped on sight rather than
+	// kept for later, and the block they were computed in starts over.
+	if bits := math.Float64bits(now); bits != e.at {
+		e.dropInstantLocked()
+		e.at = bits
+	}
+	if f.Arena == nil {
+		f.Arena = plan.NewArena(blockInts)
+	}
 
 	// The donor is the cached pass sharing the longest prefix; on equal
 	// prefixes the longer pass, which has more to offer the next query.
 	var best *fillState
 	bestP := -1
-	for i, s := range e.states {
-		if s == nil {
-			continue
-		}
-		// A cached pass is only valid at the exact decision time it was
-		// computed for — bit equality, nearby times must miss. Decision time
-		// only moves forward, so a pass from another time is dropped on
-		// sight rather than kept for later: its snapshots are the bulk of the
-		// scheduler's memory.
-		if s.gen != e.gen || math.Float64bits(s.now) != math.Float64bits(now) {
-			e.states[i] = nil
-			continue
-		}
-		if s.g != g {
+	for _, s := range e.states {
+		if s == nil || s.g != g {
 			continue
 		}
 		if p := matchPrefix(s, fps, slo, be, skipCand); p > bestP || p == bestP && len(s.recs) > len(best.recs) {
@@ -285,7 +373,6 @@ func (e *ElasticFlow) fillPass(now float64, slo, be []*job.Job, skipCand string,
 		return best.recs[:n], f
 	}
 
-	st := &fillState{now: now, g: g, gen: e.gen, skipID: skipCand}
 	// keep is the cached pass that stays beside the new one: the donor while
 	// it holds records the new pass does not (a short admission probe must not
 	// push out the long pass it branched from), else the most recent other.
@@ -298,16 +385,31 @@ func (e *ElasticFlow) fillPass(now float64, slo, be []*job.Job, skipCand string,
 			keep = s
 		}
 	}
-	if bestP > 0 {
-		// Three-index slices: extending the new pass must not clobber the
-		// shared backing arrays of the donor state.
-		st.recs = best.recs[:bestP:bestP]
-		st.snaps = best.snaps[: bestP/snapStride+1 : bestP/snapStride+1]
-		st.seek(f, bestP)
+	total := len(slo) + len(be)
+	st := best
+	if best != nil && bestP == len(best.recs) {
+		// The new pass extends its donor to the end: it is the donor, grown.
+		st.skipID = skipCand
+		st.recs = sized(st.recs, total)[:bestP]
 	} else {
-		bestP = 0
-		st.snaps = []plan.Snapshot{f.Snapshot()}
+		// The pass leaving the cache — never the donor, which stays as keep —
+		// hands its record array to the new one, which starts from a copy of
+		// the donor's prefix: no two passes share a backing array.
+		for _, s := range e.states {
+			if s != nil && s != keep {
+				e.recycleLocked(s)
+			}
+		}
+		st = e.newStateLocked(g, skipCand, total)
+		if bestP > 0 {
+			st.recs = append(st.recs, best.recs[:bestP]...)
+			st.snaps = append(st.snaps, best.snaps[:bestP/snapStride+1]...)
+		} else {
+			bestP = 0
+			st.snaps = append(st.snaps, f.Snapshot())
+		}
 	}
+	st.seek(f, bestP)
 	e.extendFill(st, f, now, slo, be, skipCand, fps, stopFrom, true)
 	e.states[0], e.states[1] = st, keep
 	e.countPlanCache(bestP, len(st.recs)-bestP)

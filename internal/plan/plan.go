@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
 
 	"github.com/elasticflow/elasticflow/internal/throughput"
 )
@@ -87,8 +86,30 @@ func (a Allocation) FinishTime(slotDur float64) float64 {
 	return (float64(a.FinishSlot) + a.FinishFrac) * slotDur
 }
 
+// Arena is a fixed block of int storage that a Filler carves plans and
+// snapshots from instead of allocating each on the heap. Nothing is freed
+// piecemeal: Reset gives the whole block back at once, so everything carved
+// since the previous Reset must be unreachable by then. The block never
+// grows — a request that does not fit is served by make — which bounds what
+// the arena's owner retains no matter how much is planned between two resets.
+type Arena struct {
+	buf []int
+	off int
+}
+
+// NewArena creates an arena of n ints.
+func NewArena(n int) *Arena { return &Arena{buf: make([]int, n)} }
+
+// Cap returns the size of the block in ints.
+func (a *Arena) Cap() int { return len(a.buf) }
+
+// Reset empties the arena: storage handed out so far will be handed out again.
+func (a *Arena) Reset() { a.off = 0 }
+
 // Filler tracks committed per-slot GPU usage and fills one demand at a time.
-// The zero value is unusable; construct with NewFiller.
+// The zero value is unusable; construct with NewFiller. A Filler owns its
+// usage grid and walk buffer and keeps their capacity across Reset, so a
+// long-lived one stops allocating them once it has seen its longest horizon.
 type Filler struct {
 	// G is the cluster capacity in GPUs.
 	G int
@@ -98,8 +119,14 @@ type Filler struct {
 	// placement (§4.3). When false, the filler runs Algorithm 1 exactly
 	// as printed, with unit increments.
 	PowerOfTwo bool
+	// Arena, when non-nil, is where the levels of filled and raised plans and
+	// the grids of snapshots are stored: they are valid until its next Reset
+	// and must not be appended to. With a nil Arena (or a full one) they are
+	// ordinary heap slices.
+	Arena *Arena
 
-	used []int // committed usage per slot
+	used    []int // committed usage per slot
+	scratch []int // the levels fill walks into before copying out the trimmed plan
 }
 
 // NewFiller creates a filler for a cluster of g GPUs with the given slot
@@ -118,6 +145,29 @@ func (f *Filler) UsedAt(t int) int {
 
 // FreeAt returns the free capacity in slot t.
 func (f *Filler) FreeAt(t int) int { return f.G - f.UsedAt(t) }
+
+// Reset empties the usage grid and sets the capacity to g GPUs, as a new
+// filler would start, keeping the grid's and the walk buffer's storage.
+func (f *Filler) Reset(g int) {
+	f.G = g
+	f.used = f.used[:0]
+}
+
+// clone copies src into the arena when it fits and onto the heap otherwise.
+// The result is never nil and has no spare capacity.
+func (f *Filler) clone(src []int) []int {
+	if a := f.Arena; a != nil && len(src) <= len(a.buf)-a.off {
+		dst := a.buf[a.off : a.off+len(src) : a.off+len(src)]
+		a.off += len(src)
+		copy(dst, src)
+		return dst
+	}
+	// make+copy of plain locals compiles to one allocation that is not
+	// zeroed first.
+	dst := make([]int, len(src))
+	copy(dst, src)
+	return dst
+}
 
 // ensure extends the usage grid to n slots. Plans are committed in deadline
 // order, each a little longer than the last, so capacity doubles rather than
@@ -140,7 +190,7 @@ func (f *Filler) ensure(n int) {
 // (one memcpy) and restore relative to re-running progressive filling. The
 // scheduler's plan cache keys incremental replans on snapshots taken between
 // per-job commits, so probing a candidate does not re-fill the already
-// committed prefix.
+// committed prefix. A snapshot taken by a filler with an Arena lives there.
 type Snapshot struct {
 	used []int
 }
@@ -150,10 +200,7 @@ func (s Snapshot) Slots() int { return len(s.used) }
 
 // Snapshot captures the current committed usage.
 func (f *Filler) Snapshot() Snapshot {
-	grid := f.used // a plain local, so make+copy is one unzeroed allocation
-	used := make([]int, len(grid))
-	copy(used, grid)
-	return Snapshot{used: used}
+	return Snapshot{used: f.clone(f.used)}
 }
 
 // Restore resets the committed usage to a previously taken snapshot. The
@@ -267,7 +314,7 @@ func finishFrac(remaining, progress, delta float64) float64 {
 //
 // The result carries the raised plan's accounting — finish point, GPU time,
 // Satisfied — with Levels left nil: Algorithm 2 prices a raise per job per
-// round and adopts few of them, so only Raised builds the plan.
+// round and adopts few of them, so only Raise builds the plan.
 func (f *Filler) RaiseSlot0(d Demand, cur Allocation, slot0, free0 int) (a Allocation, ok bool) {
 	if slot0 > free0 || f.clampLevel(slot0, &d) != slot0 {
 		return Allocation{}, false
@@ -309,14 +356,42 @@ func (f *Filler) RaiseSlot0(d Demand, cur Allocation, slot0, free0 int) (a Alloc
 	return a, true
 }
 
-// Raised completes what RaiseSlot0 priced into the plan itself: cur's levels
-// with slot 0 at slot0, trimmed at the raised plan's completion point.
-func Raised(cur, priced Allocation, slot0 int) Allocation {
-	kept := cur.Levels[:min(priced.FinishSlot+1, len(cur.Levels))]
-	levels := make([]int, len(kept))
-	copy(levels, kept)
+// Raise adopts what RaiseSlot0 priced: cur, which must be committed in f,
+// becomes cur with slot 0 at slot0, trimmed at the raised plan's completion
+// point, and the usage grid follows. It does what Uncommit(cur), building the
+// raised plan and Commit of it would, by what actually changes: slot 0 moves
+// by slot0 − cur's share and the slots past the new finish slot are given
+// back; the slots in between would be released and re-reserved as they were.
+// It panics as those would on an overcommitted slot 0 and on an under-release
+// in slot 0 or the tail.
+//
+// owned says cur.Levels is the caller's to edit — an earlier Raise returned
+// it — and the raised plan reuses it. Otherwise cur may be shared (a cached
+// fill) and the raised plan is a copy.
+func (f *Filler) Raise(cur, priced Allocation, slot0 int, owned bool) Allocation {
+	levels := cur.Levels
 	if len(levels) == 0 {
-		levels = []int{0} // an empty plan gains its first slot
+		levels, owned = []int{0}, false // an empty plan gains its first slot
+		f.ensure(1)
+	}
+	keep := min(priced.FinishSlot+1, len(levels))
+	if len(f.used) == 0 || f.used[0] < levels[0] {
+		panic("plan: slot 0 under-release")
+	}
+	for t := keep; t < len(levels); t++ {
+		if t >= len(f.used) || f.used[t] < levels[t] {
+			panic(fmt.Sprintf("plan: slot %d under-release", t))
+		}
+		f.used[t] -= levels[t]
+	}
+	f.used[0] += slot0 - levels[0]
+	if f.used[0] > f.G {
+		panic(fmt.Sprintf("plan: slot 0 overcommitted: %d > %d", f.used[0], f.G))
+	}
+	if owned {
+		levels = levels[:keep]
+	} else {
+		levels = f.clone(levels[:keep])
 	}
 	levels[0] = slot0
 	priced.Levels = levels
@@ -327,11 +402,6 @@ func Raised(cur, priced Allocation, slot0 int) Allocation {
 // per-slot additions can exceed horizon × delta by a relative 2^20 × 2^-53 ≈
 // 1e-10, and a level must never be skipped that the slot walk would accept.
 const pruneGuard = 1e-6
-
-// levelScratch holds the per-slot level buffers fill walks into before it
-// copies out the finish-trimmed plan: a horizon's worth of ints that would
-// otherwise be allocated and dropped by every call.
-var levelScratch = sync.Pool{New: func() any { return new([]int) }}
 
 // fill is the common implementation. startSlot is the first slot whose level
 // the candidate j controls; slots before it are pinned to fixed0 (only slot
@@ -367,12 +437,10 @@ func (f *Filler) fill(d *Demand, startSlot, fixed0 int) Allocation {
 		// Nothing to run: an empty, satisfied plan.
 		return Allocation{Satisfied: true}
 	}
-	scratch := levelScratch.Get().(*[]int)
-	defer levelScratch.Put(scratch)
-	if cap(*scratch) < horizon {
-		*scratch = make([]int, max(horizon, 2*cap(*scratch)))
+	if cap(f.scratch) < horizon {
+		f.scratch = make([]int, max(horizon, 2*cap(f.scratch)))
 	}
-	levels := (*scratch)[:horizon]
+	levels := f.scratch[:horizon]
 	best := 0.0 // highest Curve.At over the levels visited so far
 	for j := 1; ; j = f.nextLevel(j) {
 		last := f.nextLevel(j) > maxJ
@@ -384,12 +452,7 @@ func (f *Filler) fill(d *Demand, startSlot, fixed0 int) Allocation {
 		}
 		a := f.walk(d, j, startSlot, fixed0, levels)
 		if a.Satisfied || last {
-			// Out of the scratch buffer. (make+copy of plain locals compiles
-			// to one allocation that is not zeroed first.)
-			walked := a.Levels
-			trimmed := make([]int, len(walked))
-			copy(trimmed, walked)
-			a.Levels = trimmed
+			a.Levels = f.clone(a.Levels) // out of the walk buffer
 			return a
 		}
 	}

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -320,7 +321,8 @@ func TestRaiseSlot0(t *testing.T) {
 	if !ok || alt.Levels != nil {
 		t.Fatalf("raise priced as %+v ok=%v, want accounting without levels", alt, ok)
 	}
-	alt = Raised(cur, alt, 2)
+	f.Commit(cur)
+	alt = f.Raise(cur, alt, 2, false)
 	if alt.GPUsAt(0) != 2 {
 		t.Fatalf("slot0=%d ok=%v want 2", alt.GPUsAt(0), ok)
 	}
@@ -334,6 +336,12 @@ func TestRaiseSlot0(t *testing.T) {
 	if !alt.Satisfied {
 		t.Error("raised plan unsatisfied")
 	}
+	// The grid followed the raise, and the plan it started from — shared
+	// with whoever filled it — was left alone.
+	if f.UsedAt(0) != 2 || f.UsedAt(1) != 1 || cur.Levels[0] != 1 {
+		t.Errorf("after the raise used=%v cur=%v, want slot 0 at 2 and cur untouched", f.used, cur.Levels)
+	}
+	f.Uncommit(alt)
 	// A raise that does not fit the free capacity is no probe at all, and
 	// neither is one to an infeasible worker count.
 	f.Commit(Allocation{Levels: []int{3}})
@@ -353,9 +361,218 @@ func TestRaiseSlot0(t *testing.T) {
 	empty := Allocation{}
 	f2 := NewFiller(4, 1, true)
 	alt3, ok := f2.RaiseSlot0(d, empty, 2, f2.FreeAt(0))
-	alt3 = Raised(empty, alt3, 2)
-	if !ok || alt3.GPUsAt(0) != 2 || len(alt3.Levels) != 1 {
-		t.Errorf("raise of empty plan = %+v", alt3)
+	alt3 = f2.Raise(empty, alt3, 2, false)
+	if !ok || alt3.GPUsAt(0) != 2 || len(alt3.Levels) != 1 || f2.UsedAt(0) != 2 {
+		t.Errorf("raise of empty plan = %+v, used %v", alt3, f2.used)
+	}
+}
+
+// raisedRef is how a priced raise used to become a plan — a whole copy of
+// cur with slot 0 at slot0, trimmed at the raised plan's completion point,
+// adopted by Uncommit(cur) before and Commit after. Raise must stay
+// indistinguishable from that triple.
+func raisedRef(cur, priced Allocation, slot0 int) Allocation {
+	kept := cur.Levels[:min(priced.FinishSlot+1, len(cur.Levels))]
+	levels := append([]int(nil), kept...)
+	if len(levels) == 0 {
+		levels = []int{0} // an empty plan gains its first slot
+	}
+	levels[0] = slot0
+	priced.Levels = levels
+	return priced
+}
+
+// TestRaiseMatchesUncommitRaisedCommit drives two fillers in lockstep through
+// chains of adopted raises — one with Raise, one with the triple it replaced —
+// over random grids, non-monotone curves, both allocation disciplines, empty
+// starting plans, with and without an arena (small, so plans also overflow to
+// the heap): after every raise the plans must be identical and the usage
+// grids equal slot for slot, and the plan the chain started from — a cached
+// fill other passes still read — must never be edited.
+func TestRaiseMatchesUncommitRaisedCommit(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	curves := []throughput.Curve{
+		fig4Curve(),
+		throughput.MustCurve(map[int]float64{1: 0.7, 2: 1.2, 4: 1.9, 8: 2.4, 16: 3, 32: 3.3}),
+		throughput.MustCurve(map[int]float64{1: 1, 2: 2.2, 4: 1.6, 8: 2.1, 16: 0.9}),
+		throughput.MustCurve(map[int]float64{1: 1.5, 2: 1.1, 3: 1.4, 5: 0.8, 6: 1.45}),
+	}
+	randDemand := func() Demand {
+		return Demand{
+			Curve:        curves[rng.Intn(len(curves))],
+			Remaining:    rng.Float64() * 40,
+			DeadlineSlot: 1 + rng.Intn(40),
+			MinGPUs:      1 + rng.Intn(2),
+			MaxGPUs:      rng.Intn(2) * (1 + rng.Intn(32)),
+		}
+	}
+	raises, empties, later, trimmed := 0, 0, 0, 0
+	for i := 0; i < 3000; i++ {
+		g, slotDur, pow2 := 1+rng.Intn(32), 0.5+rng.Float64(), rng.Intn(2) == 0
+		a, b := NewFiller(g, slotDur, pow2), NewFiller(g, slotDur, pow2)
+		if rng.Intn(2) == 0 {
+			a.Arena = NewArena(rng.Intn(96))
+		}
+		for k := rng.Intn(3); k > 0; k-- {
+			bg := b.Fill(randDemand())
+			a.Commit(bg)
+			b.Commit(bg)
+		}
+		d := randDemand()
+		cur := a.Fill(d)
+		if rng.Intn(5) == 0 {
+			cur = Allocation{FinishSlot: d.DeadlineSlot} // an idle job: nothing planned yet
+		}
+		a.Commit(cur)
+		b.Commit(cur)
+		start := append([]int(nil), cur.Levels...)
+		curA, curB := cur, cur
+		for won := 0; ; won++ {
+			cur0 := curB.GPUsAt(0)
+			step := cur0 + 1
+			switch {
+			case cur0 == 0 && pow2:
+				step = 1 << bits.Len(uint(d.MinGPUs-1))
+			case cur0 == 0:
+				step = d.MinGPUs
+			case pow2:
+				step = cur0 * 2
+			}
+			priced, ok := b.RaiseSlot0(d, curB, step, b.FreeAt(0)+cur0)
+			if pricedA, okA := a.RaiseSlot0(d, curA, step, a.FreeAt(0)+cur0); okA != ok || !reflect.DeepEqual(pricedA, priced) {
+				t.Fatalf("case %d: the two fillers price the raise differently: %+v %v vs %+v %v", i, pricedA, okA, priced, ok)
+			}
+			if !ok {
+				break
+			}
+			before := len(curB.Levels)
+			b.Uncommit(curB)
+			curB = raisedRef(curB, priced, step)
+			b.Commit(curB)
+			curA = a.Raise(curA, priced, step, won > 0)
+			if !reflect.DeepEqual(curA, curB) {
+				t.Fatalf("case %d win %d: Raise built %+v, the triple %+v", i, won, curA, curB)
+			}
+			if len(a.used) != len(b.used) {
+				t.Fatalf("case %d win %d: grids of %d and %d slots", i, won, len(a.used), len(b.used))
+			}
+			for s := range a.used {
+				if a.used[s] != b.used[s] {
+					t.Fatalf("case %d win %d: slot %d holds %d after Raise, %d after the triple\n%v\n%v", i, won, s, a.used[s], b.used[s], a.used, b.used)
+				}
+			}
+			if !reflect.DeepEqual(append([]int(nil), cur.Levels...), start) {
+				t.Fatalf("case %d win %d: Raise edited the plan the chain started from: %v, was %v", i, won, cur.Levels, start)
+			}
+			raises++
+			if before == 0 {
+				empties++
+			}
+			if won > 0 {
+				later++
+			}
+			if len(curB.Levels) < before {
+				trimmed++
+			}
+		}
+	}
+	if raises < 1000 || empties < 50 || later < 300 || trimmed < 100 {
+		t.Errorf("generator covers too little: %d raises, %d of empty plans, %d after a first win, %d that gave back a tail", raises, empties, later, trimmed)
+	}
+}
+
+// TestRaisePanics keeps the two tripwires of the triple Raise replaced:
+// Commit's on an overcommitted slot and Uncommit's on releasing what was never
+// reserved — at slot 0 and in the tail the raise gives back.
+func TestRaisePanics(t *testing.T) {
+	d := Demand{Curve: fig4Curve(), Remaining: 4, DeadlineSlot: 8, MinGPUs: 1}
+	cur := NewFiller(4, 1, true).Fill(d) // [1,1,1,1]
+	setup := func(committed ...int) (*Filler, Allocation) {
+		f := NewFiller(4, 1, true)
+		f.Commit(Allocation{Levels: committed})
+		priced, ok := f.RaiseSlot0(d, cur, 4, 4)
+		if !ok || priced.FinishSlot >= 3 {
+			t.Fatalf("setup: raise to 4 priced as %+v ok=%v, want a finish before slot 3", priced, ok)
+		}
+		return f, priced
+	}
+	for name, raise := range map[string]func(){
+		"overcommit at slot 0": func() {
+			f, priced := setup(1, 1, 1, 1)
+			f.Commit(Allocation{Levels: []int{1}}) // the capacity the probe assumed is gone
+			f.Raise(cur, priced, 4, false)
+		},
+		"under-release at slot 0": func() {
+			f, priced := setup(0, 1, 1, 1)
+			f.Raise(cur, priced, 4, false)
+		},
+		"under-release in the tail": func() {
+			f, priced := setup(1, 1, 1, 0)
+			f.Raise(cur, priced, 4, false)
+		},
+		"tail past the grid": func() {
+			f, priced := setup(1, 1, 1)
+			f.Raise(cur, priced, 4, false)
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			raise()
+		}()
+	}
+	// The same raise of a plan that is committed goes through.
+	f, priced := setup(1, 1, 1, 1)
+	if got := f.Raise(cur, priced, 4, false); got.GPUsAt(0) != 4 || f.UsedAt(0) != 4 || f.UsedAt(3) != 0 {
+		t.Errorf("raise of a committed plan = %+v, used %v", got, f.used)
+	}
+}
+
+// TestArenaStorage checks where a filler with an Arena puts what it hands
+// out: plans and snapshots are carved back to back with no spare capacity
+// (appending to one cannot reach its neighbour), they equal what a filler
+// without an arena produces, a request that does not fit lands on the heap
+// without disturbing the block, and Reset starts the block over.
+func TestArenaStorage(t *testing.T) {
+	d := Demand{Curve: fig4Curve(), Remaining: 4, DeadlineSlot: 8, MinGPUs: 1}
+	plain := NewFiller(4, 1, true)
+	f := NewFiller(4, 1, true)
+	f.Arena = NewArena(10)
+
+	a1, want := f.Fill(d), plain.Fill(d) // 4 slots
+	if !reflect.DeepEqual(a1, want) || f.Arena.off != 4 || cap(a1.Levels) != 4 {
+		t.Fatalf("first fill %+v (cap %d, block at %d), want %+v carved exactly", a1, cap(a1.Levels), f.Arena.off, want)
+	}
+	f.Commit(a1)
+	plain.Commit(want)
+	snap := f.Snapshot() // 4 more
+	if f.Arena.off != 8 || snap.Slots() != 4 {
+		t.Fatalf("snapshot of %d slots left the block at %d", snap.Slots(), f.Arena.off)
+	}
+	a2 := f.Fill(d) // 4 slots do not fit the 2 left
+	if want := plain.Fill(d); !reflect.DeepEqual(a2, want) || f.Arena.off != 8 {
+		t.Fatalf("overflowing fill %+v (block at %d), want %+v from the heap", a2, f.Arena.off, want)
+	}
+	_ = append(a1.Levels, 9)
+	f.Restore(snap)
+	if f.UsedAt(0) != 1 || f.UsedAt(3) != 1 {
+		t.Fatalf("appending to a carved plan reached the snapshot behind it: %v", f.used)
+	}
+	// A zero-length result is still a plan, not nil, arena or heap.
+	if z := f.Fill(Demand{Curve: fig4Curve(), Remaining: 4, MinGPUs: 1}); z.Levels == nil || len(z.Levels) != 0 {
+		t.Errorf("fill over an empty horizon = %+v, want empty non-nil levels", z)
+	}
+	f.Arena.Reset()
+	if a3 := f.Fill(d); f.Arena.off != 4 || &a3.Levels[0] != &a1.Levels[0] {
+		t.Errorf("after Reset the block was not reused from its start (at %d)", f.Arena.off)
+	}
+	// Reset keeps the grid's storage but none of its contents.
+	f.Reset(2)
+	if f.G != 2 || f.TotalCommitted() != 0 || f.FreeAt(0) != 2 {
+		t.Errorf("Reset(2) left G=%d used=%v", f.G, f.used)
 	}
 }
 
