@@ -3,6 +3,8 @@ package elasticflow_test
 import (
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,6 +13,7 @@ import (
 	"github.com/elasticflow/elasticflow/internal/experiments"
 	"github.com/elasticflow/elasticflow/internal/job"
 	"github.com/elasticflow/elasticflow/internal/model"
+	"github.com/elasticflow/elasticflow/internal/obs"
 	"github.com/elasticflow/elasticflow/internal/plan"
 	"github.com/elasticflow/elasticflow/internal/serverless"
 	"github.com/elasticflow/elasticflow/internal/store"
@@ -276,6 +279,72 @@ func BenchmarkSnapshotRetained(b *testing.B) {
 	b.StopTimer()
 	if c := p.Cluster(); c.Completed != terminal || c.Admitted != active {
 		b.Fatalf("the measured ticks changed the job set: %+v", c)
+	}
+}
+
+// BenchmarkSubmitDurable measures what one acknowledged submission costs the
+// durable control plane in steady state: a single-item SubmitBatch at a moved
+// now, over an active set of about 200 jobs of live_uniform's one shape that
+// arrive — and so finish — every 1.7 platform-seconds on a saturated 1 024-GPU
+// shard, so most submissions' advances retire a job. Fsync is off (the store
+// still counts the calls); records/op and syncs/op are what the journal was
+// asked to do and must both read 1: a submission's record is its advance
+// (DESIGN.md §11).
+func BenchmarkSubmitDurable(b *testing.B) {
+	const every, warm = 1700 * time.Millisecond, 800
+	st, err := store.Open(b.TempDir(), store.Options{NoSync: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	now := time.Unix(1_700_000_000, 0)
+	reg := obs.New(obs.Options{Clock: func() time.Time { return now }})
+	p, err := serverless.NewPlatform(serverless.Options{
+		Topology: topology.Config{Servers: 128, GPUsPerServer: 8},
+		Clock:    func() time.Time { return now },
+		Store:    st,
+		Obs:      reg,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	req := []serverless.SubmitRequest{{Tenant: "acme", Model: "resnet50", GlobalBatch: 128, Iterations: 50_000, DeadlineSeconds: 4_000}}
+	submit := func() {
+		now = now.Add(every)
+		if sts, err := p.SubmitBatch(req); err != nil || sts[0].State == "dropped" {
+			b.Fatalf("SubmitBatch = %+v, %v", sts, err)
+		}
+	}
+	fsyncs := func() float64 {
+		var text strings.Builder
+		if err := reg.Metrics.WritePrometheus(&text); err != nil {
+			b.Fatal(err)
+		}
+		_, rest, _ := strings.Cut(text.String(), "\nef_store_fsyncs_total ")
+		line, _, _ := strings.Cut(rest, "\n")
+		n, err := strconv.ParseFloat(line, 64)
+		if err != nil {
+			b.Fatalf("ef_store_fsyncs_total on /metrics: %v", err)
+		}
+		return n
+	}
+	for i := 0; i < warm; i++ {
+		submit()
+	}
+	before := p.Cluster()
+	if before.Completed == 0 || before.Admitted < 100 || before.Admitted > 400 {
+		b.Fatalf("warm-up left %+v, want a steady state of about 200 active jobs", before)
+	}
+	records, syncs := st.LastLSN(), fsyncs()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		submit()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(st.LastLSN()-records)/float64(b.N), "records/op")
+	b.ReportMetric((fsyncs()-syncs)/float64(b.N), "syncs/op")
+	if after := p.Cluster(); b.N >= 100 && after.Completed-before.Completed < b.N*9/10 {
+		b.Fatalf("%d submissions retired %d jobs: completions are no longer pending at most of them", b.N, after.Completed-before.Completed)
 	}
 }
 

@@ -14,10 +14,14 @@
 //	  "iterations": 100000, "deadline_seconds": 3600}'
 //
 // -state-dir makes the control plane durable (DESIGN.md §11): every mutation
-// is journaled before it is acknowledged, periodic snapshots truncate the
-// journal (-snapshot-every records), and a restart pointing at the same
-// directory recovers the exact pre-crash state — admitted jobs keep their
-// deadlines, and the platform clock resumes where it stopped.
+// is journaled before it is acknowledged — one record, one fsync — and a
+// restart pointing at the same directory recovers the exact pre-crash state:
+// admitted jobs keep their deadlines, and the platform clock resumes where it
+// stopped. The journal holds decisions only (a submission, batch, cancel or
+// server transition, or the clock reading of a tick or read), so
+// -snapshot-every N snapshots and truncates it every N decisions, and
+// recovery re-decides at most N of them. A directory written by a release
+// with another journal format is refused at start-up, not converted.
 //
 // -chaos takes a comma-separated failure schedule in platform time:
 // "1@30s+60s" fails server 1 at t=30s and recovers it 60s later (omit the
@@ -156,7 +160,7 @@ func run(args []string, stdout io.Writer) error {
 	timescale := fs.Float64("timescale", 1, "platform seconds per wall second")
 	chaos := fs.String("chaos", "", "chaos schedule, e.g. 1@30s+60s,kill@90s (platform time)")
 	stateDir := fs.String("state-dir", "", "directory for the durable journal + snapshots (empty: in-memory only)")
-	snapEvery := fs.Int("snapshot-every", 256, "journal records between snapshots (with -state-dir; 0 disables)")
+	snapEvery := fs.Int("snapshot-every", 256, "decisions journaled between snapshots — recovery replays at most this many (with -state-dir; 0 disables)")
 	pprofOn := fs.Bool("pprof", false, "serve net/http/pprof profiling endpoints under /debug/pprof/")
 	shards := fs.Int("shards", 1, "control-plane shards behind the multi-tenant front door (>1 enables it; each shard owns its own -servers × -gpus-per-server partition and WAL)")
 	tenantSpec := fs.String("tenants", "", "per-tenant policy, e.g. acme:rate=100,burst=200,gpus=32;globex:gpus=16 (implies the front door)")

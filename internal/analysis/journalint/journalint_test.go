@@ -19,11 +19,9 @@ func TestFixture(t *testing.T) {
 // reorder test below moves it after the apply call; if this text drifts out
 // of sync with internal/serverless/platform.go the test fails loudly rather
 // than silently passing.
-const cancelJournalBlock = `	now := p.lastTick
-	if p.journalingLocked() {
-		if err := p.journalLocked(recCancel, now, cancelBody{ID: id}, true); err != nil {
-			return err
-		}
+const cancelJournalBlock = `	now, err := p.recordLocked(recCancel, cancelBody{ID: id})
+	if err != nil {
+		return err
 	}
 	if err := p.applyCancelLocked(id, now); err != nil {
 		return err
@@ -33,10 +31,8 @@ const cancelJournalReordered = `	now := p.lastTick
 	if err := p.applyCancelLocked(id, now); err != nil {
 		return err
 	}
-	if p.journalingLocked() {
-		if err := p.journalLocked(recCancel, now, cancelBody{ID: id}, true); err != nil {
-			return err
-		}
+	if _, err := p.recordLocked(recCancel, cancelBody{ID: id}); err != nil {
+		return err
 	}`
 
 // TestRealRevert proves journalint guards the real control plane: a copy of

@@ -55,7 +55,6 @@ type Obs struct {
 	mirrors     *Counter    // ef_checkpoint_mirrors_total
 	restores    *Counter    // ef_checkpoint_restores_total
 	recoverySec *Histogram  // ef_recovery_seconds
-	jobRescales *CounterVec // ef_job_rescales_total{job}
 
 	storeRecords     *CounterVec // ef_store_records_total{kind}
 	storeFsyncs      *Counter    // ef_store_fsyncs_total
@@ -140,7 +139,6 @@ func New(opts Options) *Obs {
 		mirrors:     m.Counter("ef_checkpoint_mirrors_total", "Checkpoints mirrored from agents to the orchestrator."),
 		restores:    m.Counter("ef_checkpoint_restores_total", "Jobs restored from a mirrored checkpoint after an agent loss."),
 		recoverySec: m.Histogram("ef_recovery_seconds", "Latency from declaring an agent down to jobs relaunched.", RecoveryBuckets),
-		jobRescales: m.CounterVec("ef_job_rescales_total", "Rescale events actually charged, per job.", "job"),
 
 		storeRecords:     m.CounterVec("ef_store_records_total", "Journal records appended to the durable control-plane store, by record kind.", "kind"),
 		storeFsyncs:      m.Counter("ef_store_fsyncs_total", "Journal fsync calls (group commit batches durable appends, so this lags records)."),
@@ -366,15 +364,6 @@ func (o *Obs) ObserveRecovery(sec float64) {
 		return
 	}
 	o.recoverySec.Observe(sec)
-}
-
-// IncJobRescale counts one rescale event actually charged to the job — the
-// series the SafetyRescales budget is audited against.
-func (o *Obs) IncJobRescale(jobID string) {
-	if o == nil {
-		return
-	}
-	o.jobRescales.With(jobID).Inc()
 }
 
 // IncStoreRecord counts one journal record appended, by record kind.

@@ -15,8 +15,8 @@ import (
 // events go, and which journal position its spans belong to.
 type Emitter struct {
 	// Event publishes one event at domain time now. The live platform tees
-	// it to the bus and the journal (or verifies it against the journal
-	// during replay); the simulator feeds the bus, its event log and its
+	// it to the bus and into the journal's trail hash, in replay as when
+	// live; the simulator feeds the bus, its event log and its
 	// rescale/migration tallies.
 	Event func(now float64, kind, jobID string, fields ...obs.Field)
 	// Bare tells the engine nothing reads event fields (a simulator run
@@ -181,7 +181,6 @@ func (e *Engine) freeze(now float64, j *job.Job, charge float64) {
 	j.Rescales++
 	e.event(now, obs.KindRescale, j.ID, "gpus", j.GPUs)
 	e.Obs.IncRescale()
-	e.Obs.IncJobRescale(j.ID)
 }
 
 // Retire completes job j at now — which instant that is belongs to the host:

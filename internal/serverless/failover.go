@@ -45,7 +45,8 @@ func (p *Platform) NodeUp(server int) error {
 	return err
 }
 
-// setNode journals and applies one server transition.
+// setNode journals and applies one server transition; a call that names no
+// server or changes nothing is a read of the clock.
 //
 //eflint:journal entry
 func (p *Platform) setNode(server int, down bool) ([]string, error) {
@@ -54,22 +55,21 @@ func (p *Platform) setNode(server int, down bool) ([]string, error) {
 	if err := p.checkMutableLocked(); err != nil {
 		return nil, err
 	}
-	p.advanceLocked()
 	if server < 0 || server >= p.cluster.Config().Servers {
+		p.advanceLocked()
 		return nil, fmt.Errorf("serverless: server %d out of range [0,%d)", server, p.cluster.Config().Servers)
 	}
 	if p.down[server] == down {
+		p.advanceLocked()
 		return nil, nil
 	}
-	now := p.lastTick
-	if p.journalingLocked() {
-		kind := recNodeUp
-		if down {
-			kind = recNodeDown
-		}
-		if err := p.journalLocked(kind, now, nodeBody{Server: server}, true); err != nil {
-			return nil, err
-		}
+	kind := recNodeUp
+	if down {
+		kind = recNodeDown
+	}
+	now, err := p.recordLocked(kind, nodeBody{Server: server})
+	if err != nil {
+		return nil, err
 	}
 	evicted, err := p.applyNodeLocked(server, down, now)
 	p.maybeSnapshotLocked()
@@ -82,6 +82,7 @@ func (p *Platform) setNode(server int, down bool) ([]string, error) {
 //
 //eflint:journal apply
 func (p *Platform) applyNodeLocked(server int, down bool, now float64) (evicted []string, err error) {
+	p.applyAdvanceLocked(now)
 	if p.down[server] == down {
 		return nil, nil
 	}

@@ -126,8 +126,9 @@ type Options struct {
 	// Recover.
 	Store *store.Store
 	// SnapshotEvery triggers a snapshot (which truncates the journal)
-	// after that many records. 0 disables periodic snapshots; Shutdown
-	// still takes a final one.
+	// after that many records — each one a decision: a mutation, or the
+	// clock reading of a tick or read — so recovery replays at most that
+	// many. 0 disables periodic snapshots; Shutdown still takes a final one.
 	SnapshotEvery int
 	// JobPrefix is prepended to generated job IDs ("job-0001" →
 	// "<prefix>job-0001"). The front door gives each shard a distinct
@@ -168,6 +169,11 @@ type Platform struct {
 	// allocation change at a slot boundary); the first advance that reaches
 	// it reschedules. 0 = none. journaled; guarded by mu
 	wake float64
+	// trail is a running hash of every deterministic event emitted so far
+	// (eventLocked). Each journal record carries the value held when it was
+	// appended and replay refuses a record whose value differs from its own:
+	// the divergence tripwire of DESIGN.md §11. journaled; guarded by mu
+	trail uint64
 
 	seq       int                 // job ID counter. journaled; guarded by mu
 	prefix    string              // job ID prefix (Options.JobPrefix)
@@ -206,15 +212,6 @@ type Platform struct {
 	// mutation the journal did not accept would break record-then-apply.
 	// guarded by mu
 	broken error
-	// replaying marks recovery replay: applies re-emit events for
-	// verification instead of journaling them. guarded by mu
-	replaying bool
-	// replayTail is the journal suffix being replayed. guarded by mu
-	replayTail []store.Record
-	// replayPos is the verification cursor into replayTail. guarded by mu
-	replayPos int
-	// replayErr records the first replay divergence. guarded by mu
-	replayErr error
 	// snap assembles snapshots, keeping the encoding of every job that can
 	// no longer change (snapshot.go). guarded by mu
 	snap snapshotAssembler
@@ -355,12 +352,9 @@ func (p *Platform) Submit(req SubmitRequest) (JobStatus, error) {
 	if err := p.checkMutableLocked(); err != nil {
 		return JobStatus{}, err
 	}
-	p.advanceLocked()
-	now := p.lastTick
-	if p.journalingLocked() {
-		if err := p.journalLocked(recSubmit, now, req, true); err != nil {
-			return JobStatus{}, err
-		}
+	now, err := p.recordLocked(recSubmit, req)
+	if err != nil {
+		return JobStatus{}, err
 	}
 	st, err := p.applySubmitLocked(req, now)
 	p.maybeSnapshotLocked()
@@ -392,12 +386,9 @@ func (p *Platform) SubmitBatch(reqs []SubmitRequest) ([]JobStatus, error) {
 	if err := p.checkMutableLocked(); err != nil {
 		return nil, err
 	}
-	p.advanceLocked()
-	now := p.lastTick
-	if p.journalingLocked() {
-		if err := p.journalLocked(recBatch, now, batchBody{Batch: p.batches + 1, Reqs: reqs}, true); err != nil {
-			return nil, err
-		}
+	now, err := p.recordLocked(recBatch, reqs)
+	if err != nil {
+		return nil, err
 	}
 	out := p.applySubmitBatchLocked(reqs, now)
 	p.maybeSnapshotLocked()
@@ -411,6 +402,7 @@ func (p *Platform) SubmitBatch(reqs []SubmitRequest) ([]JobStatus, error) {
 //
 //eflint:journal apply
 func (p *Platform) applySubmitBatchLocked(reqs []SubmitRequest, now float64) []JobStatus {
+	p.applyAdvanceLocked(now)
 	p.batches++
 	batch := p.batches
 	p.eventLocked(now, obs.KindBatch, "",
@@ -475,6 +467,7 @@ func tenantList(reqs []SubmitRequest) string {
 //
 //eflint:journal apply
 func (p *Platform) applySubmitLocked(req SubmitRequest, now float64) (JobStatus, error) {
+	p.applyAdvanceLocked(now)
 	j, st, err := p.applySubmitItemLocked(req, now, tracing.Ref{}, p.ef.BeginAdmitBatch(now, p.capLocked()))
 	if err != nil {
 		return JobStatus{}, err
@@ -615,8 +608,9 @@ func (p *Platform) List() []JobStatus {
 	return out
 }
 
-// Cancel removes a job from the platform. Only a cancel that will actually
-// change state (the job is admitted or running) is journaled.
+// Cancel removes a job from the platform. Only a cancel that can change
+// state — the job is admitted or running when the call arrives — is journaled;
+// anything else is a read of the clock.
 //
 //eflint:journal entry
 func (p *Platform) Cancel(id string) error {
@@ -625,19 +619,18 @@ func (p *Platform) Cancel(id string) error {
 	if err := p.checkMutableLocked(); err != nil {
 		return err
 	}
-	p.advanceLocked()
 	j, ok := p.all[id]
 	if !ok {
+		p.advanceLocked()
 		return fmt.Errorf("serverless: unknown job %q", id)
 	}
 	if j.State != job.Admitted && j.State != job.Running {
+		p.advanceLocked()
 		return nil
 	}
-	now := p.lastTick
-	if p.journalingLocked() {
-		if err := p.journalLocked(recCancel, now, cancelBody{ID: id}, true); err != nil {
-			return err
-		}
+	now, err := p.recordLocked(recCancel, cancelBody{ID: id})
+	if err != nil {
+		return err
 	}
 	if err := p.applyCancelLocked(id, now); err != nil {
 		return err
@@ -647,10 +640,13 @@ func (p *Platform) Cancel(id string) error {
 }
 
 // applyCancelLocked removes the job at time now — shared by the live path
-// and journal replay. Idempotent on an already-inactive job.
+// and journal replay. Idempotent on an already-inactive job, which is what a
+// job that finishes inside this record's own advance is, live and in replay
+// alike.
 //
 //eflint:journal apply
 func (p *Platform) applyCancelLocked(id string, now float64) error {
+	p.applyAdvanceLocked(now)
 	j, ok := p.all[id]
 	if !ok {
 		return fmt.Errorf("serverless: unknown job %q", id)
@@ -739,38 +735,44 @@ func (p *Platform) Tick() {
 	p.maybeSnapshotLocked()
 }
 
-// advanceLocked accrues progress up to the current clock reading.
-func (p *Platform) advanceLocked() {
-	p.advanceToLocked(p.Now())
-}
-
-// advanceToLocked accrues progress since the last tick up to now, retires
-// completed jobs, and reschedules if anything changed or the last decision's
-// wake-up has come. Every advance is journaled: lastTick is state — later
-// submit times and deadlines are measured against it, so recovery must
-// resume at the last observed tick. An advance that will reschedule changes
-// scheduling state and is recorded durably before applying; a pure time
-// observation is recorded non-durably (its loss on power failure only
-// rewinds idle time nothing was acknowledged against).
+// advanceLocked is the journaled advance of everything that is not a
+// mutation: reads, ticks, and mutation calls that turn out to have nothing to
+// record. lastTick is state — later submit times and deadlines are measured
+// against it — so the clock reading gets a record of its own: durable when
+// applying it will retire a job or run a due wake-up (scheduling state
+// changes), non-durable for a pure time observation, whose loss on power
+// failure only rewinds idle time nothing was acknowledged against. A mutation
+// does not come through here: its own record is its advance (recordLocked).
 //
 //eflint:journal entry
-func (p *Platform) advanceToLocked(now float64) {
-	dt := now - p.lastTick
-	if dt <= 0 {
-		return
-	}
-	if p.closing || p.broken != nil {
+func (p *Platform) advanceLocked() {
+	now := p.Now()
+	if now <= p.lastTick || p.closing || p.broken != nil {
 		// After shutdown begins the final snapshot must remain the final
 		// state; after a journal failure applying anything would break
 		// record-then-apply. Either way, time stops.
 		return
 	}
-	changed := p.wake > 0 && p.wake <= now
 	if p.journalingLocked() {
-		if err := p.journalLocked(recAdvance, now, nil, changed || p.completionPendingLocked(now)); err != nil {
+		if err := p.journalLocked(recAdvance, now, nil, p.advanceReschedulesLocked(now)); err != nil {
 			return
 		}
 	}
+	p.applyAdvanceLocked(now)
+}
+
+// applyAdvanceLocked accrues progress since the last tick up to now, retires
+// completed jobs, and reschedules if anything changed or the last decision's
+// wake-up has come. Every apply function begins with it: a journal record at
+// time t means "advance to t, then apply".
+//
+//eflint:journal apply
+func (p *Platform) applyAdvanceLocked(now float64) {
+	dt := now - p.lastTick
+	if dt <= 0 {
+		return
+	}
+	changed := p.wake > 0 && p.wake <= now
 	for _, j := range p.active {
 		j.Advance(p.lastTick, dt)
 	}

@@ -182,12 +182,16 @@ func TestSnapshotOracle(t *testing.T) {
 			p.Tick()
 		}
 	}
-	p = open(3000) // crash: the first platform is abandoned without Shutdown
+	// The cadence counts journal records, and the journal holds decisions
+	// only: a round is five of them (one batch, four ticks), phase 2 about a
+	// thousand, so a snapshot every 120 records is eight checked payloads.
+	const every = 120
+	p = open(every) // crash: the first platform is abandoned without Shutdown
 	mid := snapshotsChecked.Load()
 	for submitted < total/2 {
 		round(p)
 	}
-	p = open(3000)
+	p = open(every)
 	for submitted < total {
 		round(p)
 	}

@@ -17,19 +17,18 @@ import (
 	"github.com/elasticflow/elasticflow/internal/topology"
 )
 
-// This file is the platform's durability layer (DESIGN.md §11). Every
-// scheduler-visible mutation follows record-then-apply against an
-// internal/store journal: the record is appended — and fsynced — before the
-// in-memory apply, so an acknowledged HTTP response is never lost to a
-// crash. Recovery (Recover) restores the newest snapshot and replays the
-// journal suffix through the exact same apply functions the live path uses;
-// determinism of the scheduler core then makes the recovered decision and
-// event trail byte-identical to the uninterrupted run's.
+// This file is the platform's durability layer (DESIGN.md §11). The journal
+// holds decisions only — what was asked and the platform time it was decided
+// at — and one rule reads it: a record at time t means "advance to t, then
+// apply". The record is appended (a mutation's always fsynced) before the
+// in-memory apply, so an acknowledged HTTP response is never lost to a crash.
+// Recovery (Recover) restores the newest snapshot and replays the journal
+// suffix through the exact same apply functions the live path uses;
+// determinism of the scheduler core then makes the recovered decision, event
+// and span trails byte-identical to the uninterrupted run's, and the trail
+// hash each record carries turns any difference into a refusal.
 
-// Journal record kinds. Mutation records carry the platform time the
-// decision was made at; replay advances the clock to that time before
-// re-applying, so time-dependent admission and allocation decisions
-// reproduce exactly.
+// Journal record kinds.
 const (
 	recSubmit = "submit"
 	// recBatch is one front-door admission batch: the full request list,
@@ -40,28 +39,36 @@ const (
 	recCancel   = "cancel"
 	recNodeDown = "node-down"
 	recNodeUp   = "node-up"
-	// recAdvance marks a clock advance. The platform's notion of "now"
-	// is state: every later decision time (submit times, deadlines,
-	// completion stamps) is measured against it, so recovery must resume
-	// the clock at the last observed tick, not the last mutation. An
-	// advance that retires a job changes scheduling state and is journaled
-	// durably before applying; a pure time observation is journaled
-	// non-durably — its loss can only rewind idle time nothing was
-	// acknowledged against.
+	// recAdvance is a clock reading no mutation carried: a read, a tick, or
+	// a mutation call with nothing to record (advanceLocked). It has no op.
 	recAdvance = "advance"
-	// recEvent mirrors one deterministic observability event. Event
-	// records are appended non-durably (their loss cannot diverge state);
-	// replay verifies each re-emitted event byte-for-byte against them,
-	// turning the journal into an online divergence detector.
-	recEvent = "event"
 )
+
+// snapshotVersion is the snapshot schema this release writes, and the only
+// one it restores: a snapshot is the head of a journal, and the journal that
+// went with version 1 (no trail hash, every event mirrored as a record) is not
+// one replayRecordLocked reads.
+const snapshotVersion = 2
+
+// errForeignState refuses a state directory this release did not write.
+// There is no conversion: the journal's guarantee is that replay reproduces
+// the run, and a journal in another format cannot be held to it.
+var errForeignState = errors.New("the state directory was written by a release with a different journal format (DESIGN.md §11) and cannot be replayed by this one; finish or drain it with the release that wrote it, or start from an empty directory")
 
 // ErrShuttingDown rejects mutations that arrive after graceful shutdown has
 // begun flushing the journal; the HTTP layer maps it to 503 so a client
 // never holds an acknowledged-but-unjournaled write.
 var ErrShuttingDown = errors.New("serverless: platform is shutting down")
 
-// cancelBody / nodeBody are the journal bodies of the non-submit mutations.
+// recordBody is the body of every journal record: the trail hash the platform
+// held when it appended the record, and the op — a SubmitRequest, a batch's
+// []SubmitRequest, a cancelBody, a nodeBody, or nothing for an advance. Replay
+// decodes a body with a *json.RawMessage in Op, which json fills in place.
+type recordBody struct {
+	Trail uint64 `json:"trail"`
+	Op    any    `json:"op,omitempty"`
+}
+
 type cancelBody struct {
 	ID string `json:"id"`
 }
@@ -69,36 +76,33 @@ type nodeBody struct {
 	Server int `json:"server"`
 }
 
-// batchBody is the journal body of one admission batch. Batch is the
-// batch ordinal at append time — framing for humans and external readers;
-// replay derives the same value by counting, it does not trust the field.
-type batchBody struct {
-	Batch uint64          `json:"batch"`
-	Reqs  []SubmitRequest `json:"reqs"`
-}
-
-// eventBody is the journaled mirror of one obs event (Seq is bus-assigned
-// and excluded; Time lives on the record).
-type eventBody struct {
-	Kind   string      `json:"kind"`
-	Job    string      `json:"job,omitempty"`
-	Fields []obs.Field `json:"fields,omitempty"`
-}
-
 // journalingLocked reports whether mutations should be recorded: a store is
-// attached, the platform is live (not replaying history), shutdown has not
-// begun, and the journal has not failed.
+// attached, shutdown has not begun, and the journal has not failed.
 func (p *Platform) journalingLocked() bool {
-	return p.store != nil && !p.replaying && !p.closing && p.broken == nil
+	return p.store != nil && !p.closing && p.broken == nil
 }
 
-// journalLocked appends one mutation record. On failure the platform
-// wedges: the mutation must not be applied (record-then-apply) and no later
-// one can be either, or the journal would have a hole.
+// recordLocked is the record half of record-then-apply, shared by every
+// mutation entry: it reads the clock, appends the op durably at that time and
+// returns the time for the apply half. There is no advance ahead of it — the
+// apply starts with one, exactly as replay of this record will.
 //
 //eflint:journal append
-func (p *Platform) journalLocked(kind string, t float64, body any, durable bool) error {
-	lsn, err := p.store.Append(kind, t, body, durable)
+func (p *Platform) recordLocked(kind string, op any) (now float64, err error) {
+	now = math.Max(p.Now(), p.lastTick)
+	if p.journalingLocked() {
+		err = p.journalLocked(kind, now, op, true)
+	}
+	return now, err
+}
+
+// journalLocked appends one record. On failure the platform wedges: the
+// mutation must not be applied (record-then-apply) and no later one can be
+// either, or the journal would have a hole.
+//
+//eflint:journal append
+func (p *Platform) journalLocked(kind string, t float64, op any, durable bool) error {
+	lsn, err := p.store.Append(kind, t, recordBody{Trail: p.trail, Op: op}, durable)
 	if err != nil {
 		p.broken = fmt.Errorf("serverless: journal failed, refusing further mutations: %w", err)
 		p.obs.EventNow(obs.KindError, "", obs.F("op", "journal-append"), obs.F("err", err.Error()))
@@ -121,65 +125,41 @@ func (p *Platform) checkMutableLocked() error {
 	return nil
 }
 
-// eventLocked is the tee every deterministic platform event goes through.
-// Live, it publishes to the bus and mirrors the event into the journal;
-// during replay it publishes (rebuilding the bus trail) and verifies the
-// re-emitted event against the journaled one — any difference is recorded
-// as divergence and fails recovery.
+// eventLocked is the tee every deterministic platform event goes through,
+// live and in replay: it publishes to the bus and folds the event — time bits,
+// kind, job, field keys and values — into the trail hash.
 func (p *Platform) eventLocked(t float64, kind, jobID string, fields ...obs.Field) {
 	p.obs.Event(t, kind, jobID, fields...)
-	if p.replaying {
-		p.verifyReplayEventLocked(t, kind, jobID, fields)
-		return
+	h := (p.trail ^ math.Float64bits(t)) * trailPrime
+	h = foldTrail(foldTrail(h, kind), jobID)
+	for _, f := range fields {
+		h = foldTrail(foldTrail(h, f.Key), f.Value)
 	}
-	if p.journalingLocked() {
-		if _, err := p.store.Append(recEvent, t, eventBody{Kind: kind, Job: jobID, Fields: fields}, false); err != nil {
-			p.broken = fmt.Errorf("serverless: journal failed, refusing further mutations: %w", err)
-		}
-	}
+	p.trail = h
 }
 
-// verifyReplayEventLocked checks one replay-emitted event against the
-// journal cursor. Events past the journal's end are legal — event records
-// are non-durable, so a crash can lose a suffix of them; re-execution
-// regenerating the suffix is recovery working, not divergence.
-func (p *Platform) verifyReplayEventLocked(t float64, kind, jobID string, fields []obs.Field) {
-	if p.replayErr != nil || p.replayPos >= len(p.replayTail) {
-		return
+// trailPrime is the 64-bit FNV prime: the trail is FNV-1a carried from one
+// event to the next. Every step is a bijection of h, so once two histories'
+// hashes differ no run of equal events brings them back together.
+const trailPrime = 1099511628211
+
+// foldTrail folds s and a terminator no UTF-8 string contains into h, so
+// neighbouring strings cannot trade bytes unnoticed.
+func foldTrail(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * trailPrime
 	}
-	rec := p.replayTail[p.replayPos]
-	if rec.Kind != recEvent {
-		p.replayErr = fmt.Errorf("serverless: replay divergence at LSN %d: replay emitted %s event, journal has %s record", rec.LSN, kind, rec.Kind)
-		return
-	}
-	got, err := json.Marshal(eventBody{Kind: kind, Job: jobID, Fields: fields})
-	if err != nil {
-		p.replayErr = err
-		return
-	}
-	// The journaled body is json.Marshal of the same struct, so an equal
-	// event is equal bytes; only a mismatch is worth decoding, to compare in
-	// canonical form and to word the divergence.
-	if rec.Time != t || !bytes.Equal(rec.Data, got) {
-		var want eventBody
-		if err := json.Unmarshal(rec.Data, &want); err != nil {
-			p.replayErr = fmt.Errorf("serverless: decoding event record %d: %w", rec.LSN, err)
-			return
-		}
-		wantRaw, _ := json.Marshal(want)
-		if rec.Time != t || !bytes.Equal(got, wantRaw) {
-			p.replayErr = fmt.Errorf("serverless: replay divergence at LSN %d: journaled event (t=%v) %s, replay emitted (t=%v) %s",
-				rec.LSN, rec.Time, wantRaw, t, got)
-			return
-		}
-	}
-	p.replayPos++
+	return (h ^ 0xff) * trailPrime
 }
 
-// completionPendingLocked reports whether advancing to now would retire at
-// least one active job — the advances that change scheduling state and
-// must therefore be journaled durably before applying.
-func (p *Platform) completionPendingLocked(now float64) bool {
+// advanceReschedulesLocked reports whether advancing to now would change
+// scheduling state — the last decision's wake-up has come, or at least one
+// active job retires: the advances that must be journaled durably before
+// applying.
+func (p *Platform) advanceReschedulesLocked(now float64) bool {
+	if p.wake > 0 && p.wake <= now {
+		return true
+	}
 	dt := now - p.lastTick
 	for _, j := range p.active {
 		if j.DoneAfter(p.lastTick, dt) {
@@ -265,6 +245,8 @@ type stateHead struct {
 	Batches uint64 `json:"batches,omitempty"`
 	// Wake is the pending scheduler wake-up (0 = none).
 	Wake float64 `json:"wake,omitempty"`
+	// Trail is the event trail hash the journal suffix continues from.
+	Trail uint64 `json:"trail"`
 	// Down lists failed servers, sorted.
 	Down []int `json:"down,omitempty"`
 	// Infeasible maps at-risk job IDs to their counter-offers.
@@ -323,10 +305,11 @@ type placementState struct {
 // stateHeadLocked captures everything in the snapshot ahead of the job table.
 func (p *Platform) stateHeadLocked() stateHead {
 	st := stateHead{
-		Version:   1,
+		Version:   snapshotVersion,
 		Seq:       p.seq,
 		LastTick:  p.lastTick,
 		Wake:      p.wake,
+		Trail:     p.trail,
 		Completed: p.completed,
 		Dropped:   p.dropped,
 		Batches:   p.batches,
@@ -401,12 +384,13 @@ func (p *Platform) restoreStateLocked(payload []byte) error {
 	if err := json.Unmarshal(payload, &st); err != nil {
 		return fmt.Errorf("serverless: decoding snapshot: %w", err)
 	}
-	if st.Version != 1 {
-		return fmt.Errorf("serverless: unsupported snapshot version %d", st.Version)
+	if st.Version != snapshotVersion {
+		return fmt.Errorf("serverless: snapshot version %d, this release reads %d: %w", st.Version, snapshotVersion, errForeignState)
 	}
 	p.seq = st.Seq
 	p.lastTick = st.LastTick
 	p.wake = st.Wake
+	p.trail = st.Trail
 	p.completed = st.Completed
 	p.dropped = st.Dropped
 	p.batches = st.Batches
@@ -505,20 +489,11 @@ func Recover(opts Options) (*Platform, error) {
 	p.ef.InvalidatePlanCache()
 
 	tail := st.RecoveredTail()
-	p.replaying = true
-	p.replayTail = tail
-	p.replayPos = 0
-	for p.replayPos < len(tail) {
-		rec := tail[p.replayPos]
+	for _, rec := range tail {
 		if err := p.replayRecordLocked(rec); err != nil {
 			return nil, err
 		}
-		if p.replayErr != nil {
-			return nil, p.replayErr
-		}
 	}
-	p.replaying = false
-	p.replayTail = nil
 
 	// Resume the clock exactly where the journal stopped: Now() == lastTick
 	// at this instant, as if no wall time passed while the platform was
@@ -534,26 +509,35 @@ func Recover(opts Options) (*Platform, error) {
 	return p, nil
 }
 
-// replayRecordLocked applies one journal record during recovery. Mutation
-// records advance the clock to their decision time and re-run the same
-// apply functions as the live path; an event record reached here (rather
-// than consumed by an apply) means the live run emitted an event replay did
-// not — divergence.
+// replayRecordLocked applies one journal record during recovery: the apply
+// function the live path ran, at the record's time, each starting with the
+// advance to that time. Before it does, the trail hash of everything replay
+// has emitted so far must equal the one the live run held when it appended
+// the record — a scheduler change that would alter history is refused here,
+// not absorbed. The events of the journal's last record are checked by no
+// later record; losing that check is what a crash costs.
 //
 //eflint:journal replay
 func (p *Platform) replayRecordLocked(rec store.Record) error {
+	var op json.RawMessage
+	body := recordBody{Op: &op}
+	dec := json.NewDecoder(bytes.NewReader(rec.Data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&body); err != nil {
+		return fmt.Errorf("serverless: %s record %d has no {trail, op} body (%v): %w", rec.Kind, rec.LSN, err, errForeignState)
+	}
+	if body.Trail != p.trail {
+		return fmt.Errorf("serverless: replay divergence at LSN %d: the run that journaled this %s record had emitted event trail %d, replaying the records before it emitted %d", rec.LSN, rec.Kind, body.Trail, p.trail)
+	}
 	p.eng.Emit.LSN = rec.LSN
 	switch rec.Kind {
 	case recAdvance:
-		p.replayPos++
-		p.advanceToLocked(rec.Time)
+		p.applyAdvanceLocked(rec.Time)
 	case recSubmit:
 		var req SubmitRequest
-		if err := json.Unmarshal(rec.Data, &req); err != nil {
+		if err := json.Unmarshal(op, &req); err != nil {
 			return fmt.Errorf("serverless: decoding submit record %d: %w", rec.LSN, err)
 		}
-		p.replayPos++
-		p.advanceToLocked(rec.Time)
 		// An apply error is deterministic in the request: the live run hit
 		// the identical error after journaling, mutating nothing; replay
 		// records it as operational noise and moves on.
@@ -561,46 +545,29 @@ func (p *Platform) replayRecordLocked(rec store.Record) error {
 			p.obs.EventNow(obs.KindError, "", obs.F("op", "replay-submit"), obs.F("err", err.Error()))
 		}
 	case recBatch:
-		var body batchBody
-		if err := json.Unmarshal(rec.Data, &body); err != nil {
+		var reqs []SubmitRequest
+		if err := json.Unmarshal(op, &reqs); err != nil {
 			return fmt.Errorf("serverless: decoding batch record %d: %w", rec.LSN, err)
 		}
-		p.replayPos++
-		p.advanceToLocked(rec.Time)
-		p.applySubmitBatchLocked(body.Reqs, rec.Time)
+		p.applySubmitBatchLocked(reqs, rec.Time)
 	case recCancel:
-		var body cancelBody
-		if err := json.Unmarshal(rec.Data, &body); err != nil {
+		var c cancelBody
+		if err := json.Unmarshal(op, &c); err != nil {
 			return fmt.Errorf("serverless: decoding cancel record %d: %w", rec.LSN, err)
 		}
-		p.replayPos++
-		p.advanceToLocked(rec.Time)
-		if err := p.applyCancelLocked(body.ID, rec.Time); err != nil {
-			return fmt.Errorf("serverless: replaying cancel of %s (LSN %d): %w", body.ID, rec.LSN, err)
+		if err := p.applyCancelLocked(c.ID, rec.Time); err != nil {
+			return fmt.Errorf("serverless: replaying cancel of %s (LSN %d): %w", c.ID, rec.LSN, err)
 		}
 	case recNodeDown, recNodeUp:
-		var body nodeBody
-		if err := json.Unmarshal(rec.Data, &body); err != nil {
+		var n nodeBody
+		if err := json.Unmarshal(op, &n); err != nil {
 			return fmt.Errorf("serverless: decoding %s record %d: %w", rec.Kind, rec.LSN, err)
 		}
-		p.replayPos++
-		p.advanceToLocked(rec.Time)
-		if _, err := p.applyNodeLocked(body.Server, rec.Kind == recNodeDown, rec.Time); err != nil {
-			return fmt.Errorf("serverless: replaying %s of %d (LSN %d): %w", rec.Kind, body.Server, rec.LSN, err)
+		if _, err := p.applyNodeLocked(n.Server, rec.Kind == recNodeDown, rec.Time); err != nil {
+			return fmt.Errorf("serverless: replaying %s of %d (LSN %d): %w", rec.Kind, n.Server, rec.LSN, err)
 		}
-	case recEvent:
-		return fmt.Errorf("serverless: replay divergence at LSN %d: journaled %s event was not re-emitted", rec.LSN, kindOfEvent(rec))
 	default:
-		return fmt.Errorf("serverless: unknown journal record kind %q (LSN %d)", rec.Kind, rec.LSN)
+		return fmt.Errorf("serverless: journal record %d has unknown kind %q: %w", rec.LSN, rec.Kind, errForeignState)
 	}
 	return nil
-}
-
-// kindOfEvent names the event inside an event record for error messages.
-func kindOfEvent(rec store.Record) string {
-	var body eventBody
-	if err := json.Unmarshal(rec.Data, &body); err != nil {
-		return "undecodable"
-	}
-	return body.Kind
 }
