@@ -113,13 +113,10 @@ transfer-check:
 # sim-check proves the sharded parallel engine (DESIGN.md §15) is
 # byte-identical to the serial loop under the race detector — the full oracle
 # suite: worker-sweep and shard-count equivalence, GOMAXPROCS=1 progress, the
-# golden determinism/span trails, and the shard-aware MaxSimSec abort — then
-# smokes the million-job pipeline end-to-end at reduced scale: the scale
-# experiment replays a seeded prefix of the Philly-scale trace at workers
-# 1/2/4/8 and cross-checks the DSR across worker counts.
+# golden determinism/span trails, and the shard-aware MaxSimSec abort. The
+# benchmark's sim_philly workload measures the worker sweep (sim.speedup_wN).
 sim-check:
 	$(GO) test -race -run 'Parallel|MaxSimSec|Determinism' ./internal/sim/
-	$(GO) run ./cmd/efbench -exp scale -quick
 
 # front-check exercises the multi-tenant front door (DESIGN.md §16) under
 # the race detector: tenant routing, rate limits, GPU quotas, batched
@@ -127,13 +124,12 @@ sim-check:
 # replay in internal/frontdoor; the batched submission path (one journal
 # record and one plan-cache fold per batch, replay byte-identical at every
 # crash prefix) in internal/serverless plus the efserver SIGKILL/restart
-# end-to-end; then lints the package and smokes the open-loop load
-# generator that the 100k-submissions/min floor gates in CI.
+# end-to-end; then lints the package. The benchmark's live_* workloads
+# measure the tier's throughput and tail (frontdoor.burst_*).
 front-check:
 	$(GO) test -race ./internal/frontdoor/
 	$(GO) test -race -run 'Batch|Crash' ./internal/serverless/ ./cmd/efserver/
 	$(GO) run ./cmd/eflint ./internal/frontdoor/
-	$(GO) run ./cmd/efbench -exp frontdoor -quick
 
 ci: build vet lint loc race fuzz-smoke obs-check faults-check store-check trace-check transfer-check sim-check front-check
 

@@ -61,7 +61,6 @@ func BenchmarkFig12aProfilingOverhead(b *testing.B)   { benchExperiment(b, "fig1
 func BenchmarkFig12bScalingOverhead(b *testing.B)     { benchExperiment(b, "fig12b") }
 
 func BenchmarkFidelitySimVsLive(b *testing.B) { benchExperiment(b, "fidelity") }
-func BenchmarkScaleSweep(b *testing.B)        { benchExperiment(b, "scale") }
 func BenchmarkStoreDurability(b *testing.B)   { benchExperiment(b, "store") }
 
 // Ablation benches for the design choices DESIGN.md calls out.

@@ -1,24 +1,20 @@
 // Command benchgate compares two `go test -bench` outputs and fails when any
 // benchmark's median wall time regressed beyond a threshold. CI runs it
 // between the PR base and head (see .github/workflows/ci.yml); locally,
-// `make bench` drives it against a saved baseline. It can additionally (or
-// instead) gate the machine-readable scalars of a BENCH.json report — see
-// rules.go for the -rule syntax, including the @cpus>= host condition.
+// `make bench` drives it against a saved baseline over the Makefile's
+// BENCH_GATE set.
 //
 // Usage:
 //
 //	benchgate -base base.txt -head head.txt [-threshold 0.15] [-bench regexp]
-//	benchgate -metrics BENCH.json -rule 'scale.jobs_per_sec_w8>=50' \
-//	          -rule 'scale.speedup_w8>=3.0 @cpus>=8'
-//	benchgate -metrics BENCH.json -rules-file rules.txt
 //
 // Medians over -count repetitions absorb runner noise; a single noisy
 // repetition cannot fail the gate. Benchmarks present on only one side are
 // reported but never fail the gate (new or deleted benchmarks are not
-// regressions). Both gate modes share the perf-exempt escape hatch: CI skips
-// the whole job when the PR carries that label. The tool depends only on
-// this repo on purpose: benchstat renders the human-readable comparison in
-// CI, but the pass/fail decision must not hinge on installing anything.
+// regressions). CI skips the whole job when the PR carries the perf-exempt
+// label. The tool depends only on the standard library on purpose: benchstat
+// renders the human-readable comparison in CI, but the pass/fail decision
+// must not hinge on installing anything.
 package main
 
 import (
@@ -29,15 +25,7 @@ import (
 	"regexp"
 	"sort"
 	"strconv"
-
-	"github.com/elasticflow/elasticflow/internal/bench"
 )
-
-// ruleList collects repeated -rule flags.
-type ruleList []string
-
-func (r *ruleList) String() string     { return fmt.Sprint(*r) }
-func (r *ruleList) Set(s string) error { *r = append(*r, s); return nil }
 
 // benchLine matches e.g.
 //
@@ -90,60 +78,10 @@ func main() {
 	head := flag.String("head", "", "benchmark output of the head commit")
 	threshold := flag.Float64("threshold", 0.15, "maximum tolerated relative wall-time regression")
 	benchRE := flag.String("bench", "", "only gate benchmarks matching this regexp (default: all)")
-	metrics := flag.String("metrics", "", "BENCH.json report to gate with -rule assertions")
-	var rules ruleList
-	flag.Var(&rules, "rule", "metric rule, e.g. 'scale.speedup_w8>=3.0 @cpus>=8' (repeatable; requires -metrics)")
-	rulesFile := flag.String("rules-file", "", "file of metric rules, one per line (# comments; requires -metrics)")
 	flag.Parse()
 
-	if *rulesFile != "" {
-		fromFile, err := readRulesFile(*rulesFile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
-			os.Exit(2)
-		}
-		rules = append(rules, fromFile...)
-	}
-
-	if *metrics != "" {
-		if len(rules) == 0 {
-			fmt.Fprintln(os.Stderr, "benchgate: -metrics given but no -rule to check")
-			os.Exit(2)
-		}
-		f, err := os.Open(*metrics)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
-			os.Exit(2)
-		}
-		rep, err := bench.Read(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
-			os.Exit(2)
-		}
-		outcomes, failed, err := gateMetrics(rules, rep)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
-			os.Exit(2)
-		}
-		for _, o := range outcomes {
-			fmt.Printf("%-52s %s\n", o.rule, o.status)
-		}
-		if failed {
-			fmt.Fprintln(os.Stderr, "benchgate: metric rule failed — label the PR perf-exempt if intentional")
-			os.Exit(1)
-		}
-		fmt.Printf("benchgate: metrics ok (%d rules)\n", len(outcomes))
-		if *base == "" && *head == "" {
-			return
-		}
-	} else if len(rules) > 0 {
-		fmt.Fprintln(os.Stderr, "benchgate: -rule requires -metrics")
-		os.Exit(2)
-	}
-
 	if *base == "" || *head == "" {
-		fmt.Fprintln(os.Stderr, "benchgate: -base and -head are required (or use -metrics with -rule)")
+		fmt.Fprintln(os.Stderr, "benchgate: -base and -head are required")
 		os.Exit(2)
 	}
 	var filter *regexp.Regexp

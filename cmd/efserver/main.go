@@ -77,6 +77,11 @@ import (
 	"github.com/elasticflow/elasticflow/internal/topology"
 )
 
+// readHeaderTimeout bounds how long a client may take to send a request's
+// headers, so a stalled or trickling connection cannot hold a server
+// goroutine open indefinitely.
+const readHeaderTimeout = 10 * time.Second
+
 // chaosEvent is one scheduled chaos action, in platform seconds: a server
 // state flip, or (kill) a SIGKILL of the whole process.
 type chaosEvent struct {
@@ -268,7 +273,7 @@ func run(args []string, stdout io.Writer) error {
 		mux.Handle("/", handler)
 		handler = mux
 	}
-	srv := &http.Server{Handler: handler}
+	srv := &http.Server{Handler: handler, ReadHeaderTimeout: readHeaderTimeout}
 	fmt.Fprintf(stdout, "efserver: %d GPUs, timescale %.0fx, listening on %s (metrics on /metrics, events on /debug/events, trace on /debug/trace)\n",
 		*servers**perServer, *timescale, l.Addr())
 	serveErr := make(chan error, 1)
@@ -341,7 +346,7 @@ func runFrontDoor(opts frontdoor.Options, addr string, pprofOn bool, stdout io.W
 		mux.Handle("/", handler)
 		handler = mux
 	}
-	srv := &http.Server{Handler: handler}
+	srv := &http.Server{Handler: handler, ReadHeaderTimeout: readHeaderTimeout}
 	shards := fd.Shards()
 	fmt.Fprintf(stdout, "efserver: front door over %d shard(s), %d GPUs total, listening on %s (front-door metrics on /metrics, per-shard planes on /v1/shards/{k}/)\n",
 		shards, shards*opts.ShardTopology.Servers*opts.ShardTopology.GPUsPerServer, l.Addr())

@@ -443,7 +443,6 @@ func (b *AdmitBatch) refresh(active []*job.Job) {
 // Admit is Algorithm 1 for one candidate of the batch. active must reflect
 // every admission the batch has made so far (append-only between calls).
 func (b *AdmitBatch) Admit(cand *job.Job, active []*job.Job) bool {
-	admitDecisions.Add(1)
 	v := b.decide(cand, active)
 	b.e.traceAdmit(b.now, cand, v)
 	return v.ok
@@ -766,7 +765,6 @@ func (e *ElasticFlow) Plans(now float64, active []*job.Job, g int) map[string]pl
 // scheduler's reused buffer and their plans live in its block: both are valid
 // until the scheduler is next asked anything.
 func (e *ElasticFlow) allocate(now float64, active []*job.Job, g int) ([]prioJob, int) {
-	allocationRuns.Add(1)
 	slo, be := splitJobs(active)
 	// Lines 2–4: commit each SLO job's minimum satisfactory share, in
 	// deadline order, then best-effort jobs on their synthetic horizons —

@@ -53,8 +53,8 @@ import (
 // or copies its donor's prefix, so no two passes ever share a backing array. With DisablePlanCache the same filler
 // runs with no arena and every pass gets fresh records.
 
-// Lifetime tallies of per-job cache outcomes across all schedulers, for
-// efbench's hit-rate report. The obs counters carry the same numbers per
+// Lifetime tallies of per-job cache outcomes across all schedulers, for the
+// benchmark's hit-ratio report. The obs counters carry the same numbers per
 // scheduler instance when wired.
 var (
 	planCacheHits   atomic.Uint64
@@ -72,27 +72,6 @@ func PlanCacheStats() (hits, misses uint64) {
 func ResetPlanCacheStats() {
 	planCacheHits.Store(0)
 	planCacheMisses.Store(0)
-}
-
-// Process-wide scheduler-throughput tallies, alongside the cache tallies:
-// admission decisions (Admit calls) and allocation runs (Algorithm 2
-// executions, one per Schedule or Plans call). efbench divides them by wall
-// time for the decisions/sec and allocations/sec columns of BENCH.json.
-var (
-	admitDecisions atomic.Uint64
-	allocationRuns atomic.Uint64
-)
-
-// DecisionStats returns the process-wide admission-decision and
-// allocation-run counts.
-func DecisionStats() (admits, allocations uint64) {
-	return admitDecisions.Load(), allocationRuns.Load()
-}
-
-// ResetDecisionStats zeroes the process-wide decision tallies.
-func ResetDecisionStats() {
-	admitDecisions.Store(0)
-	allocationRuns.Store(0)
 }
 
 // fillMode is the commit discipline of one position in a fill pass.

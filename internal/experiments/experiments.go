@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"github.com/elasticflow/elasticflow/internal/baselines"
-	"github.com/elasticflow/elasticflow/internal/bench"
 	"github.com/elasticflow/elasticflow/internal/core"
 	"github.com/elasticflow/elasticflow/internal/job"
 	"github.com/elasticflow/elasticflow/internal/model"
@@ -31,17 +30,6 @@ type Table struct {
 	Columns []string
 	Rows    [][]string
 	Notes   []string
-	// Metrics carries machine-readable scalars alongside the rendered rows;
-	// efbench folds them into the experiment's BENCH.json record.
-	Metrics map[string]float64
-	// Scale is the parallel-simulator self-profile (worker sweep + USL fit);
-	// only the scale experiment sets it. efbench copies it into the
-	// experiment's BENCH.json record (efbench/3).
-	Scale *bench.ScaleProfile
-	// Frontdoor is the admission-tier load profile; only the frontdoor
-	// experiment sets it. efbench copies it into the experiment's
-	// BENCH.json record (efbench/4).
-	Frontdoor *bench.FrontdoorProfile
 }
 
 // String renders the table as aligned text.
@@ -227,9 +215,9 @@ func IDs() []string {
 type Options struct {
 	Quick bool
 	// Clock supplies the monotonic wall clock to the experiments that
-	// measure the harness's own cost (scale, store). It must be injected by
-	// the caller — this package is simulation-facing, so detlint forbids it
-	// from reading wall clocks itself. Nil freezes the clock: such
+	// measure the harness's own cost (store, transfer). It must be injected
+	// by the caller — this package is simulation-facing, so detlint forbids
+	// it from reading wall clocks itself. Nil freezes the clock: such
 	// experiments still run but report zero wall time and zero rates.
 	Clock func() time.Time
 }

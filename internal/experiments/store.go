@@ -110,12 +110,6 @@ func StoreBench(o Options) (Table, error) {
 			"non-durable appends ride the next group commit; the fsync-each rows bound acknowledged-mutation latency",
 			"recovery = open the state dir, restore the snapshot, re-read and CRC-check the full journal tail",
 		},
-		Metrics: map[string]float64{
-			"store_append_per_sec":         perSec(n, appendWall),
-			"store_durable_append_per_sec": perSec(durableN, durableWall),
-			"store_recovery_sec":           recoverWall,
-			"store_recovered_records":      float64(recovered),
-		},
 	}
 	return t, nil
 }

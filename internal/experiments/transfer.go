@@ -143,14 +143,6 @@ func TransferBench(o Options) (Table, error) {
 				size, fstats.Resumes, fstats.Corruptions, fstats.Retries),
 			"migration = detach + chunked fetch + chunked push + staged launch; both legs CRC-framed per chunk",
 		},
-		Metrics: map[string]float64{
-			"transfer_fetch_mb_per_sec":   mbps(fetchBytes, fetchWall),
-			"transfer_migrate_mb_per_sec": mbps(migBytes, migWall),
-			"transfer_checkpoint_bytes":   float64(size),
-			"transfer_fault_resumes":      float64(fstats.Resumes),
-			"transfer_fault_corruptions":  float64(fstats.Corruptions),
-			"transfer_fault_retries":      float64(fstats.Retries),
-		},
 	}
 	return t, nil
 }

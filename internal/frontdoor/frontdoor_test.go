@@ -1,6 +1,7 @@
 package frontdoor
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -464,5 +465,79 @@ func TestSubmitErrorCodes(t *testing.T) {
 		if got := submitErrorCode(c.err); got != c.want {
 			t.Errorf("submitErrorCode(%v) = %d, want %d", c.err, got, c.want)
 		}
+	}
+}
+
+// TestShardSubmitRefused: the per-shard plane does not take submissions —
+// one there would skip the tenant's rate limit and GPU quota — while its
+// reads keep working.
+func TestShardSubmitRefused(t *testing.T) {
+	tenants, err := ParseTenants("t0:gpus=8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fd, err := New(Options{Shards: 2, Clock: newTestClock().Now, Tenants: tenants})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fd.Shutdown()
+	srv := httptest.NewServer(Handler(fd))
+	defer srv.Close()
+
+	body, _ := json.Marshal(sloReq("t0"))
+	resp, err := http.Post(srv.URL+"/v1/shards/0/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eb errorBody
+	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed || !strings.Contains(eb.Error, "front door") {
+		t.Fatalf("shard-level submit: %d %q, want 405 naming the front door", resp.StatusCode, eb.Error)
+	}
+	if jobs := fd.List(); len(jobs) != 0 {
+		t.Fatalf("shard-level submit created %d job(s)", len(jobs))
+	}
+	resp, err = http.Get(srv.URL + "/v1/shards/0/v1/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("shard-level list: %d want 200", resp.StatusCode)
+	}
+}
+
+// TestOversizedBodyRefused: a front-door submission body past
+// serverless.MaxRequestBytes answers 413, and the handler keeps serving.
+func TestOversizedBodyRefused(t *testing.T) {
+	fd, err := New(Options{Clock: newTestClock().Now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fd.Shutdown()
+	srv := httptest.NewServer(Handler(fd))
+	defer srv.Close()
+
+	huge := `{"tenant":"` + strings.Repeat("a", 2<<20) + `"}`
+	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("2 MiB body status=%d want 413", resp.StatusCode)
+	}
+
+	body, _ := json.Marshal(sloReq("acme"))
+	resp, err = http.Post(srv.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("valid submission after the refusal: status=%d want 201", resp.StatusCode)
 	}
 }

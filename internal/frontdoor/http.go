@@ -23,19 +23,21 @@ import (
 //	GET    /v1/tenants         per-tenant GPU usage
 //	GET    /metrics            front-door series (ef_frontdoor_*,
 //	                           aggregated ef_tenant_*)
-//	/v1/shards/{k}/...         the full per-shard control plane
+//	/v1/shards/{k}/...         the per-shard control plane
 //	                           (serverless.Handler), including each
 //	                           shard's own /metrics, /debug/events and
-//	                           /debug/trace
+//	                           /debug/trace; its POST /v1/jobs answers
+//	                           405, since a submission there would skip
+//	                           the tenant's rate limit and quota
 func Handler(fd *FrontDoor) http.Handler {
 	o := fd.Obs()
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		switch r.Method {
 		case http.MethodPost:
-			var req serverless.SubmitRequest
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-				writeError(o, w, http.StatusBadRequest, err)
+			req, status, err := serverless.DecodeSubmit(w, r)
+			if err != nil {
+				writeError(o, w, status, err)
 				return
 			}
 			st, err := fd.Submit(req)
@@ -102,7 +104,14 @@ func Handler(fd *FrontDoor) http.Handler {
 	})
 	for k := 0; k < fd.Shards(); k++ {
 		prefix := fmt.Sprintf("/v1/shards/%d", k)
-		mux.Handle(prefix+"/", http.StripPrefix(prefix, serverless.Handler(fd.Shard(k))))
+		shard := serverless.Handler(fd.Shard(k))
+		mux.Handle(prefix+"/", http.StripPrefix(prefix, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
+				writeError(o, w, http.StatusMethodNotAllowed, errors.New("submit through the front door: POST /v1/jobs"))
+				return
+			}
+			shard.ServeHTTP(w, r)
+		})))
 	}
 	return mux
 }

@@ -35,9 +35,9 @@ func Handler(p *Platform) http.Handler {
 	mux.HandleFunc("/v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		switch r.Method {
 		case http.MethodPost:
-			var req SubmitRequest
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-				writeError(o, w, http.StatusBadRequest, err)
+			req, status, err := DecodeSubmit(w, r)
+			if err != nil {
+				writeError(o, w, status, err)
 				return
 			}
 			st, err := p.Submit(req)
@@ -201,6 +201,26 @@ func Handler(p *Platform) http.Handler {
 		}
 	})
 	return mux
+}
+
+// MaxRequestBytes bounds a request body at the HTTP edge, here and at the
+// front door: a body that grows past it is refused with 413.
+const MaxRequestBytes = 1 << 20
+
+// DecodeSubmit reads a POST /v1/jobs body of at most MaxRequestBytes. On
+// failure it also returns the status to answer: 413 for an oversized body,
+// 400 for anything else.
+func DecodeSubmit(w http.ResponseWriter, r *http.Request) (SubmitRequest, int, error) {
+	var req SubmitRequest
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes)).Decode(&req)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		return req, http.StatusRequestEntityTooLarge, err
+	case err != nil:
+		return req, http.StatusBadRequest, err
+	}
+	return req, 0, nil
 }
 
 // mutationErrorCode maps a mutation failure to its HTTP status: a request

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -532,5 +533,33 @@ func TestTickHonorsSchedulerWake(t *testing.T) {
 	}
 	if restored.wake != p.wake {
 		t.Errorf("restored wake = %v, want %v", restored.wake, p.wake)
+	}
+}
+
+// TestOversizedBodyRefused: a submission body past MaxRequestBytes answers
+// 413 without being decoded, and the handler keeps serving valid requests.
+func TestOversizedBodyRefused(t *testing.T) {
+	p, _ := newTestPlatform(t)
+	srv := httptest.NewServer(Handler(p))
+	defer srv.Close()
+
+	huge := `{"model":"` + strings.Repeat("a", 2<<20) + `"}`
+	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("2 MiB body status=%d want 413", resp.StatusCode)
+	}
+
+	body, _ := json.Marshal(SubmitRequest{Model: "resnet50", GlobalBatch: 64, Iterations: 5000, DeadlineSeconds: 3600})
+	resp, err = http.Post(srv.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("valid submission after the refusal: status=%d want 201", resp.StatusCode)
 	}
 }

@@ -48,7 +48,8 @@ func BenchmarkAppendDurable(b *testing.B) {
 }
 
 // BenchmarkRecovery measures Open over a journal of 10k records plus a
-// snapshot — the restart-latency number BENCH.json tracks.
+// snapshot — the restart path the benchmark's serverless.recover_s times
+// end to end.
 func BenchmarkRecovery(b *testing.B) {
 	dir := b.TempDir()
 	s, err := Open(dir, Options{NoSync: true})
