@@ -6,9 +6,9 @@ import (
 
 	"github.com/elasticflow/elasticflow/internal/baselines"
 	"github.com/elasticflow/elasticflow/internal/core"
+	"github.com/elasticflow/elasticflow/internal/frontdoor"
 	"github.com/elasticflow/elasticflow/internal/job"
 	"github.com/elasticflow/elasticflow/internal/model"
-	"github.com/elasticflow/elasticflow/internal/policy"
 	"github.com/elasticflow/elasticflow/internal/sched"
 	"github.com/elasticflow/elasticflow/internal/serverless"
 	"github.com/elasticflow/elasticflow/internal/sim"
@@ -100,18 +100,28 @@ type (
 	SubmitRequest = serverless.SubmitRequest
 	// JobStatus is the externally visible job state.
 	JobStatus = serverless.JobStatus
-	// Client is the Go client for the HTTP control plane.
-	Client = serverless.Client
+	// FrontDoor is the admission tier in front of one or more platform
+	// shards: per-tenant rate limits and GPU quotas (§4.4 "malicious
+	// users"), routing and batched admission.
+	FrontDoor = frontdoor.FrontDoor
+	// FrontDoorOptions configures a front door and its shards.
+	FrontDoorOptions = frontdoor.Options
+	// Client is the Go client for the front door's HTTP job surface.
+	Client = frontdoor.Client
 )
 
 // NewPlatform creates a serverless platform over a virtual cluster.
 func NewPlatform(opts PlatformOptions) (*Platform, error) { return serverless.NewPlatform(opts) }
 
-// NewHandler returns the platform's HTTP/JSON control plane.
-func NewHandler(p *Platform) http.Handler { return serverless.Handler(p) }
+// NewFrontDoor creates the front door and its shard platforms.
+func NewFrontDoor(opts FrontDoorOptions) (*FrontDoor, error) { return frontdoor.New(opts) }
 
-// NewClient creates a client for a platform's HTTP control plane.
-func NewClient(baseURL string) *Client { return serverless.NewClient(baseURL) }
+// NewHandler returns the front door's HTTP/JSON surface — the one efserver
+// serves.
+func NewHandler(fd *FrontDoor) http.Handler { return frontdoor.Handler(fd) }
+
+// NewClient creates a client for a front door's HTTP job surface.
+func NewClient(baseURL string) *Client { return frontdoor.NewClient(baseURL) }
 
 // Cluster topology (§4.3).
 type (
@@ -183,25 +193,4 @@ type (
 // collected metrics.
 func Simulate(cfg SimConfig, jobs []*Job, traceName string) (SimResult, error) {
 	return sim.Run(cfg, jobs, traceName)
-}
-
-// Operator policies (§4.4).
-type (
-	// AdmissionPolicy is a composable quota/pricing policy.
-	AdmissionPolicy = policy.Policy
-	// Pricing prices jobs by size and deadline tightness.
-	Pricing = policy.Pricing
-)
-
-// NewUserQuota caps per-user submissions within a sliding window.
-func NewUserQuota(maxJobs int, windowSec float64) *policy.UserQuota {
-	return policy.NewUserQuota(maxJobs, windowSec)
-}
-
-// NewBudget creates a priced per-user balance ledger.
-func NewBudget(p Pricing) *policy.Budget { return policy.NewBudget(p) }
-
-// ChainPolicies combines policies into a SchedulerOptions.Quota function.
-func ChainPolicies(policies ...AdmissionPolicy) func(*Job) bool {
-	return policy.Chain(policies...)
 }

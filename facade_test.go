@@ -2,11 +2,10 @@ package elasticflow_test
 
 import (
 	"math"
+	"net/http/httptest"
 	"testing"
-	"time"
 
 	elasticflow "github.com/elasticflow/elasticflow"
-	"github.com/elasticflow/elasticflow/internal/topology"
 )
 
 // TestPublicAPISchedulers: every documented scheduler name resolves and the
@@ -69,45 +68,30 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 }
 
-// TestPublicAPIPlatformWithPolicies wires quotas and pricing through the
-// public surface.
-func TestPublicAPIPlatformWithPolicies(t *testing.T) {
-	quota := elasticflow.NewUserQuota(1, 3600)
-	budget := elasticflow.NewBudget(elasticflow.Pricing{RatePerGPUHour: 1, UrgencyPremium: 0.5})
-	budget.Grant("amy", 1e6)
-
-	clock := time.Unix(0, 0)
-	p, err := elasticflow.NewPlatform(elasticflow.PlatformOptions{
-		Topology: topology.Config{Servers: 2, GPUsPerServer: 8},
-		Scheduler: elasticflow.NewScheduler(elasticflow.SchedulerOptions{
-			PowerOfTwo: true,
-			Quota:      elasticflow.ChainPolicies(quota, budget),
-		}),
-		Clock: func() time.Time { return clock },
+// TestPublicAPIFrontDoor serves the front door through the public surface and
+// drives it with the public client, as efserver's users do.
+func TestPublicAPIFrontDoor(t *testing.T) {
+	fd, err := elasticflow.NewFrontDoor(elasticflow.FrontDoorOptions{
+		ShardTopology: elasticflow.Topology{Servers: 2, GPUsPerServer: 8},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := elasticflow.SubmitRequest{
-		User: "amy", Model: "bert", GlobalBatch: 128,
-		Iterations: 10000, DeadlineSeconds: 7200,
+	srv := httptest.NewServer(elasticflow.NewHandler(fd))
+	defer srv.Close()
+	defer fd.Shutdown()
+	c := elasticflow.NewClient(srv.URL)
+	st, err := c.Submit(elasticflow.SubmitRequest{
+		Model: "bert", GlobalBatch: 128, Iterations: 10000, DeadlineSeconds: 7200,
+	})
+	if err != nil || st.State == "dropped" {
+		t.Fatalf("submission: %+v, %v", st, err)
 	}
-	st, err := p.Submit(req)
-	if err != nil {
+	if st.ID != "s0-job-0001" {
+		t.Errorf("job ID %q, want the shard prefix s0-", st.ID)
+	}
+	if err := c.Cancel(st.ID); err != nil {
 		t.Fatal(err)
-	}
-	if st.State == "dropped" {
-		t.Fatalf("first submission dropped: %+v", st)
-	}
-	if budget.Balance("amy") >= 1e6 {
-		t.Error("pricing did not charge the user")
-	}
-	st2, err := p.Submit(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2.State != "dropped" {
-		t.Error("user quota not enforced through the facade")
 	}
 }
 

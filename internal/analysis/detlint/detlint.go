@@ -10,8 +10,8 @@
 //     randomizes map order per run, so admission order, event order and CSV
 //     output built this way differ between identical seeds.
 //
-// It runs on the simulation-facing packages (internal/{sim,sched,policy,
-// core,trace,elastic,baselines,experiments}) and on the durable-state
+// It runs on the simulation-facing packages (internal/{sim,sched,core,
+// trace,elastic,baselines,experiments}) and on the durable-state
 // packages (internal/store, internal/faults), whose replay and fault
 // schedules must be as reproducible as the simulator; the live control
 // plane (internal/agent, internal/serverless) legitimately reads wall
@@ -31,7 +31,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "detlint",
 	Doc:  "reports nondeterminism hazards (wall clocks, global math/rand, unsorted map iteration) in simulation-facing packages",
 	Scope: analysis.ScopePackages(
-		"internal/sim", "internal/sched", "internal/policy", "internal/core",
+		"internal/sim", "internal/sched", "internal/core",
 		"internal/trace", "internal/elastic", "internal/baselines", "internal/experiments",
 		"internal/store", "internal/faults",
 	),

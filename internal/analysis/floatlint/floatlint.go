@@ -1,6 +1,6 @@
 // Package floatlint reports == and != between floating-point expressions in
-// the deadline/GPU-time arithmetic packages (internal/{core,sched,policy,
-// plan}). Exact float equality there is almost always a latent bug: slot
+// the deadline/GPU-time arithmetic packages (internal/{core,sched,plan}).
+// Exact float equality there is almost always a latent bug: slot
 // arithmetic, throughput curves and deadline slack all accumulate rounding,
 // so two mathematically equal quantities compare unequal — and a scheduling
 // decision silently flips. Use core.AlmostEqual (the shared epsilon helper)
@@ -25,7 +25,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "floatlint",
 	Doc:  "reports ==/!= between computed floating-point expressions in deadline/GPU-time math; use core.AlmostEqual or ordered comparisons",
 	Scope: analysis.ScopePackages(
-		"internal/core", "internal/sched", "internal/policy", "internal/plan",
+		"internal/core", "internal/sched", "internal/plan",
 	),
 	Run: run,
 }

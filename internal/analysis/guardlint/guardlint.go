@@ -12,7 +12,7 @@
 // reported. The check is intraprocedural and deliberately conservative: it
 // does not prove the Lock dominates the access, it proves the function is at
 // least aware of the lock. Shared state in internal/agent,
-// internal/serverless and internal/policy carries these annotations.
+// internal/serverless and internal/frontdoor carries these annotations.
 package guardlint
 
 import (

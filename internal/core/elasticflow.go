@@ -45,10 +45,6 @@ type Options struct {
 	// further expansions. The margin is empirical, not a proof (fuzzing
 	// found misses at 3 with five-rescale churn; see ROADMAP.md).
 	SafetyRescales float64
-	// Quota, when non-nil, is consulted before finally admitting a job
-	// (§4.4 "malicious users"): returning false rejects the job even when
-	// its deadline could be guaranteed.
-	Quota func(*job.Job) bool
 	// ReserveGPUs withholds capacity from admission control so that
 	// guarantees survive node failures (§4.4 "node failures"): admission
 	// plans against G−ReserveGPUs while allocation still uses everything
@@ -258,7 +254,7 @@ func deadlineBefore(a, b *job.Job) bool {
 // Admit implements Algorithm 1. It checks whether adding cand to the active
 // SLO jobs leaves every deadline satisfiable by progressive filling in
 // deadline order; if not, cand is dropped. Best-effort and soft-deadline
-// jobs are always admitted (§4.4). The optional quota policy runs last.
+// jobs are always admitted (§4.4).
 //
 // A previously admitted job whose own deadline has become unsatisfiable
 // (it runs demoted, §4.4) must not poison future admissions: the check
@@ -275,9 +271,9 @@ type admitVerdict struct {
 	// reason is "ok" (deadline guaranteed), "no-guarantee-needed"
 	// (best-effort/soft-deadline, always admitted), "candidate-infeasible"
 	// (the candidate's own deadline cannot be met by progressive filling
-	// after every earlier-deadline job takes its share),
-	// "breaks-guarantee" (admitting would turn a currently satisfiable
-	// job's deadline unsatisfiable), or "quota-denied" (operator policy).
+	// after every earlier-deadline job takes its share), or
+	// "breaks-guarantee" (admitting would turn a currently satisfiable job's
+	// deadline unsatisfiable).
 	reason string
 	// victim is the job whose guarantee would break, for
 	// "breaks-guarantee".
@@ -288,10 +284,10 @@ type admitVerdict struct {
 	mss plan.Allocation
 }
 
-// verdict runs Algorithm 1 — the pure feasibility decision, without the
-// operator-policy hook or tracing — for cand against slo, the active SLO jobs
-// in deadline order, and reports which check decided it. Every admission
-// decision and every EarliestDeadline probe goes through here.
+// verdict runs Algorithm 1 — the pure feasibility decision, without tracing —
+// for cand against slo, the active SLO jobs in deadline order, and reports
+// which check decided it. Every admission decision and every EarliestDeadline
+// probe goes through here.
 //
 // Progressive filling is a fold in deadline order, so the jobs ahead of the
 // candidate fill the same with or without it, and only the jobs behind it
@@ -449,13 +445,10 @@ func (b *AdmitBatch) Admit(cand *job.Job, active []*job.Job) bool {
 }
 
 // decide is Admit without the decision count and trace: class, memoized
-// rejection, Algorithm 1, then operator policy.
+// rejection, then Algorithm 1.
 func (b *AdmitBatch) decide(cand *job.Job, active []*job.Job) admitVerdict {
 	if cand.Class != job.SLO {
-		if b.e.quotaOK(cand) {
-			return admitVerdict{ok: true, reason: "no-guarantee-needed"}
-		}
-		return admitVerdict{reason: "quota-denied"}
+		return admitVerdict{ok: true, reason: "no-guarantee-needed"}
 	}
 	b.refresh(active)
 	key := shapeKey(cand)
@@ -463,16 +456,11 @@ func (b *AdmitBatch) decide(cand *job.Job, active []*job.Job) admitVerdict {
 		return v
 	}
 	v := b.e.verdict(b.now, cand, b.slo, b.g)
-	switch {
-	case !v.ok:
+	if !v.ok {
 		if b.drops == nil {
 			b.drops = make(map[string]admitVerdict)
 		}
 		b.drops[key] = v
-	case !b.e.quotaOK(cand):
-		// Quota is operator policy — it may depend on more than the shape,
-		// so only feasibility rejections are memoized.
-		return admitVerdict{reason: "quota-denied"}
 	}
 	return v
 }
@@ -543,10 +531,6 @@ func (e *ElasticFlow) earliestDeadline(now float64, cand *job.Job, slo []*job.Jo
 		}
 	}
 	return deadlineAt(lo), true
-}
-
-func (e *ElasticFlow) quotaOK(j *job.Job) bool {
-	return e.opts.Quota == nil || e.opts.Quota(j)
 }
 
 // MinimumSatisfactoryShare returns the MSS plan for each active job at time

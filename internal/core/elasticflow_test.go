@@ -122,25 +122,6 @@ func TestAdmitBestEffortAlways(t *testing.T) {
 	}
 }
 
-func TestQuotaPolicyHook(t *testing.T) {
-	denied := 0
-	ef := New(Options{SlotSec: 1, SafetyRescales: -1, PowerOfTwo: true, Quota: func(j *job.Job) bool {
-		denied++
-		return j.ID != "greedy-user-job"
-	}})
-	ok := newToyJob("ok", fig3Curve(), 1, 10)
-	bad := newToyJob("greedy-user-job", fig3Curve(), 1, 10)
-	if !ef.Admit(0, ok, nil, 4) {
-		t.Error("quota rejected allowed job")
-	}
-	if ef.Admit(0, bad, nil, 4) {
-		t.Error("quota admitted denied job")
-	}
-	if denied != 2 {
-		t.Errorf("quota consulted %d times want 2", denied)
-	}
-}
-
 // TestScheduleWorkConservation: leftover GPUs flow to admitted jobs as long
 // as scaling up still helps (constraint (7) of §4.2).
 func TestScheduleWorkConservation(t *testing.T) {

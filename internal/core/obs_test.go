@@ -72,16 +72,6 @@ func TestAdmitTraceVerdicts(t *testing.T) {
 	if r, _ := ev.Field("reason"); r != "candidate-infeasible" {
 		t.Errorf("reason = %s, want candidate-infeasible", r)
 	}
-
-	// Quota rejection is its own reason.
-	deny := New(Options{SlotSec: 1, PowerOfTwo: true, Obs: o, Quota: func(*job.Job) bool { return false }})
-	if deny.Admit(0, traceJob("q", 100, 200), nil, 16) {
-		t.Fatal("quota-denied job admitted")
-	}
-	ev, _ = lastEventOfKind(o, obs.KindSchedAdmit)
-	if r, _ := ev.Field("reason"); r != "quota-denied" {
-		t.Errorf("reason = %s, want quota-denied", r)
-	}
 }
 
 // TestAdmitTraceBreaksGuarantee: a candidate that starves an earlier

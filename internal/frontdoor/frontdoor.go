@@ -12,7 +12,10 @@
 package frontdoor
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
+	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -33,7 +36,7 @@ import (
 var ErrRateLimited = fmt.Errorf("frontdoor: tenant rate limit exceeded")
 
 // ErrQuotaExceeded rejects a submission whose tenant already holds its GPU
-// quota; HTTP maps it to 429.
+// quota; HTTP maps it to 403.
 var ErrQuotaExceeded = fmt.Errorf("frontdoor: tenant GPU quota exhausted")
 
 // Options configures a FrontDoor.
@@ -70,7 +73,8 @@ type Options struct {
 	Obs *obs.Obs
 	// StateDir, when set, gives every shard a durable WAL+snapshot store
 	// under <StateDir>/shard-<k>. Shards holding recovered state are
-	// recovered; empty directories start fresh.
+	// recovered; empty directories start fresh. A StateDir holding journals
+	// the Shards would not open is refused (see checkStateDir).
 	StateDir string
 	// SnapshotEvery is passed through to every shard's platform.
 	SnapshotEvery int
@@ -150,6 +154,9 @@ func New(opts Options) (*FrontDoor, error) {
 	if len(weights) != k {
 		return nil, fmt.Errorf("frontdoor: %d rebalancer weights for %d shards", len(weights), k)
 	}
+	if err := checkStateDir(opts.StateDir, k); err != nil {
+		return nil, err
+	}
 	o := opts.Obs
 	if o == nil {
 		o = obs.New(obs.Options{Clock: clock})
@@ -203,6 +210,38 @@ func New(opts Options) (*FrontDoor, error) {
 	}
 	fd.refresh()
 	return fd, nil
+}
+
+// checkStateDir refuses a state directory holding journals that k shards
+// would not open: a shard-<n> directory with n ≥ k (the directory was written
+// with more shards) or a journal at the top level (the layout of a server
+// without shards). Starting over either would silently drop admissions that
+// were acknowledged, so, as with a foreign journal format (DESIGN.md §11), the
+// operator gets an error and no conversion.
+func checkStateDir(dir string, k int) error {
+	if dir == "" {
+		return nil
+	}
+	entries, err := os.ReadDir(dir)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("frontdoor: %w", err)
+	}
+	for _, e := range entries {
+		name := e.Name()
+		wal, _ := filepath.Match("wal-*.wal", name)
+		snap, _ := filepath.Match("snap-*.snap", name)
+		if wal || snap {
+			return fmt.Errorf("frontdoor: state directory %s holds a journal at its top level (%s), where no shard reads it; shard k's journal lives in %s", dir, name, filepath.Join(dir, "shard-<k>"))
+		}
+		rest, isShard := strings.CutPrefix(name, "shard-")
+		if n, err := strconv.Atoi(rest); isShard && err == nil && n >= k {
+			return fmt.Errorf("frontdoor: state directory %s holds %s, but only %d shard(s) are configured; restart with at least %d", dir, name, k, n+1)
+		}
+	}
+	return nil
 }
 
 // abort tears down already-built shards after a constructor failure. A

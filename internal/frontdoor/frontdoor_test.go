@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/elasticflow/elasticflow/internal/serverless"
+	"github.com/elasticflow/elasticflow/internal/store"
 	"github.com/elasticflow/elasticflow/internal/topology"
 )
 
@@ -404,10 +405,25 @@ func TestHTTPSurface(t *testing.T) {
 		t.Fatalf("rate-limited submit: %d", resp.StatusCode)
 	}
 
-	// Malformed → 400.
+	// Malformed → 400, whether invalid or not JSON at all.
 	resp, _ = post(`{"tenant":"x","model":"nope","global_batch":1,"iterations":1}`)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("invalid submit: %d", resp.StatusCode)
+	}
+	resp, _ = post(`{`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("bad JSON submit: %d", resp.StatusCode)
+	}
+
+	// An infeasible deadline → 409 carrying the dropped job and a
+	// counter-offer.
+	resp, body = post(`{"model":"bert","global_batch":128,"iterations":1000000,"deadline_seconds":60}`)
+	var dropped serverless.JobStatus
+	if err := json.Unmarshal(body, &dropped); err != nil {
+		t.Fatalf("dropped body %s: %v", body, err)
+	}
+	if resp.StatusCode != http.StatusConflict || dropped.State != "dropped" || dropped.EarliestFeasibleSec <= 0 {
+		t.Fatalf("infeasible submit: %d %+v, want 409 with earliest_feasible_sec > 0", resp.StatusCode, dropped)
 	}
 
 	get := func(path string) (int, string) {
@@ -431,6 +447,14 @@ func TestHTTPSurface(t *testing.T) {
 	if code, body := get("/v1/jobs/" + st.ID); code != 200 || !strings.Contains(body, st.ID) {
 		t.Fatalf("get job: %d %s", code, body)
 	}
+	for _, id := range []string{"ghost", "s0-ghost", "s9-job-0001"} {
+		if code, body := get("/v1/jobs/" + id); code != http.StatusNotFound {
+			t.Fatalf("get unknown job %s: %d %s, want 404", id, code, body)
+		}
+	}
+	if code, body := get("/v1/jobs"); code != 200 || !strings.Contains(body, st.ID) || !strings.Contains(body, dropped.ID) {
+		t.Fatalf("list: %d %s", code, body)
+	}
 	if code, body := get("/v1/tenants"); code != 200 || !strings.Contains(body, "acme") {
 		t.Fatalf("tenants: %d %s", code, body)
 	}
@@ -446,31 +470,83 @@ func TestHTTPSurface(t *testing.T) {
 	if code, body := get("/v1/shards/1/metrics"); code != 200 || !strings.Contains(body, "ef_admissions_total") {
 		t.Fatalf("shard metrics: %d", code)
 	}
+	del := func(id string) int {
+		req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/v1/jobs/"+id, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := del(st.ID); code != http.StatusNoContent {
+		t.Fatalf("cancel: %d, want 204", code)
+	}
+	if code := del("s1-ghost"); code != http.StatusNotFound {
+		t.Fatalf("cancel unknown job: %d, want 404", code)
+	}
 }
 
 // TestSubmitErrorCodes pins the HTTP mapping: rate limiting is retryable
 // (429 — the bucket refills), quota exhaustion is not (403 — the tenant
-// must release GPUs first), shutdown is 503, anything else 400.
+// must release GPUs first), shutdown is 503 on submit and cancel alike, and
+// anything else is the route's own failure (400 submit, 404 cancel).
 func TestSubmitErrorCodes(t *testing.T) {
 	cases := []struct {
-		err  error
-		want int
+		err      error
+		fallback int
+		want     int
 	}{
-		{ErrRateLimited, http.StatusTooManyRequests},
-		{ErrQuotaExceeded, http.StatusForbidden},
-		{serverless.ErrShuttingDown, http.StatusServiceUnavailable},
-		{errors.New("anything else"), http.StatusBadRequest},
+		{ErrRateLimited, http.StatusBadRequest, http.StatusTooManyRequests},
+		{ErrQuotaExceeded, http.StatusBadRequest, http.StatusForbidden},
+		{serverless.ErrShuttingDown, http.StatusBadRequest, http.StatusServiceUnavailable},
+		{serverless.ErrShuttingDown, http.StatusNotFound, http.StatusServiceUnavailable},
+		{errors.New("anything else"), http.StatusBadRequest, http.StatusBadRequest},
+		{errors.New("unknown job"), http.StatusNotFound, http.StatusNotFound},
 	}
 	for _, c := range cases {
-		if got := submitErrorCode(c.err); got != c.want {
-			t.Errorf("submitErrorCode(%v) = %d, want %d", c.err, got, c.want)
+		if got := errorCode(c.err, c.fallback); got != c.want {
+			t.Errorf("errorCode(%v, %d) = %d, want %d", c.err, c.fallback, got, c.want)
 		}
 	}
 }
 
-// TestShardSubmitRefused: the per-shard plane does not take submissions —
-// one there would skip the tenant's rate limit and GPU quota — while its
-// reads keep working.
+// TestShutdownAnswers503: once Shutdown has begun flushing the journals, a
+// submission and a cancel are both refused with 503 — the cancel's job
+// exists, so 404 would be a lie — while reads keep answering.
+func TestShutdownAnswers503(t *testing.T) {
+	fd, err := New(Options{Clock: newTestClock().Now, StateDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed, err := fd.Submit(sloReq("acme"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fd.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	h := Handler(fd)
+	for _, c := range []struct {
+		method, path, body string
+		want               int
+	}{
+		{http.MethodPost, "/v1/jobs", `{"model":"bert","global_batch":64,"iterations":100,"deadline_seconds":100}`, http.StatusServiceUnavailable},
+		{http.MethodDelete, "/v1/jobs/" + seed.ID, "", http.StatusServiceUnavailable},
+		{http.MethodGet, "/v1/jobs", "", http.StatusOK},
+		{http.MethodGet, "/v1/jobs/" + seed.ID, "", http.StatusOK},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(c.method, c.path, strings.NewReader(c.body)))
+		if rec.Code != c.want {
+			t.Errorf("%s %s during shutdown: %d, want %d", c.method, c.path, rec.Code, c.want)
+		}
+	}
+}
+
+// TestShardSubmitRefused: the per-shard plane has no job routes — a
+// submission there would skip the tenant's rate limit and GPU quota — while
+// its own reads keep working.
 func TestShardSubmitRefused(t *testing.T) {
 	tenants, err := ParseTenants("t0:gpus=8")
 	if err != nil {
@@ -489,29 +565,25 @@ func TestShardSubmitRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var eb errorBody
-	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
-		t.Fatal(err)
-	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed || !strings.Contains(eb.Error, "front door") {
-		t.Fatalf("shard-level submit: %d %q, want 405 naming the front door", resp.StatusCode, eb.Error)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("shard-level submit: %d, want 404", resp.StatusCode)
 	}
 	if jobs := fd.List(); len(jobs) != 0 {
 		t.Fatalf("shard-level submit created %d job(s)", len(jobs))
 	}
-	resp, err = http.Get(srv.URL + "/v1/shards/0/v1/jobs")
+	resp, err = http.Get(srv.URL + "/v1/shards/0/v1/cluster")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("shard-level list: %d want 200", resp.StatusCode)
+		t.Fatalf("shard-level cluster read: %d want 200", resp.StatusCode)
 	}
 }
 
 // TestOversizedBodyRefused: a front-door submission body past
-// serverless.MaxRequestBytes answers 413, and the handler keeps serving.
+// MaxRequestBytes answers 413, and the handler keeps serving.
 func TestOversizedBodyRefused(t *testing.T) {
 	fd, err := New(Options{Clock: newTestClock().Now})
 	if err != nil {
@@ -539,5 +611,71 @@ func TestOversizedBodyRefused(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("valid submission after the refusal: status=%d want 201", resp.StatusCode)
+	}
+}
+
+// TestStateDirRefused: New refuses a state directory it would only partly
+// open, instead of starting without the admissions it holds — one written
+// with more shards than configured, and one with a journal at its top level.
+func TestStateDirRefused(t *testing.T) {
+	shrunk := t.TempDir()
+	fd, err := New(Options{Shards: 2, Clock: newTestClock().Now, StateDir: shrunk, RebalanceBelow: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var onShard1 serverless.JobStatus
+	for i := 0; onShard1.ID == ""; i++ {
+		tenant := fmt.Sprintf("t%d", i)
+		if homeShard(tenant, 2) != 1 {
+			continue
+		}
+		if onShard1, err = fd.Submit(sloReq(tenant)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !strings.HasPrefix(onShard1.ID, "s1-") {
+		t.Fatalf("job %s did not land on shard 1", onShard1.ID)
+	}
+	if err := fd.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	if fd, err := New(Options{Shards: 1, Clock: newTestClock().Now, StateDir: shrunk}); err == nil {
+		fd.Shutdown()
+		t.Fatal("a 1-shard restart opened a state directory holding shard-1")
+	} else if !strings.Contains(err.Error(), "shard-1") {
+		t.Errorf("refusal %q does not name shard-1", err)
+	}
+	// The same directory at its own shard count still recovers the job.
+	fd, err = New(Options{Shards: 2, Clock: newTestClock().Now, StateDir: shrunk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fd.Shutdown()
+	if _, err := fd.Get(onShard1.ID); err != nil {
+		t.Fatalf("2-shard restart lost %s: %v", onShard1.ID, err)
+	}
+
+	// A journal at the top level, as a platform opened on the directory
+	// itself leaves it.
+	flat := t.TempDir()
+	st, err := store.Open(flat, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := serverless.NewPlatform(serverless.Options{Clock: newTestClock().Now, Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Submit(sloReq("")); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	if fd, err := New(Options{Clock: newTestClock().Now, StateDir: flat}); err == nil {
+		fd.Shutdown()
+		t.Fatal("New opened a state directory with a journal at its top level")
+	} else if !strings.Contains(err.Error(), flat) {
+		t.Errorf("refusal %q does not name the directory", err)
 	}
 }

@@ -11,11 +11,12 @@ import (
 	"github.com/elasticflow/elasticflow/internal/serverless"
 )
 
-// Handler returns the front door's HTTP surface:
+// Handler returns the front door's HTTP surface, the only place jobs enter,
+// are read or are cancelled:
 //
 //	POST   /v1/jobs            submit through the admission tier (rate
 //	                           limit → quota → route → batch); 429 when
-//	                           rate-limited or over quota, 409 when
+//	                           rate-limited, 403 when over quota, 409 when
 //	                           admission control dropped the deadline
 //	GET    /v1/jobs            merged job list across shards
 //	GET    /v1/jobs/{id}       one job (routed by its s<k>- prefix)
@@ -23,26 +24,24 @@ import (
 //	GET    /v1/tenants         per-tenant GPU usage
 //	GET    /metrics            front-door series (ef_frontdoor_*,
 //	                           aggregated ef_tenant_*)
-//	/v1/shards/{k}/...         the per-shard control plane
-//	                           (serverless.Handler), including each
-//	                           shard's own /metrics, /debug/events and
-//	                           /debug/trace; its POST /v1/jobs answers
-//	                           405, since a submission there would skip
-//	                           the tenant's rate limit and quota
+//	/v1/shards/{k}/...         shard k's operator and observability plane
+//	                           (serverless.Handler): its /v1/cluster,
+//	                           server down/up, /v1/plan, /metrics,
+//	                           /debug/events and /debug/trace
 func Handler(fd *FrontDoor) http.Handler {
 	o := fd.Obs()
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		switch r.Method {
 		case http.MethodPost:
-			req, status, err := serverless.DecodeSubmit(w, r)
+			req, status, err := decodeSubmit(w, r)
 			if err != nil {
 				writeError(o, w, status, err)
 				return
 			}
 			st, err := fd.Submit(req)
 			if err != nil {
-				writeError(o, w, submitErrorCode(err), err)
+				writeError(o, w, errorCode(err, http.StatusBadRequest), err)
 				return
 			}
 			code := http.StatusCreated
@@ -72,7 +71,7 @@ func Handler(fd *FrontDoor) http.Handler {
 			writeJSON(o, w, http.StatusOK, st)
 		case http.MethodDelete:
 			if err := fd.Cancel(id); err != nil {
-				writeError(o, w, http.StatusNotFound, err)
+				writeError(o, w, errorCode(err, http.StatusNotFound), err)
 				return
 			}
 			w.WriteHeader(http.StatusNoContent)
@@ -104,20 +103,37 @@ func Handler(fd *FrontDoor) http.Handler {
 	})
 	for k := 0; k < fd.Shards(); k++ {
 		prefix := fmt.Sprintf("/v1/shards/%d", k)
-		shard := serverless.Handler(fd.Shard(k))
-		mux.Handle(prefix+"/", http.StripPrefix(prefix, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
-				writeError(o, w, http.StatusMethodNotAllowed, errors.New("submit through the front door: POST /v1/jobs"))
-				return
-			}
-			shard.ServeHTTP(w, r)
-		})))
+		mux.Handle(prefix+"/", http.StripPrefix(prefix, serverless.Handler(fd.Shard(k))))
 	}
 	return mux
 }
 
-// submitErrorCode maps front-door rejections to HTTP statuses.
-func submitErrorCode(err error) int {
+// MaxRequestBytes bounds a request body at the HTTP edge: a body that grows
+// past it is refused with 413.
+const MaxRequestBytes = 1 << 20
+
+// decodeSubmit reads a POST /v1/jobs body of at most MaxRequestBytes. On
+// failure it also returns the status to answer: 413 for an oversized body,
+// 400 for anything else.
+func decodeSubmit(w http.ResponseWriter, r *http.Request) (serverless.SubmitRequest, int, error) {
+	var req serverless.SubmitRequest
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes)).Decode(&req)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		return req, http.StatusRequestEntityTooLarge, err
+	case err != nil:
+		return req, http.StatusBadRequest, err
+	}
+	return req, 0, nil
+}
+
+// errorCode maps a refused submission or cancel to its HTTP status; fallback
+// is the route's own failure (400 for a bad submission, 404 for an unknown
+// job). A mutation arriving after graceful shutdown began flushing the
+// journals is 503 on either route: it was never journaled, and the job may
+// well exist.
+func errorCode(err error, fallback int) int {
 	switch {
 	case errors.Is(err, ErrRateLimited):
 		// Retryable: the token bucket refills, so backing off helps.
@@ -129,7 +145,7 @@ func submitErrorCode(err error) int {
 	case errors.Is(err, serverless.ErrShuttingDown):
 		return http.StatusServiceUnavailable
 	default:
-		return http.StatusBadRequest
+		return fallback
 	}
 }
 

@@ -11,12 +11,10 @@ import (
 	"github.com/elasticflow/elasticflow/internal/obs/tracing"
 )
 
-// Handler returns the HTTP control plane for the platform:
+// Handler returns one platform's operator and observability plane — the
+// routes the front door mounts under /v1/shards/{k}/ (jobs are submitted,
+// read and cancelled through the front door's own /v1/jobs):
 //
-//	POST   /v1/jobs        submit a training function
-//	GET    /v1/jobs        list jobs
-//	GET    /v1/jobs/{id}   one job's status
-//	DELETE /v1/jobs/{id}   cancel a job
 //	GET    /v1/cluster     cluster summary
 //	POST   /v1/cluster/servers/{id}/down   declare a server failed (§4.4)
 //	POST   /v1/cluster/servers/{id}/up     return a server to the pool
@@ -32,56 +30,6 @@ import (
 func Handler(p *Platform) http.Handler {
 	o := p.Obs()
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		switch r.Method {
-		case http.MethodPost:
-			req, status, err := DecodeSubmit(w, r)
-			if err != nil {
-				writeError(o, w, status, err)
-				return
-			}
-			st, err := p.Submit(req)
-			if err != nil {
-				writeError(o, w, mutationErrorCode(err, http.StatusBadRequest), err)
-				return
-			}
-			code := http.StatusCreated
-			if st.State == "dropped" {
-				// Admission control rejected the deadline; the job
-				// record exists for inspection but will not run.
-				code = http.StatusConflict
-			}
-			writeJSON(o, w, code, st)
-		case http.MethodGet:
-			writeJSON(o, w, http.StatusOK, p.List())
-		default:
-			writeError(o, w, http.StatusMethodNotAllowed, errors.New("use GET or POST"))
-		}
-	})
-	mux.HandleFunc("/v1/jobs/", func(w http.ResponseWriter, r *http.Request) {
-		id := strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
-		if id == "" {
-			writeError(o, w, http.StatusBadRequest, errors.New("missing job id"))
-			return
-		}
-		switch r.Method {
-		case http.MethodGet:
-			st, err := p.Get(id)
-			if err != nil {
-				writeError(o, w, http.StatusNotFound, err)
-				return
-			}
-			writeJSON(o, w, http.StatusOK, st)
-		case http.MethodDelete:
-			if err := p.Cancel(id); err != nil {
-				writeError(o, w, mutationErrorCode(err, http.StatusNotFound), err)
-				return
-			}
-			w.WriteHeader(http.StatusNoContent)
-		default:
-			writeError(o, w, http.StatusMethodNotAllowed, errors.New("use GET or DELETE"))
-		}
-	})
 	mux.HandleFunc("/v1/plan", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			writeError(o, w, http.StatusMethodNotAllowed, errors.New("use GET"))
@@ -201,26 +149,6 @@ func Handler(p *Platform) http.Handler {
 		}
 	})
 	return mux
-}
-
-// MaxRequestBytes bounds a request body at the HTTP edge, here and at the
-// front door: a body that grows past it is refused with 413.
-const MaxRequestBytes = 1 << 20
-
-// DecodeSubmit reads a POST /v1/jobs body of at most MaxRequestBytes. On
-// failure it also returns the status to answer: 413 for an oversized body,
-// 400 for anything else.
-func DecodeSubmit(w http.ResponseWriter, r *http.Request) (SubmitRequest, int, error) {
-	var req SubmitRequest
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes)).Decode(&req)
-	var tooLarge *http.MaxBytesError
-	switch {
-	case errors.As(err, &tooLarge):
-		return req, http.StatusRequestEntityTooLarge, err
-	case err != nil:
-		return req, http.StatusBadRequest, err
-	}
-	return req, 0, nil
 }
 
 // mutationErrorCode maps a mutation failure to its HTTP status: a request

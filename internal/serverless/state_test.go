@@ -425,27 +425,18 @@ func TestShutdownRejectsMutations(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The shard plane's one mutation route answers 503; the job routes'
+	// answers are the front door's (frontdoor.TestShutdownAnswers503).
 	h := Handler(p)
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs",
-		strings.NewReader(`{"model":"bert","global_batch":64,"iterations":100,"deadline_seconds":100}`)))
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("POST /v1/jobs during shutdown: %d, want 503", rec.Code)
-	}
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodDelete, "/v1/jobs/"+seed.ID, nil))
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("DELETE /v1/jobs/{id} during shutdown: %d, want 503", rec.Code)
-	}
-	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/cluster/servers/0/down", nil))
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("POST servers/0/down during shutdown: %d, want 503", rec.Code)
 	}
 	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs", nil))
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/cluster", nil))
 	if rec.Code != http.StatusOK {
-		t.Fatalf("GET /v1/jobs during shutdown: %d, want 200", rec.Code)
+		t.Fatalf("GET /v1/cluster during shutdown: %d, want 200", rec.Code)
 	}
 
 	st2, err := store.Open(dir, store.Options{})
