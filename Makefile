@@ -1,6 +1,6 @@
-# Developer entry points. CI (.github/workflows/ci.yml) runs the same
-# commands; `make ci-sync-check` (run as part of lint) verifies the two
-# mechanically — see internal/cisync.
+# Developer entry points, and the one copy of the CI commands: every job in
+# .github/workflows/ci.yml runs targets of this file, so a local `make ci`
+# runs what CI runs.
 
 GO ?= go
 
@@ -16,7 +16,7 @@ BENCH_GATE = BenchmarkFig6aTestbedSmall|BenchmarkFig7aAllocationTimeline|Benchma
 # and traced/untraced run; see benchmark/README.md).
 BENCH_REAL_OUT ?= .bench_build/runs
 
-.PHONY: all build test vet lint loc race fuzz-smoke obs-check faults-check store-check trace-check transfer-check sim-check front-check ci ci-sync-check bench bench-base bench-real bench-real-compare
+.PHONY: all build test vet lint loc race fuzz-smoke obs-check faults-check store-check trace-check transfer-check sim-check front-check ci bench bench-base bench-real bench-real-compare
 
 all: build test
 
@@ -38,7 +38,7 @@ vet:
 # interface (-json) that editor and bot integrations consume. nilness is a
 # gated extra: scripts/nilness.sh runs the x/tools analyzer when the
 # environment provides it and skips cleanly offline.
-lint: ci-sync-check
+lint:
 	$(GO) run ./cmd/eflint ./...
 	$(GO) run ./cmd/eflint -json ./internal/analysis/...
 	./scripts/nilness.sh
@@ -48,11 +48,6 @@ lint: ci-sync-check
 # trend has a recorded source per commit.
 loc:
 	./scripts/loc.sh
-
-# ci-sync-check fails when the `ci` target here and the mirror jobs in
-# .github/workflows/ci.yml run different command sets.
-ci-sync-check:
-	$(GO) test ./internal/cisync/
 
 race:
 	$(GO) test -race ./...
@@ -120,7 +115,7 @@ sim-check:
 
 # front-check exercises the multi-tenant front door (DESIGN.md §16) under
 # the race detector: tenant routing, rate limits, GPU quotas, batched
-# verdicts, the weighted spare-GPU rebalancer and per-shard crash-restart
+# verdicts, the spare-GPU rebalancer and per-shard crash-restart
 # replay in internal/frontdoor; the batched submission path (one journal
 # record and one plan-cache fold per batch, replay byte-identical at every
 # crash prefix) in internal/serverless plus the efserver SIGKILL/restart
@@ -134,8 +129,9 @@ front-check:
 ci: build vet lint loc race fuzz-smoke obs-check faults-check store-check trace-check transfer-check sim-check front-check
 
 # bench runs the gated benchmarks and, when a baseline exists, applies the
-# same regression gate CI does. Capture the baseline on the base commit with
-# `make bench-base`, switch to your change, then `make bench`.
+# regression gate (CI's bench job runs these two targets). Capture the
+# baseline on the base commit with `make bench-base`, switch to your change,
+# then `make bench`.
 bench:
 	$(GO) test -run=^$$ -bench '$(BENCH_GATE)' -benchtime=1x -count=6 . | tee bench-head.txt
 	@if [ -f bench-base.txt ]; then \
@@ -152,8 +148,8 @@ bench-base:
 # on seed 1. To judge a change: run it on the base commit and on the change
 # into two directories (make bench-real BENCH_REAL_OUT=<dir>), then
 # `make bench-real-compare A=<base dir> B=<change dir>` holds every
-# end-to-end metric against its BENCHMARK.json bound. CI runs the same
-# command as a non-gating job (ci-sync-check keeps the two identical).
+# end-to-end metric against its BENCHMARK.json bound. CI runs this target
+# as a non-gating job.
 bench-real:
 	$(GO) run ./benchmark -seed 1 -out $(BENCH_REAL_OUT)
 

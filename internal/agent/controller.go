@@ -42,11 +42,6 @@ type Controller struct {
 	homes   map[string]string         // job → agent name. guarded by mu
 	rng     *rand.Rand                // backoff jitter. guarded by mu
 	gates   map[string]*transfer.Gate // agent name → transfer admission. guarded by mu
-
-	// links is the per-agent measured-bandwidth EWMA table, non-nil only
-	// when ControllerOptions.LinkClock enabled measurement. Internally
-	// locked; set once at construction.
-	links *transfer.LinkStats
 }
 
 // ControllerOptions tunes the controller's RPC robustness policy. The zero
@@ -70,7 +65,7 @@ type ControllerOptions struct {
 	// Dial opens a connection to a named agent (default DefaultDial). The
 	// fault injector's WrapDial hooks in here.
 	Dial func(name, addr string) (faults.Caller, error)
-	// Obs receives retry counters and events; nil is fine.
+	// Obs receives retry events; nil is fine.
 	Obs *obs.Obs
 	// ChunkSize is the checkpoint-transfer frame payload size (default
 	// transfer.DefaultChunkSize).
@@ -78,11 +73,6 @@ type ControllerOptions struct {
 	// TransferCap bounds concurrent checkpoint transfers per agent
 	// (default transfer.DefaultTransferCap). Negative disables the gate.
 	TransferCap int
-	// LinkClock, when set, turns on measured-bandwidth accounting: every
-	// checkpoint transfer feeds a per-agent EWMA exported as
-	// ef_transfer_link_bps. Nil — the default — keeps the data plane
-	// clock-free (tests and the simulator never read wall time).
-	LinkClock func() time.Time
 }
 
 // DefaultDial opens a plain net/rpc TCP connection.
@@ -155,7 +145,7 @@ func NewControllerWith(opts ControllerOptions) *Controller {
 	if opts.Dial == nil {
 		opts.Dial = DefaultDial
 	}
-	c := &Controller{
+	return &Controller{
 		opts:    opts,
 		clients: make(map[string]faults.Caller),
 		addrs:   make(map[string]string),
@@ -165,10 +155,6 @@ func NewControllerWith(opts ControllerOptions) *Controller {
 		rng:     rand.New(rand.NewSource(opts.Seed)),
 		gates:   make(map[string]*transfer.Gate),
 	}
-	if opts.LinkClock != nil {
-		c.links = &transfer.LinkStats{Publish: opts.Obs.SetTransferLinkBps}
-	}
-	return c
 }
 
 // Connect dials an agent and registers it under name. Reconnecting a name
@@ -346,7 +332,6 @@ func (c *Controller) call(agentName, method string, args, reply any) error {
 	var lastErr error
 	for attempt := 0; attempt <= c.opts.MaxRetries; attempt++ {
 		if attempt > 0 {
-			c.opts.Obs.IncRetry()
 			c.opts.Obs.EventNow(obs.KindRetry, "",
 				obs.F("agent", agentName), obs.F("op", op), obs.F("attempt", attempt))
 			c.opts.Sleep(c.backoff(attempt))

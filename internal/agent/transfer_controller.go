@@ -84,31 +84,15 @@ func (c *Controller) transferFatal(err error) bool {
 }
 
 // mover builds a transfer.Mover wired to the controller's backoff, sleep,
-// and error classification, measuring bandwidth over link when the
-// controller has measurement enabled.
-func (c *Controller) mover(slot *transfer.Slot, link string) *transfer.Mover {
-	m := &transfer.Mover{
+// and error classification.
+func (c *Controller) mover(slot *transfer.Slot) *transfer.Mover {
+	return &transfer.Mover{
 		ChunkSize: c.opts.ChunkSize,
 		Backoff:   c.backoff,
 		Sleep:     c.opts.Sleep,
 		Fatal:     c.transferFatal,
 		Slot:      slot,
 	}
-	if c.links != nil {
-		m.Clock = c.opts.LinkClock
-		m.Links = c.links
-		m.Link = link
-	}
-	return m
-}
-
-// LinkBPS returns the measured-bandwidth EWMA for one agent link, false
-// when measurement is off or the link has never carried a transfer.
-func (c *Controller) LinkBPS(link string) (float64, bool) {
-	if c.links == nil {
-		return 0, false
-	}
-	return c.links.BPS(link)
 }
 
 // peerAdapter exposes one agent's chunk RPCs as a transfer.Peer.
@@ -192,7 +176,7 @@ func (c *Controller) fetchOffer(jobID, agentName string, offer TransferOffer, ur
 	sink := c.opts.Obs
 	span := sink.Tracer().Begin(sink.Now(), tracing.SpanCheckpointTransfer, jobID)
 	slot := c.gate(agentName).Acquire(urgent)
-	m := c.mover(slot, agentName)
+	m := c.mover(slot)
 	data, err := m.Fetch(peerAdapter{c: c, agent: agentName},
 		transfer.Offer{ID: offer.ID, Size: offer.Size, CRC: offer.CRC})
 	slot.Release()
@@ -216,7 +200,7 @@ func (c *Controller) PushCheckpoint(jobID, toAgent string, ck elastic.Checkpoint
 	sink := c.opts.Obs
 	span := sink.Tracer().Begin(sink.Now(), tracing.SpanCheckpointTransfer, jobID)
 	slot := c.gate(toAgent).Acquire(urgent)
-	m := c.mover(slot, toAgent)
+	m := c.mover(slot)
 	err := m.Push(peerAdapter{c: c, agent: toAgent}, jobID, ck.EncodeBytes())
 	slot.Release()
 	m.Stats.StallSec = slot.Waited()

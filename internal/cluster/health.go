@@ -80,7 +80,6 @@ func (o *Orchestrator) agentDown(name string) {
 
 	sink := o.platform.Obs()
 	elapsed := sink.Timer()
-	sink.IncAgentDown()
 	sink.EventNow(obs.KindAgentDown, "", obs.F("agent", name))
 
 	// Sever the control connection and the listener (a real monitor cannot

@@ -63,9 +63,9 @@ type Options struct {
 	// the candidate's minimum satisfactory share) and one "sched-alloc"
 	// event per Schedule call summarizing the allocation round (spare-GPU
 	// adoptions and their winners, demoted jobs, slot-0 usage). Tracing is
-	// purely additive — decisions never read the sink back — and metric
-	// counters stay the engine layers' (sim, serverless) responsibility so
-	// series are not double-counted.
+	// purely additive — decisions never read the sink back. No counter is
+	// derived from the sched-* kinds: the admission series counts the
+	// host's admit/drop event, so a verdict is counted once.
 	Obs *obs.Obs
 }
 

@@ -307,7 +307,6 @@ func (in *Injector) decide(agent, op string) (act Kind, delay time.Duration, cra
 	}
 	in.mu.Unlock()
 	if act != None {
-		in.o.IncFault(act.String())
 		in.o.EventNow(obs.KindFault, "",
 			obs.F("agent", agent), obs.F("op", op), obs.F("kind", act.String()))
 	}

@@ -3,7 +3,7 @@
 // accepts submissions tagged with a tenant namespace, applies per-tenant
 // token-bucket rate limits and GPU quotas, routes each surviving arrival to
 // a control-plane shard (deterministic tenant→shard hashing, with a
-// weighted spare-GPU rebalancer spilling load off hot partitions), and
+// spare-GPU rebalancer spilling load off hot partitions), and
 // batches arrivals per shard so one journaled admission batch — and one
 // plan-cache fold — amortizes across N submissions. Each shard is a full
 // serverless.Platform owning a disjoint cluster partition with its own
@@ -53,12 +53,10 @@ type Options struct {
 	// MaxBatch bounds how many arrivals one shard flush may carry
 	// (default 64).
 	MaxBatch int
-	// Weights biases the rebalancer's spare-GPU scoring per shard
-	// (default all 1.0).
-	Weights []float64
 	// RebalanceBelow is the free-capacity fraction under which a home
-	// shard spills new arrivals to the highest-scoring shard (default
-	// 0.25; 0 keeps routing strictly by hash).
+	// shard spills new arrivals to the shard with the most spare GPUs.
+	// 0 means the default 0.25; a negative value never spills, keeping
+	// routing strictly by hash.
 	RebalanceBelow float64
 	// Clock overrides the time source (tests, experiments). Must be
 	// monotonic.
@@ -86,7 +84,6 @@ type FrontDoor struct {
 	batchers []*batcher
 	o        *obs.Obs
 	clock    func() time.Time
-	weights  []float64
 	below    float64
 
 	// mu guards the tenant buckets and the usage/capacity caches. It is
@@ -144,16 +141,6 @@ func New(opts Options) (*FrontDoor, error) {
 	if clock == nil {
 		clock = time.Now
 	}
-	weights := opts.Weights
-	if len(weights) == 0 {
-		weights = make([]float64, k)
-		for i := range weights {
-			weights[i] = 1
-		}
-	}
-	if len(weights) != k {
-		return nil, fmt.Errorf("frontdoor: %d rebalancer weights for %d shards", len(weights), k)
-	}
 	if err := checkStateDir(opts.StateDir, k); err != nil {
 		return nil, err
 	}
@@ -168,7 +155,6 @@ func New(opts Options) (*FrontDoor, error) {
 	fd := &FrontDoor{
 		o:       o,
 		clock:   clock,
-		weights: weights,
 		below:   below,
 		tenants: tenants,
 		usage:   make(map[string]int),
@@ -323,7 +309,7 @@ func (fd *FrontDoor) gateAndRoute(tenant string, now time.Time) (int, error) {
 		}
 	}
 	home := homeShard(tenant, len(fd.shards))
-	shard, rebalanced := pickShard(home, fd.free, fd.total, fd.weights, fd.below)
+	shard, rebalanced := pickShard(home, fd.free, fd.total, fd.below)
 	if rebalanced {
 		fd.stats.Rebalanced++
 	}

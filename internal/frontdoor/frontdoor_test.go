@@ -184,25 +184,20 @@ func TestRoutingIsDeterministicPerTenant(t *testing.T) {
 func TestRebalancer(t *testing.T) {
 	free := []int{1, 10, 4}
 	total := []int{16, 16, 16}
-	w1 := []float64{1, 1, 1}
 	// Home has spare capacity: stays put.
-	if k, moved := pickShard(1, free, total, w1, 0.25); k != 1 || moved {
+	if k, moved := pickShard(1, free, total, 0.25); k != 1 || moved {
 		t.Fatalf("healthy home rerouted: %d %v", k, moved)
 	}
 	// Home hot (1/16 < 0.25): spills to the most-spare shard.
-	if k, moved := pickShard(0, free, total, w1, 0.25); k != 1 || !moved {
+	if k, moved := pickShard(0, free, total, 0.25); k != 1 || !moved {
 		t.Fatalf("hot home not spilled to 1: %d %v", k, moved)
 	}
-	// Weights bias the choice.
-	if k, _ := pickShard(0, free, total, []float64{1, 0.1, 1}, 0.25); k != 2 {
-		t.Fatalf("weighted spill chose %d, want 2", k)
-	}
 	// Ties break to the lowest index, deterministically.
-	if k, _ := pickShard(2, []int{0, 5, 0, 5}, []int{8, 8, 8, 8}, []float64{1, 1, 1, 1}, 0.25); k != 1 {
+	if k, _ := pickShard(2, []int{0, 5, 0, 5}, []int{8, 8, 8, 8}, 0.25); k != 1 {
 		t.Fatalf("tie broke to %d, want 1", k)
 	}
 	// Threshold 0 (RebalanceBelow<0 in Options) never spills.
-	if k, moved := pickShard(0, free, total, w1, 0); k != 0 || moved {
+	if k, moved := pickShard(0, free, total, 0); k != 0 || moved {
 		t.Fatalf("zero threshold rerouted: %d %v", k, moved)
 	}
 }

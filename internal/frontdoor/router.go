@@ -15,18 +15,17 @@ func homeShard(tenant string, shards int) int {
 // pickShard applies the cross-shard fairness rebalancer: the submission
 // stays on its home shard while that shard keeps at least rebalanceBelow of
 // its capacity spare; once the home partition runs hot, the submission
-// spills to the shard with the most weighted spare GPUs (weight × free),
-// ties broken by lowest index so routing stays deterministic. Returns the
-// chosen shard and whether it differs from home.
-func pickShard(home int, free, total []int, weights []float64, rebalanceBelow float64) (int, bool) {
+// spills to the shard with the most spare GPUs, ties broken by lowest index
+// so routing stays deterministic. Returns the chosen shard and whether it
+// differs from home.
+func pickShard(home int, free, total []int, rebalanceBelow float64) (int, bool) {
 	if total[home] > 0 && float64(free[home])/float64(total[home]) >= rebalanceBelow {
 		return home, false
 	}
-	best, bestScore := home, -1.0
-	for k := range free {
-		score := weights[k] * float64(free[k])
-		if score > bestScore {
-			best, bestScore = k, score
+	best, bestFree := home, -1
+	for k, f := range free {
+		if f > bestFree {
+			best, bestFree = k, f
 		}
 	}
 	return best, best != home

@@ -4,8 +4,7 @@ import "sync"
 
 // Bus is a bounded, concurrency-safe event log: a ring buffer holding the
 // most recent events (older ones are evicted and counted, never blocked
-// on), plus optional subscriber channels for live consumers. Sequence
-// numbers are assigned at publish time and strictly increase, so a reader
+// on). Sequence numbers are assigned at publish time and strictly increase, so a reader
 // polling Since(last+1) sees every retained event exactly once.
 type Bus struct {
 	mu sync.Mutex
@@ -19,12 +18,6 @@ type Bus struct {
 	seq uint64
 	// evicted counts events pushed out of the ring. guarded by mu
 	evicted uint64
-	// subs holds live subscriber channels. guarded by mu
-	subs map[int]chan Event
-	// subID issues subscriber handles. guarded by mu
-	subID int
-	// subDropped counts events a full subscriber could not take. guarded by mu
-	subDropped uint64
 }
 
 // DefaultRingSize bounds the bus when Options.RingSize is zero.
@@ -36,12 +29,11 @@ func NewBus(size int) *Bus {
 	if size <= 0 {
 		size = DefaultRingSize
 	}
-	return &Bus{buf: make([]Event, size), subs: make(map[int]chan Event)}
+	return &Bus{buf: make([]Event, size)}
 }
 
-// Publish assigns the event its sequence number, appends it to the ring
-// (evicting the oldest if full) and offers it to every subscriber without
-// blocking. It returns the assigned sequence number.
+// Publish assigns the event its sequence number and appends it to the ring,
+// evicting the oldest if full. It returns the assigned sequence number.
 func (b *Bus) Publish(ev Event) uint64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -54,13 +46,6 @@ func (b *Bus) Publish(ev Event) uint64 {
 	}
 	b.buf[(b.head+b.n)%len(b.buf)] = ev
 	b.n++
-	for _, ch := range b.subs {
-		select {
-		case ch <- ev:
-		default:
-			b.subDropped++
-		}
-	}
 	return ev.Seq
 }
 
@@ -99,38 +84,4 @@ func (b *Bus) Evicted() uint64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.evicted
-}
-
-// SubscriberDrops returns how many events full subscribers missed.
-func (b *Bus) SubscriberDrops() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.subDropped
-}
-
-// Subscribe registers a live consumer with a channel buffer of n (minimum
-// 1). Events published while the channel is full are dropped for that
-// subscriber (and counted), never blocked on — the bus must not stall the
-// scheduler. The returned cancel function unregisters and closes the
-// channel; it is idempotent.
-func (b *Bus) Subscribe(n int) (<-chan Event, func()) {
-	if n < 1 {
-		n = 1
-	}
-	ch := make(chan Event, n)
-	b.mu.Lock()
-	b.subID++
-	id := b.subID
-	b.subs[id] = ch
-	b.mu.Unlock()
-	var once sync.Once
-	cancel := func() {
-		once.Do(func() {
-			b.mu.Lock()
-			delete(b.subs, id)
-			b.mu.Unlock()
-			close(ch)
-		})
-	}
-	return ch, cancel
 }

@@ -1,9 +1,9 @@
 // Package obs is the deterministic observability core every layer of the
 // platform emits into and every frontend reads out of: a structured event
-// bus (bounded ring buffer plus optional subscriber channels), a metrics
-// registry rendered in Prometheus text exposition format, and the catalog
-// of scheduler-decision traces (admission verdicts with reasons, allocation
-// round summaries, rescale/migration accounting).
+// bus (a bounded ring buffer), a metrics registry rendered in Prometheus
+// text exposition format whose lifecycle counters are derived from the
+// events, and the catalog of scheduler-decision traces (admission verdicts
+// with reasons, allocation round summaries, rescale/migration accounting).
 //
 // Determinism rules (see DESIGN.md §8): events carry domain time supplied
 // by the publisher — the simulator stamps simulated seconds, the live
@@ -13,13 +13,10 @@
 // decision path may read the bus or the registry back.
 package obs
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
-// Event kinds. The sim/platform job-lifecycle kinds mirror the simulator's
-// historical event log; the sched-* kinds are scheduler decision traces and
+// Event kinds. The sim/platform job-lifecycle kinds are the events both
+// hosts' engines emit; the sched-* kinds are scheduler decision traces and
 // the error kind carries routed failures (accept loops, encode errors).
 const (
 	KindArrival    = "arrival"
@@ -92,22 +89,4 @@ func (e Event) Field(key string) (string, bool) {
 		}
 	}
 	return "", false
-}
-
-// Detail renders the fields as "k=v k2=v2" — the human-readable form the
-// simulator's legacy Result.Events detail string is built from.
-func (e Event) Detail() string {
-	if len(e.Fields) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	for i, f := range e.Fields {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		b.WriteString(f.Key)
-		b.WriteByte('=')
-		b.WriteString(f.Value)
-	}
-	return b.String()
 }

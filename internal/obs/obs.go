@@ -82,8 +82,6 @@ type Obs struct {
 	tenantGPUs       *GaugeVec   // ef_tenant_used_gpus{tenant}
 	tenantQuotaRej   *CounterVec // ef_tenant_quota_rejections_total{tenant}
 	tenantRateLim    *CounterVec // ef_tenant_rate_limited_total{tenant}
-
-	transferLinkBps *GaugeVec // ef_transfer_link_bps{link}
 }
 
 // DecisionBuckets are the fixed upper bounds of ef_sched_decision_seconds:
@@ -166,8 +164,6 @@ func New(opts Options) *Obs {
 		tenantGPUs:       m.GaugeVec("ef_tenant_used_gpus", "GPUs currently allocated to a tenant's running jobs, summed across shards.", "tenant"),
 		tenantQuotaRej:   m.CounterVec("ef_tenant_quota_rejections_total", "Submissions rejected at the front door because the tenant's GPU quota is exhausted.", "tenant"),
 		tenantRateLim:    m.CounterVec("ef_tenant_rate_limited_total", "Submissions rejected at the front door by the tenant's token-bucket rate limit.", "tenant"),
-
-		transferLinkBps: m.GaugeVec("ef_transfer_link_bps", "EWMA of observed checkpoint-transfer throughput per link (bytes/sec; only populated when bandwidth measurement is enabled).", "link"),
 	}
 	o.tracer = opts.Tracer
 	// Seed the fixed-verdict series so a scrape before the first decision
@@ -199,20 +195,42 @@ func (o *Obs) Now() float64 {
 	return o.clock().Sub(o.start).Seconds()
 }
 
-// Publish forwards a fully formed event to the bus.
-func (o *Obs) Publish(ev Event) {
-	if o == nil {
-		return
-	}
-	o.Bus.Publish(ev)
-}
-
-// Event publishes an event stamped with the given domain time.
+// Event publishes an event stamped with the given domain time and counts it
+// in the catalog series its kind stands for, so the event is the one record
+// of a transition.
 func (o *Obs) Event(t float64, kind, jobID string, fields ...Field) {
 	if o == nil {
 		return
 	}
-	o.Bus.Publish(Event{Time: t, Kind: kind, JobID: jobID, Fields: fields})
+	ev := Event{Time: t, Kind: kind, JobID: jobID, Fields: fields}
+	o.Bus.Publish(ev)
+	o.count(ev)
+}
+
+// count is the one table from event kinds to catalog counters: an event of
+// these kinds bumps its series, and no emitter counts them by hand. The
+// checkpoint mirror and restore counters stay explicit (IncMirror,
+// IncRestore): agent adoption counts a mirror it emits no event for, and emits
+// a restore event it does not count.
+func (o *Obs) count(ev Event) {
+	switch ev.Kind {
+	case KindAdmit, KindDrop:
+		o.admissions.With(ev.Kind).Inc()
+	case KindComplete:
+		met, _ := ev.Field("met")
+		o.completions.With(met).Inc()
+	case KindRescale:
+		o.rescales.Inc()
+	case KindMigrate:
+		o.migrations.Inc()
+	case KindRetry:
+		o.retries.Inc()
+	case KindAgentDown:
+		o.agentDowns.Inc()
+	case KindFault:
+		kind, _ := ev.Field("kind")
+		o.faults.With(kind).Inc()
+	}
 }
 
 // EventNow publishes an event stamped with the injected clock — for live
@@ -241,42 +259,6 @@ func (o *Obs) ObserveDecision(op string, sec float64) {
 		return
 	}
 	o.decisionSec.With(op).Observe(sec)
-}
-
-// IncAdmission counts one admission decision ("admit" or "drop").
-func (o *Obs) IncAdmission(verdict string) {
-	if o == nil {
-		return
-	}
-	o.admissions.With(verdict).Inc()
-}
-
-// IncCompletion counts one job completion by deadline outcome.
-func (o *Obs) IncCompletion(met bool) {
-	if o == nil {
-		return
-	}
-	if met {
-		o.completions.With("true").Inc()
-	} else {
-		o.completions.With("false").Inc()
-	}
-}
-
-// IncRescale counts one elastic rescale event.
-func (o *Obs) IncRescale() {
-	if o == nil {
-		return
-	}
-	o.rescales.Inc()
-}
-
-// IncMigration counts one defragmentation migration.
-func (o *Obs) IncMigration() {
-	if o == nil {
-		return
-	}
-	o.migrations.Inc()
 }
 
 // IncError counts one routed error by source (e.g. "agent-accept",
@@ -315,31 +297,6 @@ func (o *Obs) AddPlanCache(hits, misses int) {
 	}
 	o.planCacheHits.Add(float64(hits))
 	o.planCacheMisses.Add(float64(misses))
-}
-
-// IncFault counts one injected fault by kind ("error", "delay", "drop",
-// "crash").
-func (o *Obs) IncFault(kind string) {
-	if o == nil {
-		return
-	}
-	o.faults.With(kind).Inc()
-}
-
-// IncRetry counts one controller RPC retry attempt.
-func (o *Obs) IncRetry() {
-	if o == nil {
-		return
-	}
-	o.retries.Inc()
-}
-
-// IncAgentDown counts one agent declared down by the heartbeat monitor.
-func (o *Obs) IncAgentDown() {
-	if o == nil {
-		return
-	}
-	o.agentDowns.Inc()
 }
 
 // IncMirror counts one checkpoint mirrored to the orchestrator.
@@ -526,16 +483,6 @@ func (o *Obs) IncTenantRateLimited(tenant string) {
 		return
 	}
 	o.tenantRateLim.With(tenant).Inc()
-}
-
-// SetTransferLinkBps records the measured-bandwidth EWMA for one link —
-// an agent name on the controller's data plane, or a topology tier
-// ("server", "rack", "cluster").
-func (o *Obs) SetTransferLinkBps(link string, bps float64) {
-	if o == nil {
-		return
-	}
-	o.transferLinkBps.With(link).Set(bps)
 }
 
 // SetUsedGPUs records the current allocated-GPU level.

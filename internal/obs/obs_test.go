@@ -10,13 +10,8 @@ import (
 // sites never guard.
 func TestNilObsIsSafe(t *testing.T) {
 	var o *Obs
-	o.Publish(Event{Kind: KindAdmit})
 	o.Event(1, KindDrop, "j")
 	o.EventNow(KindError, "")
-	o.IncAdmission("admit")
-	o.IncCompletion(true)
-	o.IncRescale()
-	o.IncMigration()
 	o.IncError("x")
 	o.IncEncodeError()
 	o.IncAcceptError()
@@ -51,11 +46,11 @@ func TestObsInjectedClock(t *testing.T) {
 
 func TestObsCatalogRenders(t *testing.T) {
 	o := NewDefault()
-	o.IncAdmission("admit")
-	o.IncAdmission("drop")
-	o.IncRescale()
-	o.IncMigration()
-	o.IncCompletion(true)
+	o.Event(1, KindAdmit, "a")
+	o.Event(1, KindDrop, "b", F("reason", "admission control"))
+	o.Event(2, KindRescale, "a", F("gpus", 4))
+	o.Event(2, KindMigrate, "a", F("from", 0), F("to", 8))
+	o.Event(3, KindComplete, "a", F("met", true))
 	o.SetUsedGPUs(12)
 	o.SetClusterEfficiency(0.875)
 	o.ObserveDecision("allocate", 0.002)
@@ -79,6 +74,34 @@ func TestObsCatalogRenders(t *testing.T) {
 		"ef_http_encode_errors_total 1",
 		"ef_agent_accept_errors_total 1",
 		`ef_errors_total{source="agent-accept"} 1`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("catalog missing %q", want)
+		}
+	}
+}
+
+// TestFaultEventsCount: the fault-tolerance kinds count through the same
+// table, the injected-fault series labelled by the event's kind field; a
+// restore event counts nothing (IncRestore is explicit).
+func TestFaultEventsCount(t *testing.T) {
+	o := NewDefault()
+	o.EventNow(KindRetry, "", F("agent", "a"), F("op", "Launch"), F("attempt", 1))
+	o.EventNow(KindAgentDown, "", F("agent", "a"))
+	o.EventNow(KindFault, "", F("agent", "a"), F("op", "Launch"), F("kind", "drop"))
+	o.EventNow(KindFault, "", F("agent", "b"), F("op", "Stop"), F("kind", "drop"))
+	o.EventNow(KindRestore, "j", F("step", 3), F("from", "a"))
+
+	var b strings.Builder
+	if err := o.Metrics.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	for _, want := range []string{
+		"ef_rpc_retries_total 1",
+		"ef_agent_down_total 1",
+		`ef_faults_injected_total{kind="drop"} 2`,
+		"ef_checkpoint_restores_total 0",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("catalog missing %q", want)

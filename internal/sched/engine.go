@@ -16,13 +16,10 @@ import (
 type Emitter struct {
 	// Event publishes one event at domain time now. The live platform tees
 	// it to the bus and into the journal's trail hash, in replay as when
-	// live; the simulator feeds the bus, its event log and its
-	// rescale/migration tallies.
+	// live; the simulator feeds the bus and its rescale/migration tallies.
+	// With Engine.Obs nil the engine formats no fields: the host still counts
+	// kinds, but nothing reads the detail.
 	Event func(now float64, kind, jobID string, fields ...obs.Field)
-	// Bare tells the engine nothing reads event fields (a simulator run
-	// with neither Obs nor RecordEvents): Event is still called — the host
-	// counts kinds — but no field is formatted.
-	Bare bool
 	// LSN is stamped on every span: the journal record of the mutation
 	// being applied (set at append time live, from the record in replay, so
 	// both produce identical spans); 0 in the simulator and without a store.
@@ -47,7 +44,8 @@ type Engine struct {
 	PlacementFree bool
 	// NoOverheads disables freeze charging.
 	NoOverheads bool
-	// Obs receives counters and spans; nil disables both.
+	// Obs receives spans, timers and gauges (its counters follow from the
+	// events); nil disables them and event field formatting.
 	Obs  *obs.Obs
 	Emit Emitter
 }
@@ -141,7 +139,6 @@ func (e *Engine) place(now float64, tr *tracing.Tracer, changes []change, active
 		}
 		for _, m := range migs {
 			e.event(now, obs.KindMigrate, m.JobID, "from", m.From, "to", m.To)
-			e.Obs.IncMigration()
 			if tr != nil {
 				tr.EmitLSN(now, tracing.SpanMigrate, m.JobID, e.Emit.LSN, attrs("from", m.From, "to", m.To)...)
 			}
@@ -180,7 +177,6 @@ func (e *Engine) freeze(now float64, j *job.Job, charge float64) {
 	}
 	j.Rescales++
 	e.event(now, obs.KindRescale, j.ID, "gpus", j.GPUs)
-	e.Obs.IncRescale()
 }
 
 // Retire completes job j at now — which instant that is belongs to the host:
@@ -194,7 +190,6 @@ func (e *Engine) Retire(now float64, j *job.Job) bool {
 	}
 	met := j.MetDeadline()
 	e.event(now, obs.KindComplete, j.ID, "met", met)
-	e.Obs.IncCompletion(met)
 	if tr := e.Obs.Tracer(); tr != nil {
 		work := attrs("iters", j.TotalIters, "rescales", j.Rescales)
 		if met {
@@ -255,9 +250,9 @@ func (e *Engine) Restore(now float64, server int) error {
 }
 
 // event publishes kind with its key/value detail, formatting the values only
-// for a host that reads them: a no-sink simulator run pays for no detail.
+// for a host with a sink: a simulator run without Obs pays for no detail.
 func (e *Engine) event(now float64, kind, jobID string, kv ...any) {
-	if e.Emit.Bare {
+	if e.Obs == nil {
 		e.Emit.Event(now, kind, jobID)
 		return
 	}

@@ -49,9 +49,13 @@ func newEngine(t *testing.T, seeds []seed) (*Engine, []*job.Job, *[]string) {
 		t.Fatal(err)
 	}
 	log := &[]string{}
-	e := &Engine{Cluster: cluster, Sched: fixed{}, Costs: transfer.DefaultCostModel()}
+	e := &Engine{Cluster: cluster, Sched: fixed{}, Costs: transfer.DefaultCostModel(), Obs: obs.NewDefault()}
 	e.Emit.Event = func(now float64, kind, jobID string, fields ...obs.Field) {
-		*log = append(*log, strings.TrimSpace(fmt.Sprintf("%s %s %s", kind, jobID, obs.Event{Fields: fields}.Detail())))
+		kv := make([]string, len(fields))
+		for i, f := range fields {
+			kv[i] = f.Key + "=" + f.Value
+		}
+		*log = append(*log, strings.TrimSpace(fmt.Sprintf("%s %s %s", kind, jobID, strings.Join(kv, " "))))
 	}
 	var active []*job.Job
 	for _, s := range seeds {
@@ -214,14 +218,16 @@ func TestEngineInPlacePricesNoWire(t *testing.T) {
 	}
 }
 
-// TestEngineBareEmitsNoFields pins the simulator's no-sink fast path: the
-// host still sees every kind (it counts them) but nothing is formatted.
+// TestEngineBareEmitsNoFields pins the simulator's no-sink fast path: with
+// Obs nil the host still sees every kind (it counts them) but nothing is
+// formatted.
 func TestEngineBareEmitsNoFields(t *testing.T) {
 	e, active, _ := newEngine(t, []seed{{id: "f", block: blk(0, 4), done: 1}, {id: "b", block: blk(8, 2), done: 1}, {id: "a"}})
+	e.Obs = nil
 	var kinds []string
-	e.Emit = Emitter{Bare: true, Event: func(_ float64, kind, _ string, fields ...obs.Field) {
+	e.Emit = Emitter{Event: func(_ float64, kind, _ string, fields ...obs.Field) {
 		if len(fields) != 0 {
-			t.Errorf("%s event carries %d fields on a bare emitter", kind, len(fields))
+			t.Errorf("%s event carries %d fields with no sink", kind, len(fields))
 		}
 		kinds = append(kinds, kind)
 	}}

@@ -113,11 +113,13 @@ func Handler(p *Platform) http.Handler {
 			limit = v
 		}
 		events := o.Bus.Since(since + 1)
-		next := o.Bus.LastSeq()
 		if limit > 0 && len(events) > limit {
-			// Truncated page: the cursor points at the last event returned,
-			// so the next ?since=<next> poll resumes exactly after it.
 			events = events[:limit]
+		}
+		// The cursor is the last event returned, never the bus head: an
+		// event published after Since must not fall behind it unseen.
+		next := since
+		if len(events) > 0 {
 			next = events[len(events)-1].Seq
 		}
 		writeJSON(o, w, http.StatusOK, EventsPage{Events: events, Next: next})

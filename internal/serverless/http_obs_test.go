@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/elasticflow/elasticflow/internal/obs"
 )
@@ -138,6 +139,60 @@ func TestDebugEventsEndpoint(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("since=banana status = %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestDebugEventsCursorUnderLoad follows ?since=<next> while another
+// goroutine publishes: every event must arrive exactly once, in order. A
+// cursor taken from the bus head rather than the last event returned skips
+// whatever was published while the page was read.
+func TestDebugEventsCursorUnderLoad(t *testing.T) {
+	const total = 20000
+	o := obs.New(obs.Options{RingSize: 1 << 20})
+	p, err := NewPlatform(Options{Obs: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := Handler(p)
+	base := o.Bus.LastSeq()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < total; i++ {
+			o.Bus.Publish(obs.Event{Kind: obs.KindError})
+			for t0 := time.Now(); time.Since(t0) < 5*time.Microsecond; {
+			}
+		}
+	}()
+	next, seen := base, 0
+	for finished := false; ; {
+		select {
+		case <-done:
+			finished = true
+		default:
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/events?since="+strconv.FormatUint(next, 10), nil))
+		var page EventsPage
+		if err := json.NewDecoder(rec.Body).Decode(&page); err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range page.Events {
+			if ev.Seq != next+1 {
+				t.Fatalf("cursor %d: next event has seq %d", next, ev.Seq)
+			}
+			next = ev.Seq
+			seen++
+		}
+		if page.Next != next {
+			t.Fatalf("page cursor %d, last event returned %d", page.Next, next)
+		}
+		if finished && len(page.Events) == 0 {
+			break
+		}
+	}
+	if seen != total {
+		t.Fatalf("poller saw %d of %d events", seen, total)
 	}
 }
 

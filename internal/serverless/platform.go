@@ -547,7 +547,6 @@ func (p *Platform) applySubmitItemLocked(req SubmitRequest, now float64, batch t
 			fields = append(fields, obs.F("tenant", j.Tenant))
 		}
 		p.eventLocked(now, obs.KindDrop, j.ID, fields...)
-		p.obs.IncAdmission("drop")
 		p.tr.EmitLSN(now, tracing.SpanAdmit, j.ID, p.eng.Emit.LSN,
 			tracing.A("verdict", "drop"), tracing.A("earliest_feasible_sec", st.EarliestFeasibleSec))
 		p.tr.EndJob(now, j.ID, p.eng.Emit.LSN, tracing.A("outcome", "dropped"))
@@ -560,7 +559,6 @@ func (p *Platform) applySubmitItemLocked(req SubmitRequest, now float64, batch t
 		fields = append(fields, obs.F("tenant", j.Tenant))
 	}
 	p.eventLocked(now, obs.KindAdmit, j.ID, fields...)
-	p.obs.IncAdmission("admit")
 	p.tr.EmitLSN(now, tracing.SpanAdmit, j.ID, p.eng.Emit.LSN,
 		tracing.A("verdict", "admit"), tracing.A("model", j.Model.Name), tracing.A("class", j.Class.String()))
 	return j, JobStatus{}, nil

@@ -215,6 +215,71 @@ func TestCrashRestartEquality(t *testing.T) {
 	}
 }
 
+// TestCountersMatchEventsAfterRecover: the lifecycle counters are derived
+// from the event stream, so after a crash and a replay each series equals
+// the number of bus events of its kind and label — replay counts what it
+// republishes, once.
+func TestCountersMatchEventsAfterRecover(t *testing.T) {
+	ops := crashScript()
+	const k = 7
+	dir := t.TempDir()
+	clk := newStateClock()
+	st1, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p1, err := NewPlatform(Options{Clock: clk.Now, Store: st1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < k; i++ {
+		applyOp(t, p1, clk, ops[i])
+	}
+	st2, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, err := Recover(Options{Clock: clk.Now, Store: st2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := k; i < len(ops); i++ {
+		applyOp(t, p2, clk, ops[i])
+	}
+	want := map[string]int{
+		`ef_admissions_total{verdict="admit"}`: 0,
+		`ef_admissions_total{verdict="drop"}`:  0,
+		`ef_completions_total{met="true"}`:     0,
+		"ef_rescales_total":                    0,
+		"ef_migrations_total":                  0,
+	}
+	for _, ev := range p2.Obs().Bus.Since(0) {
+		switch ev.Kind {
+		case obs.KindAdmit, obs.KindDrop:
+			want[fmt.Sprintf(`ef_admissions_total{verdict="%s"}`, ev.Kind)]++
+		case obs.KindComplete:
+			met, _ := ev.Field("met")
+			want[fmt.Sprintf(`ef_completions_total{met="%s"}`, met)]++
+		case obs.KindRescale:
+			want["ef_rescales_total"]++
+		case obs.KindMigrate:
+			want["ef_migrations_total"]++
+		}
+	}
+	var b strings.Builder
+	if err := p2.Obs().Metrics.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for series, n := range want {
+		if line := fmt.Sprintf("%s %d\n", series, n); !strings.Contains(b.String(), line) {
+			t.Errorf("metrics lack %q (bus events)", strings.TrimSpace(line))
+		}
+	}
+	if want[`ef_admissions_total{verdict="drop"}`] == 0 || want[`ef_completions_total{met="true"}`] == 0 || want["ef_rescales_total"] == 0 {
+		t.Errorf("script exercises too little: %v", want)
+	}
+}
+
 // TestCrashRestartWithSnapshots runs the same bar with aggressive periodic
 // snapshotting, so recovery exercises snapshot restore + suffix replay
 // rather than whole-journal replay. The bus trail is intentionally not

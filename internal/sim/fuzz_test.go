@@ -12,7 +12,7 @@ import (
 
 // FuzzParallelSimEquivalence is the adversarial arm of the parallel-engine
 // oracle: arbitrary seeded workloads, topologies, failure windows and shard
-// counts must never produce a Result or span trail that differs by one byte
+// counts must never produce a Result, span or event trail that differs by one byte
 // from the serial engine's. Any divergence is a merge-order or data-race bug
 // in the sharded core, not noise — the engines share every per-job formula.
 func FuzzParallelSimEquivalence(f *testing.F) {
@@ -32,32 +32,34 @@ func FuzzParallelSimEquivalence(f *testing.F) {
 			start := float64(uint64(seed)%700) + 1
 			failures = []Failure{{Server: int(uint64(seed) % uint64(srv)), StartSec: start, DurationSec: 200}}
 		}
-		run := func(wk int) (Result, []tracing.Span) {
+		run := func(wk int) (Result, []tracing.Span, []obs.Event) {
 			tr := tracing.New(7)
-			o := obs.New(obs.Options{Tracer: tr})
+			o := obs.New(obs.Options{RingSize: 1 << 20, Tracer: tr})
 			ef := core.New(core.Options{SlotSec: 1, PowerOfTwo: true}).WithObs(o)
 			res, err := Run(Config{
-				Topology:     topo,
-				Scheduler:    ef,
-				RecordEvents: true,
-				SampleSec:    50,
-				Failures:     failures,
-				Obs:          o,
-				Workers:      wk,
+				Topology:  topo,
+				Scheduler: ef,
+				SampleSec: 50,
+				Failures:  failures,
+				Obs:       o,
+				Workers:   wk,
 			}, randomWorkload(seed, n), "fuzz")
 			if err != nil {
 				t.Fatal(err)
 			}
-			return res, tr.Spans()
+			return res, tr.Spans(), o.Bus.Since(0)
 		}
-		serialRes, serialSpans := run(0)
-		parRes, parSpans := run(w)
+		serialRes, serialSpans, serialTrail := run(0)
+		parRes, parSpans, parTrail := run(w)
 		if got, want := fmt.Sprintf("%+v", parRes), fmt.Sprintf("%+v", serialRes); got != want {
 			t.Errorf("Result diverged at %d workers (seed=%d jobs=%d servers=%d fail=%v):\nserial:   %s\nparallel: %s",
 				w, seed, n, srv, withFailure, want, got)
 		}
 		if got, want := fmt.Sprintf("%+v", parSpans), fmt.Sprintf("%+v", serialSpans); got != want {
 			t.Errorf("span trail diverged at %d workers (seed=%d jobs=%d servers=%d fail=%v)", w, seed, n, srv, withFailure)
+		}
+		if got, want := fmt.Sprintf("%+v", parTrail), fmt.Sprintf("%+v", serialTrail); got != want {
+			t.Errorf("event trail diverged at %d workers (seed=%d jobs=%d servers=%d fail=%v)", w, seed, n, srv, withFailure)
 		}
 	})
 }

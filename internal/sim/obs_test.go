@@ -2,6 +2,7 @@ package sim
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -9,6 +10,8 @@ import (
 	"github.com/elasticflow/elasticflow/internal/core"
 	"github.com/elasticflow/elasticflow/internal/job"
 	"github.com/elasticflow/elasticflow/internal/obs"
+	"github.com/elasticflow/elasticflow/internal/obs/tracing"
+	"github.com/elasticflow/elasticflow/internal/topology"
 )
 
 // obsTrace builds a deterministic little workload: a mix of feasible jobs,
@@ -31,16 +34,16 @@ func obsTrace() []*job.Job {
 // TestObsDeterminism is the golden determinism check of DESIGN.md §8: a run
 // with the full observability stack wired (bus, metrics, core decision
 // tracing, a ticking injected clock) must produce a byte-identical Result
-// to the same run with observability disabled.
+// to the same run with observability disabled, and the same event trail as
+// a run on the real clock — events carry simulated time only.
 func TestObsDeterminism(t *testing.T) {
 	run := func(o *obs.Obs) Result {
 		ef := core.New(core.Options{SlotSec: 1, PowerOfTwo: true}).WithObs(o)
 		res, err := Run(Config{
-			Topology:     smallTopology(),
-			Scheduler:    ef,
-			RecordEvents: true,
-			SampleSec:    25,
-			Obs:          o,
+			Topology:  smallTopology(),
+			Scheduler: ef,
+			SampleSec: 25,
+			Obs:       o,
 		}, obsTrace(), "golden")
 		if err != nil {
 			t.Fatal(err)
@@ -55,8 +58,11 @@ func TestObsDeterminism(t *testing.T) {
 		now = now.Add(time.Millisecond)
 		return now
 	}
-	withObs := run(obs.New(obs.Options{Clock: clock}))
+	ticking := obs.New(obs.Options{RingSize: 1 << 20, Clock: clock})
+	withObs := run(ticking)
 	without := run(nil)
+	wall := obs.New(obs.Options{RingSize: 1 << 20})
+	run(wall)
 
 	a, err := json.Marshal(withObs)
 	if err != nil {
@@ -69,6 +75,23 @@ func TestObsDeterminism(t *testing.T) {
 	if string(a) != string(b) {
 		t.Errorf("Result differs with obs enabled:\nwith:    %s\nwithout: %s", a, b)
 	}
+	if got, want := trailJSON(t, ticking), trailJSON(t, wall); got != want {
+		t.Errorf("event trail depends on the injected clock:\nticking: %s\nwall:    %s", got, want)
+	}
+}
+
+// trailJSON renders o's whole event trail — the bytes the golden tests
+// compare.
+func trailJSON(t *testing.T, o *obs.Obs) string {
+	t.Helper()
+	if n := o.Bus.Evicted(); n > 0 {
+		t.Fatalf("event ring evicted %d events; the trail is incomplete", n)
+	}
+	b, err := json.Marshal(o.Bus.Since(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 // TestObsSimWiring: a simulated run populates the bus and the metric
@@ -81,8 +104,8 @@ func TestObsSimWiring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Events) != 0 {
-		t.Errorf("Result.Events recorded without RecordEvents: %d", len(res.Events))
+	if res.AdmittedCount() != 4 {
+		t.Errorf("admitted %d, want 4", res.AdmittedCount())
 	}
 
 	kinds := map[string]int{}
@@ -118,24 +141,45 @@ func TestObsSimWiring(t *testing.T) {
 	}
 }
 
-// TestObsLegacyEventParity: with both RecordEvents and Obs set, the legacy
-// Result.Events log and the bus see the same sequence of (time, kind,
-// job, detail).
-func TestObsLegacyEventParity(t *testing.T) {
-	o := obs.NewDefault()
-	res, err := Run(Config{Topology: smallTopology(), Scheduler: fixedScheduler{1}, RecordEvents: true, Obs: o},
-		[]*job.Job{simpleJob("a", 100, 0, 1000)}, "t")
+// TestObsCountersMatchEvents: the lifecycle counters are derived from the
+// event stream, so over a traced run with a failure window (which forces
+// rescales and migrations) each series equals the number of bus events of
+// its kind and label.
+func TestObsCountersMatchEvents(t *testing.T) {
+	o := obs.New(obs.Options{RingSize: 1 << 20, Tracer: tracing.New(7)})
+	res, err := Run(Config{
+		Topology:  topology.Config{Servers: 4, GPUsPerServer: 4},
+		Scheduler: core.New(core.Options{SlotSec: 1, PowerOfTwo: true}).WithObs(o),
+		Failures:  []Failure{{Server: 1, StartSec: 250, DurationSec: 350}},
+		Obs:       o,
+	}, randomWorkload(11, 80), "counters")
 	if err != nil {
 		t.Fatal(err)
 	}
-	busEvents := o.Bus.Since(0)
-	if len(busEvents) != len(res.Events) {
-		t.Fatalf("bus has %d events, legacy log %d", len(busEvents), len(res.Events))
+	if res.Rescales == 0 || res.Migrations == 0 {
+		t.Fatalf("run made %d rescales and %d migrations; the check needs both", res.Rescales, res.Migrations)
 	}
-	for i, ev := range busEvents {
-		legacy := res.Events[i]
-		if ev.Time != legacy.Time || ev.Kind != legacy.Kind || ev.JobID != legacy.JobID || ev.Detail() != legacy.Detail {
-			t.Errorf("event %d mismatch: bus %+v vs legacy %+v", i, ev, legacy)
+	want := map[string]int{}
+	for _, ev := range o.Bus.Since(0) {
+		switch ev.Kind {
+		case obs.KindAdmit, obs.KindDrop:
+			want[fmt.Sprintf(`ef_admissions_total{verdict="%s"}`, ev.Kind)]++
+		case obs.KindComplete:
+			met, _ := ev.Field("met")
+			want[fmt.Sprintf(`ef_completions_total{met="%s"}`, met)]++
+		case obs.KindRescale:
+			want["ef_rescales_total"]++
+		case obs.KindMigrate:
+			want["ef_migrations_total"]++
+		}
+	}
+	var b strings.Builder
+	if err := o.Metrics.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for series, n := range want {
+		if line := fmt.Sprintf("%s %d\n", series, n); !strings.Contains(b.String(), line) {
+			t.Errorf("metrics lack %q (bus events)", strings.TrimSpace(line))
 		}
 	}
 }
@@ -146,29 +190,26 @@ func TestObsLegacyEventParity(t *testing.T) {
 // and metric-bearing field — to the same run with the cache disabled,
 // including across node failures that invalidate mid-run.
 func TestPlanCacheGoldenTrail(t *testing.T) {
-	run := func(disable bool) Result {
+	run := func(disable bool) string {
 		ef := core.New(core.Options{SlotSec: 1, PowerOfTwo: true, DisablePlanCache: disable})
+		o := obs.New(obs.Options{RingSize: 1 << 20})
 		res, err := Run(Config{
-			Topology:     smallTopology(),
-			Scheduler:    ef,
-			RecordEvents: true,
-			SampleSec:    25,
-			Failures:     []Failure{{Server: 0, StartSec: 60, DurationSec: 120}},
+			Topology:  smallTopology(),
+			Scheduler: ef,
+			SampleSec: 25,
+			Failures:  []Failure{{Server: 0, StartSec: 60, DurationSec: 120}},
+			Obs:       o,
 		}, obsTrace(), "golden")
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		out, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(out) + trailJSON(t, o)
 	}
-	cached, err := json.Marshal(run(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := json.Marshal(run(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(cached) != string(cold) {
-		t.Errorf("Result differs with plan cache enabled:\ncached: %s\ncold:   %s", cached, cold)
+	if cached, cold := run(false), run(true); cached != cold {
+		t.Errorf("Result or event trail differs with plan cache enabled:\ncached: %s\ncold:   %s", cached, cold)
 	}
 }

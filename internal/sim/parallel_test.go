@@ -39,30 +39,29 @@ func randomWorkload(seed int64, n int) []*job.Job {
 }
 
 // oracleRun replays the seeded workload under the full observability stack
-// at the given worker count and returns the Result plus the span trail —
-// everything the golden byte-identity oracles compare.
-func oracleRun(t *testing.T, workers int, withFailures bool) (Result, []tracing.Span) {
+// at the given worker count and returns the Result plus the span and event
+// trails — everything the golden byte-identity oracles compare.
+func oracleRun(t *testing.T, workers int, withFailures bool) (Result, []tracing.Span, string) {
 	t.Helper()
 	var failures []Failure
 	if withFailures {
 		failures = []Failure{{Server: 1, StartSec: 250, DurationSec: 350}}
 	}
 	tr := tracing.New(7)
-	o := obs.New(obs.Options{Tracer: tr})
+	o := obs.New(obs.Options{RingSize: 1 << 20, Tracer: tr})
 	ef := core.New(core.Options{SlotSec: 1, PowerOfTwo: true}).WithObs(o)
 	res, err := Run(Config{
-		Topology:     topology.Config{Servers: 4, GPUsPerServer: 4},
-		Scheduler:    ef,
-		RecordEvents: true,
-		SampleSec:    40,
-		Failures:     failures,
-		Obs:          o,
-		Workers:      workers,
+		Topology:  topology.Config{Servers: 4, GPUsPerServer: 4},
+		Scheduler: ef,
+		SampleSec: 40,
+		Failures:  failures,
+		Obs:       o,
+		Workers:   workers,
 	}, randomWorkload(11, 80), "parallel-golden")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, tr.Spans()
+	return res, tr.Spans(), trailJSON(t, o)
 }
 
 // mustJSON renders the span trail; resultBytes renders the Result with %+v
@@ -89,19 +88,22 @@ func TestParallelWorkerEquivalence(t *testing.T) {
 			name = "failure-replay"
 		}
 		t.Run(name, func(t *testing.T) {
-			serialRes, serialSpans := oracleRun(t, 0, withFailures)
+			serialRes, serialSpans, wantTrail := oracleRun(t, 0, withFailures)
 			wantRes, wantSpans := resultBytes(serialRes), mustJSON(t, serialSpans)
 			if len(serialSpans) == 0 {
 				t.Fatal("serial oracle recorded no spans")
 			}
 			for _, w := range []int{1, 2, 8} {
 				t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
-					res, spans := oracleRun(t, w, withFailures)
+					res, spans, trail := oracleRun(t, w, withFailures)
 					if got := resultBytes(res); got != wantRes {
 						t.Errorf("Result differs from serial at %d workers:\nserial:   %s\nparallel: %s", w, wantRes, got)
 					}
 					if got := mustJSON(t, spans); got != wantSpans {
 						t.Errorf("span trail differs from serial at %d workers", w)
+					}
+					if trail != wantTrail {
+						t.Errorf("event trail differs from serial at %d workers", w)
 					}
 				})
 			}
@@ -112,11 +114,11 @@ func TestParallelWorkerEquivalence(t *testing.T) {
 // TestParallelShardCountInvariance sweeps every shard count 2..9: changing
 // how the active set is partitioned must never change a single Result byte.
 func TestParallelShardCountInvariance(t *testing.T) {
-	serialRes, serialSpans := oracleRun(t, 0, true)
-	want := resultBytes(serialRes) + mustJSON(t, serialSpans)
+	serialRes, serialSpans, serialTrail := oracleRun(t, 0, true)
+	want := resultBytes(serialRes) + mustJSON(t, serialSpans) + serialTrail
 	for w := 2; w <= 9; w++ {
-		res, spans := oracleRun(t, w, true)
-		if got := resultBytes(res) + mustJSON(t, spans); got != want {
+		res, spans, trail := oracleRun(t, w, true)
+		if got := resultBytes(res) + mustJSON(t, spans) + trail; got != want {
 			t.Errorf("shard count %d changed the Result/span bytes", w)
 		}
 	}
@@ -128,10 +130,10 @@ func TestParallelShardCountInvariance(t *testing.T) {
 func TestParallelGOMAXPROCS1(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
-	serialRes, serialSpans := oracleRun(t, 0, true)
-	res, spans := oracleRun(t, 8, true)
-	if resultBytes(res) != resultBytes(serialRes) {
-		t.Error("Result differs from serial at 8 workers under GOMAXPROCS=1")
+	serialRes, serialSpans, serialTrail := oracleRun(t, 0, true)
+	res, spans, trail := oracleRun(t, 8, true)
+	if resultBytes(res) != resultBytes(serialRes) || trail != serialTrail {
+		t.Error("Result or event trail differs from serial at 8 workers under GOMAXPROCS=1")
 	}
 	if mustJSON(t, spans) != mustJSON(t, serialSpans) {
 		t.Error("span trail differs from serial at 8 workers under GOMAXPROCS=1")
@@ -176,9 +178,9 @@ func TestMaxSimSecAbortsParallelRun(t *testing.T) {
 // TestParallelSerialPathUnchanged guards the refactor seam: Workers 0 and 1
 // must both take the serial engine (no pool), and produce identical bytes.
 func TestParallelSerialPathUnchanged(t *testing.T) {
-	res0, _ := oracleRun(t, 0, false)
-	res1, _ := oracleRun(t, 1, false)
-	if resultBytes(res0) != resultBytes(res1) {
+	res0, _, trail0 := oracleRun(t, 0, false)
+	res1, _, trail1 := oracleRun(t, 1, false)
+	if resultBytes(res0) != resultBytes(res1) || trail0 != trail1 {
 		t.Error("Workers=1 differs from Workers=0")
 	}
 }

@@ -48,31 +48,20 @@ type Config struct {
 	MaxSimSec float64
 	// Workers shards the engine's per-event scans across this many
 	// goroutines synchronized at scheduling-epoch barriers (parallel.go).
-	// 0 or 1 runs the serial loop. The Result — jobs, samples, events,
-	// span trail — is byte-identical at every worker count.
+	// 0 or 1 runs the serial loop. The Result — and the event and span
+	// trails — is byte-identical at every worker count.
 	Workers int
 	// Failures injects node failures (§4.4): while a server is down its
 	// GPUs are unavailable, and the jobs placed on it checkpoint-restore
 	// onto the remaining capacity.
 	Failures []Failure
-	// RecordEvents captures an event log in Result.Events (admissions,
-	// drops, rescales, migrations, completions, failures).
-	RecordEvents bool
-	// Obs, when non-nil, receives the same events on its structured bus
-	// (stamped with simulated time) plus metrics: admission/completion
-	// counters, rescale/migration totals, utilization and efficiency
-	// gauges, and scheduling-decision latency. Observability is purely
-	// additive — the Result is byte-identical with Obs set or nil (see
-	// TestObsDeterminism).
+	// Obs, when non-nil, receives the run's events (admissions, drops,
+	// rescales, migrations, completions, failures) on its structured bus,
+	// stamped with simulated time, plus metrics: the counters those events
+	// stand for, utilization and efficiency gauges, and scheduling-decision
+	// latency. Observability is purely additive — the Result is
+	// byte-identical with Obs set or nil (see TestObsDeterminism).
 	Obs *obs.Obs
-}
-
-// Event is one entry of the optional simulation event log.
-type Event struct {
-	Time   float64
-	Kind   string // arrival|admit|drop|complete|rescale|migrate|failure|recovery
-	JobID  string
-	Detail string
 }
 
 // Failure describes one injected node failure.
@@ -126,8 +115,6 @@ type Result struct {
 	// Starved counts jobs left unfinished because the scheduler stopped
 	// giving them GPUs with no future events pending.
 	Starved int
-	// Events is the event log (only when Config.RecordEvents is set).
-	Events []Event
 }
 
 // DeadlineSatisfactoryRatio returns met-deadline jobs over all submitted
@@ -245,9 +232,7 @@ func (e *engine) avail() int { return e.g - e.downGPUs }
 // logEvent is the run's one event sink — the simulator's own admissions and
 // drops, and everything the engine emits (it is the engine's
 // sched.Emitter.Event). The rescale and migration tallies count the engine's
-// emissions; then the event goes to Config.Obs when wired, and its legacy
-// rendering (Detail is the "k=v ..." form of the fields) to Result.Events
-// when RecordEvents is set.
+// emissions; then the event goes to Config.Obs when wired.
 func (e *engine) logEvent(now float64, kind, jobID string, fields ...obs.Field) {
 	switch kind {
 	case obs.KindRescale:
@@ -256,14 +241,7 @@ func (e *engine) logEvent(now float64, kind, jobID string, fields ...obs.Field) 
 	case obs.KindMigrate:
 		e.res.Migrations++
 	}
-	if e.eng.Emit.Bare {
-		return
-	}
-	ev := obs.Event{Time: now, Kind: kind, JobID: jobID, Fields: fields}
-	e.cfg.Obs.Publish(ev)
-	if e.cfg.RecordEvents {
-		e.res.Events = append(e.res.Events, Event{Time: now, Kind: kind, JobID: jobID, Detail: ev.Detail()})
-	}
+	e.cfg.Obs.Event(now, kind, jobID, fields...)
 }
 
 // Run simulates jobs (sorted by submission time) under cfg and returns the
@@ -302,7 +280,7 @@ func Run(cfg Config, jobs []*job.Job, traceName string) (Result, error) {
 		stats:   make(map[string]*JobResult, len(pending)),
 		res:     &Result{Scheduler: cfg.Scheduler.Name(), Trace: traceName},
 	}
-	e.eng.Emit = sched.Emitter{Event: e.logEvent, Bare: cfg.Obs == nil && !cfg.RecordEvents}
+	e.eng.Emit = sched.Emitter{Event: e.logEvent}
 	for _, f := range cfg.Failures {
 		if f.Server < 0 || f.Server >= cfg.Topology.Servers {
 			return Result{}, fmt.Errorf("sim: failure server %d out of range", f.Server)
@@ -488,7 +466,6 @@ func (e *engine) admitArrivals() bool {
 			j.State = job.Admitted
 			e.active = append(e.active, j)
 			e.logEvent(e.now, obs.KindAdmit, j.ID)
-			e.cfg.Obs.IncAdmission("admit")
 			e.tr.Emit(e.now, tracing.SpanAdmit, j.ID,
 				tracing.A("verdict", "admit"), tracing.A("class", j.Class.String()))
 			changed = true
@@ -497,7 +474,6 @@ func (e *engine) admitArrivals() bool {
 			st.Dropped = true
 			e.dropped++
 			e.logEvent(e.now, obs.KindDrop, j.ID, obs.F("reason", "admission control"))
-			e.cfg.Obs.IncAdmission("drop")
 			e.tr.Emit(e.now, tracing.SpanAdmit, j.ID,
 				tracing.A("verdict", "drop"), tracing.A("class", j.Class.String()))
 			e.tr.EndJob(e.now, j.ID, 0, tracing.A("outcome", "dropped"))

@@ -6,6 +6,7 @@ import (
 
 	"github.com/elasticflow/elasticflow/internal/core"
 	"github.com/elasticflow/elasticflow/internal/job"
+	"github.com/elasticflow/elasticflow/internal/obs"
 	"github.com/elasticflow/elasticflow/internal/sched"
 	"github.com/elasticflow/elasticflow/internal/throughput"
 	"github.com/elasticflow/elasticflow/internal/topology"
@@ -260,13 +261,13 @@ func TestElasticFlowGuaranteeHolds(t *testing.T) {
 
 func TestEventLog(t *testing.T) {
 	a := simpleJob("a", 100, 0, 1000)
-	res, err := Run(Config{Topology: smallTopology(), Scheduler: fixedScheduler{1}, RecordEvents: true}, []*job.Job{a}, "t")
-	if err != nil {
+	o := obs.New(obs.Options{RingSize: 1 << 20})
+	if _, err := Run(Config{Topology: smallTopology(), Scheduler: fixedScheduler{1}, Obs: o}, []*job.Job{a}, "t"); err != nil {
 		t.Fatal(err)
 	}
 	kinds := map[string]int{}
 	prev := -1.0
-	for _, ev := range res.Events {
+	for _, ev := range o.Bus.Since(0) {
 		kinds[ev.Kind]++
 		if ev.Time < prev {
 			t.Errorf("event log out of order at %v", ev.Time)
@@ -275,14 +276,5 @@ func TestEventLog(t *testing.T) {
 	}
 	if kinds["admit"] != 1 || kinds["complete"] != 1 {
 		t.Errorf("event kinds = %v want one admit and one complete", kinds)
-	}
-	// Recording off by default.
-	b := simpleJob("b", 100, 0, 1000)
-	res2, err := Run(Config{Topology: smallTopology(), Scheduler: fixedScheduler{1}}, []*job.Job{b}, "t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res2.Events) != 0 {
-		t.Errorf("events recorded without RecordEvents: %d", len(res2.Events))
 	}
 }

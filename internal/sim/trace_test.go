@@ -11,31 +11,31 @@ import (
 )
 
 // traceRun simulates the obsTrace workload (with a mid-run node failure to
-// exercise recovery spans) against a tracer-wired Obs and returns both.
-func traceRun(t *testing.T, tr *tracing.Tracer) (Result, *tracing.Tracer) {
+// exercise recovery spans) against a tracer-wired Obs and returns the
+// Result, the tracer and the Obs.
+func traceRun(t *testing.T, tr *tracing.Tracer) (Result, *tracing.Tracer, *obs.Obs) {
 	t.Helper()
-	o := obs.New(obs.Options{Tracer: tr})
+	o := obs.New(obs.Options{RingSize: 1 << 20, Tracer: tr})
 	ef := core.New(core.Options{SlotSec: 1, PowerOfTwo: true}).WithObs(o)
 	res, err := Run(Config{
-		Topology:     smallTopology(),
-		Scheduler:    ef,
-		RecordEvents: true,
-		SampleSec:    25,
-		Failures:     []Failure{{Server: 0, StartSec: 60, DurationSec: 120}},
-		Obs:          o,
+		Topology:  smallTopology(),
+		Scheduler: ef,
+		SampleSec: 25,
+		Failures:  []Failure{{Server: 0, StartSec: 60, DurationSec: 120}},
+		Obs:       o,
 	}, obsTrace(), "golden")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, tr
+	return res, tr, o
 }
 
 // TestSpanTrailDeterminism is the tracing arm of the golden determinism
 // check: two same-seed runs must produce byte-identical span trails, and
 // wiring a tracer must leave the Result byte-identical to an untraced run.
 func TestSpanTrailDeterminism(t *testing.T) {
-	resA, trA := traceRun(t, tracing.New(7))
-	resB, trB := traceRun(t, tracing.New(7))
+	resA, trA, oA := traceRun(t, tracing.New(7))
+	resB, trB, oB := traceRun(t, tracing.New(7))
 
 	a, err := json.Marshal(trA.Spans())
 	if err != nil {
@@ -59,16 +59,16 @@ func TestSpanTrailDeterminism(t *testing.T) {
 		}
 		return string(out)
 	}
-	resNone, _ := traceRun(t, nil)
-	if resJSON(resA) != resJSON(resNone) {
-		t.Error("Result differs with tracer wired — tracing must be purely additive")
+	resNone, _, oNone := traceRun(t, nil)
+	if resJSON(resA) != resJSON(resNone) || trailJSON(t, oA) != trailJSON(t, oNone) {
+		t.Error("Result or event trail differs with tracer wired — tracing must be purely additive")
 	}
-	if resJSON(resA) != resJSON(resB) {
-		t.Error("Result differs across same-seed traced runs")
+	if resJSON(resA) != resJSON(resB) || trailJSON(t, oA) != trailJSON(t, oB) {
+		t.Error("Result or event trail differs across same-seed traced runs")
 	}
 
 	// A different seed relabels the IDs but not the tree shape.
-	_, trC := traceRun(t, tracing.New(8))
+	_, trC, _ := traceRun(t, tracing.New(8))
 	c, err := json.Marshal(trC.Spans())
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestSpanTrailDeterminism(t *testing.T) {
 // admit → plan → place → … → complete/miss, the dropped job's tree ends at
 // its drop verdict, and scheduler epochs record as standalone roots.
 func TestSpanTreeShape(t *testing.T) {
-	res, tr := traceRun(t, tracing.New(7))
+	res, tr, _ := traceRun(t, tracing.New(7))
 
 	byJob := map[string]map[string]int{}
 	rootOf := map[string]tracing.Span{}

@@ -77,15 +77,6 @@ type Mover struct {
 	// Slot, when set, is this transfer's admission at the per-server gate;
 	// the mover yields it at chunk boundaries when asked.
 	Slot *Slot
-	// Clock timestamps transfers for measured-bandwidth accounting. Nil —
-	// the default — disables measurement entirely, keeping tests and the
-	// simulator clock-free.
-	Clock func() time.Time
-	// Links, together with Clock, receives one bandwidth observation per
-	// Fetch/Push that landed bytes, keyed by Link.
-	Links *LinkStats
-	// Link names the path this mover crosses (e.g. the target agent).
-	Link string
 	// Stats accumulates counters across Fetch/Push calls on this mover.
 	Stats Stats
 }
@@ -121,22 +112,6 @@ func (m *Mover) yieldPoint() {
 	}
 }
 
-// measure opens a bandwidth measurement and returns its closer: the bytes
-// this mover lands between the two calls, over the wall time between them,
-// fold into the link table. A no-op unless both Clock and Links are set.
-// Partial transfers still contribute — whatever landed crossed the link —
-// while zero-byte failures are ignored by Observe.
-func (m *Mover) measure() func() {
-	if m.Clock == nil || m.Links == nil {
-		return func() {}
-	}
-	start := m.Clock()
-	startBytes := m.Stats.Bytes
-	return func() {
-		m.Links.Observe(m.Link, m.Stats.Bytes-startBytes, m.Clock().Sub(start).Seconds())
-	}
-}
-
 // fail records one failed attempt for the chunk at offset and decides
 // whether to keep trying. It classifies the error (corruption vs
 // transport), so callers just loop.
@@ -167,7 +142,6 @@ func (m *Mover) Fetch(p Peer, off Offer) ([]byte, error) {
 	if off.Size < 0 {
 		return nil, fmt.Errorf("transfer: negative offer size %d", off.Size)
 	}
-	defer m.measure()()
 	buf := make([]byte, 0, off.Size)
 	var offset int64
 	var attempts int
@@ -224,7 +198,6 @@ func (m *Mover) Fetch(p Peer, off Offer) ([]byte, error) {
 // verifies the whole-object CRC before staging, so a damaged transfer is
 // refused rather than applied.
 func (m *Mover) Push(p Peer, id string, data []byte) error {
-	defer m.measure()()
 	size := int64(len(data))
 	crc := Checksum(data)
 	offset, err := m.begin(p, id, size, crc)
