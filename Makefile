@@ -7,10 +7,11 @@ GO ?= go
 # The wall-time-gated benchmarks CI compares between the PR base and head:
 # two paper experiments end to end, the fill kernel on Philly demands, one
 # Schedule at a moved now over 200 jobs (a full refill; watch its B/op), one
-# snapshot of a durable platform with 5 000 retained terminal jobs, and one
-# durable submission over 200 active jobs (watch its records/op and syncs/op:
-# both 1).
-BENCH_GATE = BenchmarkFig6aTestbedSmall|BenchmarkFig7aAllocationTimeline|BenchmarkFillPhilly|BenchmarkScheduleMovedNow|BenchmarkSnapshotRetained|BenchmarkSubmitDurable
+# refusal and its counter-offer search over 200 active jobs at a fresh
+# instant, one snapshot of a durable platform with 5 000 retained terminal
+# jobs, and one durable submission over 200 active jobs (watch its
+# records/op and syncs/op: both 1).
+BENCH_GATE = BenchmarkFig6aTestbedSmall|BenchmarkFig7aAllocationTimeline|BenchmarkFillPhilly|BenchmarkScheduleMovedNow|BenchmarkCounterOffer|BenchmarkSnapshotRetained|BenchmarkSubmitDurable
 
 # Where `make bench-real` writes its run files (one JSON per workload, seed
 # and traced/untraced run; see benchmark/README.md).

@@ -173,6 +173,46 @@ func BenchmarkScheduleMovedNow(b *testing.B) {
 	}
 }
 
+// BenchmarkCounterOffer measures what a refusal costs a platform: the verdict
+// and the counter-offer search (AdmitBatch.EarliestDeadline) for a candidate
+// refused early in the deadline order of 200 active jobs, eight of them
+// demoted (far more work than their deadlines allow). Every iteration is a
+// fresh instant — now moves one slot and every deadline with it — so nothing
+// is cached from the last and iterations are alike at any -benchtime.
+func BenchmarkCounterOffer(b *testing.B) {
+	const gpus, slot = 512, 60.0
+	ef := core.NewDefault()
+	jobs := benchJobs(200, gpus)
+	for i, j := range jobs[:8] {
+		j.TotalIters, j.MaxGPUs, j.Deadline = 1e8, 2, float64(3600+1800*i)
+	}
+	cand := &job.Job{
+		ID: "refused", GlobalBatch: 64, TotalIters: 40000, Deadline: 2400,
+		Class: job.SLO, Curve: jobs[0].Curve, MinGPUs: 1, MaxGPUs: 32,
+	}
+	now := 0.0
+	refuse := func() {
+		now += slot
+		cand.Deadline += slot
+		for _, j := range jobs {
+			j.Deadline += slot
+		}
+		ba := ef.BeginAdmitBatch(now, gpus)
+		if ba.Admit(cand, jobs) {
+			b.Fatal("the candidate was admitted")
+		}
+		if _, ok := ba.EarliestDeadline(cand, jobs); !ok {
+			b.Fatal("no counter-offer")
+		}
+	}
+	refuse() // warm: the scheduler's block and buffers reach their sizes
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		refuse()
+	}
+}
+
 // BenchmarkProgressiveFilling measures one Fill over a long horizon.
 func BenchmarkProgressiveFilling(b *testing.B) {
 	curve := throughput.MustCurve(map[int]float64{1: 1, 2: 1.8, 4: 3.1, 8: 4.8})

@@ -77,6 +77,17 @@ import (
 // goroutine open indefinitely.
 const readHeaderTimeout = 10 * time.Second
 
+// idleTimeout bounds how long a keep-alive connection may sit idle between
+// requests before the server closes it, so idle clients cannot pin
+// connections and their goroutines forever.
+const idleTimeout = 3 * time.Minute
+
+// newServer is the server run serves handler on, with the connection timeouts
+// above; idle is idleTimeout except in tests, which cannot wait minutes.
+func newServer(handler http.Handler, idle time.Duration) *http.Server {
+	return &http.Server{Handler: handler, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idle}
+}
+
 // run is the whole server, factored out of main so the crash-restart e2e can
 // re-exec it: parse args, build (or recover) the front door and its shards,
 // serve until a signal, then flush the journals and drain. The listen address
@@ -150,7 +161,7 @@ func run(args []string, stdout io.Writer) error {
 		mux.Handle("/", handler)
 		handler = mux
 	}
-	srv := &http.Server{Handler: handler, ReadHeaderTimeout: readHeaderTimeout}
+	srv := newServer(handler, idleTimeout)
 	n := fd.Shards()
 	fmt.Fprintf(stdout, "efserver: front door over %d shard(s), %d GPUs total, listening on %s (front-door metrics on /metrics, per-shard planes on /v1/shards/{k}/)\n",
 		n, n*shardTopology.Servers*shardTopology.GPUsPerServer, l.Addr())

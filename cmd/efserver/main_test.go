@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -238,5 +240,55 @@ func TestPprofAndTraceEndpoints(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode == http.StatusOK {
 		t.Error("pprof served without -pprof")
+	}
+}
+
+// TestIdleConnectionClosed: a keep-alive connection that sends nothing after
+// its request is closed by the server once the idle timeout passes, instead
+// of being held open forever.
+func TestIdleConnectionClosed(t *testing.T) {
+	const idle = 200 * time.Millisecond
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, "ok")
+	}), idle)
+	go func() { _ = srv.Serve(l) }()
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := fmt.Fprintf(conn, "GET / HTTP/1.1\r\nHost: efserver\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.Close {
+		t.Fatal("the server closed the connection with its response: nothing left to time out")
+	}
+	idleSince := time.Now()
+	if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := br.ReadByte(); !errors.Is(err, io.EOF) {
+		t.Fatalf("idle connection: read returned %v, want EOF from the server closing it", err)
+	}
+	if waited := time.Since(idleSince); waited < idle/2 {
+		t.Errorf("connection closed after %v idle, before the %v timeout", waited, idle)
+	}
+	if idleTimeout < time.Minute || idleTimeout > 10*time.Minute {
+		t.Errorf("idleTimeout = %v, want a few minutes", idleTimeout)
 	}
 }

@@ -251,6 +251,12 @@ func deadlineBefore(a, b *job.Job) bool {
 	return a.ID < b.ID
 }
 
+// position is where j falls in slo, SLO jobs in deadline order: the number
+// of them that fill before it.
+func position(slo []*job.Job, j *job.Job) int {
+	return sort.Search(len(slo), func(i int) bool { return deadlineBefore(j, slo[i]) })
+}
+
 // Admit implements Algorithm 1. It checks whether adding cand to the active
 // SLO jobs leaves every deadline satisfiable by progressive filling in
 // deadline order; if not, cand is dropped. Best-effort and soft-deadline
@@ -286,50 +292,61 @@ type admitVerdict struct {
 
 // verdict runs Algorithm 1 — the pure feasibility decision, without tracing —
 // for cand against slo, the active SLO jobs in deadline order, and reports
-// which check decided it. Every admission decision and every EarliestDeadline
-// probe goes through here.
+// which check decided it. Every admission decision goes through here, and
+// every EarliestDeadline probe through verdictGiven.
 //
 // Progressive filling is a fold in deadline order, so the jobs ahead of the
 // candidate fill the same with or without it, and only the jobs behind it
-// can lose their guarantee. The fold therefore runs once, with the
-// candidate: it ends at the candidate when the candidate itself is
-// unsatisfiable, and otherwise continues through the tail. Only when a tail
-// job comes out unsatisfied is the fold without the candidate extended —
-// from the shared prefix, up to that job — to learn whether the job was
-// satisfiable before; the first such job is the victim, and one that was
+// can lose their guarantee: one that comes out unsatisfied with the candidate
+// although it was satisfiable without is the victim, and one that was
 // already unsatisfiable (demoted, §4.4) does not poison the admission.
 // Unsatisfiable jobs other than the candidate reserve their recovery plan,
-// mirroring their demotion in Schedule.
+// mirroring their demotion in Schedule. A verdict is therefore at most two
+// passes. The fold with the candidate ends at the candidate when the
+// candidate itself is unsatisfiable, and at the first victim when sat tells
+// victims apart; otherwise it runs through the tail, and if tail jobs come
+// out unsatisfied, one fold without the candidate — from the shared prefix,
+// up to the last of them — tells which was satisfiable before.
 //
-// Each fillPass may recycle the records of the one before, so everything the
-// verdict needs of a pass is read — mss by value — before the next one runs;
-// the levels mss points to stay valid for the rest of the instant.
+// The second pass may recycle the records of the first, so everything the
+// verdict needs of the first — mss by value, the unsatisfied positions — is
+// read before it runs; the levels mss points to stay valid for the rest of
+// the instant.
 func (e *ElasticFlow) verdict(now float64, cand *job.Job, slo []*job.Job, g int) admitVerdict {
-	k := sort.Search(len(slo), func(i int) bool { return deadlineBefore(cand, slo[i]) })
+	return e.verdictGiven(now, cand, slo, g, nil)
+}
+
+// verdictGiven is verdict given sat, what the fold without the candidate
+// already says — whether each job of slo comes out satisfied — or nil. With
+// sat the verdict is one pass, ending at the candidate or the first victim.
+func (e *ElasticFlow) verdictGiven(now float64, cand *job.Job, slo []*job.Job, g int, sat []bool) admitVerdict {
+	k := position(slo, cand)
 	with := make([]*job.Job, 0, len(slo)+1)
 	with = append(append(append(with, slo[:k]...), cand), slo[k:]...)
-	stop := k
-	for {
-		recs, _ := e.fillPass(now, with, nil, cand.ID, g, stop)
-		last := len(recs) - 1
-		mss := recs[k].fill
-		switch {
-		case recs[last].satisfied:
-			// The fold reached the end without (further) casualties.
-			return admitVerdict{ok: true, reason: "ok", mss: mss}
-		case last == k:
-			return admitVerdict{reason: "candidate-infeasible", mss: mss}
-		}
-		// with[last] is slo[last-1]: was it satisfiable before the candidate?
-		without, _ := e.fillPass(now, slo[:last], nil, "", g, last)
-		switch {
-		case without[last-1].satisfied:
-			return admitVerdict{reason: "breaks-guarantee", victim: with[last].ID, mss: mss}
-		case last == len(with)-1:
-			return admitVerdict{ok: true, reason: "ok", mss: mss}
-		}
-		stop = last + 1
+	recs, _ := e.fillPass(now, with, nil, cand.ID, g, func(i int) bool {
+		return i == k || i > k && sat != nil && sat[i-1]
+	})
+	mss := recs[k].fill
+	if !recs[k].satisfied {
+		return admitVerdict{reason: "candidate-infeasible", mss: mss}
 	}
+	var unsat []int // positions in slo of the tail jobs the candidate leaves unsatisfied
+	for i := k + 1; i < len(recs); i++ {
+		if !recs[i].satisfied {
+			unsat = append(unsat, i-1)
+		}
+	}
+	satisfiedWithout := func(i int) bool { return sat[i] }
+	if sat == nil && len(unsat) > 0 {
+		without, _ := e.fillPass(now, slo[:unsat[len(unsat)-1]+1], nil, "", g, nil)
+		satisfiedWithout = func(i int) bool { return without[i].satisfied }
+	}
+	for _, i := range unsat {
+		if satisfiedWithout(i) {
+			return admitVerdict{reason: "breaks-guarantee", victim: slo[i].ID, mss: mss}
+		}
+	}
+	return admitVerdict{ok: true, reason: "ok", mss: mss}
 }
 
 // traceAdmit publishes the admission decision trace.
@@ -466,8 +483,11 @@ func (b *AdmitBatch) decide(cand *job.Job, active []*job.Job) admitVerdict {
 }
 
 // EarliestDeadline is the memoized counter-offer for a rejected candidate:
-// the binary search is shape-determined, so same-shape drops in one batch
-// pay for it once.
+// the search is shape-determined, so same-shape drops in one batch pay for it
+// once. A candidate this batch just refused is searched from its refused
+// deadline's slot on, never from zero: with demoted jobs in the active set
+// feasibility is not strictly monotone in the deadline, and an offer earlier
+// than the deadline just refused would contradict the refusal.
 func (b *AdmitBatch) EarliestDeadline(cand *job.Job, active []*job.Job) (float64, bool) {
 	b.refresh(active)
 	key := shapeKey(cand)
@@ -476,10 +496,6 @@ func (b *AdmitBatch) EarliestDeadline(cand *job.Job, active []*job.Job) (float64
 	}
 	lo := 0
 	if _, refused := b.drops[key]; refused {
-		// This deadline was just refused, so the search starts at its slot
-		// instead of at zero: feasibility is monotone in the deadline (but
-		// for demoted jobs in the active set, and an offer earlier than the
-		// deadline just refused would contradict the refusal anyway).
 		lo = b.e.demand(cand, b.now).DeadlineSlot
 	}
 	dl, ok := b.e.earliestDeadline(b.now, cand, b.slo, b.g, lo)
@@ -493,44 +509,141 @@ func (b *AdmitBatch) EarliestDeadline(cand *job.Job, active []*job.Job) (float64
 // EarliestDeadline returns the soonest deadline admission control could
 // guarantee for cand given the currently admitted jobs — what a platform
 // offers a user whose requested deadline was rejected ("the earliest we
-// could promise is …"). Feasibility is monotone in the deadline, so the
-// answer is found by binary search over planning slots. ok is false when
-// even the planning horizon cannot fit the job.
+// could promise is …"). The offer is a feasibility boundary: admissible, and
+// the deadline one planning slot earlier is not. ok is false when even the
+// planning horizon cannot fit the job.
 func (e *ElasticFlow) EarliestDeadline(now float64, cand *job.Job, active []*job.Job, g int) (float64, bool) {
 	slo, _ := splitJobs(active)
 	return e.earliestDeadline(now, cand, slo, e.admitCapacity(g), 0)
 }
 
 // earliestDeadline searches the planning slots from lo up, against slo (the
-// active SLO jobs in deadline order) and admission capacity g. Every probe
-// is one verdict at the same timestamp, so probes share fills through the
-// plan cache and an infeasible one costs the candidate's own fill.
+// active SLO jobs in deadline order) and admission capacity g, for the first
+// slot whose deadline a verdict admits.
+//
+// A later deadline only moves the candidate later in the deadline order, and
+// the jobs ahead of it fill the same whatever its deadline, so the search
+// needs the fold without the candidate once, not a verdict per probe: it is
+// computed first, and what it says of each job turns every verdict below into
+// one pass that ends at the first victim. The horizon verdict comes next: it
+// answers ok=false when even the horizon cannot fit. firstFit walks the fold
+// from lo up to the first slot where the candidate alone fits; every slot
+// before is refused as candidate-infeasible, so when the verdict there admits,
+// that slot is the answer — whether or not feasibility is monotone.
+//
+// When it does not, the candidate fits but breaks the guarantee of a victim
+// behind it. Later slots are then probed by folds that end at that victim
+// (a refusal there is the whole verdict's), galloping forward and bisecting
+// the last step to the first slot where the candidate gets past it, and that
+// slot gets the next full verdict — which admits, or names a victim further
+// back to search past. Either way the offer keeps the boundary property —
+// the slot offered is admitted and the one before it refused — and equals the
+// first admissible slot whenever feasibility is monotone in the deadline.
 func (e *ElasticFlow) earliestDeadline(now float64, cand *job.Job, slo []*job.Job, g, lo int) (float64, bool) {
 	if cand.Class != job.SLO {
 		// Only SLO jobs take part in the deadline-ordered fold.
 		return 0, false
 	}
-	deadlineAt := func(slots int) float64 {
-		return now + e.rescaleMargin(cand) + float64(slots+1)*e.opts.SlotSec
+	c := *cand
+	at := func(slot int) *job.Job {
+		c.Deadline = now + e.rescaleMargin(cand) + float64(slot+1)*e.opts.SlotSec
+		return &c
 	}
-	check := func(slots int) bool {
-		c := *cand
-		c.Deadline = deadlineAt(slots)
-		return e.verdict(now, &c, slo, g).ok
+	without, _ := e.fillPass(now, slo, nil, "", g, nil)
+	sat := make([]bool, len(slo))
+	for i := range sat {
+		sat[i] = without[i].satisfied
+	}
+	// through is the verdict over the jobs of slo[:n] only — whether the
+	// candidate fits and hurts none of them — or over the jobs ahead of the
+	// candidate when it sits further back.
+	through := func(slot, n int) admitVerdict {
+		c := at(slot)
+		n = max(n, position(slo, c))
+		return e.verdictGiven(now, c, slo[:n], g, sat[:n])
 	}
 	hi := e.opts.HorizonSlots
-	if !check(hi) {
+	if !through(hi, len(slo)).ok {
 		return 0, false
+	}
+	slot := e.firstFit(now, at, slo, g, lo, hi)
+	for {
+		v := through(slot, len(slo))
+		if v.ok {
+			return at(slot).Deadline, true
+		}
+		n := 1 + slices.IndexFunc(slo, func(j *job.Job) bool { return j.ID == v.victim })
+		slot = gallop(slot, hi, func(s int) bool { return through(s, n).ok })
+	}
+}
+
+// gallop returns the first slot after refused, up to hi (which is admitted),
+// that ok admits: steps of 1, 2, 4, … forward, then a bisection of the last
+// one. The slot before the one returned is refused.
+func gallop(refused, hi int, ok func(int) bool) int {
+	lo := refused + 1
+	for step := 1; ; step *= 2 {
+		next := min(refused+step, hi)
+		if next == hi || ok(next) {
+			hi = next
+			break
+		}
+		refused = next
+		lo = next + 1
 	}
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if check(mid) {
+		if ok(mid) {
 			hi = mid
 		} else {
 			lo = mid + 1
 		}
 	}
-	return deadlineAt(lo), true
+	return lo
+}
+
+// firstFit returns the first slot in [lo, hi] at which the candidate (at(slot)
+// is the candidate with that slot's deadline) comes out satisfied in the fold
+// without it, filled at its own position of the deadline order. hi is known
+// to fit: the horizon verdict admitted it.
+//
+// The slots that put the candidate at position k of the deadline order form a
+// bracket; within one the jobs ahead are fixed, and with a fixed prefix more
+// slots cannot un-fit a plan, so one Fill at a bracket's last slot decides the
+// whole bracket. The walk therefore commits the fold's recorded plans one
+// position at a time — no pass, no fingerprints — testing each bracket's last
+// slot, and bisects with single Fills inside the first bracket that fits.
+func (e *ElasticFlow) firstFit(now float64, at func(int) *job.Job, slo []*job.Job, g, lo, hi int) int {
+	kHi := position(slo, at(hi))
+	k := position(slo, at(lo))
+
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	st, _, f := e.passLocked(now, slo, nil, "", g, nil) // the fold the search began with: a full hit
+	st.seek(f, k)
+	fits := func(slot int) bool {
+		e.countPlanCache(0, 1)
+		return f.Fill(e.demand(at(slot), now)).Satisfied
+	}
+	for start := lo; ; k++ {
+		end := hi // the last slot of position k's bracket
+		if k < kHi {
+			end = start - 1 + sort.Search(hi-start+1, func(i int) bool { return !deadlineBefore(at(start+i), slo[k]) })
+		}
+		if end >= start && (k == kHi || fits(end)) {
+			for start < end {
+				mid := (start + end) / 2
+				if fits(mid) {
+					end = mid
+				} else {
+					start = mid + 1
+				}
+			}
+			return start
+		}
+		start = max(start, end+1)
+		f.Commit(st.recs[k].committed())
+	}
 }
 
 // MinimumSatisfactoryShare returns the MSS plan for each active job at time
@@ -759,7 +872,7 @@ func (e *ElasticFlow) allocate(now float64, active []*job.Job, g int) ([]prioJob
 	// least-bad outcome is minimal lateness (§4.4 treats expired deadlines
 	// like soft deadlines — still worth finishing, and as soon as
 	// possible). The recovery plan stays ahead of best-effort work.
-	recs, f := e.fillPass(now, slo, be, "", g, len(slo)+len(be))
+	recs, f := e.fillPass(now, slo, be, "", g, nil)
 
 	e.mu.Lock()
 	defer e.mu.Unlock()

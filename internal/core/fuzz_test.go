@@ -16,26 +16,35 @@ import (
 )
 
 // checkedScheduler compares every admission verdict the simulator asks for
-// with the two-pass reference of Algorithm 1 before deciding it.
+// with the two-pass reference of Algorithm 1 before deciding it, and holds
+// the counter-offer of every SLO refusal to its contract.
 type checkedScheduler struct {
 	*core.ElasticFlow
 	t *testing.T
 }
 
 func (c checkedScheduler) Admit(now float64, cand *job.Job, active []*job.Job, g int) bool {
-	if cand.Class == job.SLO {
-		if msg := c.VerdictMismatch(now, cand, active, g); msg != "" {
+	if cand.Class != job.SLO {
+		return c.ElasticFlow.Admit(now, cand, active, g)
+	}
+	if msg := c.VerdictMismatch(now, cand, active, g); msg != "" {
+		c.t.Fatal(msg)
+	}
+	admitted := c.ElasticFlow.Admit(now, cand, active, g)
+	if !admitted {
+		if msg := c.OfferMismatch(now, cand, active, g); msg != "" {
 			c.t.Fatal(msg)
 		}
 	}
-	return c.ElasticFlow.Admit(now, cand, active, g)
+	return admitted
 }
 
 // FuzzAdmissionControl fuzzes the §3.1 performance guarantee: for any
 // workload the fuzzer derives, no job that admission control accepts may
 // miss its deadline — and every verdict on the way agrees with the two-pass
-// reference. The fuzz inputs seed a deterministic workload generator, so
-// every crash reproduces from its corpus entry alone.
+// reference, and every refusal's counter-offer keeps its contract. The fuzz
+// inputs seed a deterministic workload generator, so every crash reproduces
+// from its corpus entry alone.
 func FuzzAdmissionControl(f *testing.F) {
 	f.Add(int64(1), uint8(5), uint8(2))
 	f.Add(int64(42), uint8(12), uint8(0))

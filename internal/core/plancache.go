@@ -118,9 +118,10 @@ const snapStride = 8
 // GPUs, seed 1) carves 122 420 ints and the median live_philly instant 29 000
 // to 70 000 on its two shards, so the block holds a whole instant of the one
 // and an ordinary instant of the other. It must not grow instead: a refusal's
-// counter-offer search runs some 80 fill passes at its instant, a batch of
-// refusals several times that — live_philly's worst instant ran 258 passes
-// asking for 5.5 M ints (44 MB) — and a prototype whose block grew to hold an
+// counter-offer search runs about 7 fill passes at its instant (42 when it was
+// a bisection of verdicts), a batch of refusals several times that —
+// live_philly's worst instant ran 35 passes asking for 2.0 M ints (16 MB;
+// 329 passes and 4.9 M before) — and a prototype whose block grew to hold an
 // instant doubled efserver's peak RSS; every retained byte counts twice under
 // GOGC=100. Past the block those passes allocate as every pass used to.
 const blockInts = 1 << 17
@@ -138,18 +139,30 @@ func sized[S ~[]E, E any](buf S, n int) S {
 	return buf[:n]
 }
 
+// committed is the plan position r reserves in its pass: the fill when it is
+// satisfied or best-effort, otherwise the recovery plan (empty for an
+// unsatisfied candidate, which reserves nothing).
+func (r *fillRec) committed() plan.Allocation {
+	if r.satisfied || r.mode == fillBE {
+		return r.fill
+	}
+	return r.earliest
+}
+
 // seek positions f after the first p commits of the pass, exactly as the
 // pass left it there: the nearest snapshot at or before p, then the commits
-// recorded since (an unsatisfied candidate's empty recovery plan commits
-// nothing, as it did in the pass).
+// recorded since. A pass without snapshots (DisablePlanCache) is replayed
+// from the empty grid.
 func (s *fillState) seek(f *plan.Filler, p int) {
-	f.Restore(s.snaps[p/snapStride])
-	for i := p - p%snapStride; i < p; i++ {
-		if r := &s.recs[i]; r.satisfied || r.mode == fillBE {
-			f.Commit(r.fill)
-		} else {
-			f.Commit(r.earliest)
-		}
+	i := 0
+	if q := p / snapStride; q < len(s.snaps) {
+		f.Restore(s.snaps[q])
+		i = q * snapStride
+	} else {
+		f.Reset(s.g)
+	}
+	for ; i < p; i++ {
+		f.Commit(s.recs[i].committed())
 	}
 }
 
@@ -274,23 +287,31 @@ func matchPrefix(s *fillState, fps []uint64, slo, be []*job.Job, skipCand string
 // progressive-filling pass over slo (deadline order) then be (submission
 // order) against capacity g at time now. skipCand, when non-empty, names the
 // admission candidate whose unsatisfiable recovery plan must not reserve
-// capacity. The pass ends early at the first position ≥ stopFrom that comes
-// out unsatisfied (admission needs nothing past it; pass the job count to run
-// to the end). It returns one record per position filled plus the scheduler's
-// Filler positioned after the last commit, ready for the greedy
-// spare-capacity phase.
+// capacity. The pass ends early at the first position i that comes out
+// unsatisfied while stop(i) holds — an admission verdict needs nothing past an
+// infeasible candidate or a victim; a nil stop runs to the end. It returns one
+// record per position filled plus the scheduler's Filler positioned after the
+// last commit, ready for the greedy spare-capacity phase.
 //
 // Both results are the scheduler's own. The filler and the record slice are
 // valid until the next fillPass, which repositions the one and may recycle
 // the other; the plans the records point to are valid until the scheduler is
 // asked about another instant or InvalidatePlanCache is called (with
 // DisablePlanCache they are heap slices and simply stay).
-func (e *ElasticFlow) fillPass(now float64, slo, be []*job.Job, skipCand string, g, stopFrom int) ([]fillRec, *plan.Filler) {
+func (e *ElasticFlow) fillPass(now float64, slo, be []*job.Job, skipCand string, g int, stop func(int) bool) ([]fillRec, *plan.Filler) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	st, n, f := e.passLocked(now, slo, be, skipCand, g, stop)
+	return st.recs[:n], f
+}
 
-	n := len(slo) + len(be)
-	e.fps = sized(e.fps, n)
+// passLocked is fillPass under e.mu: it returns the pass itself, the number
+// of its records the query covers (a cached pass may extend further — a
+// cached allocate pass serves an admission query over its SLO prefix) and the
+// filler, positioned after the last of them.
+func (e *ElasticFlow) passLocked(now float64, slo, be []*job.Job, skipCand string, g int, stop func(int) bool) (*fillState, int, *plan.Filler) {
+	total := len(slo) + len(be)
+	e.fps = sized(e.fps, total)
 	fps := e.fps
 	for i, j := range slo {
 		fps[i] = fingerprintJob(j, fillSLO)
@@ -303,9 +324,9 @@ func (e *ElasticFlow) fillPass(now float64, slo, be []*job.Job, skipCand string,
 
 	if e.opts.DisablePlanCache {
 		st := &fillState{g: g, skipID: skipCand}
-		e.extendFill(st, f, now, slo, be, skipCand, fps, stopFrom, false)
+		e.extendFill(st, f, now, slo, be, skipCand, fps, stop, false)
 		e.countPlanCache(0, len(st.recs))
-		return st.recs, f
+		return st, len(st.recs), f
 	}
 
 	// A cached pass is only valid at the exact decision time it was computed
@@ -333,8 +354,9 @@ func (e *ElasticFlow) fillPass(now float64, slo, be []*job.Job, skipCand string,
 		}
 	}
 	// A reusable record may already be the one that ends the pass.
-	for i := stopFrom; i < bestP; i++ {
-		if !best.recs[i].satisfied {
+	n := total
+	for i := 0; stop != nil && i < bestP; i++ {
+		if !best.recs[i].satisfied && stop(i) {
 			n = i + 1
 			break
 		}
@@ -342,14 +364,13 @@ func (e *ElasticFlow) fillPass(now float64, slo, be []*job.Job, skipCand string,
 
 	if bestP >= n {
 		// Full hit: every position reusable; reposition the filler after
-		// the n-th commit. (The cached pass may extend further — a cached
-		// allocate pass serves an admission query over its SLO prefix.)
+		// the n-th commit.
 		best.seek(f, n)
 		if best != e.states[0] {
 			e.states[0], e.states[1] = best, e.states[0]
 		}
 		e.countPlanCache(n, 0)
-		return best.recs[:n], f
+		return best, n, f
 	}
 
 	// keep is the cached pass that stays beside the new one: the donor while
@@ -364,7 +385,6 @@ func (e *ElasticFlow) fillPass(now float64, slo, be []*job.Job, skipCand string,
 			keep = s
 		}
 	}
-	total := len(slo) + len(be)
 	st := best
 	if best != nil && bestP == len(best.recs) {
 		// The new pass extends its donor to the end: it is the donor, grown.
@@ -389,18 +409,18 @@ func (e *ElasticFlow) fillPass(now float64, slo, be []*job.Job, skipCand string,
 		}
 	}
 	st.seek(f, bestP)
-	e.extendFill(st, f, now, slo, be, skipCand, fps, stopFrom, true)
+	e.extendFill(st, f, now, slo, be, skipCand, fps, stop, true)
 	e.states[0], e.states[1] = st, keep
 	e.countPlanCache(bestP, len(st.recs)-bestP)
-	return st.recs, f
+	return st, len(st.recs), f
 }
 
 // extendFill fills the positions st does not cover yet, committing per the
 // fill modes and (when snapshot is set) snapshotting every snapStride jobs,
-// until the jobs run out or a position ≥ stopFrom comes out unsatisfied.
+// until the jobs run out or an unsatisfied position ends the pass (stop).
 // Resumed and from-scratch passes execute identical Filler operation
 // sequences.
-func (e *ElasticFlow) extendFill(st *fillState, f *plan.Filler, now float64, slo, be []*job.Job, skipCand string, fps []uint64, stopFrom int, snapshot bool) {
+func (e *ElasticFlow) extendFill(st *fillState, f *plan.Filler, now float64, slo, be []*job.Job, skipCand string, fps []uint64, stop func(int) bool, snapshot bool) {
 	for i := len(st.recs); i < len(slo)+len(be); i++ {
 		var r fillRec
 		if i < len(slo) {
@@ -429,7 +449,7 @@ func (e *ElasticFlow) extendFill(st *fillState, f *plan.Filler, now float64, slo
 		if snapshot && len(st.recs)%snapStride == 0 {
 			st.snaps = append(st.snaps, f.Snapshot())
 		}
-		if i >= stopFrom && !r.satisfied {
+		if !r.satisfied && stop != nil && stop(i) {
 			return
 		}
 	}
