@@ -23,8 +23,7 @@ import (
 
 // Options configures an Orchestrator.
 type Options struct {
-	// Platform configures the scheduling side. Its Observer field is
-	// reserved for the orchestrator.
+	// Platform configures the scheduling side.
 	Platform serverless.Options
 	// Faults, when non-nil, wraps the controller↔agent transport so chaos
 	// schedules fire deterministically (DESIGN.md §9). A crash fault also
@@ -83,9 +82,6 @@ type Orchestrator struct {
 func New(opts Options) (*Orchestrator, error) {
 	if opts.Platform.Topology.Servers == 0 {
 		opts.Platform.Topology = topology.Config{Servers: 2, GPUsPerServer: 8}
-	}
-	if opts.Platform.Observer != nil {
-		return nil, fmt.Errorf("cluster: Platform.Observer is managed by the orchestrator")
 	}
 	platform, err := serverless.NewPlatform(opts.Platform)
 	if err != nil {

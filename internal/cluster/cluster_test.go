@@ -38,15 +38,6 @@ func testTask(seed int64, iters int) agent.TaskSpec {
 	}
 }
 
-func TestObserverReserved(t *testing.T) {
-	_, err := New(Options{Platform: serverless.Options{
-		Observer: func(map[string]int) {},
-	}})
-	if err == nil {
-		t.Fatal("orchestrator accepted a foreign observer")
-	}
-}
-
 // TestFullStackLifecycle runs the complete product: submission through the
 // serverless interface, admission, placement, launch on an RPC agent, real
 // training steps, elastic rescale when contention arrives and departs, and

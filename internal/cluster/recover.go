@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"sort"
 
 	"github.com/elasticflow/elasticflow/internal/agent"
@@ -40,9 +39,6 @@ import (
 func NewRecovered(opts Options, addrs map[string]string, tasks map[string]agent.TaskSpec) (*Orchestrator, []string, error) {
 	if opts.Platform.Topology.Servers == 0 {
 		opts.Platform.Topology = topology.Config{Servers: 2, GPUsPerServer: 8}
-	}
-	if opts.Platform.Observer != nil {
-		return nil, nil, fmt.Errorf("cluster: Platform.Observer is managed by the orchestrator")
 	}
 	platform, err := serverless.Recover(opts.Platform)
 	if err != nil {

@@ -273,11 +273,13 @@ func (f *Filler) FillFixedSlot0(d Demand, slot0 int) Allocation {
 // 2× the minimal achievable time at the minimal level), capped at maxSlots.
 // This is the recovery plan for an admitted job whose guarantee slipped —
 // it must race to the finish, not idle at its memory floor.
+// Only the plan returned is copied out of the walk buffer; a horizon that
+// falls short is discarded where it was walked.
 func (f *Filler) FillEarliest(d Demand, maxSlots int) Allocation {
 	for h := max(d.DeadlineSlot, 1); h < maxSlots; h *= 2 {
 		d.DeadlineSlot = h
-		if a := f.fill(&d, 0, -1); a.Satisfied {
-			return a
+		if a, buffered := f.search(&d, 0, -1); a.Satisfied {
+			return f.own(a, buffered)
 		}
 	}
 	d.DeadlineSlot = maxSlots
@@ -315,43 +317,43 @@ func finishFrac(remaining, progress, delta float64) float64 {
 // The result carries the raised plan's accounting — finish point, GPU time,
 // Satisfied — with Levels left nil: Algorithm 2 prices a raise per job per
 // round and adopts few of them, so only Raise builds the plan.
+//
+// Plans are long runs of equal levels, so the walk goes run by run: the
+// throughput and GPU time of a level are looked up once per run, and the
+// inner loop over the run keeps one addition per slot in slot order.
 func (f *Filler) RaiseSlot0(d Demand, cur Allocation, slot0, free0 int) (a Allocation, ok bool) {
 	if slot0 > free0 || f.clampLevel(slot0, &d) != slot0 {
 		return Allocation{}, false
 	}
-	n := max(len(cur.Levels), 1)
+	levels := cur.Levels
+	n := max(len(levels), 1)
 	a.FinishSlot = n
 	progress, gpuTime := 0.0, 0.0
-	// Plans are long runs of equal levels; look up the per-slot throughput
-	// and GPU time once per run. Accumulation stays one addition per slot.
-	lastLv := 0
-	var delta, slotTime float64
-	for t := 0; t < n; t++ {
-		lv := slot0
+	for t, end := 0, 1; t < n; t = end {
+		lv := slot0 // the raised slot 0 is its own run
 		if t > 0 {
-			lv = cur.Levels[t]
+			lv = levels[t]
+			for end = t + 1; end < n && levels[end] == lv; end++ {
+			}
 		}
 		if lv == 0 {
 			continue
 		}
-		if lv != lastLv {
-			delta = d.Curve.At(lv) * f.SlotDur
-			slotTime = float64(lv) * f.SlotDur
-			lastLv = lv
+		delta := d.Curve.At(lv) * f.SlotDur
+		slotTime := float64(lv) * f.SlotDur
+		for ; t < end; t++ {
+			if progress+delta >= d.Remaining-1e-9 {
+				a.Satisfied = true
+				a.FinishSlot = t
+				a.FinishFrac = finishFrac(d.Remaining, progress, delta)
+				a.GPUTime = gpuTime + float64(lv)*a.FinishFrac*f.SlotDur
+				return a, true
+			}
+			progress += delta
+			gpuTime += slotTime
 		}
-		if progress+delta >= d.Remaining-1e-9 {
-			a.Satisfied = true
-			a.FinishSlot = t
-			a.FinishFrac = finishFrac(d.Remaining, progress, delta)
-			gpuTime += float64(lv) * a.FinishFrac * f.SlotDur
-			break
-		}
-		progress += delta
-		gpuTime += slotTime
 	}
-	if !a.Satisfied {
-		a.Satisfied = d.Remaining <= 1e-9
-	}
+	a.Satisfied = d.Remaining <= 1e-9
 	a.GPUTime = gpuTime
 	return a, true
 }
@@ -403,9 +405,25 @@ func (f *Filler) Raise(cur, priced Allocation, slot0 int, owned bool) Allocation
 // 1e-10, and a level must never be skipped that the slot walk would accept.
 const pruneGuard = 1e-6
 
-// fill is the common implementation. startSlot is the first slot whose level
-// the candidate j controls; slots before it are pinned to fixed0 (only slot
-// 0 can be pinned). fixed0 < 0 means no pin.
+// fill is the common implementation of the fills, its plan copied out of the
+// walk buffer.
+func (f *Filler) fill(d *Demand, startSlot, fixed0 int) Allocation {
+	return f.own(f.search(d, startSlot, fixed0))
+}
+
+// own returns a with its levels copied out of the walk buffer when buffered
+// says they are still there.
+func (f *Filler) own(a Allocation, buffered bool) Allocation {
+	if buffered {
+		a.Levels = f.clone(a.Levels)
+	}
+	return a
+}
+
+// search runs the level search of fill. startSlot is the first slot whose
+// level the candidate j controls; slots before it are pinned to fixed0 (only
+// slot 0 can be pinned). fixed0 < 0 means no pin. buffered reports that the
+// result's Levels alias the walk buffer, valid until the next search.
 //
 // Levels are tried in ascending order with one early-exiting walk per level,
 // so a job satisfiable at a low level costs O(finish slot) rather than
@@ -417,7 +435,7 @@ const pruneGuard = 1e-6
 // may hold more than any visited level, so pinned fills walk every level.
 // The highest level is always walked: it doubles as the maximal-progress
 // fallback when no level satisfies the demand.
-func (f *Filler) fill(d *Demand, startSlot, fixed0 int) Allocation {
+func (f *Filler) search(d *Demand, startSlot, fixed0 int) (a Allocation, buffered bool) {
 	horizon := max(d.DeadlineSlot, 0)
 	maxJ := f.G
 	if d.MaxGPUs > 0 && d.MaxGPUs < maxJ {
@@ -432,10 +450,10 @@ func (f *Filler) fill(d *Demand, startSlot, fixed0 int) Allocation {
 		if d.Remaining <= 1e-9 {
 			a.Satisfied, a.FinishSlot = true, 0
 		}
-		return a
+		return a, false
 	case d.Remaining <= 1e-9:
 		// Nothing to run: an empty, satisfied plan.
-		return Allocation{Satisfied: true}
+		return Allocation{Satisfied: true}, false
 	}
 	if cap(f.scratch) < horizon {
 		f.scratch = make([]int, max(horizon, 2*cap(f.scratch)))
@@ -450,10 +468,8 @@ func (f *Filler) fill(d *Demand, startSlot, fixed0 int) Allocation {
 				continue
 			}
 		}
-		a := f.walk(d, j, startSlot, fixed0, levels)
-		if a.Satisfied || last {
-			a.Levels = f.clone(a.Levels) // out of the walk buffer
-			return a
+		if a := f.walk(d, j, startSlot, fixed0, levels); a.Satisfied || last {
+			return a, true
 		}
 	}
 }
@@ -483,54 +499,78 @@ func (f *Filler) levelAt(d *Demand, j, startSlot, fixed0, t int) int {
 	return f.clampLevel(x, d)
 }
 
-// segEnd returns the exclusive end, capped at horizon, of the maximal run of
-// slots starting at t over which levelAt is constant: the pinned slot 0 is
-// its own run, other pinned slots share one, and past the pin slots group by
-// equal committed usage (slots beyond the usage grid are one fully-free run).
-// Filled plans are long runs of equal usage, so the per-slot level/clamp/
-// curve work in walk amortizes to O(1) per slot — one level computation plus
-// an integer comparison per slot of run.
-func (f *Filler) segEnd(t, startSlot, horizon int) int {
-	if t < startSlot {
-		end := startSlot
-		if t == 0 {
-			end = 1
+// grant returns the worker count x that level j grants an unpinned slot with
+// committed usage u, and an interval [lo, hi] of usages, holding u, that all
+// grant x. x(u) = clampLevel(min(j, G−u)) is non-increasing in u — capping,
+// flooring to a power of two and zeroing below MinGPUs are all monotone — so
+// the usages granting x are one interval; it is derived from clampLevel's
+// rules over the free capacity G−u, and cut to non-negative usages.
+func (f *Filler) grant(d *Demand, j, u int) (x, lo, hi int) {
+	x = f.clampLevel(min(j, f.G-u), d)
+	most := j // the most any slot can get: min(j, free) capped by MaxGPUs
+	if d.MaxGPUs > 0 && most > d.MaxGPUs {
+		most = d.MaxGPUs
+	}
+	if x == 0 {
+		// Zero exactly while min(most, free) is below a, the smallest
+		// worker count clampLevel keeps.
+		a := max(d.MinGPUs, 1)
+		if f.PowerOfTwo {
+			a = 1 << bits.Len(uint(a-1))
 		}
-		if end > horizon {
-			end = horizon
+		if a > most {
+			return 0, 0, math.MaxInt // no free capacity grants a worker
 		}
-		return end
+		return 0, max(f.G-a+1, 0), math.MaxInt
 	}
-	n := len(f.used)
-	if t >= n {
-		return horizon
+	// min(most, free) in [x, top] grants x; free ≥ x keeps it there when the
+	// cap does, otherwise free must stay within [x, top] itself.
+	top := x
+	if f.PowerOfTwo {
+		top = 2*x - 1
 	}
-	u := f.used[t]
-	end := t + 1
-	for end < horizon && end < n && f.used[end] == u {
-		end++
+	if most <= top {
+		return x, 0, f.G - x
 	}
-	if end == n && u == 0 {
-		// The grid ends inside a zero-usage run; beyond it is free too.
-		end = horizon
-	}
-	return end
+	return x, max(f.G-top, 0), f.G - x
 }
 
 // walk lays level j over levels (one entry per slot of the horizon) until the
 // demand is met, in a single pass that produces the whole allocation: the
 // result's Levels aliases levels up to and including the finish slot, or all
 // of it when the demand cannot complete by the horizon at this level.
-// Progress and GPU time each accumulate with one addition per slot in slot
-// order — runs only hoist the (identical) level and throughput computation,
-// keeping results bit-identical to a slot-by-slot walk; a closed form per
-// run rounds differently and moves finish slots.
+//
+// The walk goes by stretches — maximal runs of slots that get the same
+// granted level. The pinned slot 0 is its own stretch; past the pin, grant
+// gives the level and the usage interval that keeps it once per stretch,
+// and the stretch extends with one unsigned compare per slot. Slots past the
+// usage grid have usage 0, so a stretch whose interval starts at 0 runs on to
+// the horizon. Progress and GPU time each accumulate with one addition per
+// slot in slot order — stretches only hoist the (identical) level and
+// throughput computation, keeping results bit-identical to a slot-by-slot
+// walk; a closed form per stretch rounds differently and moves finish slots.
 func (f *Filler) walk(d *Demand, j, startSlot, fixed0 int, levels []int) Allocation {
 	horizon := len(levels)
+	used := f.used
+	grid := min(len(used), horizon)
 	progress, gpuTime := 0.0, 0.0
 	for t := 0; t < horizon; {
-		end := f.segEnd(t, startSlot, horizon)
-		x := f.levelAt(d, j, startSlot, fixed0, t)
+		var x, end int
+		if t < startSlot {
+			x, end = f.levelAt(d, j, startSlot, fixed0, t), t+1
+		} else {
+			u := 0
+			if t < len(used) {
+				u = used[t]
+			}
+			var lo, hi int
+			x, lo, hi = f.grant(d, j, u)
+			for end = t + 1; end < grid && uint(used[end]-lo) <= uint(hi-lo); end++ {
+			}
+			if end >= len(used) && lo == 0 {
+				end = horizon // the free tail past the grid grants x too
+			}
+		}
 		if x == 0 {
 			clear(levels[t:end])
 			t = end

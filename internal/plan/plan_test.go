@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"math"
 	"math/bits"
 	"math/rand"
 	"reflect"
@@ -367,6 +368,132 @@ func TestRaiseSlot0(t *testing.T) {
 	}
 }
 
+// refRaiseSlot0 is RaiseSlot0 as it was before it walked runs of equal
+// level: one pass over the slots with the throughput of the last level seen
+// kept between them. It is the specification the run walk must match bit for
+// bit.
+func refRaiseSlot0(f *Filler, d Demand, cur Allocation, slot0, free0 int) (a Allocation, ok bool) {
+	if slot0 > free0 || f.clampLevel(slot0, &d) != slot0 {
+		return Allocation{}, false
+	}
+	n := max(len(cur.Levels), 1)
+	a.FinishSlot = n
+	progress, gpuTime := 0.0, 0.0
+	// Plans are long runs of equal levels; look up the per-slot throughput
+	// and GPU time once per run. Accumulation stays one addition per slot.
+	lastLv := 0
+	var delta, slotTime float64
+	for t := 0; t < n; t++ {
+		lv := slot0
+		if t > 0 {
+			lv = cur.Levels[t]
+		}
+		if lv == 0 {
+			continue
+		}
+		if lv != lastLv {
+			delta = d.Curve.At(lv) * f.SlotDur
+			slotTime = float64(lv) * f.SlotDur
+			lastLv = lv
+		}
+		if progress+delta >= d.Remaining-1e-9 {
+			a.Satisfied = true
+			a.FinishSlot = t
+			a.FinishFrac = finishFrac(d.Remaining, progress, delta)
+			gpuTime += float64(lv) * a.FinishFrac * f.SlotDur
+			break
+		}
+		progress += delta
+		gpuTime += slotTime
+	}
+	if !a.Satisfied {
+		a.Satisfied = d.Remaining <= 1e-9
+	}
+	a.GPUTime = gpuTime
+	return a, true
+}
+
+// TestRaiseSlot0MatchesSlotBySlot holds the run walk of RaiseSlot0 to the
+// slot-by-slot reference over random plans with runs and zero levels, the
+// empty plan, monotone and non-monotone curves, both allocation disciplines,
+// raises that do not fit or are no feasible worker count, and demands whose
+// Remaining sits on a finish boundary — exactly (and within the walk's 1e-9
+// tolerance, and one rounding off) what the raised plan delivers through some
+// slot. The priced Allocations must be identical to the bit.
+func TestRaiseSlot0MatchesSlotBySlot(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	curves := []throughput.Curve{
+		fig4Curve(),
+		throughput.MustCurve(map[int]float64{1: 0.7, 2: 1.2, 4: 1.9, 8: 2.4, 16: 3, 32: 3.3}),
+		throughput.MustCurve(map[int]float64{2: 1, 4: 1.3}),
+		throughput.MustCurve(map[int]float64{1: 1, 2: 2.2, 4: 1.6, 8: 2.1, 16: 0.9}),
+		throughput.MustCurve(map[int]float64{1: 1.5, 2: 1.1, 3: 1.4, 5: 0.8, 6: 1.45}),
+	}
+	boundary, finished, ran := 0, 0, 0
+	for i := 0; i < 20000; i++ {
+		g := 1 << rng.Intn(6)
+		if rng.Intn(3) == 0 {
+			g = 1 + rng.Intn(40)
+		}
+		f := NewFiller(g, 0.5+rng.Float64(), rng.Intn(2) == 0)
+		levels := make([]int, rng.Intn(60)) // zero length: the empty plan
+		for t := 0; t < len(levels); {
+			lv := 0
+			if rng.Intn(4) > 0 {
+				lv = 1 + rng.Intn(g)
+			}
+			for end := t + 1 + rng.Intn(12); t < len(levels) && t < end; t++ {
+				levels[t] = lv
+			}
+		}
+		cur := Allocation{Levels: levels}
+		d := Demand{
+			Curve:     curves[rng.Intn(len(curves))],
+			Remaining: rng.Float64() * 60,
+			MinGPUs:   1 + rng.Intn(2),
+			MaxGPUs:   rng.Intn(2) * (1 + rng.Intn(g)),
+		}
+		slot0, free0 := rng.Intn(g+1), rng.Intn(g+1)
+		if rng.Intn(3) > 0 {
+			free0 = g // most probes fit
+		}
+		if rng.Intn(2) == 0 && len(levels) > 0 {
+			// Remaining on the boundary of slot k: the raised plan's
+			// progress through k, summed as the walk sums it.
+			k, p := rng.Intn(len(levels)), 0.0
+			for t := 0; t <= k; t++ {
+				lv := levels[t]
+				if t == 0 {
+					lv = slot0
+				}
+				if lv > 0 {
+					p += d.Curve.At(lv) * f.SlotDur
+				}
+			}
+			d.Remaining = p + []float64{0, -1e-9, 1e-9, -2e-9, 2e-9, 1e-12}[rng.Intn(6)]
+			if rng.Intn(4) == 0 {
+				d.Remaining = math.Nextafter(d.Remaining, math.Inf(rng.Intn(2)*2-1))
+			}
+			boundary++
+		}
+		want, wok := refRaiseSlot0(f, d, cur, slot0, free0)
+		got, ok := f.RaiseSlot0(d, cur, slot0, free0)
+		if ok != wok || !reflect.DeepEqual(got, want) {
+			t.Fatalf("case %d: levels=%v slot0=%d free0=%d G=%d pow2=%v slotDur=%v d=%+v\n got  %+v %v\n want %+v %v",
+				i, levels, slot0, free0, g, f.PowerOfTwo, f.SlotDur, d, got, ok, want, wok)
+		}
+		if ok {
+			ran++
+			if got.Satisfied && got.FinishSlot < len(levels) {
+				finished++
+			}
+		}
+	}
+	if boundary < 5000 || ran < 8000 || finished < 3000 {
+		t.Errorf("generator covers too little: %d boundary demands, %d priced raises, %d finishing inside the plan", boundary, ran, finished)
+	}
+}
+
 // raisedRef is how a priced raise used to become a plan — a whole copy of
 // cur with slot 0 at slot0, trimmed at the raised plan's completion point,
 // adopted by Uncommit(cur) before and Commit after. Raise must stay
@@ -576,9 +703,37 @@ func TestArenaStorage(t *testing.T) {
 	}
 }
 
-// refFill is the pre-run-segment slot-by-slot progressive filling, kept as a
-// reference oracle: the production fill hoists level and throughput lookups
-// across equal-usage runs and must stay bit-identical to this walk.
+// TestFillEarliestCopiesOnlyItsPlan: FillEarliest doubles the horizon until
+// a fill succeeds, and the attempts that fall short are discarded — only the
+// plan it returns may be carved from the arena, so the block advances by
+// exactly that plan's length, with or without a horizon that succeeds.
+func TestFillEarliestCopiesOnlyItsPlan(t *testing.T) {
+	for _, tc := range []struct {
+		remaining float64
+		maxSlots  int
+	}{
+		{10, 64}, // horizons 2 and 4 fall short, 8 succeeds
+		{40, 64}, // 2 … 16 fall short, 32 succeeds
+		{40, 12}, // 2 … 8 fall short, then the capped horizon of 12 does too
+	} {
+		d := Demand{Curve: fig4Curve(), Remaining: tc.remaining, DeadlineSlot: 2, MinGPUs: 1}
+		f := NewFiller(4, 1, true)
+		f.Arena = NewArena(1 << 10)
+		got, want := f.FillEarliest(d, tc.maxSlots), NewFiller(4, 1, true).FillEarliest(d, tc.maxSlots)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("remaining %v: with an arena %+v, without %+v", tc.remaining, got, want)
+		}
+		if f.Arena.off != len(got.Levels) {
+			t.Errorf("remaining %v cap %d: arena advanced %d ints for a plan of %d slots", tc.remaining, tc.maxSlots, f.Arena.off, len(got.Levels))
+		}
+	}
+}
+
+// refFill is progressive filling slot by slot — every level walked in full,
+// levelAt and Curve.At computed afresh in every slot — kept as the reference
+// oracle: the production fill prunes levels and computes level and throughput
+// once per stretch of equal granted level, and must stay bit-identical to
+// this walk.
 func refFill(f *Filler, d Demand, startSlot, fixed0 int) Allocation {
 	horizon := d.DeadlineSlot
 	if horizon < 0 {
@@ -743,6 +898,118 @@ func TestRunFillMatchesSlotBySlot(t *testing.T) {
 			startSlot, fixed0 = 1, rng.Intn(g+1)
 		}
 		check(i, f, d, startSlot, fixed0)
+	}
+
+	// Grids shaped for the stretch walk, which groups slots by the level
+	// they grant rather than by their usage: runs whose different usages
+	// grant one level (free capacity inside one power-of-two band, above the
+	// worker cap, or below the memory floor), grids that end before the
+	// horizon on a run that does or does not grant the free tail's level, a
+	// pinned slot 0 beside a run granting the pinned level, and capacities
+	// up to 1 024 GPUs under grids of several hundred slots.
+	wide := throughput.MustCurve(map[int]float64{1: 1, 4: 3, 64: 20, 512: 60, 1024: 70})
+	curves = append(curves, wide)
+	for i := 0; i < 3000; i++ {
+		g, n := 1+rng.Intn(20), rng.Intn(40)
+		if rng.Intn(3) == 0 {
+			g, n = 1+rng.Intn(1024), 100+rng.Intn(500)
+		}
+		pow2 := rng.Intn(2) == 0
+		f := NewFiller(g, 0.5+rng.Float64(), pow2)
+		d := Demand{
+			Curve:   curves[rng.Intn(len(curves))],
+			MinGPUs: 1 + rng.Intn(min(g, 6)),
+			MaxGPUs: rng.Intn(2) * (1 + rng.Intn(g)),
+		}
+		if !pow2 && g > 48 {
+			d.MaxGPUs = 1 + rng.Intn(48) // unit levels are walked one by one
+		}
+		// free draws the free capacity of one run from a shape class.
+		free := func() int {
+			switch rng.Intn(5) {
+			case 0: // one power-of-two band: every free count floors alike
+				b := 1 << rng.Intn(bits.Len(uint(g)))
+				return min(b+rng.Intn(b), g)
+			case 1: // at or above the worker cap
+				if d.MaxGPUs > 0 {
+					return d.MaxGPUs + rng.Intn(g-d.MaxGPUs+1)
+				}
+				return g - rng.Intn(2)
+			case 2: // below the memory floor: zero
+				return rng.Intn(d.MinGPUs)
+			default:
+				return rng.Intn(g + 1)
+			}
+		}
+		used := make([]int, n)
+		for t := 0; t < n; {
+			u := g - free()
+			for end := t + 1 + rng.Intn(1+n/4); t < n && t < end; t++ {
+				used[t] = u
+				if rng.Intn(3) == 0 {
+					used[t] = g - free() // one stretch, many usages
+				}
+			}
+		}
+		if n > 0 && rng.Intn(2) == 0 {
+			// The grid's last run: usage that leaves the cap free grants
+			// what the free tail grants at every level; more may not.
+			u := 1 + rng.Intn(g)
+			if rng.Intn(2) == 0 && d.MaxGPUs > 0 && d.MaxGPUs < g {
+				u = 1 + rng.Intn(g-d.MaxGPUs)
+			}
+			for t := n - 1 - rng.Intn(n); t < n; t++ {
+				used[t] = min(u, g)
+			}
+		}
+		f.used = used
+		horizon := rng.Intn(n + 60) // mostly past the grid's end
+		perSlot := d.Curve.At(min(g, max(d.MaxGPUs, g*(1+rng.Intn(2))/2))) * f.SlotDur
+		d.DeadlineSlot = horizon
+		d.Remaining = rng.Float64() * float64(horizon+1) * perSlot
+		startSlot, fixed0 := 0, -1
+		if rng.Intn(3) == 0 {
+			startSlot, fixed0 = 1, rng.Intn(g+1)
+			if n > 1 && rng.Intn(2) == 0 {
+				// Slot 0 pinned to a power of two with slot 1's usage, so
+				// the level that equals the pin grants both alike.
+				fixed0 = 1 << rng.Intn(bits.Len(uint(g)))
+				used[0] = used[1]
+			}
+		}
+		check(i, f, d, startSlot, fixed0)
+	}
+}
+
+// TestGrantInterval checks grant against clampLevel usage by usage: the
+// interval it returns must be exactly the usages in [0, G] that grant the
+// same level, open-ended above G when that level is zero, so a stretch is
+// never cut short nor carried past a change of level.
+func TestGrantInterval(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 20000; i++ {
+		g := 1 + rng.Intn(70)
+		if rng.Intn(5) == 0 {
+			g = 1 + rng.Intn(1024)
+		}
+		f := NewFiller(g, 1, rng.Intn(2) == 0)
+		d := Demand{MinGPUs: rng.Intn(9), MaxGPUs: rng.Intn(2) * rng.Intn(g+1)}
+		j := 1 + rng.Intn(g)
+		u := rng.Intn(g + 1)
+		x, lo, hi := f.grant(&d, j, u)
+		grants := func(u int) int { return f.clampLevel(min(j, g-u), &d) }
+		if x != grants(u) {
+			t.Fatalf("case %d: grant(j=%d, u=%d) = %d, clampLevel says %d (G=%d d=%+v pow2=%v)", i, j, u, x, grants(u), g, d, f.PowerOfTwo)
+		}
+		for v := 0; v <= g; v++ {
+			if in := lo <= v && v <= hi; in != (grants(v) == x) {
+				t.Fatalf("case %d: usage %d in [%d, %d] = %v but grants %d against %d (G=%d j=%d u=%d d=%+v pow2=%v)",
+					i, v, lo, hi, in, grants(v), x, g, j, u, d, f.PowerOfTwo)
+			}
+		}
+		if (x == 0) != (hi == math.MaxInt) {
+			t.Fatalf("case %d: level %d with interval [%d, %d], want an open end exactly for zero", i, x, lo, hi)
+		}
 	}
 }
 

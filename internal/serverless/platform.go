@@ -107,12 +107,6 @@ type Options struct {
 	TimeScale float64
 	// Clock overrides the time source (tests). It must be monotonic.
 	Clock func() time.Time
-	// Observer, when non-nil, receives the worker-count snapshot after
-	// every rescheduling — the hook the elastic training executor
-	// (package cluster driving package agent) plugs into, closing the loop
-	// of Fig. 1. It is invoked with the platform lock held; observers must
-	// not call back into the platform.
-	Observer func(alloc map[string]int)
 	// Obs is the observability sink (event bus + metrics registry) behind
 	// GET /metrics and GET /debug/events. Nil creates a fresh one sharing
 	// the platform's Clock. When the platform builds its own default
@@ -187,7 +181,6 @@ type Platform struct {
 	// going stale at the last non-zero value. journaled (via job tenants);
 	// guarded by mu
 	tenantsSeen map[string]bool
-	observer    func(map[string]int)
 	obs         *obs.Obs
 	// tr is the span tracer (nil-safe; nil when tracing is disabled).
 	tr *tracing.Tracer
@@ -265,7 +258,6 @@ func newPlatform(opts Options) (*Platform, error) {
 	}
 	est := throughput.NewEstimator(hw)
 	p := &Platform{
-		observer:    opts.Observer,
 		obs:         o,
 		tr:          o.Tracer(),
 		ef:          ef,
@@ -794,11 +786,10 @@ func (p *Platform) applyAdvanceLocked(now float64) {
 }
 
 // rescheduleLocked applies a fresh scheduling decision, then refreshes the
-// gauges and tells the observer.
+// gauges.
 func (p *Platform) rescheduleLocked(now float64) {
 	p.wake = p.eng.Reschedule(now, p.active, p.capLocked())
 	p.gaugesLocked()
-	p.notifyLocked()
 }
 
 // gaugesLocked refreshes the utilization gauges after a scheduling pass:
@@ -824,9 +815,9 @@ func (p *Platform) gaugesLocked() {
 	}
 }
 
-// Allocations returns the current worker-count snapshot per active job —
-// what the observer hook would deliver, fetchable on demand (e.g. right
-// after registering an executor for a freshly admitted job).
+// Allocations returns the current worker-count snapshot per active job, the
+// state an executor reconciles its running workers against (e.g. right after
+// registering one for a freshly admitted job).
 func (p *Platform) Allocations() map[string]int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -843,18 +834,6 @@ func (p *Platform) PlacementOf(id string) (topology.Block, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.cluster.Placement(id)
-}
-
-// notifyLocked pushes the current allocation snapshot to the observer.
-func (p *Platform) notifyLocked() {
-	if p.observer == nil {
-		return
-	}
-	alloc := make(map[string]int, len(p.active))
-	for _, j := range p.active {
-		alloc[j.ID] = j.GPUs
-	}
-	p.observer(alloc)
 }
 
 // addJobLocked enters a job into the job table.

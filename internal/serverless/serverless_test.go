@@ -259,36 +259,6 @@ func TestPlansEndpoint(t *testing.T) {
 	}
 }
 
-func TestObserverReceivesAllocations(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(0, 0)}
-	var snapshots []map[string]int
-	p, err := NewPlatform(Options{
-		Topology: topology.Config{Servers: 2, GPUsPerServer: 8},
-		Clock:    clk.now,
-		Observer: func(alloc map[string]int) {
-			cp := make(map[string]int, len(alloc))
-			for k, v := range alloc {
-				cp[k] = v
-			}
-			snapshots = append(snapshots, cp)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := p.Submit(SubmitRequest{Model: "resnet50", GlobalBatch: 128, Iterations: 50000, DeadlineSeconds: 7200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snapshots) == 0 {
-		t.Fatal("observer never invoked")
-	}
-	last := snapshots[len(snapshots)-1]
-	if last[st.ID] != st.GPUs {
-		t.Errorf("observer saw %v, status says %d GPUs", last, st.GPUs)
-	}
-}
-
 func TestDroppedSubmissionCounterOffer(t *testing.T) {
 	p, _ := newTestPlatform(t)
 	// Impossibly tight deadline, but finite work: the platform should
