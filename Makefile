@@ -62,6 +62,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzJournalRoundTrip -fuzztime=10s ./internal/store/
 	$(GO) test -run=^$$ -fuzz=FuzzCheckpointTransfer -fuzztime=10s ./internal/transfer/
 	$(GO) test -run=^$$ -fuzz=FuzzParallelSimEquivalence -fuzztime=10s ./internal/sim/
+	$(GO) test -run=^$$ -fuzz=FuzzSubmitRequest -fuzztime=10s ./internal/frontdoor/
 
 # obs-check exercises the observability core under the race detector (the
 # bus and registry are the only pieces shared across goroutines by design)

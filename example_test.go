@@ -87,7 +87,7 @@ func Example_minimumSatisfactoryShare() {
 	b := mk("B", 1.5, 1, 2)
 	c := mk("C", 3, 2, 1)
 	mss := sched.MinimumSatisfactoryShare(0, []*elasticflow.Job{a, b, c}, 4)
-	fmt.Println("C's plan:", mss["C"].Levels)
+	fmt.Println("C's plan:", mss["C"].PerSlot())
 	fmt.Println("C's GPU time:", mss["C"].GPUTime)
 	// Output:
 	// C's plan: [1 4]

@@ -10,11 +10,10 @@ package core
 
 import (
 	"container/heap"
-	"fmt"
 	"math"
 	"slices"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 
 	"github.com/elasticflow/elasticflow/internal/job"
@@ -106,15 +105,16 @@ func (o Options) withDefaults() Options {
 type ElasticFlow struct {
 	opts Options
 
-	mu     sync.Mutex
-	gen    uint64        // guarded by mu
-	at     uint64        // guarded by mu; bits of the instant the cached passes and the block belong to
-	states [2]*fillState // guarded by mu; most recently used first
-	spare  []*fillState  // guarded by mu; dropped passes whose record arrays the next ones reuse (at most two)
-	filler *plan.Filler  // guarded by mu; the one filler every pass runs in, its Arena the instant's block
-	fps    []uint64      // guarded by mu; job fingerprints of the pass being matched
-	jobs   []prioJob     // guarded by mu; allocate's entries
-	queue  prioQueue     // guarded by mu; allocate's heap over them
+	mu      sync.Mutex
+	gen     uint64        // guarded by mu
+	at      uint64        // guarded by mu; bits of the instant the cached passes and the block belong to
+	states  [2]*fillState // guarded by mu; most recently used first
+	spare   []*fillState  // guarded by mu; dropped passes whose record arrays the next ones reuse (at most two)
+	filler  *plan.Filler  // guarded by mu; the one filler every pass runs in, its Arena the instant's block
+	fps     []uint64      // guarded by mu; job fingerprints of the pass being matched
+	jobs    []prioJob     // guarded by mu; allocate's entries
+	queue   prioQueue     // guarded by mu; allocate's heap over them
+	winners []byte        // guarded by mu; traceSchedule's winners field, built in place
 }
 
 // New creates an ElasticFlow scheduler. The zero Options select the paper's
@@ -434,11 +434,19 @@ func (e *ElasticFlow) admitCapacity(g int) int {
 }
 
 // shapeKey identifies the candidate fields the feasibility fill reads. IDs
-// are deliberately excluded (see the AdmitBatch contract).
+// are deliberately excluded (see the AdmitBatch contract). It is built with
+// strconv rather than fmt, whose pooled printer state the race detector drops
+// at random, so a refusal allocates the same under -race as without.
 func shapeKey(j *job.Job) string {
-	return fmt.Sprintf("%s|%d|%g|%g|%d|%d|%g",
-		j.Model.Name, j.GlobalBatch, j.TotalIters, j.Deadline,
-		j.MinGPUs, j.MaxGPUs, j.RescaleOverheadSec)
+	b := make([]byte, 0, 96)
+	b = append(append(b, j.Model.Name...), '|')
+	b = append(strconv.AppendInt(b, int64(j.GlobalBatch), 10), '|')
+	b = append(strconv.AppendFloat(b, j.TotalIters, 'g', -1, 64), '|')
+	b = append(strconv.AppendFloat(b, j.Deadline, 'g', -1, 64), '|')
+	b = append(strconv.AppendInt(b, int64(j.MinGPUs), 10), '|')
+	b = append(strconv.AppendInt(b, int64(j.MaxGPUs), 10), '|')
+	b = strconv.AppendFloat(b, j.RescaleOverheadSec, 'g', -1, 64)
+	return string(b)
 }
 
 // refresh re-sorts the active SLO jobs and clears the shape memos when the
@@ -668,7 +676,7 @@ type prioJob struct {
 	d          plan.Demand
 	bestEffort bool            // scheduled without a deadline guarantee
 	cur        plan.Allocation // committed allocation
-	alt        plan.Allocation // probe: cur priced with slot 0 at nextStep (no Levels)
+	alt        plan.Allocation // probe: cur priced with slot 0 at nextStep (no runs)
 	nextStep   int             // slot-0 worker count of the probe
 	priority   float64         // GPU time saved by the probe
 	won        int             // spare-GPU rounds won (adopted probes)
@@ -810,7 +818,8 @@ func (e *ElasticFlow) traceSchedule(now float64, g int, entries []prioJob, adopt
 		return
 	}
 	used, nBE, nLate := 0, 0, 0
-	var winners []string
+	e.mu.Lock()
+	winners := e.winners[:0] // "id:won" pairs, comma-separated
 	for i := range entries {
 		p := &entries[i]
 		used += p.cur.GPUsAt(0)
@@ -821,9 +830,16 @@ func (e *ElasticFlow) traceSchedule(now float64, g int, entries []prioJob, adopt
 			nLate++
 		}
 		if p.won > 0 {
-			winners = append(winners, fmt.Sprintf("%s:%d", p.j.ID, p.won))
+			if len(winners) > 0 {
+				winners = append(winners, ',')
+			}
+			winners = append(winners, p.j.ID...)
+			winners = append(winners, ':')
+			winners = strconv.AppendInt(winners, int64(p.won), 10)
 		}
 	}
+	e.winners = winners
+	e.mu.Unlock()
 	fields := []obs.Field{
 		obs.F("jobs", len(entries)),
 		obs.F("slo", len(entries)-nBE),
@@ -834,7 +850,7 @@ func (e *ElasticFlow) traceSchedule(now float64, g int, entries []prioJob, adopt
 		obs.F("capacity", g),
 	}
 	if len(winners) > 0 {
-		fields = append(fields, obs.F("winners", strings.Join(winners, ",")))
+		fields = append(fields, obs.Field{Key: "winners", Value: string(winners)})
 	}
 	o.Event(now, obs.KindSchedAlloc, "", fields...)
 }
@@ -845,7 +861,7 @@ func (e *ElasticFlow) traceSchedule(now float64, g int, entries []prioJob, adopt
 // covers [now + t·SlotSec, now + (t+1)·SlotSec). The platform exposes this
 // for observability; Schedule's decision is exactly slot 0 of these plans.
 // The result outlives the instant (the platform serializes it after its lock
-// is released), so the levels are copied out of the scheduler's block.
+// is released), so the runs are copied out of the scheduler's block.
 func (e *ElasticFlow) Plans(now float64, active []*job.Job, g int) map[string]plan.Allocation {
 	entries, _ := e.allocate(now, active, g)
 	out := make(map[string]plan.Allocation, len(entries))
@@ -914,9 +930,8 @@ func (e *ElasticFlow) allocate(now float64, active []*job.Job, g int) ([]prioJob
 			continue
 		}
 		// Adopt the probe: slot 0 rises and the tail past the earlier finish
-		// is given back. The plan is the cached fill's until the job's first
-		// win and the entry's own after.
-		p.cur = f.Raise(p.cur, p.alt, p.nextStep, p.won > 0)
+		// is given back.
+		p.cur = f.Raise(p.cur, p.alt, p.nextStep)
 		p.won++
 		adoptions++
 		// Compute the next probe for this job.

@@ -21,7 +21,7 @@ import (
 //     fingerprint (mutable planning fields plus the scaling curve's content
 //     hash) or into the cache key (time, capacity); scheduler options are
 //     immutable after construction.
-//   - Snapshots copy, and re-commits re-add, the exact committed integers,
+//   - Snapshots store, and re-commits re-add, the exact committed integers,
 //     and resumed passes run the same plan.Filler operations in the same
 //     order as a from-scratch pass, so cached and uncached decisions are
 //     byte-identical (asserted by TestPlanCacheDeterminism and the sim
@@ -41,13 +41,13 @@ import (
 // was computed for — bit equality, nearby times must miss — and decision time
 // only moves forward, so the first pass at a new instant drops everything
 // cached (dropInstantLocked). Nothing computed at one instant is reachable at
-// the next, and that is the lifetime every plan gets: the levels of filled and
-// raised plans and the grids of snapshots are carved from one fixed block of
-// ints (the Arena of the scheduler's one long-lived plan.Filler) that is
-// emptied at exactly that point — and by InvalidatePlanCache, the other reset
-// — instead of being allocated one by one and left to the collector, which is
-// where almost half of a replay's CPU used to go. What does not fit the block
-// is an ordinary heap slice: the block is a bound, not a pool that grows.
+// the next, and that is the lifetime every plan gets: the runs of filled and
+// raised plans and of snapshots are carved from one fixed block of runs (the
+// Arena of the scheduler's one long-lived plan.Filler) that is emptied at
+// exactly that point — and by InvalidatePlanCache, the other reset — instead
+// of being allocated one by one and left to the collector, which is where
+// almost half of a replay's CPU used to go. What does not fit the block is an
+// ordinary heap slice: the block is a bound, not a pool that grows.
 // The records of a dropped pass go to the next pass that needs an array (at
 // most two wait), and a new pass either grows the donor it extends to the end
 // or copies its donor's prefix, so no two passes ever share a backing array. With DisablePlanCache the same filler
@@ -100,10 +100,10 @@ type fillRec struct {
 // fillState is one memoized fill pass at the scheduler's current instant: the
 // records in processing order plus Filler snapshots every snapStride
 // positions — snaps[k] is the committed usage before position k·snapStride, so
-// len(snaps) == len(recs)/snapStride+1. A snapshot is a copy of the whole
-// usage grid, by far the largest thing a pass stores; the positions in between
-// are reached by re-committing the recorded plans, a few integer additions per
-// slot.
+// len(snaps) == len(recs)/snapStride+1. A snapshot is the whole usage grid as
+// runs of equal usage, by far the largest thing a pass stores (≈70 runs
+// against ≈2 per plan); the positions in between are reached by re-committing
+// the recorded plans, a few integer additions per slot.
 type fillState struct {
 	g      int
 	skipID string // candidate whose unsatisfied fill was not committed ("" = none)
@@ -113,18 +113,15 @@ type fillState struct {
 
 const snapStride = 8
 
-// blockInts is the size of a scheduler's block: 1 MiB of ints. The largest
-// instant of the sim_philly replay (trace.PhillyScale, 1 440 jobs on 2 048
-// GPUs, seed 1) carves 122 420 ints and the median live_philly instant 29 000
-// to 70 000 on its two shards, so the block holds a whole instant of the one
-// and an ordinary instant of the other. It must not grow instead: a refusal's
-// counter-offer search runs about 7 fill passes at its instant (42 when it was
-// a bisection of verdicts), a batch of refusals several times that —
-// live_philly's worst instant ran 35 passes asking for 2.0 M ints (16 MB;
-// 329 passes and 4.9 M before) — and a prototype whose block grew to hold an
-// instant doubled efserver's peak RSS; every retained byte counts twice under
-// GOGC=100. Past the block those passes allocate as every pass used to.
-const blockInts = 1 << 17
+// blockRuns is the size of a scheduler's block: 1 MiB of 8-byte runs. Plans
+// average ≈2 runs and snapshots ≈70 on live_philly, so a whole instant fits,
+// counter-offer search included: stored slot by slot, the worst instant —
+// 35 fill passes of a batch of refusals — asked for 2.0 M ints (16 MB), and
+// 326 M of 587 M copied ints spilled to the heap in a 19 s live_philly
+// window on a 2-CPU host, where runs spill none. It must not grow instead: a prototype whose block grew to hold
+// an instant doubled efserver's peak RSS; every retained byte counts twice
+// under GOGC=100. Past the block passes allocate as every pass used to.
+const blockRuns = 1 << 17
 
 // sized returns buf resized to n entries, contents kept. The scheduler's
 // reused buffers grow with an eighth of headroom where append would double:
@@ -338,7 +335,7 @@ func (e *ElasticFlow) passLocked(now float64, slo, be []*job.Job, skipCand strin
 		e.at = bits
 	}
 	if f.Arena == nil {
-		f.Arena = plan.NewArena(blockInts)
+		f.Arena = plan.NewArena(blockRuns)
 	}
 
 	// The donor is the cached pass sharing the longest prefix; on equal

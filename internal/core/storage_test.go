@@ -9,6 +9,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"github.com/elasticflow/elasticflow/internal/job"
 	"github.com/elasticflow/elasticflow/internal/plan"
@@ -25,7 +26,7 @@ type heldPlans struct {
 func deepCopyPlans(m map[string]plan.Allocation) map[string]plan.Allocation {
 	out := make(map[string]plan.Allocation, len(m))
 	for id, a := range m {
-		a.Levels = append([]int(nil), a.Levels...)
+		a.Levels = append([]plan.Run(nil), a.Levels...)
 		out[id] = a
 	}
 	return out
@@ -102,7 +103,7 @@ func storageScript(t *testing.T, e *ElasticFlow, seed int64) string {
 				slo, _ := splitJobs(active)
 				if cand.Class == job.SLO {
 					v := e.verdict(now, cand, slo, e.admitCapacity(g))
-					emit("verdict %s ok=%v reason=%s victim=%s mss=%s fin=%d frac=%v", cand.ID, v.ok, v.reason, v.victim, levelsDigest(v.mss.Levels), v.mss.FinishSlot, v.mss.FinishFrac)
+					emit("verdict %s ok=%v reason=%s victim=%s mss=%s fin=%d frac=%v", cand.ID, v.ok, v.reason, v.victim, levelsDigest(v.mss.PerSlot()), v.mss.FinishSlot, v.mss.FinishFrac)
 				}
 				ok := ba.Admit(cand, active)
 				emit("admit %s -> %v", cand.ID, ok)
@@ -143,7 +144,7 @@ func storageScript(t *testing.T, e *ElasticFlow, seed int64) string {
 		sort.Strings(ids)
 		for _, id := range ids {
 			p := plans[id]
-			emit("plan %s alloc=%d levels=%s fin=%d frac=%v gputime=%v sat=%v", id, dec.Alloc[id], levelsDigest(p.Levels), p.FinishSlot, p.FinishFrac, p.GPUTime, p.Satisfied)
+			emit("plan %s alloc=%d levels=%s fin=%d frac=%v gputime=%v sat=%v", id, dec.Alloc[id], levelsDigest(p.PerSlot()), p.FinishSlot, p.FinishFrac, p.GPUTime, p.Satisfied)
 		}
 		emit("wake %v", dec.Wake)
 		check(step, false)
@@ -158,7 +159,7 @@ func storageScript(t *testing.T, e *ElasticFlow, seed int64) string {
 	return string(out)
 }
 
-// withBlock shrinks the scheduler's block to n ints before its first pass.
+// withBlock shrinks the scheduler's block to n runs before its first pass.
 func withBlock(e *ElasticFlow, n int) *ElasticFlow {
 	e.filler.Arena = plan.NewArena(n)
 	return e
@@ -166,7 +167,7 @@ func withBlock(e *ElasticFlow, n int) *ElasticFlow {
 
 // TestStorageNeverChangesADecision holds the three places a plan can live
 // equal: the scheduler's block, the heap behind a block too small for any
-// instant (1 KiB, so every pass overflows), and the heap alone
+// instant (16 runs, 128 bytes, so every pass overflows), and the heap alone
 // (DisablePlanCache, no block, fresh records every pass).
 func TestStorageNeverChangesADecision(t *testing.T) {
 	for seed := int64(1); seed <= 2; seed++ {
@@ -179,7 +180,7 @@ func TestStorageNeverChangesADecision(t *testing.T) {
 		if got := storageScript(t, New(opts), seed); got != want {
 			t.Fatalf("seed %d: block-backed and cache-less transcripts differ%s", seed, firstDiff(got, want))
 		}
-		if got := storageScript(t, withBlock(New(opts), 128), seed); got != want {
+		if got := storageScript(t, withBlock(New(opts), 16), seed); got != want {
 			t.Fatalf("seed %d: overflowing-block and cache-less transcripts differ%s", seed, firstDiff(got, want))
 		}
 	}
@@ -301,8 +302,8 @@ func TestSchedulerRetention(t *testing.T) {
 	}
 	e.Schedule(now, active, g)
 	block := e.filler.Arena
-	if block == nil || block.Cap() != blockInts {
-		t.Fatalf("after the first pass the scheduler holds block %v, want one of %d ints", block, blockInts)
+	if block == nil || block.Cap() != blockRuns || blockRuns*unsafe.Sizeof(plan.Run{}) != 1<<20 {
+		t.Fatalf("after the first pass the scheduler holds block %v, want one of %d runs, 1 MiB", block, blockRuns)
 	}
 	for ev := 0; ev < events; ev++ {
 		if ev%4 == 0 {
@@ -326,7 +327,7 @@ func TestSchedulerRetention(t *testing.T) {
 		}
 		e.Schedule(now, active, g)
 	}
-	if e.filler.Arena != block || block.Cap() != blockInts {
+	if e.filler.Arena != block || block.Cap() != blockRuns {
 		t.Errorf("the scheduler replaced or resized its block")
 	}
 	if len(e.spare) > 2 {

@@ -153,15 +153,27 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// writeJSON / writeError mirror the serverless HTTP helpers: an encode
-// failure mid-body is counted and logged rather than silently dropped.
+// writeJSON / writeError mirror the serverless HTTP helpers: v is encoded
+// before the status goes out, so a value that cannot be encoded answers 500
+// with an error body, and the failure is counted and logged rather than
+// silently dropped.
 func writeJSON(o *obs.Obs, w http.ResponseWriter, code int, v interface{}) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		encodeFailed(o, err)
+		code = http.StatusInternalServerError
+		body, _ = json.Marshal(errorBody{Error: err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		o.IncEncodeError()
-		o.EventNow(obs.KindError, "", obs.F("op", "http-encode"), obs.F("err", err.Error()))
+	if _, err := w.Write(append(body, '\n')); err != nil {
+		encodeFailed(o, err)
 	}
+}
+
+func encodeFailed(o *obs.Obs, err error) {
+	o.IncEncodeError()
+	o.EventNow(obs.KindError, "", obs.F("op", "http-encode"), obs.F("err", err.Error()))
 }
 
 func writeError(o *obs.Obs, w http.ResponseWriter, code int, err error) {

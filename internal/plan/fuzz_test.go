@@ -11,7 +11,8 @@ import (
 // usage: it must never panic, never overcommit, and a satisfied plan must
 // finish within its deadline horizon. It is also a reference fuzz: Fill and
 // FillFixedSlot0 must equal the slot-by-slot refFill, and RaiseSlot0 of the
-// committed plan must equal refRaiseSlot0, Allocation for Allocation.
+// committed plan must equal refRaiseSlot0, Allocation for Allocation; every
+// plan's runs are canonical and expand to the oracle's levels.
 func FuzzFill(f *testing.F) {
 	f.Add(int64(1), uint16(10), uint8(4), uint8(1), uint8(8), false)
 	f.Add(int64(2), uint16(1000), uint8(16), uint8(2), uint8(0), true)
@@ -31,7 +32,7 @@ func FuzzFill(f *testing.F) {
 				bg[i] = v
 			}
 		}
-		fl.Commit(Allocation{Levels: bg})
+		fl.Commit(dense(bg...))
 
 		d := Demand{
 			Curve:        curve,
@@ -41,12 +42,15 @@ func FuzzFill(f *testing.F) {
 			MaxGPUs:      int(maxG) % 32,
 		}
 		a := fl.Fill(d)
-		if want := refFill(fl, d, 0, -1); !reflect.DeepEqual(a, want) {
-			t.Fatalf("Fill = %+v, slot by slot %+v (grid %v, d %+v)", a, want, bg, d)
+		want, levels := refFill(fl, d, 0, -1)
+		if diff := matchesDense(a, want, levels); diff != "" {
+			t.Fatalf("Fill = %+v, slot by slot %+v %v: %s (grid %v, d %+v)", a, want, levels, diff, bg, d)
 		}
 		pin := int(uint64(seed)>>8) % (g + 1)
-		if got, want := fl.FillFixedSlot0(d, pin), refFill(fl, d, 1, pin); !reflect.DeepEqual(got, want) {
-			t.Fatalf("FillFixedSlot0(%d) = %+v, slot by slot %+v (grid %v, d %+v)", pin, got, want, bg, d)
+		pinned := fl.FillFixedSlot0(d, pin)
+		want, levels = refFill(fl, d, 1, pin)
+		if diff := matchesDense(pinned, want, levels); diff != "" {
+			t.Fatalf("FillFixedSlot0(%d) = %+v, slot by slot %+v %v: %s (grid %v, d %+v)", pin, pinned, want, levels, diff, bg, d)
 		}
 		fl.Commit(a)
 		for s := 0; s < 70; s++ {
@@ -62,7 +66,7 @@ func FuzzFill(f *testing.F) {
 		}
 		slot0, free0 := int(uint64(seed)>>16)%(g+1), fl.FreeAt(0)+a.GPUsAt(0)
 		got, ok := fl.RaiseSlot0(d, a, slot0, free0)
-		if want, wok := refRaiseSlot0(fl, d, a, slot0, free0); ok != wok || !reflect.DeepEqual(got, want) {
+		if want, wok := refRaiseSlot0(fl, d, a.PerSlot(), slot0, free0); ok != wok || !reflect.DeepEqual(got, want) {
 			t.Fatalf("RaiseSlot0(%d) = %+v %v, slot by slot %+v %v (plan %v, d %+v)", slot0, got, ok, want, wok, a.Levels, d)
 		}
 	})

@@ -35,21 +35,48 @@ type Demand struct {
 	MaxGPUs int
 }
 
+// Run is a stretch of consecutive slots planned at one level: the slots from
+// the previous run's End (0 for the first run) up to End, exclusive. It is
+// 8 bytes, the size of one slot's level as an int.
+type Run struct {
+	Level, End int32
+}
+
+// runsEnd returns the number of slots runs cover: the end of the last one.
+func runsEnd(runs []Run) int {
+	if n := len(runs); n > 0 {
+		return int(runs[n-1].End)
+	}
+	return 0
+}
+
+// appendRun appends level x through slot end to runs, extending the last run
+// when it holds the same level, so that runs built in slot order stay maximal.
+func appendRun(runs []Run, x, end int) []Run {
+	if n := len(runs); n > 0 && int(runs[n-1].Level) == x {
+		runs[n-1].End = int32(end)
+		return runs
+	}
+	return append(runs, Run{Level: int32(x), End: int32(end)})
+}
+
 // Allocation is the result of filling one job: its planned per-slot worker
 // counts and derived accounting.
 type Allocation struct {
-	// Levels[t] is the number of GPUs in slot t. Slots after the finish
-	// slot are zero; the finish slot itself holds its full level (the
-	// planner reserves the whole slot; the simulator frees GPUs at the
-	// actual completion instant).
-	Levels []int
+	// Levels is the plan as runs of equal level: contiguous from slot 0,
+	// each run at least one slot long, zero levels included, and maximal (no
+	// two neighbours hold the same level). Slots after the finish slot are
+	// not in the plan (GPUsAt reads them as zero); the finish slot itself
+	// holds its full level (the planner reserves the whole slot; the
+	// simulator frees GPUs at the actual completion instant).
+	Levels []Run
 	// Satisfied reports whether the plan completes Remaining iterations
 	// by DeadlineSlot. Unsatisfied allocations are best-effort maximal
 	// plans (used to keep running jobs alive when replanning detects
 	// infeasibility).
 	Satisfied bool
-	// FinishSlot is the slot in which the job completes (len(Levels) when
-	// not satisfied).
+	// FinishSlot is the slot in which the job completes (Slots() when not
+	// satisfied).
 	FinishSlot int
 	// FinishFrac is the fraction of FinishSlot elapsed at completion.
 	FinishFrac float64
@@ -58,49 +85,71 @@ type Allocation struct {
 	GPUTime float64
 }
 
+// Slots returns the number of slots the plan covers.
+func (a Allocation) Slots() int { return runsEnd(a.Levels) }
+
 // GPUsAt returns the planned worker count in slot t (0 beyond the plan).
 func (a Allocation) GPUsAt(t int) int {
-	if t < 0 || t >= len(a.Levels) {
+	if t < 0 {
 		return 0
 	}
-	return a.Levels[t]
-}
-
-// FirstChangeSlot returns the smallest t ≥ 1 at which the planned level
-// differs from slot 0, or 0 if the plan never changes. The simulator uses it
-// to wake up at planned reallocation boundaries.
-func (a Allocation) FirstChangeSlot() int {
-	for t := 1; t < len(a.Levels); t++ {
-		if a.Levels[t] != a.Levels[0] {
-			return t
+	for _, r := range a.Levels {
+		if t < int(r.End) {
+			return int(r.Level)
 		}
 	}
 	return 0
 }
 
+// FirstChangeSlot returns the smallest t ≥ 1 at which the planned level
+// differs from slot 0, or 0 if the plan never changes. The simulator uses it
+// to wake up at planned reallocation boundaries. Runs are maximal, so it is
+// where the second run starts.
+func (a Allocation) FirstChangeSlot() int {
+	if len(a.Levels) < 2 {
+		return 0
+	}
+	return int(a.Levels[0].End)
+}
+
 // FinishTime returns the completion time in seconds from the plan origin.
 func (a Allocation) FinishTime(slotDur float64) float64 {
-	if !a.Satisfied && a.FinishSlot >= len(a.Levels) {
+	if !a.Satisfied && a.FinishSlot >= a.Slots() {
 		return math.Inf(1)
 	}
 	return (float64(a.FinishSlot) + a.FinishFrac) * slotDur
 }
 
-// Arena is a fixed block of int storage that a Filler carves plans and
+// PerSlot returns the plan slot by slot: element t is the worker count of
+// slot t. It is nil exactly when Levels is.
+func (a Allocation) PerSlot() []int {
+	if a.Levels == nil {
+		return nil
+	}
+	out := make([]int, 0, a.Slots())
+	for _, r := range a.Levels {
+		for len(out) < int(r.End) {
+			out = append(out, int(r.Level))
+		}
+	}
+	return out
+}
+
+// Arena is a fixed block of run storage that a Filler carves plans and
 // snapshots from instead of allocating each on the heap. Nothing is freed
 // piecemeal: Reset gives the whole block back at once, so everything carved
 // since the previous Reset must be unreachable by then. The block never
 // grows — a request that does not fit is served by make — which bounds what
 // the arena's owner retains no matter how much is planned between two resets.
 type Arena struct {
-	buf []int
+	buf []Run
 	off int
 }
 
-// NewArena creates an arena of n ints.
-func NewArena(n int) *Arena { return &Arena{buf: make([]int, n)} }
+// NewArena creates an arena of n runs.
+func NewArena(n int) *Arena { return &Arena{buf: make([]Run, n)} }
 
-// Cap returns the size of the block in ints.
+// Cap returns the size of the block in runs.
 func (a *Arena) Cap() int { return len(a.buf) }
 
 // Reset empties the arena: storage handed out so far will be handed out again.
@@ -119,14 +168,14 @@ type Filler struct {
 	// placement (§4.3). When false, the filler runs Algorithm 1 exactly
 	// as printed, with unit increments.
 	PowerOfTwo bool
-	// Arena, when non-nil, is where the levels of filled and raised plans and
-	// the grids of snapshots are stored: they are valid until its next Reset
-	// and must not be appended to. With a nil Arena (or a full one) they are
-	// ordinary heap slices.
+	// Arena, when non-nil, is where the runs of filled and raised plans and
+	// of snapshots are stored: they are valid until its next Reset and must
+	// not be appended to. With a nil Arena (or a full one) they are ordinary
+	// heap slices.
 	Arena *Arena
 
 	used    []int // committed usage per slot
-	scratch []int // the levels fill walks into before copying out the trimmed plan
+	scratch []Run // the runs walk, Raise and Snapshot build before copying them out
 }
 
 // NewFiller creates a filler for a cluster of g GPUs with the given slot
@@ -155,7 +204,7 @@ func (f *Filler) Reset(g int) {
 
 // clone copies src into the arena when it fits and onto the heap otherwise.
 // The result is never nil and has no spare capacity.
-func (f *Filler) clone(src []int) []int {
+func (f *Filler) clone(src []Run) []Run {
 	if a := f.Arena; a != nil && len(src) <= len(a.buf)-a.off {
 		dst := a.buf[a.off : a.off+len(src) : a.off+len(src)]
 		a.off += len(src)
@@ -164,7 +213,7 @@ func (f *Filler) clone(src []int) []int {
 	}
 	// make+copy of plain locals compiles to one allocation that is not
 	// zeroed first.
-	dst := make([]int, len(src))
+	dst := make([]Run, len(src))
 	copy(dst, src)
 	return dst
 }
@@ -186,46 +235,95 @@ func (f *Filler) ensure(n int) {
 	clear(f.used[old:]) // capacity left behind by Restore is not zero
 }
 
-// Snapshot is an immutable copy of a Filler's committed usage: cheap to take
-// (one memcpy) and restore relative to re-running progressive filling. The
-// scheduler's plan cache keys incremental replans on snapshots taken between
-// per-job commits, so probing a candidate does not re-fill the already
-// committed prefix. A snapshot taken by a filler with an Arena lives there.
+// Snapshot is an immutable copy of a Filler's committed usage, stored as runs
+// of equal usage: cheap to take and restore relative to re-running
+// progressive filling. The scheduler's plan cache keys incremental replans on
+// snapshots taken between per-job commits, so probing a candidate does not
+// re-fill the already committed prefix. A snapshot taken by a filler with an
+// Arena lives there.
 type Snapshot struct {
-	used []int
+	used []Run
 }
 
 // Slots returns the number of slots the snapshot covers.
-func (s Snapshot) Slots() int { return len(s.used) }
+func (s Snapshot) Slots() int { return runsEnd(s.used) }
 
 // Snapshot captures the current committed usage.
 func (f *Filler) Snapshot() Snapshot {
-	return Snapshot{used: f.clone(f.used)}
+	f.scratch = runsOf(f.scratch[:0], f.used)
+	return Snapshot{used: f.clone(f.scratch)}
+}
+
+// runsOf appends the maximal runs of equal value in levels to runs.
+func runsOf(runs []Run, levels []int) []Run {
+	for t := 0; t < len(levels); {
+		x, end := levels[t], t+1
+		for end < len(levels) && levels[end] == x {
+			end++
+		}
+		runs = append(runs, Run{Level: int32(x), End: int32(end)})
+		t = end
+	}
+	return runs
 }
 
 // Restore resets the committed usage to a previously taken snapshot. The
 // snapshot stays valid and may be restored any number of times, into any
 // filler with the same capacity and slot duration.
 func (f *Filler) Restore(s Snapshot) {
-	f.used = append(f.used[:0], s.used...)
+	n := s.Slots()
+	if cap(f.used) < n {
+		f.used = make([]int, n, max(n, 2*cap(f.used)))
+	}
+	f.used = f.used[:n]
+	t := 0
+	for _, r := range s.used {
+		seg := f.used[t:r.End]
+		if r.Level == 0 {
+			clear(seg)
+		} else {
+			for i := range seg {
+				seg[i] = int(r.Level)
+			}
+		}
+		t = int(r.End)
+	}
 }
 
 // Commit reserves the allocation's levels in the filler's usage grid.
 func (f *Filler) Commit(a Allocation) {
-	f.ensure(len(a.Levels))
-	for t, x := range a.Levels {
-		f.used[t] += x
-		if f.used[t] > f.G {
-			// Programming error: callers must only commit plans
-			// produced against the current usage.
-			panic(fmt.Sprintf("plan: slot %d overcommitted: %d > %d", t, f.used[t], f.G))
+	f.ensure(a.Slots())
+	t := 0
+	for _, r := range a.Levels {
+		if x := int(r.Level); x != 0 {
+			for ; t < int(r.End); t++ {
+				f.used[t] += x
+				if f.used[t] > f.G {
+					// Programming error: callers must only commit plans
+					// produced against the current usage.
+					panic(fmt.Sprintf("plan: slot %d overcommitted: %d > %d", t, f.used[t], f.G))
+				}
+			}
 		}
+		t = int(r.End)
 	}
 }
 
 // Uncommit releases a previously committed allocation.
 func (f *Filler) Uncommit(a Allocation) {
-	for t, x := range a.Levels {
+	t := 0
+	for _, r := range a.Levels {
+		f.release(t, int(r.End), int(r.Level))
+		t = int(r.End)
+	}
+}
+
+// release gives back x GPUs in every slot of [t, end); zero is a no-op.
+func (f *Filler) release(t, end, x int) {
+	if x == 0 {
+		return
+	}
+	for ; t < end; t++ {
 		if t >= len(f.used) || f.used[t] < x {
 			panic(fmt.Sprintf("plan: slot %d under-release", t))
 		}
@@ -318,40 +416,41 @@ func finishFrac(remaining, progress, delta float64) float64 {
 // Satisfied — with Levels left nil: Algorithm 2 prices a raise per job per
 // round and adopts few of them, so only Raise builds the plan.
 //
-// Plans are long runs of equal levels, so the walk goes run by run: the
-// throughput and GPU time of a level are looked up once per run, and the
-// inner loop over the run keeps one addition per slot in slot order.
+// The walk goes run by run: the throughput and GPU time of a level are looked
+// up once per run, and the inner loop over the run keeps one addition per
+// slot in slot order.
 func (f *Filler) RaiseSlot0(d Demand, cur Allocation, slot0, free0 int) (a Allocation, ok bool) {
 	if slot0 > free0 || f.clampLevel(slot0, &d) != slot0 {
 		return Allocation{}, false
 	}
-	levels := cur.Levels
-	n := max(len(levels), 1)
-	a.FinishSlot = n
+	runs := cur.Levels
+	a.FinishSlot = max(cur.Slots(), 1)
 	progress, gpuTime := 0.0, 0.0
-	for t, end := 0, 1; t < n; t = end {
-		lv := slot0 // the raised slot 0 is its own run
-		if t > 0 {
-			lv = levels[t]
-			for end = t + 1; end < n && levels[end] == lv; end++ {
+	lv, t, end := slot0, 0, 1 // the raised slot 0 is its own run
+	for i := 0; ; {
+		if lv != 0 {
+			delta := d.Curve.At(lv) * f.SlotDur
+			slotTime := float64(lv) * f.SlotDur
+			for ; t < end; t++ {
+				if progress+delta >= d.Remaining-1e-9 {
+					a.Satisfied = true
+					a.FinishSlot = t
+					a.FinishFrac = finishFrac(d.Remaining, progress, delta)
+					a.GPUTime = gpuTime + float64(lv)*a.FinishFrac*f.SlotDur
+					return a, true
+				}
+				progress += delta
+				gpuTime += slotTime
 			}
 		}
-		if lv == 0 {
-			continue
+		t = end
+		for i < len(runs) && int(runs[i].End) <= t {
+			i++ // the run holding slot 0 may end there
 		}
-		delta := d.Curve.At(lv) * f.SlotDur
-		slotTime := float64(lv) * f.SlotDur
-		for ; t < end; t++ {
-			if progress+delta >= d.Remaining-1e-9 {
-				a.Satisfied = true
-				a.FinishSlot = t
-				a.FinishFrac = finishFrac(d.Remaining, progress, delta)
-				a.GPUTime = gpuTime + float64(lv)*a.FinishFrac*f.SlotDur
-				return a, true
-			}
-			progress += delta
-			gpuTime += slotTime
+		if i == len(runs) {
+			break
 		}
+		lv, end = int(runs[i].Level), int(runs[i].End)
 	}
 	a.Satisfied = d.Remaining <= 1e-9
 	a.GPUTime = gpuTime
@@ -365,38 +464,34 @@ func (f *Filler) RaiseSlot0(d Demand, cur Allocation, slot0, free0 int) (a Alloc
 // by slot0 − cur's share and the slots past the new finish slot are given
 // back; the slots in between would be released and re-reserved as they were.
 // It panics as those would on an overcommitted slot 0 and on an under-release
-// in slot 0 or the tail.
-//
-// owned says cur.Levels is the caller's to edit — an earlier Raise returned
-// it — and the raised plan reuses it. Otherwise cur may be shared (a cached
-// fill) and the raised plan is a copy.
-func (f *Filler) Raise(cur, priced Allocation, slot0 int, owned bool) Allocation {
-	levels := cur.Levels
-	if len(levels) == 0 {
-		levels, owned = []int{0}, false // an empty plan gains its first slot
-		f.ensure(1)
+// in slot 0 or the tail. cur is left as it is — it may be a cached fill —
+// and the raised plan is a new copy of a few runs.
+func (f *Filler) Raise(cur, priced Allocation, slot0 int) Allocation {
+	n := cur.Slots()
+	if n == 0 {
+		f.ensure(1) // an empty plan gains its first slot
 	}
-	keep := min(priced.FinishSlot+1, len(levels))
-	if len(f.used) == 0 || f.used[0] < levels[0] {
+	keep := min(priced.FinishSlot+1, max(n, 1))
+	cur0 := cur.GPUsAt(0)
+	if len(f.used) == 0 || f.used[0] < cur0 {
 		panic("plan: slot 0 under-release")
 	}
-	for t := keep; t < len(levels); t++ {
-		if t >= len(f.used) || f.used[t] < levels[t] {
-			panic(fmt.Sprintf("plan: slot %d under-release", t))
+	runs := append(f.scratch[:0], Run{Level: int32(slot0), End: 1})
+	t := 0
+	for _, r := range cur.Levels {
+		start, x := max(t, 1), int(r.Level)
+		t = int(r.End)
+		if end := min(t, keep); start < end {
+			runs = appendRun(runs, x, end)
 		}
-		f.used[t] -= levels[t]
+		f.release(max(start, keep), t, x)
 	}
-	f.used[0] += slot0 - levels[0]
+	f.used[0] += slot0 - cur0
 	if f.used[0] > f.G {
 		panic(fmt.Sprintf("plan: slot 0 overcommitted: %d > %d", f.used[0], f.G))
 	}
-	if owned {
-		levels = levels[:keep]
-	} else {
-		levels = f.clone(levels[:keep])
-	}
-	levels[0] = slot0
-	priced.Levels = levels
+	f.scratch = runs
+	priced.Levels = f.clone(runs)
 	return priced
 }
 
@@ -411,7 +506,7 @@ func (f *Filler) fill(d *Demand, startSlot, fixed0 int) Allocation {
 	return f.own(f.search(d, startSlot, fixed0))
 }
 
-// own returns a with its levels copied out of the walk buffer when buffered
+// own returns a with its runs copied out of the walk buffer when buffered
 // says they are still there.
 func (f *Filler) own(a Allocation, buffered bool) Allocation {
 	if buffered {
@@ -423,7 +518,7 @@ func (f *Filler) own(a Allocation, buffered bool) Allocation {
 // search runs the level search of fill. startSlot is the first slot whose
 // level the candidate j controls; slots before it are pinned to fixed0 (only
 // slot 0 can be pinned). fixed0 < 0 means no pin. buffered reports that the
-// result's Levels alias the walk buffer, valid until the next search.
+// result's Levels alias the walk buffer, valid until the buffer's next use.
 //
 // Levels are tried in ascending order with one early-exiting walk per level,
 // so a job satisfiable at a low level costs O(finish slot) rather than
@@ -446,19 +541,19 @@ func (f *Filler) search(d *Demand, startSlot, fixed0 int) (a Allocation, buffere
 	switch {
 	case maxJ < 1:
 		// No level to try: the empty plan over the whole horizon.
-		a := Allocation{Levels: make([]int, horizon), FinishSlot: horizon}
+		f.scratch = f.scratch[:0]
+		if horizon > 0 {
+			f.scratch = append(f.scratch, Run{End: int32(horizon)})
+		}
+		a := Allocation{Levels: f.scratch, FinishSlot: horizon}
 		if d.Remaining <= 1e-9 {
 			a.Satisfied, a.FinishSlot = true, 0
 		}
-		return a, false
+		return a, true
 	case d.Remaining <= 1e-9:
 		// Nothing to run: an empty, satisfied plan.
 		return Allocation{Satisfied: true}, false
 	}
-	if cap(f.scratch) < horizon {
-		f.scratch = make([]int, max(horizon, 2*cap(f.scratch)))
-	}
-	levels := f.scratch[:horizon]
 	best := 0.0 // highest Curve.At over the levels visited so far
 	for j := 1; ; j = f.nextLevel(j) {
 		last := f.nextLevel(j) > maxJ
@@ -468,7 +563,7 @@ func (f *Filler) search(d *Demand, startSlot, fixed0 int) (a Allocation, buffere
 				continue
 			}
 		}
-		if a := f.walk(d, j, startSlot, fixed0, levels); a.Satisfied || last {
+		if a := f.walk(d, j, startSlot, fixed0, horizon); a.Satisfied || last {
 			return a, true
 		}
 	}
@@ -535,22 +630,24 @@ func (f *Filler) grant(d *Demand, j, u int) (x, lo, hi int) {
 	return x, max(f.G-top, 0), f.G - x
 }
 
-// walk lays level j over levels (one entry per slot of the horizon) until the
-// demand is met, in a single pass that produces the whole allocation: the
-// result's Levels aliases levels up to and including the finish slot, or all
-// of it when the demand cannot complete by the horizon at this level.
+// walk lays level j over the horizon until the demand is met, in a single
+// pass that produces the whole allocation: its runs, written to the walk
+// buffer, cover the slots up to and including the finish slot, or the whole
+// horizon when the demand cannot complete by it at this level.
 //
 // The walk goes by stretches — maximal runs of slots that get the same
 // granted level. The pinned slot 0 is its own stretch; past the pin, grant
 // gives the level and the usage interval that keeps it once per stretch,
 // and the stretch extends with one unsigned compare per slot. Slots past the
 // usage grid have usage 0, so a stretch whose interval starts at 0 runs on to
-// the horizon. Progress and GPU time each accumulate with one addition per
-// slot in slot order — stretches only hoist the (identical) level and
-// throughput computation, keeping results bit-identical to a slot-by-slot
-// walk; a closed form per stretch rounds differently and moves finish slots.
-func (f *Filler) walk(d *Demand, j, startSlot, fixed0 int, levels []int) Allocation {
-	horizon := len(levels)
+// the horizon. Each stretch is one run of the plan, merged into the pinned
+// slot 0 when the two grant the same level. Progress and GPU time each
+// accumulate with one addition per slot in slot order — stretches only hoist
+// the (identical) level and throughput computation, keeping results
+// bit-identical to a slot-by-slot walk; a closed form per stretch rounds
+// differently and moves finish slots.
+func (f *Filler) walk(d *Demand, j, startSlot, fixed0, horizon int) Allocation {
+	runs := f.scratch[:0]
 	used := f.used
 	grid := min(len(used), horizon)
 	progress, gpuTime := 0.0, 0.0
@@ -572,24 +669,27 @@ func (f *Filler) walk(d *Demand, j, startSlot, fixed0 int, levels []int) Allocat
 			}
 		}
 		if x == 0 {
-			clear(levels[t:end])
+			runs = appendRun(runs, 0, end)
 			t = end
 			continue
 		}
 		delta := d.Curve.At(x) * f.SlotDur
 		slotTime := float64(x) * f.SlotDur
 		for ; t < end; t++ {
-			levels[t] = x
 			if progress+delta >= d.Remaining-1e-9 {
+				runs = appendRun(runs, x, t+1)
+				f.scratch = runs
 				frac := finishFrac(d.Remaining, progress, delta)
 				gpuTime += float64(x) * frac * f.SlotDur
-				return Allocation{Levels: levels[:t+1], Satisfied: true, FinishSlot: t, FinishFrac: frac, GPUTime: gpuTime}
+				return Allocation{Levels: runs, Satisfied: true, FinishSlot: t, FinishFrac: frac, GPUTime: gpuTime}
 			}
 			progress += delta
 			gpuTime += slotTime
 		}
+		runs = appendRun(runs, x, end)
 	}
-	return Allocation{Levels: levels, FinishSlot: horizon, GPUTime: gpuTime}
+	f.scratch = runs
+	return Allocation{Levels: runs, FinishSlot: horizon, GPUTime: gpuTime}
 }
 
 // TotalCommitted returns the committed GPU·slots across all slots, a debug

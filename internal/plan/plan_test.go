@@ -1,10 +1,12 @@
 package plan
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -17,6 +19,46 @@ func fig4Curve() throughput.Curve {
 	return throughput.MustCurve(map[int]float64{1: 1, 2: 1.5, 4: 2})
 }
 
+// dense is the plan with the given per-slot levels.
+func dense(levels ...int) Allocation { return Allocation{Levels: runsOf(nil, levels)} }
+
+// canonical returns "" when runs is a plan's canonical form — every run
+// non-empty and holding a level ≥ 0, each starting where the previous ended,
+// no two neighbours at one level — and what is wrong otherwise.
+func canonical(runs []Run) string {
+	end := int32(0)
+	for i, r := range runs {
+		switch {
+		case r.End <= end:
+			return fmt.Sprintf("run %d of %v is empty", i, runs)
+		case r.Level < 0:
+			return fmt.Sprintf("run %d of %v has a negative level", i, runs)
+		case i > 0 && r.Level == runs[i-1].Level:
+			return fmt.Sprintf("runs %d and %d of %v hold one level", i-1, i, runs)
+		}
+		end = r.End
+	}
+	return ""
+}
+
+// matchesDense returns "" when a is what a dense oracle computed — want's
+// accounting, identical to the bit, and per-slot levels levels — and what
+// differs otherwise. a's runs must be canonical and expand to levels, nil
+// exactly when levels is, so their last End is the oracle's length.
+func matchesDense(a, want Allocation, levels []int) string {
+	if err := canonical(a.Levels); err != "" {
+		return err
+	}
+	if got := a.PerSlot(); !reflect.DeepEqual(got, levels) {
+		return fmt.Sprintf("levels %v (runs %v), want %v", got, a.Levels, levels)
+	}
+	a.Levels, want.Levels = nil, nil
+	if !reflect.DeepEqual(a, want) {
+		return fmt.Sprintf("accounting %+v, want %+v", a, want)
+	}
+	return ""
+}
+
 // TestFig4AloneNeedsTwoGPUs reproduces Fig. 4(b): with an empty cluster of 4
 // GPUs, job C (deadline 2 slots, 3 iterations) needs 2 GPUs per slot and
 // consumes 4 units of GPU time.
@@ -26,8 +68,8 @@ func TestFig4AloneNeedsTwoGPUs(t *testing.T) {
 	if !a.Satisfied {
 		t.Fatalf("job C not satisfied: %+v", a)
 	}
-	if a.Levels[0] != 2 || a.Levels[1] != 2 {
-		t.Errorf("levels = %v want [2 2]", a.Levels)
+	if lv := a.PerSlot(); lv[0] != 2 || lv[1] != 2 {
+		t.Errorf("levels = %v want [2 2]", lv)
 	}
 	if a.GPUTime != 4 {
 		t.Errorf("GPU time = %v want 4 (paper Fig. 4(b))", a.GPUTime)
@@ -40,13 +82,13 @@ func TestFig4AloneNeedsTwoGPUs(t *testing.T) {
 func TestFig4WithContention(t *testing.T) {
 	f := NewFiller(4, 1, true)
 	// Jobs A and B: 3 GPUs in slot 0.
-	f.Commit(Allocation{Levels: []int{3}})
+	f.Commit(dense(3))
 	a := f.Fill(Demand{Curve: fig4Curve(), Remaining: 3, DeadlineSlot: 2, MinGPUs: 1})
 	if !a.Satisfied {
 		t.Fatalf("job C not satisfied: %+v", a)
 	}
-	if a.Levels[0] != 1 || a.Levels[1] != 4 {
-		t.Errorf("levels = %v want [1 4] (paper Fig. 4(c))", a.Levels)
+	if lv := a.PerSlot(); lv[0] != 1 || lv[1] != 4 {
+		t.Errorf("levels = %v want [1 4] (paper Fig. 4(c))", lv)
 	}
 	if a.GPUTime != 5 {
 		t.Errorf("GPU time = %v want 5 (paper Fig. 4(c))", a.GPUTime)
@@ -57,13 +99,13 @@ func TestFig4WithContention(t *testing.T) {
 // §4.1 walk-through: with j=2 job C only reaches 2.5 < 3 iterations.
 func TestFig4IntermediateLevelInsufficient(t *testing.T) {
 	f := NewFiller(4, 1, true)
-	f.Commit(Allocation{Levels: []int{3}})
+	f.Commit(dense(3))
 	d := Demand{Curve: fig4Curve(), Remaining: 3, DeadlineSlot: 2, MinGPUs: 1, MaxGPUs: 2}
 	a := f.Fill(d)
 	if a.Satisfied {
 		t.Fatalf("level ≤2 should not satisfy job C, got %+v", a)
 	}
-	if got := f.progress(d, a.Levels); got != 2.5 {
+	if got := f.progress(d, a.PerSlot()); got != 2.5 {
 		t.Errorf("progress at j=2 = %v want 2.5", got)
 	}
 }
@@ -84,8 +126,8 @@ func TestFillInfeasibleDeadline(t *testing.T) {
 		t.Error("infeasible demand satisfied")
 	}
 	// The fallback must be the maximal-progress plan.
-	if a.Levels[0] != 4 || a.Levels[1] != 4 {
-		t.Errorf("fallback levels = %v want [4 4]", a.Levels)
+	if lv := a.PerSlot(); lv[0] != 4 || lv[1] != 4 {
+		t.Errorf("fallback levels = %v want [4 4]", lv)
 	}
 }
 
@@ -104,10 +146,10 @@ func TestFillRespectsMinGPUs(t *testing.T) {
 	f := NewFiller(4, 1, true)
 	// Slot 0 has only 1 free GPU but the job needs at least 2: it must
 	// receive zero there, not a useless single GPU.
-	f.Commit(Allocation{Levels: []int{3}})
+	f.Commit(dense(3))
 	a := f.Fill(Demand{Curve: fig4Curve(), Remaining: 2, DeadlineSlot: 3, MinGPUs: 2})
-	if a.Levels[0] != 0 {
-		t.Errorf("slot 0 = %d want 0 (below memory floor)", a.Levels[0])
+	if lv := a.PerSlot(); lv[0] != 0 {
+		t.Errorf("slot 0 = %d want 0 (below memory floor)", lv[0])
 	}
 	if !a.Satisfied {
 		t.Error("job should be satisfiable from slot 1")
@@ -117,19 +159,19 @@ func TestFillRespectsMinGPUs(t *testing.T) {
 func TestFillPowerOfTwoClamping(t *testing.T) {
 	f := NewFiller(8, 1, true)
 	// 3 GPUs free in slot 0: a power-of-two job must take 2, not 3.
-	f.Commit(Allocation{Levels: []int{5}})
+	f.Commit(dense(5))
 	a := f.Fill(Demand{Curve: throughput.MustCurve(map[int]float64{1: 1, 2: 1.9, 4: 3.5, 8: 6}), Remaining: 100, DeadlineSlot: 4, MinGPUs: 1})
-	if a.Levels[0] != 2 {
-		t.Errorf("slot 0 = %d want 2 (power-of-two clamp of 3 free)", a.Levels[0])
+	if lv := a.PerSlot(); lv[0] != 2 {
+		t.Errorf("slot 0 = %d want 2 (power-of-two clamp of 3 free)", lv[0])
 	}
 }
 
 func TestFillUnitModeUsesExactFree(t *testing.T) {
 	f := NewFiller(8, 1, false)
-	f.Commit(Allocation{Levels: []int{5}})
+	f.Commit(dense(5))
 	a := f.Fill(Demand{Curve: throughput.MustCurve(map[int]float64{1: 1, 2: 1.9, 4: 3.5, 8: 6}), Remaining: 100, DeadlineSlot: 4, MinGPUs: 1})
-	if a.Levels[0] != 3 {
-		t.Errorf("slot 0 = %d want 3 (unit mode uses all free GPUs)", a.Levels[0])
+	if lv := a.PerSlot(); lv[0] != 3 {
+		t.Errorf("slot 0 = %d want 3 (unit mode uses all free GPUs)", lv[0])
 	}
 }
 
@@ -137,15 +179,16 @@ func TestFillFixedSlot0(t *testing.T) {
 	f := NewFiller(4, 1, true)
 	// Pin slot 0 to 4 GPUs; the filler chooses the rest.
 	a := f.FillFixedSlot0(Demand{Curve: fig4Curve(), Remaining: 3, DeadlineSlot: 2, MinGPUs: 1}, 4)
-	if a.Levels[0] != 4 {
-		t.Errorf("slot 0 = %d want 4 (pinned)", a.Levels[0])
+	lv := a.PerSlot()
+	if lv[0] != 4 {
+		t.Errorf("slot 0 = %d want 4 (pinned)", lv[0])
 	}
 	if !a.Satisfied {
 		t.Error("pinned fill unsatisfied")
 	}
 	// Slot 0 contributes 2 iterations, so slot 1 needs only level 1.
-	if a.Levels[1] != 1 {
-		t.Errorf("slot 1 = %d want 1", a.Levels[1])
+	if lv[1] != 1 {
+		t.Errorf("slot 1 = %d want 1", lv[1])
 	}
 }
 
@@ -169,8 +212,8 @@ func TestCommitOvercommitPanics(t *testing.T) {
 		}
 	}()
 	f := NewFiller(2, 1, true)
-	f.Commit(Allocation{Levels: []int{2}})
-	f.Commit(Allocation{Levels: []int{1}})
+	f.Commit(dense(2))
+	f.Commit(dense(1))
 }
 
 func TestFinishAccounting(t *testing.T) {
@@ -194,9 +237,9 @@ func TestFinishAccounting(t *testing.T) {
 		t.Errorf("GPUTime=%v want ≈2.5", a.GPUTime)
 	}
 	// Slots after completion are trimmed.
-	for tslot := 3; tslot < len(a.Levels); tslot++ {
-		if a.Levels[tslot] != 0 {
-			t.Errorf("slot %d = %d want 0 after completion", tslot, a.Levels[tslot])
+	for tslot, x := range a.PerSlot() {
+		if tslot >= 3 && x != 0 {
+			t.Errorf("slot %d = %d want 0 after completion", tslot, x)
 		}
 	}
 }
@@ -211,7 +254,7 @@ func TestFirstChangeSlot(t *testing.T) {
 		{[]int{2, 2, 0}, 2},
 		{nil, 0},
 	} {
-		a := Allocation{Levels: tc.levels}
+		a := dense(tc.levels...)
 		if got := a.FirstChangeSlot(); got != tc.want {
 			t.Errorf("FirstChangeSlot(%v)=%d want %d", tc.levels, got, tc.want)
 		}
@@ -230,7 +273,7 @@ func TestFillMinimality(t *testing.T) {
 		for t := range bg {
 			bg[t] = rng.Intn(7)
 		}
-		f.Commit(Allocation{Levels: bg})
+		f.Commit(dense(bg...))
 		d := Demand{
 			Curve:        curve,
 			Remaining:    1 + rng.Float64()*20,
@@ -243,7 +286,7 @@ func TestFillMinimality(t *testing.T) {
 		}
 		// Find the level Fill effectively used: the max level granted.
 		maxLevel := 0
-		for _, x := range a.Levels {
+		for _, x := range a.PerSlot() {
 			if x > maxLevel {
 				maxLevel = x
 			}
@@ -323,13 +366,13 @@ func TestRaiseSlot0(t *testing.T) {
 		t.Fatalf("raise priced as %+v ok=%v, want accounting without levels", alt, ok)
 	}
 	f.Commit(cur)
-	alt = f.Raise(cur, alt, 2, false)
+	alt = f.Raise(cur, alt, 2)
 	if alt.GPUsAt(0) != 2 {
 		t.Fatalf("slot0=%d ok=%v want 2", alt.GPUsAt(0), ok)
 	}
 	// Tail stays at level 1; progress 1.5+1+1 = 3.5 then 0.5 into slot 3.
 	if alt.GPUsAt(1) != 1 {
-		t.Errorf("tail changed: %v", alt.Levels)
+		t.Errorf("tail changed: %v", alt.PerSlot())
 	}
 	if !(alt.FinishTime(1) < cur.FinishTime(1)) {
 		t.Errorf("raise did not finish earlier: %v vs %v", alt.FinishTime(1), cur.FinishTime(1))
@@ -339,13 +382,13 @@ func TestRaiseSlot0(t *testing.T) {
 	}
 	// The grid followed the raise, and the plan it started from — shared
 	// with whoever filled it — was left alone.
-	if f.UsedAt(0) != 2 || f.UsedAt(1) != 1 || cur.Levels[0] != 1 {
-		t.Errorf("after the raise used=%v cur=%v, want slot 0 at 2 and cur untouched", f.used, cur.Levels)
+	if f.UsedAt(0) != 2 || f.UsedAt(1) != 1 || cur.GPUsAt(0) != 1 {
+		t.Errorf("after the raise used=%v cur=%v, want slot 0 at 2 and cur untouched", f.used, cur.PerSlot())
 	}
 	f.Uncommit(alt)
 	// A raise that does not fit the free capacity is no probe at all, and
 	// neither is one to an infeasible worker count.
-	f.Commit(Allocation{Levels: []int{3}})
+	f.Commit(dense(3))
 	if alt2, ok := f.RaiseSlot0(d, cur, 4, f.FreeAt(0)); ok {
 		t.Errorf("raise to 4 with 1 GPU free = %+v, want no probe", alt2)
 	}
@@ -353,7 +396,7 @@ func TestRaiseSlot0(t *testing.T) {
 		t.Errorf("raise to 3 in power-of-two mode = %+v, want no probe", alt2)
 	}
 	// cur's own committed share counts as free for its raise.
-	f.Uncommit(Allocation{Levels: []int{3}})
+	f.Uncommit(dense(3))
 	f.Commit(cur)
 	if _, ok := f.RaiseSlot0(d, cur, 4, f.FreeAt(0)+cur.GPUsAt(0)); !ok {
 		t.Error("raise of a committed plan to 4 refused with its own GPU plus 3 free")
@@ -362,21 +405,21 @@ func TestRaiseSlot0(t *testing.T) {
 	empty := Allocation{}
 	f2 := NewFiller(4, 1, true)
 	alt3, ok := f2.RaiseSlot0(d, empty, 2, f2.FreeAt(0))
-	alt3 = f2.Raise(empty, alt3, 2, false)
-	if !ok || alt3.GPUsAt(0) != 2 || len(alt3.Levels) != 1 || f2.UsedAt(0) != 2 {
+	alt3 = f2.Raise(empty, alt3, 2)
+	if !ok || alt3.GPUsAt(0) != 2 || alt3.Slots() != 1 || f2.UsedAt(0) != 2 {
 		t.Errorf("raise of empty plan = %+v, used %v", alt3, f2.used)
 	}
 }
 
 // refRaiseSlot0 is RaiseSlot0 as it was before it walked runs of equal
-// level: one pass over the slots with the throughput of the last level seen
-// kept between them. It is the specification the run walk must match bit for
-// bit.
-func refRaiseSlot0(f *Filler, d Demand, cur Allocation, slot0, free0 int) (a Allocation, ok bool) {
+// level, over the per-slot levels of the plan it prices: one pass over the
+// slots with the throughput of the last level seen kept between them. It is
+// the specification the run walk must match bit for bit.
+func refRaiseSlot0(f *Filler, d Demand, levels []int, slot0, free0 int) (a Allocation, ok bool) {
 	if slot0 > free0 || f.clampLevel(slot0, &d) != slot0 {
 		return Allocation{}, false
 	}
-	n := max(len(cur.Levels), 1)
+	n := max(len(levels), 1)
 	a.FinishSlot = n
 	progress, gpuTime := 0.0, 0.0
 	// Plans are long runs of equal levels; look up the per-slot throughput
@@ -386,7 +429,7 @@ func refRaiseSlot0(f *Filler, d Demand, cur Allocation, slot0, free0 int) (a All
 	for t := 0; t < n; t++ {
 		lv := slot0
 		if t > 0 {
-			lv = cur.Levels[t]
+			lv = levels[t]
 		}
 		if lv == 0 {
 			continue
@@ -446,7 +489,7 @@ func TestRaiseSlot0MatchesSlotBySlot(t *testing.T) {
 				levels[t] = lv
 			}
 		}
-		cur := Allocation{Levels: levels}
+		cur := dense(levels...)
 		d := Demand{
 			Curve:     curves[rng.Intn(len(curves))],
 			Remaining: rng.Float64() * 60,
@@ -476,7 +519,7 @@ func TestRaiseSlot0MatchesSlotBySlot(t *testing.T) {
 			}
 			boundary++
 		}
-		want, wok := refRaiseSlot0(f, d, cur, slot0, free0)
+		want, wok := refRaiseSlot0(f, d, levels, slot0, free0)
 		got, ok := f.RaiseSlot0(d, cur, slot0, free0)
 		if ok != wok || !reflect.DeepEqual(got, want) {
 			t.Fatalf("case %d: levels=%v slot0=%d free0=%d G=%d pow2=%v slotDur=%v d=%+v\n got  %+v %v\n want %+v %v",
@@ -494,28 +537,27 @@ func TestRaiseSlot0MatchesSlotBySlot(t *testing.T) {
 	}
 }
 
-// raisedRef is how a priced raise used to become a plan — a whole copy of
-// cur with slot 0 at slot0, trimmed at the raised plan's completion point,
-// adopted by Uncommit(cur) before and Commit after. Raise must stay
-// indistinguishable from that triple.
-func raisedRef(cur, priced Allocation, slot0 int) Allocation {
-	kept := cur.Levels[:min(priced.FinishSlot+1, len(cur.Levels))]
-	levels := append([]int(nil), kept...)
+// raisedRef is how a priced raise used to become a plan, per slot — a whole
+// copy of cur's levels with slot 0 at slot0, trimmed at the raised plan's
+// completion point, adopted by Uncommit(cur) before and Commit after. Raise
+// must stay indistinguishable from that triple.
+func raisedRef(cur []int, priced Allocation, slot0 int) []int {
+	levels := append([]int(nil), cur[:min(priced.FinishSlot+1, len(cur))]...)
 	if len(levels) == 0 {
 		levels = []int{0} // an empty plan gains its first slot
 	}
 	levels[0] = slot0
-	priced.Levels = levels
-	return priced
+	return levels
 }
 
 // TestRaiseMatchesUncommitRaisedCommit drives two fillers in lockstep through
 // chains of adopted raises — one with Raise, one with the triple it replaced —
 // over random grids, non-monotone curves, both allocation disciplines, empty
 // starting plans, with and without an arena (small, so plans also overflow to
-// the heap): after every raise the plans must be identical and the usage
-// grids equal slot for slot, and the plan the chain started from — a cached
-// fill other passes still read — must never be edited.
+// the heap): after every raise Raise's plan must be canonical runs that expand
+// to the triple's levels, with identical accounting, the usage grids equal
+// slot for slot, and the plan the chain started from — a cached fill other
+// passes still read — must never be edited.
 func TestRaiseMatchesUncommitRaisedCommit(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	curves := []throughput.Curve{
@@ -538,7 +580,7 @@ func TestRaiseMatchesUncommitRaisedCommit(t *testing.T) {
 		g, slotDur, pow2 := 1+rng.Intn(32), 0.5+rng.Float64(), rng.Intn(2) == 0
 		a, b := NewFiller(g, slotDur, pow2), NewFiller(g, slotDur, pow2)
 		if rng.Intn(2) == 0 {
-			a.Arena = NewArena(rng.Intn(96))
+			a.Arena = NewArena(rng.Intn(12))
 		}
 		for k := rng.Intn(3); k > 0; k-- {
 			bg := b.Fill(randDemand())
@@ -552,10 +594,10 @@ func TestRaiseMatchesUncommitRaisedCommit(t *testing.T) {
 		}
 		a.Commit(cur)
 		b.Commit(cur)
-		start := append([]int(nil), cur.Levels...)
-		curA, curB := cur, cur
+		start := slices.Clone(cur.Levels)
+		curA, curB := cur, cur.PerSlot()
 		for won := 0; ; won++ {
-			cur0 := curB.GPUsAt(0)
+			cur0 := dense(curB...).GPUsAt(0)
 			step := cur0 + 1
 			switch {
 			case cur0 == 0 && pow2:
@@ -565,20 +607,20 @@ func TestRaiseMatchesUncommitRaisedCommit(t *testing.T) {
 			case pow2:
 				step = cur0 * 2
 			}
-			priced, ok := b.RaiseSlot0(d, curB, step, b.FreeAt(0)+cur0)
+			priced, ok := refRaiseSlot0(b, d, curB, step, b.FreeAt(0)+cur0)
 			if pricedA, okA := a.RaiseSlot0(d, curA, step, a.FreeAt(0)+cur0); okA != ok || !reflect.DeepEqual(pricedA, priced) {
 				t.Fatalf("case %d: the two fillers price the raise differently: %+v %v vs %+v %v", i, pricedA, okA, priced, ok)
 			}
 			if !ok {
 				break
 			}
-			before := len(curB.Levels)
-			b.Uncommit(curB)
+			before := len(curB)
+			b.Uncommit(dense(curB...))
 			curB = raisedRef(curB, priced, step)
-			b.Commit(curB)
-			curA = a.Raise(curA, priced, step, won > 0)
-			if !reflect.DeepEqual(curA, curB) {
-				t.Fatalf("case %d win %d: Raise built %+v, the triple %+v", i, won, curA, curB)
+			b.Commit(dense(curB...))
+			curA = a.Raise(curA, priced, step)
+			if diff := matchesDense(curA, priced, curB); diff != "" {
+				t.Fatalf("case %d win %d: Raise built %+v, the triple %v: %s", i, won, curA, curB, diff)
 			}
 			if len(a.used) != len(b.used) {
 				t.Fatalf("case %d win %d: grids of %d and %d slots", i, won, len(a.used), len(b.used))
@@ -588,7 +630,7 @@ func TestRaiseMatchesUncommitRaisedCommit(t *testing.T) {
 					t.Fatalf("case %d win %d: slot %d holds %d after Raise, %d after the triple\n%v\n%v", i, won, s, a.used[s], b.used[s], a.used, b.used)
 				}
 			}
-			if !reflect.DeepEqual(append([]int(nil), cur.Levels...), start) {
+			if !slices.Equal(cur.Levels, start) {
 				t.Fatalf("case %d win %d: Raise edited the plan the chain started from: %v, was %v", i, won, cur.Levels, start)
 			}
 			raises++
@@ -598,7 +640,7 @@ func TestRaiseMatchesUncommitRaisedCommit(t *testing.T) {
 			if won > 0 {
 				later++
 			}
-			if len(curB.Levels) < before {
+			if len(curB) < before {
 				trimmed++
 			}
 		}
@@ -616,7 +658,7 @@ func TestRaisePanics(t *testing.T) {
 	cur := NewFiller(4, 1, true).Fill(d) // [1,1,1,1]
 	setup := func(committed ...int) (*Filler, Allocation) {
 		f := NewFiller(4, 1, true)
-		f.Commit(Allocation{Levels: committed})
+		f.Commit(dense(committed...))
 		priced, ok := f.RaiseSlot0(d, cur, 4, 4)
 		if !ok || priced.FinishSlot >= 3 {
 			t.Fatalf("setup: raise to 4 priced as %+v ok=%v, want a finish before slot 3", priced, ok)
@@ -626,20 +668,20 @@ func TestRaisePanics(t *testing.T) {
 	for name, raise := range map[string]func(){
 		"overcommit at slot 0": func() {
 			f, priced := setup(1, 1, 1, 1)
-			f.Commit(Allocation{Levels: []int{1}}) // the capacity the probe assumed is gone
-			f.Raise(cur, priced, 4, false)
+			f.Commit(dense(1)) // the capacity the probe assumed is gone
+			f.Raise(cur, priced, 4)
 		},
 		"under-release at slot 0": func() {
 			f, priced := setup(0, 1, 1, 1)
-			f.Raise(cur, priced, 4, false)
+			f.Raise(cur, priced, 4)
 		},
 		"under-release in the tail": func() {
 			f, priced := setup(1, 1, 1, 0)
-			f.Raise(cur, priced, 4, false)
+			f.Raise(cur, priced, 4)
 		},
 		"tail past the grid": func() {
 			f, priced := setup(1, 1, 1)
-			f.Raise(cur, priced, 4, false)
+			f.Raise(cur, priced, 4)
 		},
 	} {
 		func() {
@@ -653,7 +695,7 @@ func TestRaisePanics(t *testing.T) {
 	}
 	// The same raise of a plan that is committed goes through.
 	f, priced := setup(1, 1, 1, 1)
-	if got := f.Raise(cur, priced, 4, false); got.GPUsAt(0) != 4 || f.UsedAt(0) != 4 || f.UsedAt(3) != 0 {
+	if got := f.Raise(cur, priced, 4); got.GPUsAt(0) != 4 || f.UsedAt(0) != 4 || f.UsedAt(3) != 0 {
 		t.Errorf("raise of a committed plan = %+v, used %v", got, f.used)
 	}
 }
@@ -667,33 +709,38 @@ func TestArenaStorage(t *testing.T) {
 	d := Demand{Curve: fig4Curve(), Remaining: 4, DeadlineSlot: 8, MinGPUs: 1}
 	plain := NewFiller(4, 1, true)
 	f := NewFiller(4, 1, true)
-	f.Arena = NewArena(10)
+	f.Arena = NewArena(3)
 
-	a1, want := f.Fill(d), plain.Fill(d) // 4 slots
-	if !reflect.DeepEqual(a1, want) || f.Arena.off != 4 || cap(a1.Levels) != 4 {
+	a1, want := f.Fill(d), plain.Fill(d) // 4 slots at one level: 1 run
+	if !reflect.DeepEqual(a1, want) || f.Arena.off != 1 || cap(a1.Levels) != 1 {
 		t.Fatalf("first fill %+v (cap %d, block at %d), want %+v carved exactly", a1, cap(a1.Levels), f.Arena.off, want)
 	}
 	f.Commit(a1)
 	plain.Commit(want)
-	snap := f.Snapshot() // 4 more
-	if f.Arena.off != 8 || snap.Slots() != 4 {
-		t.Fatalf("snapshot of %d slots left the block at %d", snap.Slots(), f.Arena.off)
+	f.Commit(dense(0, 0, 1))
+	plain.Commit(dense(0, 0, 1))
+	snap := f.Snapshot() // usage [1 1 2 1]: 3 runs, 2 more than fit
+	if f.Arena.off != 1 || snap.Slots() != 4 {
+		t.Fatalf("overflowing snapshot of %d slots left the block at %d", snap.Slots(), f.Arena.off)
 	}
-	a2 := f.Fill(d) // 4 slots do not fit the 2 left
-	if want := plain.Fill(d); !reflect.DeepEqual(a2, want) || f.Arena.off != 8 {
-		t.Fatalf("overflowing fill %+v (block at %d), want %+v from the heap", a2, f.Arena.off, want)
+	a2, want2 := f.Fill(d), plain.Fill(d) // 1 run, which fits
+	if !reflect.DeepEqual(a2, want2) || f.Arena.off != 2 {
+		t.Fatalf("second fill %+v (block at %d), want %+v carved behind the first", a2, f.Arena.off, want2)
 	}
-	_ = append(a1.Levels, 9)
-	f.Restore(snap)
-	if f.UsedAt(0) != 1 || f.UsedAt(3) != 1 {
-		t.Fatalf("appending to a carved plan reached the snapshot behind it: %v", f.used)
+	snap2 := f.Snapshot() // 3 runs do not fit the 1 left
+	if f.Arena.off != 2 || !reflect.DeepEqual(snap2, snap) {
+		t.Fatalf("snapshot %+v (block at %d), want %+v from the heap", snap2, f.Arena.off, snap)
+	}
+	_ = append(a1.Levels, Run{Level: 3, End: 9})
+	if !reflect.DeepEqual(a2, want2) {
+		t.Fatalf("appending to a carved plan reached the plan behind it: %+v", a2)
 	}
 	// A zero-length result is still a plan, not nil, arena or heap.
 	if z := f.Fill(Demand{Curve: fig4Curve(), Remaining: 4, MinGPUs: 1}); z.Levels == nil || len(z.Levels) != 0 {
 		t.Errorf("fill over an empty horizon = %+v, want empty non-nil levels", z)
 	}
 	f.Arena.Reset()
-	if a3 := f.Fill(d); f.Arena.off != 4 || &a3.Levels[0] != &a1.Levels[0] {
+	if a3 := f.Fill(d); f.Arena.off != 1 || &a3.Levels[0] != &a1.Levels[0] {
 		t.Errorf("after Reset the block was not reused from its start (at %d)", f.Arena.off)
 	}
 	// Reset keeps the grid's storage but none of its contents.
@@ -724,7 +771,7 @@ func TestFillEarliestCopiesOnlyItsPlan(t *testing.T) {
 			t.Fatalf("remaining %v: with an arena %+v, without %+v", tc.remaining, got, want)
 		}
 		if f.Arena.off != len(got.Levels) {
-			t.Errorf("remaining %v cap %d: arena advanced %d ints for a plan of %d slots", tc.remaining, tc.maxSlots, f.Arena.off, len(got.Levels))
+			t.Errorf("remaining %v cap %d: arena advanced %d runs for a plan of %d", tc.remaining, tc.maxSlots, f.Arena.off, len(got.Levels))
 		}
 	}
 }
@@ -733,8 +780,8 @@ func TestFillEarliestCopiesOnlyItsPlan(t *testing.T) {
 // levelAt and Curve.At computed afresh in every slot — kept as the reference
 // oracle: the production fill prunes levels and computes level and throughput
 // once per stretch of equal granted level, and must stay bit-identical to
-// this walk.
-func refFill(f *Filler, d Demand, startSlot, fixed0 int) Allocation {
+// this walk. It returns the accounting with no runs and the plan per slot.
+func refFill(f *Filler, d Demand, startSlot, fixed0 int) (Allocation, []int) {
 	horizon := d.DeadlineSlot
 	if horizon < 0 {
 		horizon = 0
@@ -790,7 +837,7 @@ func refFill(f *Filler, d Demand, startSlot, fixed0 int) Allocation {
 				levels = nil
 				gpuTime = 0
 			}
-			return Allocation{Levels: levels, Satisfied: true, FinishSlot: fin, FinishFrac: frac, GPUTime: gpuTime}
+			return Allocation{Satisfied: true, FinishSlot: fin, FinishFrac: frac, GPUTime: gpuTime}, levels
 		}
 	}
 	levels := make([]int, horizon)
@@ -801,16 +848,17 @@ func refFill(f *Filler, d Demand, startSlot, fixed0 int) Allocation {
 		gpuTime += float64(x) * f.SlotDur
 	}
 	if d.Remaining <= 1e-9 {
-		return Allocation{Levels: make([]int, horizon), Satisfied: true, FinishSlot: 0, GPUTime: 0}
+		return Allocation{Satisfied: true, FinishSlot: 0, GPUTime: 0}, make([]int, horizon)
 	}
-	return Allocation{Levels: levels, Satisfied: false, FinishSlot: horizon, GPUTime: gpuTime}
+	return Allocation{Satisfied: false, FinishSlot: horizon, GPUTime: gpuTime}, levels
 }
 
 // TestRunFillMatchesSlotBySlot cross-checks the pruned single-walk fill
 // against the slot-by-slot oracle over randomized usage grids, curves
 // (monotone and not), capacities and worker caps off the powers of two, pins,
 // and both allocation disciplines — whole Allocations must be identical
-// (Levels, FinishFrac and GPUTime to the bit), not merely close.
+// (canonical runs expanding to the oracle's levels, FinishFrac and GPUTime to
+// the bit), not merely close.
 func TestRunFillMatchesSlotBySlot(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	curves := []throughput.Curve{
@@ -838,10 +886,10 @@ func TestRunFillMatchesSlotBySlot(t *testing.T) {
 	check := func(i int, f *Filler, d Demand, startSlot, fixed0 int) {
 		t.Helper()
 		got := f.fill(&d, startSlot, fixed0)
-		want := refFill(f, d, startSlot, fixed0)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("case %d: fill mismatch\n grid=%v G=%d pow2=%v slot=%v d=%+v start=%d fixed0=%d\n got  %+v\n want %+v",
-				i, f.used, f.G, f.PowerOfTwo, f.SlotDur, d, startSlot, fixed0, got, want)
+		want, levels := refFill(f, d, startSlot, fixed0)
+		if diff := matchesDense(got, want, levels); diff != "" {
+			t.Fatalf("case %d: fill mismatch: %s\n grid=%v G=%d pow2=%v slot=%v d=%+v start=%d fixed0=%d\n got  %+v\n want %+v %v",
+				i, diff, f.used, f.G, f.PowerOfTwo, f.SlotDur, d, startSlot, fixed0, got, want, levels)
 		}
 	}
 	for i := 0; i < 6000; i++ {
@@ -1015,7 +1063,7 @@ func TestGrantInterval(t *testing.T) {
 
 func TestSnapshotRestore(t *testing.T) {
 	f := NewFiller(8, 1, true)
-	f.Commit(Allocation{Levels: []int{2, 2, 1}})
+	f.Commit(dense(2, 2, 1))
 	snap := f.Snapshot()
 	if snap.Slots() != 3 {
 		t.Fatalf("snapshot slots = %d want 3", snap.Slots())
@@ -1040,7 +1088,7 @@ func TestSnapshotRestore(t *testing.T) {
 	}
 
 	// The snapshot survives the restore and mutating the filler afterwards.
-	f.Commit(Allocation{Levels: []int{4, 4, 4, 4}})
+	f.Commit(dense(4, 4, 4, 4))
 	f.Restore(snap)
 	if f.UsedAt(0) != 2 || f.UsedAt(3) != 0 {
 		t.Fatalf("second restore: used=%v", f.used)
@@ -1060,7 +1108,7 @@ func TestSnapshotRestore(t *testing.T) {
 func TestRestoreShrinksGrid(t *testing.T) {
 	f := NewFiller(4, 1, false)
 	snap := f.Snapshot() // empty
-	f.Commit(Allocation{Levels: []int{1, 2, 3, 2, 1}})
+	f.Commit(dense(1, 2, 3, 2, 1))
 	f.Restore(snap)
 	if f.TotalCommitted() != 0 {
 		t.Fatalf("restore of empty snapshot left usage: %v", f.used)
@@ -1070,10 +1118,77 @@ func TestRestoreShrinksGrid(t *testing.T) {
 	}
 	// Growing the grid again reuses the capacity the restore left behind;
 	// what was committed there before must not resurface.
-	f.Commit(Allocation{Levels: []int{1, 0, 0, 1}})
+	f.Commit(dense(1, 0, 0, 1))
 	for slot, want := range []int{1, 0, 0, 1, 0} {
 		if got := f.UsedAt(slot); got != want {
 			t.Fatalf("after recommit UsedAt(%d) = %d want %d (grid %v)", slot, got, want, f.used)
 		}
+	}
+}
+
+// TestSnapshotRoundTrip snapshots random grids — runs, spikes, zero stretches,
+// the empty grid — with and without a (small) arena, and restores each into a
+// filler whose grid is longer, shorter or empty: the snapshot's runs must be
+// canonical and cover the grid, the restored grid must equal it slot for slot,
+// and growing it again must not bring back what the longer grid held past its
+// end (the capacity Restore leaves behind, which ensure clears). The snapshot
+// must survive being restored and the filler changing after.
+func TestSnapshotRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	randomGrid := func() []int {
+		grid := make([]int, rng.Intn(300))
+		for s := 0; s < len(grid); {
+			u := rng.Intn(9)
+			for end := s + 1 + rng.Intn(20); s < len(grid) && s < end; s++ {
+				grid[s] = u
+				if rng.Intn(10) == 0 {
+					grid[s] = rng.Intn(9)
+				}
+			}
+		}
+		return grid
+	}
+	longer, shorter := 0, 0
+	for i := 0; i < 2000; i++ {
+		src := NewFiller(16, 1, true)
+		if rng.Intn(2) == 0 {
+			src.Arena = NewArena(rng.Intn(64))
+		}
+		grid := randomGrid()
+		src.Commit(dense(grid...))
+		snap := src.Snapshot()
+		if err := canonical(snap.used); err != "" || snap.Slots() != len(grid) {
+			t.Fatalf("case %d: snapshot %v of %d slots for a grid of %d: %s", i, snap.used, snap.Slots(), len(grid), err)
+		}
+		dst := NewFiller(16, 1, true)
+		before := randomGrid()
+		dst.Commit(dense(before...))
+		dst.Restore(snap)
+		if !slices.Equal(dst.used, grid) {
+			t.Fatalf("case %d: restored %v, want %v", i, dst.used, grid)
+		}
+		// Regrow to the longer grid's end — inside the capacity the restore
+		// left behind — or past it.
+		n := max(len(grid), len(before)) + rng.Intn(2)*(1+rng.Intn(20))
+		dst.Commit(Allocation{Levels: []Run{{Level: 0, End: int32(n)}}})
+		for s := len(grid); s < n; s++ {
+			if dst.UsedAt(s) != 0 {
+				t.Fatalf("case %d: slot %d holds %d after regrowing a restored grid of %d slots (it held %v before)", i, s, dst.UsedAt(s), len(grid), before)
+			}
+		}
+		src.Commit(dense(randomGrid()...))
+		src.Restore(snap)
+		if !slices.Equal(src.used, grid) {
+			t.Fatalf("case %d: second restore %v, want %v", i, src.used, grid)
+		}
+		switch {
+		case len(before) > len(grid):
+			longer++
+		case len(before) < len(grid):
+			shorter++
+		}
+	}
+	if longer < 500 || shorter < 500 {
+		t.Errorf("generator covers too little: %d restores into longer grids, %d into shorter", longer, shorter)
 	}
 }

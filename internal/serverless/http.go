@@ -179,17 +179,27 @@ type EventsPage struct {
 	Next   uint64      `json:"next"`
 }
 
-// writeJSON encodes v onto w. An encode failure mid-body cannot be
-// reported to the client anymore (the status line is gone), so it is
-// counted in ef_http_encode_errors_total and logged as one event instead
-// of being silently dropped.
+// writeJSON encodes v before it sends the status, so a value that cannot be
+// encoded answers 500 with an error body instead of code with an empty one.
+// Encode and write failures are counted in ef_http_encode_errors_total and
+// logged as one event each instead of being silently dropped.
 func writeJSON(o *obs.Obs, w http.ResponseWriter, code int, v interface{}) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		encodeFailed(o, err)
+		code = http.StatusInternalServerError
+		body, _ = json.Marshal(errorBody{Error: err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		o.IncEncodeError()
-		o.EventNow(obs.KindError, "", obs.F("op", "http-encode"), obs.F("err", err.Error()))
+	if _, err := w.Write(append(body, '\n')); err != nil {
+		encodeFailed(o, err)
 	}
+}
+
+func encodeFailed(o *obs.Obs, err error) {
+	o.IncEncodeError()
+	o.EventNow(obs.KindError, "", obs.F("op", "http-encode"), obs.F("err", err.Error()))
 }
 
 type errorBody struct {

@@ -196,13 +196,18 @@ func TestDebugEventsCursorUnderLoad(t *testing.T) {
 	}
 }
 
-// TestWriteJSONEncodeError: an unencodable value increments
+// TestWriteJSONEncodeError: an unencodable value answers 500 with the
+// encoding error — it is found out before the status goes out — increments
 // ef_http_encode_errors_total and leaves one error event on the bus
 // instead of being dropped.
 func TestWriteJSONEncodeError(t *testing.T) {
 	o := obs.NewDefault()
 	rec := httptest.NewRecorder()
 	writeJSON(o, rec, http.StatusOK, make(chan int))
+	var e errorBody
+	if rec.Code != http.StatusInternalServerError || json.Unmarshal(rec.Body.Bytes(), &e) != nil || !strings.Contains(e.Error, "unsupported type") {
+		t.Fatalf("writeJSON of a channel = %d %q, want 500 with the encoding error", rec.Code, rec.Body.String())
+	}
 
 	var b strings.Builder
 	if err := o.Metrics.WritePrometheus(&b); err != nil {

@@ -684,13 +684,14 @@ func (p *Platform) Cluster() ClusterStatus {
 
 // PlanEntry is one job's planned allocation over future slots — the output
 // of Algorithm 2 exposed for observability. Levels[t] is the worker count
-// planned for [now + t·SlotSec, now + (t+1)·SlotSec).
+// planned for [now + t·SlotSec, now + (t+1)·SlotSec). FinishSec is absent
+// when the plan cannot finish inside its horizon.
 type PlanEntry struct {
-	JobID     string  `json:"job_id"`
-	SlotSec   float64 `json:"slot_sec"`
-	Levels    []int   `json:"levels"`
-	Satisfied bool    `json:"satisfied"`
-	FinishSec float64 `json:"finish_sec"`
+	JobID     string   `json:"job_id"`
+	SlotSec   float64  `json:"slot_sec"`
+	Levels    []int    `json:"levels"`
+	Satisfied bool     `json:"satisfied"`
+	FinishSec *float64 `json:"finish_sec,omitempty"`
 }
 
 // Plans returns the scheduler's current allocation plan per active job.
@@ -701,13 +702,17 @@ func (p *Platform) Plans() []PlanEntry {
 	plans := p.ef.Plans(p.lastTick, p.active, p.capLocked())
 	out := make([]PlanEntry, 0, len(plans))
 	for id, a := range plans {
-		out = append(out, PlanEntry{
+		pe := PlanEntry{
 			JobID:     id,
 			SlotSec:   p.ef.SlotSec(),
-			Levels:    a.Levels,
+			Levels:    a.PerSlot(),
 			Satisfied: a.Satisfied,
-			FinishSec: p.lastTick + a.FinishTime(p.ef.SlotSec()),
-		})
+		}
+		if fin := a.FinishTime(p.ef.SlotSec()); !math.IsInf(fin, 1) {
+			fin += p.lastTick
+			pe.FinishSec = &fin
+		}
+		out = append(out, pe)
 	}
 	sort.Slice(out, func(i, k int) bool { return out[i].JobID < out[k].JobID })
 	return out

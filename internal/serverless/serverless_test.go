@@ -2,8 +2,10 @@ package serverless
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -256,6 +258,43 @@ func TestPlansEndpoint(t *testing.T) {
 	}
 	if len(got) != 1 || got[0].JobID != st.ID {
 		t.Errorf("HTTP plan = %+v", got)
+	}
+}
+
+// TestPlansEndpointUnfinishablePlan: a best-effort job with far more work
+// than its planning horizon holds has a plan that cannot finish, so its
+// finish time is +Inf, which JSON cannot carry. /v1/plan must still answer
+// 200 with a readable body — the entry without finish_sec — not a 200 with
+// an empty body.
+func TestPlansEndpointUnfinishablePlan(t *testing.T) {
+	p, _ := newTestPlatform(t)
+	st, err := p.Submit(SubmitRequest{Model: "resnet50", GlobalBatch: 128, Iterations: 1e12, BestEffort: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(Handler(p))
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/v1/plan")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []map[string]json.RawMessage
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &got) != nil {
+		t.Fatalf("GET /v1/plan = %d %q, want 200 with the plans", resp.StatusCode, body)
+	}
+	if len(got) != 1 || string(got[0]["job_id"]) != strconv.Quote(st.ID) {
+		t.Fatalf("GET /v1/plan = %s, want the plan of %s", body, st.ID)
+	}
+	if fin, ok := got[0]["finish_sec"]; ok {
+		t.Errorf("a plan that cannot finish has finish_sec %s", fin)
+	}
+	if string(got[0]["satisfied"]) != "false" || len(got[0]["levels"]) < 3 {
+		t.Errorf("plan entry %s, want an unsatisfied plan with levels", body)
 	}
 }
 
