@@ -9,9 +9,10 @@ GO ?= go
 # Schedule at a moved now over 200 jobs (a full refill; watch its B/op), one
 # refusal and its counter-offer search over 200 active jobs at a fresh
 # instant, one snapshot of a durable platform with 5 000 retained terminal
-# jobs, and one durable submission over 200 active jobs (watch its
-# records/op and syncs/op: both 1).
-BENCH_GATE = BenchmarkFig6aTestbedSmall|BenchmarkFig7aAllocationTimeline|BenchmarkFillPhilly|BenchmarkScheduleMovedNow|BenchmarkCounterOffer|BenchmarkSnapshotRetained|BenchmarkSubmitDurable
+# jobs, one durable submission over 200 active jobs (watch its records/op
+# and syncs/op: both 1), and one defragmenting buddy allocation on a
+# fragmented 2 048-GPU cluster.
+BENCH_GATE = BenchmarkFig6aTestbedSmall|BenchmarkFig7aAllocationTimeline|BenchmarkFillPhilly|BenchmarkScheduleMovedNow|BenchmarkCounterOffer|BenchmarkSnapshotRetained|BenchmarkSubmitDurable|BenchmarkBuddyCompact
 
 # Where `make bench-real` writes its run files (one JSON per workload, seed
 # and traced/untraced run; see benchmark/README.md).
@@ -63,6 +64,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzCheckpointTransfer -fuzztime=10s ./internal/transfer/
 	$(GO) test -run=^$$ -fuzz=FuzzParallelSimEquivalence -fuzztime=10s ./internal/sim/
 	$(GO) test -run=^$$ -fuzz=FuzzSubmitRequest -fuzztime=10s ./internal/frontdoor/
+	$(GO) test -run=^$$ -fuzz=FuzzCompact -fuzztime=10s ./internal/topology/
 
 # obs-check exercises the observability core under the race detector (the
 # bus and registry are the only pieces shared across goroutines by design)

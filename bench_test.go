@@ -2,6 +2,7 @@ package elasticflow_test
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 	"strconv"
 	"strings"
@@ -429,6 +430,53 @@ func BenchmarkBuddyAllocate(b *testing.B) {
 			}
 			b.StartTimer()
 			continue
+		}
+	}
+}
+
+// fragmentedCluster returns trace.PhillyScale's 2 048 GPUs (256 servers of
+// 8) filled with jobs of 1 to 16 GPUs in random order and then with a random
+// half of them released: half the cluster free, in blocks of at most a few
+// servers. The same cluster every call.
+func fragmentedCluster(tb testing.TB) *topology.Cluster {
+	c, err := topology.New(topology.Config{Servers: 256, GPUsPerServer: 8})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	var ids []string
+	for c.FreeGPUs() > 0 {
+		id := fmt.Sprintf("f%04d", len(ids))
+		for size := 1 << rng.Intn(5); ; size /= 2 {
+			if _, err := c.Allocate(id, size); err == nil {
+				break
+			}
+		}
+		ids = append(ids, id)
+	}
+	for _, id := range ids {
+		if rng.Intn(2) == 0 {
+			if err := c.Release(id); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	return c
+}
+
+// BenchmarkBuddyCompact measures defragmentation (§4.3): AllocateWithMigration
+// of the largest power of two of GPUs that fragmentedCluster has free, which
+// no free block holds, so the allocator repacks every job to make room.
+func BenchmarkBuddyCompact(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c := fragmentedCluster(b)
+		need := topology.PrevPowerOfTwo(c.FreeGPUs())
+		b.StartTimer()
+		_, migs, err := c.AllocateWithMigration("big", need)
+		if err != nil || len(migs) == 0 {
+			b.Fatalf("allocating %d of %d free GPUs: %d migrations, err %v", need, c.FreeGPUs(), len(migs), err)
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 
 	"github.com/elasticflow/elasticflow/internal/job"
@@ -214,7 +215,7 @@ func (e *ElasticFlow) demandBestEffort(j *job.Job) plan.Demand {
 	return d
 }
 
-// sloJobs returns the SLO jobs of active sorted by deadline (ties by ID for
+// splitJobs returns the SLO jobs of active sorted by deadline (ties by ID for
 // determinism), and the best-effort/soft-deadline jobs in submission order.
 func splitJobs(active []*job.Job) (slo, be []*job.Job) {
 	for _, j := range active {
@@ -224,32 +225,38 @@ func splitJobs(active []*job.Job) (slo, be []*job.Job) {
 			be = append(be, j)
 		}
 	}
-	sort.Slice(slo, func(i, k int) bool { return deadlineBefore(slo[i], slo[k]) })
-	sort.Slice(be, func(i, k int) bool {
-		if be[i].SubmitTime < be[k].SubmitTime {
-			return true
-		}
-		if be[i].SubmitTime > be[k].SubmitTime {
-			return false
-		}
-		return be[i].ID < be[k].ID
-	})
+	slices.SortFunc(slo, deadlineOrder)
+	slices.SortFunc(be, submitOrder)
 	return slo, be
 }
 
-// deadlineBefore is the fill order of SLO jobs: earliest deadline first.
+// deadlineOrder is the fill order of SLO jobs: earliest deadline first.
 // Ordered comparisons instead of float != keep the comparator exact (an
 // epsilon here would break strict weak ordering); ties fall through to the ID
-// for determinism.
-func deadlineBefore(a, b *job.Job) bool {
-	if a.Deadline < b.Deadline {
-		return true
+// for determinism, which makes the order total.
+func deadlineOrder(a, b *job.Job) int {
+	switch {
+	case a.Deadline < b.Deadline:
+		return -1
+	case a.Deadline > b.Deadline:
+		return 1
 	}
-	if a.Deadline > b.Deadline {
-		return false
-	}
-	return a.ID < b.ID
+	return strings.Compare(a.ID, b.ID)
 }
+
+// submitOrder is the order of best-effort jobs: submission time, then ID.
+func submitOrder(a, b *job.Job) int {
+	switch {
+	case a.SubmitTime < b.SubmitTime:
+		return -1
+	case a.SubmitTime > b.SubmitTime:
+		return 1
+	}
+	return strings.Compare(a.ID, b.ID)
+}
+
+// deadlineBefore reports whether a fills before b in deadlineOrder.
+func deadlineBefore(a, b *job.Job) bool { return deadlineOrder(a, b) < 0 }
 
 // position is where j falls in slo, SLO jobs in deadline order: the number
 // of them that fill before it.

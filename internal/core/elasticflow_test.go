@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/elasticflow/elasticflow/internal/job"
@@ -465,5 +466,53 @@ func TestEarliestDeadline(t *testing.T) {
 	hopeless := newToyJob("x", curve, 1e12, 1)
 	if _, ok := ef.EarliestDeadline(0, hopeless, nil, 4); ok {
 		t.Error("infeasible job got a deadline suggestion")
+	}
+}
+
+// TestSplitJobsOrderIndependent checks that splitJobs' two orders are total:
+// shuffles of one active set, with tied deadlines and tied submit times, give
+// identical slo and be lists. It is what lets the sort behind them change
+// without moving a decision.
+func TestSplitJobsOrderIndependent(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	classes := []job.Class{job.SLO, job.BestEffort, job.SoftDeadline}
+	var active []*job.Job
+	for i := 0; i < 90; i++ {
+		active = append(active, &job.Job{
+			ID:         fmt.Sprintf("j%02d", i*37%90),
+			Class:      classes[i%len(classes)],
+			SubmitTime: float64(rng.Intn(4)),
+			Deadline:   float64(100 + 10*rng.Intn(4)),
+		})
+	}
+	wantSLO, wantBE := splitJobs(active)
+	tied := func(list []*job.Job, key func(*job.Job) float64) bool {
+		for i := 1; i < len(list); i++ {
+			if !(key(list[i-1]) < key(list[i])) && !(key(list[i-1]) > key(list[i])) {
+				return true
+			}
+		}
+		return false
+	}
+	if !tied(wantSLO, func(j *job.Job) float64 { return j.Deadline }) || !tied(wantBE, func(j *job.Job) float64 { return j.SubmitTime }) {
+		t.Fatal("fixture has no tied deadlines or no tied submit times")
+	}
+	for i := 1; i < len(wantSLO); i++ {
+		if !deadlineBefore(wantSLO[i-1], wantSLO[i]) {
+			t.Fatalf("slo[%d]=%s does not fill before slo[%d]=%s", i-1, wantSLO[i-1].ID, i, wantSLO[i].ID)
+		}
+	}
+	for i := 1; i < len(wantBE); i++ {
+		if submitOrder(wantBE[i-1], wantBE[i]) >= 0 {
+			t.Fatalf("be[%d]=%s does not come before be[%d]=%s", i-1, wantBE[i-1].ID, i, wantBE[i].ID)
+		}
+	}
+	for n := 0; n < 50; n++ {
+		shuffled := slices.Clone(active)
+		rng.Shuffle(len(shuffled), func(i, k int) { shuffled[i], shuffled[k] = shuffled[k], shuffled[i] })
+		slo, be := splitJobs(shuffled)
+		if !slices.Equal(slo, wantSLO) || !slices.Equal(be, wantBE) {
+			t.Fatalf("shuffle %d changed the order", n)
+		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"github.com/elasticflow/elasticflow/internal/throughput"
 )
@@ -290,22 +291,29 @@ func (f *Filler) Restore(s Snapshot) {
 	}
 }
 
-// Commit reserves the allocation's levels in the filler's usage grid.
+// Commit reserves the allocation's levels in the filler's usage grid. Each
+// run is added over its slots and checked against the capacity once, by the
+// highest usage it leaves.
 func (f *Filler) Commit(a Allocation) {
 	f.ensure(a.Slots())
 	t := 0
 	for _, r := range a.Levels {
-		if x := int(r.Level); x != 0 {
-			for ; t < int(r.End); t++ {
-				f.used[t] += x
-				if f.used[t] > f.G {
-					// Programming error: callers must only commit plans
-					// produced against the current usage.
-					panic(fmt.Sprintf("plan: slot %d overcommitted: %d > %d", t, f.used[t], f.G))
-				}
-			}
-		}
+		x, seg := int(r.Level), f.used[t:r.End]
 		t = int(r.End)
+		if x == 0 {
+			continue
+		}
+		top := 0
+		for i := range seg {
+			seg[i] += x
+			top = max(top, seg[i])
+		}
+		if top > f.G {
+			// Programming error: callers must only commit plans produced
+			// against the current usage.
+			i := slices.IndexFunc(seg, func(u int) bool { return u > f.G })
+			panic(fmt.Sprintf("plan: slot %d overcommitted: %d > %d", t-len(seg)+i, seg[i], f.G))
+		}
 	}
 }
 
@@ -318,16 +326,26 @@ func (f *Filler) Uncommit(a Allocation) {
 	}
 }
 
-// release gives back x GPUs in every slot of [t, end); zero is a no-op.
+// release gives back x GPUs in every slot of [t, end); zero is a no-op. The
+// slots are subtracted from and checked once, by the lowest usage left; the
+// panic names the first slot that held less than x or lies past the grid.
 func (f *Filler) release(t, end, x int) {
-	if x == 0 {
+	if x == 0 || t >= end {
 		return
 	}
-	for ; t < end; t++ {
-		if t >= len(f.used) || f.used[t] < x {
-			panic(fmt.Sprintf("plan: slot %d under-release", t))
+	n := len(f.used)
+	seg := f.used[min(t, n):min(end, n)]
+	low := 0
+	for i := range seg {
+		seg[i] -= x
+		low = min(low, seg[i])
+	}
+	if low < 0 || end > n {
+		bad := max(t, n)
+		if i := slices.IndexFunc(seg, func(u int) bool { return u < 0 }); i >= 0 {
+			bad = t + i
 		}
-		f.used[t] -= x
+		panic(fmt.Sprintf("plan: slot %d under-release", bad))
 	}
 }
 
@@ -637,59 +655,86 @@ func (f *Filler) grant(d *Demand, j, u int) (x, lo, hi int) {
 //
 // The walk goes by stretches — maximal runs of slots that get the same
 // granted level. The pinned slot 0 is its own stretch; past the pin, grant
-// gives the level and the usage interval that keeps it once per stretch,
-// and the stretch extends with one unsigned compare per slot. Slots past the
-// usage grid have usage 0, so a stretch whose interval starts at 0 runs on to
-// the horizon. Each stretch is one run of the plan, merged into the pinned
-// slot 0 when the two grant the same level. Progress and GPU time each
-// accumulate with one addition per slot in slot order — stretches only hoist
-// the (identical) level and throughput computation, keeping results
-// bit-identical to a slot-by-slot walk; a closed form per stretch rounds
-// differently and moves finish slots.
+// gives the level and the usage interval that keeps it once per stretch. The
+// unsigned compare that ends a stretch sits in the progress loop, behind its
+// dependent float addition, so each slot is read once and no slot past the
+// finish is read at all. Slots past the usage grid have usage 0 and grant one
+// level, so the free tail is walked without reading the grid. Each stretch is
+// one run of the plan, merged into its predecessor when the two grant the
+// same level. Progress and GPU time each accumulate with one addition per
+// slot in slot order — stretches only hoist the (identical) level and
+// throughput computation, keeping results bit-identical to a slot-by-slot
+// walk; a closed form per stretch rounds differently and moves finish slots.
 func (f *Filler) walk(d *Demand, j, startSlot, fixed0, horizon int) Allocation {
 	runs := f.scratch[:0]
-	used := f.used
-	grid := min(len(used), horizon)
+	need := d.Remaining - 1e-9
 	progress, gpuTime := 0.0, 0.0
-	for t := 0; t < horizon; {
-		var x, end int
-		if t < startSlot {
-			x, end = f.levelAt(d, j, startSlot, fixed0, t), t+1
-		} else {
-			u := 0
-			if t < len(used) {
-				u = used[t]
+	t := 0
+	if startSlot > 0 && horizon > 0 {
+		x := f.levelAt(d, j, startSlot, fixed0, 0)
+		if x != 0 {
+			delta := d.Curve.At(x) * f.SlotDur
+			if progress+delta >= need {
+				return f.finished(d, runs, x, 0, progress, gpuTime, delta)
 			}
-			var lo, hi int
-			x, lo, hi = f.grant(d, j, u)
-			for end = t + 1; end < grid && uint(used[end]-lo) <= uint(hi-lo); end++ {
-			}
-			if end >= len(used) && lo == 0 {
-				end = horizon // the free tail past the grid grants x too
-			}
+			progress += delta
+			gpuTime += float64(x) * f.SlotDur
 		}
+		runs = appendRun(runs, x, 1)
+		t = 1
+	}
+	used := f.used[:min(len(f.used), horizon)]
+	for t < len(used) {
+		x, lo, hi := f.grant(d, j, used[t])
+		span := uint(hi - lo)
 		if x == 0 {
-			runs = appendRun(runs, 0, end)
-			t = end
+			for t++; t < len(used) && uint(used[t]-lo) <= span; t++ {
+			}
+			runs = appendRun(runs, 0, t)
 			continue
 		}
 		delta := d.Curve.At(x) * f.SlotDur
 		slotTime := float64(x) * f.SlotDur
-		for ; t < end; t++ {
-			if progress+delta >= d.Remaining-1e-9 {
-				runs = appendRun(runs, x, t+1)
-				f.scratch = runs
-				frac := finishFrac(d.Remaining, progress, delta)
-				gpuTime += float64(x) * frac * f.SlotDur
-				return Allocation{Levels: runs, Satisfied: true, FinishSlot: t, FinishFrac: frac, GPUTime: gpuTime}
+		for {
+			if progress+delta >= need {
+				return f.finished(d, runs, x, t, progress, gpuTime, delta)
 			}
 			progress += delta
 			gpuTime += slotTime
+			if t++; t == len(used) || uint(used[t]-lo) > span {
+				break
+			}
 		}
-		runs = appendRun(runs, x, end)
+		runs = appendRun(runs, x, t)
+	}
+	if t < horizon {
+		// The free tail past the grid: usage 0 in every slot.
+		x := f.clampLevel(min(j, f.G), d)
+		if x != 0 {
+			delta := d.Curve.At(x) * f.SlotDur
+			slotTime := float64(x) * f.SlotDur
+			for ; t < horizon; t++ {
+				if progress+delta >= need {
+					return f.finished(d, runs, x, t, progress, gpuTime, delta)
+				}
+				progress += delta
+				gpuTime += slotTime
+			}
+		}
+		runs = appendRun(runs, x, horizon)
 	}
 	f.scratch = runs
 	return Allocation{Levels: runs, FinishSlot: horizon, GPUTime: gpuTime}
+}
+
+// finished is walk's result when the demand completes in slot t at x
+// workers, progress and gpuTime having accumulated over the slots before it.
+func (f *Filler) finished(d *Demand, runs []Run, x, t int, progress, gpuTime, delta float64) Allocation {
+	runs = appendRun(runs, x, t+1)
+	f.scratch = runs
+	frac := finishFrac(d.Remaining, progress, delta)
+	gpuTime += float64(x) * frac * f.SlotDur
+	return Allocation{Levels: runs, Satisfied: true, FinishSlot: t, FinishFrac: frac, GPUTime: gpuTime}
 }
 
 // TotalCommitted returns the committed GPU·slots across all slots, a debug

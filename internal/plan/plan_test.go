@@ -206,14 +206,33 @@ func TestCommitUncommitRoundTrip(t *testing.T) {
 }
 
 func TestCommitOvercommitPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name              string
+		committed, commit Allocation
+		want              string
+	}{
+		{"single slot", dense(2), dense(1), "plan: slot 0 overcommitted: 3 > 2"},
+		// Commit checks a run once, after adding it over all its slots; the
+		// message must still name the first slot that went over.
+		{"middle of a run", dense(0, 1, 0, 2, 0, 2, 0), dense(0, 1, 1, 1, 1, 1, 1), "plan: slot 3 overcommitted: 3 > 2"},
+	} {
+		f := NewFiller(2, 1, true)
+		f.Commit(tc.committed)
+		if got := panicMessage(func() { f.Commit(tc.commit) }); got != tc.want {
+			t.Errorf("%s: panic %q, want %q", tc.name, got, tc.want)
+		}
+	}
+}
+
+// panicMessage runs fn and returns what it panicked with, "" if it did not.
+func panicMessage(fn func()) (msg string) {
 	defer func() {
-		if recover() == nil {
-			t.Error("overcommit did not panic")
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
 		}
 	}()
-	f := NewFiller(2, 1, true)
-	f.Commit(dense(2))
-	f.Commit(dense(1))
+	fn()
+	return ""
 }
 
 func TestFinishAccounting(t *testing.T) {
@@ -692,6 +711,31 @@ func TestRaisePanics(t *testing.T) {
 			}()
 			raise()
 		}()
+	}
+	// A raise gives the tail back a run at a time and checks each run once,
+	// after subtracting it; the message must still name the first slot of the
+	// tail that held too little or lies past the grid. Raising slot 0 of
+	// eight slots at level 1 to 4 finishes 3 iterations in slot 1, so the
+	// tail is the run of slots 2 to 7.
+	long := dense(1, 1, 1, 1, 1, 1, 1, 1)
+	short := Demand{Curve: fig4Curve(), Remaining: 3, DeadlineSlot: 8, MinGPUs: 1}
+	for _, tc := range []struct {
+		committed Allocation
+		want      string
+	}{
+		{dense(1, 1, 1, 1, 0, 1, 0, 1), "plan: slot 4 under-release"},
+		{dense(1, 1, 1, 1, 1), "plan: slot 5 under-release"},
+		{dense(1, 1, 1, 0, 1), "plan: slot 3 under-release"},
+	} {
+		f := NewFiller(4, 1, true)
+		f.Commit(tc.committed)
+		priced, ok := f.RaiseSlot0(short, long, 4, 4)
+		if !ok || priced.FinishSlot != 1 {
+			t.Fatalf("raise of %v to 4 priced as %+v ok=%v, want a finish in slot 1", long.PerSlot(), priced, ok)
+		}
+		if got := panicMessage(func() { f.Raise(long, priced, 4) }); got != tc.want {
+			t.Errorf("raise over %v: panic %q, want %q", tc.committed.PerSlot(), got, tc.want)
+		}
 	}
 	// The same raise of a plan that is committed goes through.
 	f, priced := setup(1, 1, 1, 1)

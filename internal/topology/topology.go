@@ -13,6 +13,8 @@ package topology
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -178,10 +180,14 @@ func (b Block) String() string { return fmt.Sprintf("[%d,%d)", b.Start, b.End())
 // concurrent use; callers (the scheduler, the simulator) serialize access.
 type Cluster struct {
 	cfg Config
-	// free maps block size → sorted starts of free blocks of that size.
-	free map[int][]int
+	// free[k] holds the sorted starts of the free blocks of size 1<<k. Free
+	// blocks are buddy-aligned, so the free block that contains an aligned
+	// block, if any, is at a known start in each size class.
+	free [][]int
 	// owned maps job ID → its block.
 	owned map[string]Block
+	// nfree is the number of GPUs in free blocks.
+	nfree int
 }
 
 // New creates a cluster with all GPUs free.
@@ -190,15 +196,19 @@ func New(cfg Config) (*Cluster, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	total := cfg.Servers * cfg.GPUsPerServer
 	c := &Cluster{
 		cfg:   cfg,
-		free:  make(map[int][]int),
+		free:  make([][]int, sizeClass(total)+1),
 		owned: make(map[string]Block),
+		nfree: total,
 	}
-	total := cfg.Servers * cfg.GPUsPerServer
-	c.free[total] = []int{0}
+	c.free[sizeClass(total)] = []int{0}
 	return c, nil
 }
+
+// sizeClass is the index into Cluster.free of the power-of-two size.
+func sizeClass(size int) int { return bits.TrailingZeros(uint(size)) }
 
 // Config returns the cluster layout.
 func (c *Cluster) Config() Config { return c.cfg }
@@ -207,13 +217,7 @@ func (c *Cluster) Config() Config { return c.cfg }
 func (c *Cluster) TotalGPUs() int { return c.cfg.Servers * c.cfg.GPUsPerServer }
 
 // FreeGPUs returns the number of unallocated GPUs.
-func (c *Cluster) FreeGPUs() int {
-	n := c.TotalGPUs()
-	for _, b := range c.owned {
-		n -= b.Size
-	}
-	return n
-}
+func (c *Cluster) FreeGPUs() int { return c.nfree }
 
 // Placement returns the block owned by jobID, if any.
 func (c *Cluster) Placement(jobID string) (Block, bool) {
@@ -280,8 +284,14 @@ func (c *Cluster) Allocate(jobID string, n int) (Block, error) {
 	if !ok {
 		return Block{}, fmt.Errorf("topology: no contiguous buddy block of %d GPUs (free=%d): fragmentation", n, c.FreeGPUs())
 	}
-	c.owned[jobID] = b
+	c.own(jobID, b)
 	return b, nil
+}
+
+// own records b, already taken out of the free lists, as jobID's block.
+func (c *Cluster) own(jobID string, b Block) {
+	c.owned[jobID] = b
+	c.nfree -= b.Size
 }
 
 // takeBlock removes and returns a free block of exactly size n, splitting a
@@ -292,9 +302,7 @@ func (c *Cluster) takeBlock(n int) (Block, bool) {
 	if !ok {
 		return Block{}, false
 	}
-	starts := c.free[b.Size]
-	i := sort.SearchInts(starts, b.Start)
-	c.free[b.Size] = append(starts[:i], starts[i+1:]...)
+	c.removeFree(b)
 	// Split down to the requested size, freeing the upper buddy halves.
 	size := b.Size
 	for size > n {
@@ -308,17 +316,17 @@ func (c *Cluster) takeBlock(n int) (Block, bool) {
 func (c *Cluster) pickBlock(n int) (Block, bool) {
 	switch c.cfg.Policy {
 	case WorstFit:
-		for size := c.TotalGPUs(); size >= n; size /= 2 {
-			if starts := c.free[size]; len(starts) > 0 {
-				return Block{Start: starts[0], Size: size}, true
+		for k := len(c.free) - 1; k >= sizeClass(n); k-- {
+			if starts := c.free[k]; len(starts) > 0 {
+				return Block{Start: starts[0], Size: 1 << k}, true
 			}
 		}
 	case FirstFit:
 		best := Block{Start: -1}
-		for size := n; size <= c.TotalGPUs(); size *= 2 {
-			if starts := c.free[size]; len(starts) > 0 {
+		for k := sizeClass(n); k < len(c.free); k++ {
+			if starts := c.free[k]; len(starts) > 0 {
 				if best.Start < 0 || starts[0] < best.Start {
-					best = Block{Start: starts[0], Size: size}
+					best = Block{Start: starts[0], Size: 1 << k}
 				}
 			}
 		}
@@ -326,9 +334,9 @@ func (c *Cluster) pickBlock(n int) (Block, bool) {
 			return best, true
 		}
 	default: // BestFit
-		for size := n; size <= c.TotalGPUs(); size *= 2 {
-			if starts := c.free[size]; len(starts) > 0 {
-				return Block{Start: starts[0], Size: size}, true
+		for k := sizeClass(n); k < len(c.free); k++ {
+			if starts := c.free[k]; len(starts) > 0 {
+				return Block{Start: starts[0], Size: 1 << k}, true
 			}
 		}
 	}
@@ -342,8 +350,16 @@ func (c *Cluster) Release(jobID string) error {
 		return fmt.Errorf("topology: job %q holds no allocation", jobID)
 	}
 	delete(c.owned, jobID)
+	c.nfree += b.Size
 	c.insertFree(b)
 	return nil
+}
+
+// removeFree takes the block b, which must be free, off its free list.
+func (c *Cluster) removeFree(b Block) {
+	k := sizeClass(b.Size)
+	i, _ := slices.BinarySearch(c.free[k], b.Start)
+	c.free[k] = slices.Delete(c.free[k], i, i+1)
 }
 
 // insertFree adds a block to the free lists, merging it with its buddy
@@ -351,23 +367,18 @@ func (c *Cluster) Release(jobID string) error {
 func (c *Cluster) insertFree(b Block) {
 	for b.Size < c.TotalGPUs() {
 		buddyStart := b.Start ^ b.Size
-		starts := c.free[b.Size]
-		i := sort.SearchInts(starts, buddyStart)
-		if i >= len(starts) || starts[i] != buddyStart {
+		k := sizeClass(b.Size)
+		i, found := slices.BinarySearch(c.free[k], buddyStart)
+		if !found {
 			break
 		}
-		c.free[b.Size] = append(starts[:i], starts[i+1:]...)
-		if buddyStart < b.Start {
-			b.Start = buddyStart
-		}
+		c.free[k] = slices.Delete(c.free[k], i, i+1)
+		b.Start = min(b.Start, buddyStart)
 		b.Size *= 2
 	}
-	starts := c.free[b.Size]
-	i := sort.SearchInts(starts, b.Start)
-	starts = append(starts, 0)
-	copy(starts[i+1:], starts[i:])
-	starts[i] = b.Start
-	c.free[b.Size] = starts
+	k := sizeClass(b.Size)
+	i, _ := slices.BinarySearch(c.free[k], b.Start)
+	c.free[k] = slices.Insert(c.free[k], i, b.Start)
 }
 
 // Migration records a job relocation performed during defragmentation.
@@ -382,19 +393,19 @@ type Migration struct {
 // succeeds when FreeGPUs() ≥ n — the defragmentation guarantee of §4.3.
 // The returned migrations list the jobs that moved (possibly empty).
 func (c *Cluster) AllocateWithMigration(jobID string, n int) (Block, []Migration, error) {
-	if b, err := c.Allocate(jobID, n); err == nil {
-		return b, nil, nil
-	}
 	if !IsPowerOfTwo(n) {
 		return Block{}, nil, fmt.Errorf("topology: allocation size %d is not a power of two", n)
+	}
+	if _, held := c.owned[jobID]; !held && n <= c.TotalGPUs() {
+		if b, ok := c.takeBlock(n); ok {
+			c.own(jobID, b)
+			return b, nil, nil
+		}
 	}
 	if c.FreeGPUs() < n {
 		return Block{}, nil, fmt.Errorf("topology: %d GPUs requested but only %d free", n, c.FreeGPUs())
 	}
-	migs, err := c.compact(n)
-	if err != nil {
-		return Block{}, nil, err
-	}
+	migs := c.compact(n)
 	b, err := c.Allocate(jobID, n)
 	if err != nil {
 		// Cannot happen: compaction proved a block of size n free.
@@ -404,10 +415,12 @@ func (c *Cluster) AllocateWithMigration(jobID string, n int) (Block, []Migration
 }
 
 // compact repacks allocations so that a free buddy block of size need
-// exists. Blocks are replaced largest-first into a fresh buddy space,
-// keeping each at its current address when possible so that only the
-// minimum of jobs migrate.
-func (c *Cluster) compact(need int) ([]Migration, error) {
+// exists; at least need GPUs must be free. Blocks are replaced largest-first
+// into an empty buddy space, keeping each at its current address when
+// possible so that only the minimum of jobs migrate. The repack is replayed
+// on the free lists alone; only the jobs that move have their block
+// rewritten.
+func (c *Cluster) compact(need int) []Migration {
 	type alloc struct {
 		id string
 		b  Block
@@ -416,94 +429,77 @@ func (c *Cluster) compact(need int) ([]Migration, error) {
 	for id, b := range c.owned {
 		allocs = append(allocs, alloc{id, b})
 	}
-	// Largest first, then by address, so packing is tight and stable.
-	sort.Slice(allocs, func(i, j int) bool {
-		if allocs[i].b.Size != allocs[j].b.Size {
-			return allocs[i].b.Size > allocs[j].b.Size
+	// Largest first, then by address, so packing is tight and stable. Owned
+	// blocks are disjoint, so the order is total.
+	slices.SortFunc(allocs, func(x, y alloc) int {
+		if x.b.Size != y.b.Size {
+			return y.b.Size - x.b.Size
 		}
-		return allocs[i].b.Start < allocs[j].b.Start
+		return x.b.Start - y.b.Start
 	})
 
-	fresh, err := New(c.cfg)
-	if err != nil {
-		return nil, err
+	for k := range c.free {
+		c.free[k] = c.free[k][:0]
 	}
+	top := sizeClass(c.TotalGPUs())
+	c.free[top] = append(c.free[top], 0)
 	// Reserve the needed block first at the top of the address space so
 	// existing low-address jobs tend to stay in place.
-	resStart := c.TotalGPUs() - need
-	if err := fresh.placeAt("__reserved__", Block{Start: resStart, Size: need}); err != nil {
-		return nil, err
-	}
+	reserved := Block{Start: c.TotalGPUs() - need, Size: need}
+	c.carve(reserved)
 	var migs []Migration
 	for _, a := range allocs {
-		if fresh.canPlaceAt(a.b) {
-			if err := fresh.placeAt(a.id, a.b); err != nil {
-				return nil, err
-			}
+		if c.carve(a.b) {
 			continue
 		}
-		nb, ok := fresh.takeBlock(a.b.Size)
+		// Cannot fail while FreeGPUs() ≥ need, the §4.3 guarantee: blocks
+		// are placed largest first, so every one placed so far but the
+		// reserved block fills whole aligned units of a.b.Size, and the
+		// GPUs not yet placed, a's included, leave one such unit free.
+		nb, ok := c.takeBlock(a.b.Size)
 		if !ok {
-			return nil, fmt.Errorf("topology: defragmentation failed for job %q needing %d GPUs", a.id, a.b.Size)
+			panic(fmt.Sprintf("topology: defragmentation found no block of %d GPUs for job %q", a.b.Size, a.id))
 		}
-		fresh.owned[a.id] = nb
+		c.owned[a.id] = nb
 		migs = append(migs, Migration{JobID: a.id, From: a.b, To: nb})
 	}
-	if err := fresh.Release("__reserved__"); err != nil {
-		return nil, err
-	}
-	c.free = fresh.free
-	c.owned = fresh.owned
-	return migs, nil
+	c.insertFree(reserved)
+	return migs
 }
 
-// canPlaceAt reports whether the exact block b is currently free.
-func (c *Cluster) canPlaceAt(b Block) bool {
-	// b is free iff some free block contains it.
-	for size, starts := range c.free {
-		if size < b.Size {
-			continue
-		}
-		for _, s := range starts {
-			fb := Block{Start: s, Size: size}
-			if b.Start >= fb.Start && b.End() <= fb.End() {
-				return true
-			}
+// container returns the free block that contains the buddy-aligned block b,
+// if b is free: free blocks are buddy-aligned too, so at each size the only
+// candidate is the one starting at b.Start rounded down to that size.
+func (c *Cluster) container(b Block) (Block, bool) {
+	for k := sizeClass(b.Size); k < len(c.free); k++ {
+		start := b.Start &^ (1<<k - 1)
+		if _, found := slices.BinarySearch(c.free[k], start); found {
+			return Block{Start: start, Size: 1 << k}, true
 		}
 	}
-	return false
+	return Block{}, false
 }
 
-// placeAt carves the exact block b out of the free space for jobID.
-func (c *Cluster) placeAt(jobID string, b Block) error {
-	if !c.canPlaceAt(b) {
-		return fmt.Errorf("topology: block %v is not free", b)
+// carve takes the buddy-aligned block b out of the free space if it is free:
+// its containing free block is split down to b, the halves not holding b
+// going back to the free lists. It reports whether b was free.
+func (c *Cluster) carve(b Block) bool {
+	cur, ok := c.container(b)
+	if !ok {
+		return false
 	}
-	// Find the containing free block, remove it, split towards b.
-	for size := b.Size; size <= c.TotalGPUs(); size *= 2 {
-		containerStart := b.Start &^ (size - 1)
-		starts := c.free[size]
-		i := sort.SearchInts(starts, containerStart)
-		if i < len(starts) && starts[i] == containerStart {
-			c.free[size] = append(starts[:i], starts[i+1:]...)
-			// Split down: at each step free the half not containing b.
-			cur := Block{Start: containerStart, Size: size}
-			for cur.Size > b.Size {
-				cur.Size /= 2
-				lower := cur
-				upper := Block{Start: cur.Start + cur.Size, Size: cur.Size}
-				if b.Start >= upper.Start {
-					c.insertFree(lower)
-					cur = upper
-				} else {
-					c.insertFree(upper)
-				}
-			}
-			c.owned[jobID] = b
-			return nil
+	c.removeFree(cur)
+	for cur.Size > b.Size {
+		cur.Size /= 2
+		upper := Block{Start: cur.Start + cur.Size, Size: cur.Size}
+		if b.Start >= upper.Start {
+			c.insertFree(cur)
+			cur = upper
+		} else {
+			c.insertFree(upper)
 		}
 	}
-	return fmt.Errorf("topology: block %v vanished during placement", b)
+	return true
 }
 
 // ServerBlock returns the block covering all GPUs of one server.
@@ -535,19 +531,22 @@ func (c *Cluster) Reserve(id string, b Block) error {
 	if !IsPowerOfTwo(b.Size) || b.Start%b.Size != 0 {
 		return fmt.Errorf("topology: block %v is not buddy-aligned", b)
 	}
-	return c.placeAt(id, b)
+	if !c.carve(b) {
+		return fmt.Errorf("topology: block %v is not free", b)
+	}
+	c.own(id, b)
+	return nil
 }
 
 // LargestFreeBlock returns the size of the largest currently free buddy
 // block (0 when the cluster is full).
 func (c *Cluster) LargestFreeBlock() int {
-	best := 0
-	for size, starts := range c.free {
-		if len(starts) > 0 && size > best {
-			best = size
+	for k := len(c.free) - 1; k >= 0; k-- {
+		if len(c.free[k]) > 0 {
+			return 1 << k
 		}
 	}
-	return best
+	return 0
 }
 
 // FragmentedGPUs returns the number of free GPUs that are not part of the
