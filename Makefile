@@ -92,11 +92,14 @@ store-check:
 	$(GO) run ./cmd/eflint ./internal/store/ ./internal/serverless/ ./cmd/efserver/
 
 # trace-check exercises the causal tracing stack: the tracer and Chrome
-# trace-event encoder under the race detector, the byte-identical
-# golden-trail tests in the simulator, and an end-to-end efsim trace export
-# (the same artifact the Perfetto quickstart in README loads).
+# trace-event encoder, the kind→span table that derives point spans from
+# events (internal/obs), the byte-identical golden-trail tests in the
+# simulator and the journal-correlated span tests of the live platform, all
+# under the race detector, and an end-to-end efsim trace export (the same
+# artifact the Perfetto quickstart in README loads).
 trace-check:
-	$(GO) test -race ./internal/obs/tracing/ ./internal/sim/
+	$(GO) test -race ./internal/obs/ ./internal/obs/tracing/ ./internal/sim/
+	$(GO) test -race -run 'Span|Trace' ./internal/serverless/
 	$(GO) run ./cmd/efsim -seed 7 -jobs 40 -trace-out trace.json
 
 # transfer-check exercises the checkpoint data plane (DESIGN.md §14) under

@@ -16,6 +16,7 @@ import (
 
 	"github.com/elasticflow/elasticflow/internal/elastic"
 	"github.com/elasticflow/elasticflow/internal/obs"
+	"github.com/elasticflow/elasticflow/internal/obs/tracing"
 )
 
 // TaskSpec describes a training task an agent can materialize locally: the
@@ -340,6 +341,6 @@ func (a *Agent) serveLoop(l net.Listener) {
 	if err := a.Serve(l); err != nil {
 		a.obs.IncAcceptError()
 		a.obs.EventNow(obs.KindError, "",
-			obs.F("agent", a.name), obs.F("op", "accept"), obs.F("err", err.Error()))
+			tracing.A("agent", a.name), tracing.A("op", "accept"), tracing.A("err", err.Error()))
 	}
 }

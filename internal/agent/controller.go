@@ -14,6 +14,7 @@ import (
 	"github.com/elasticflow/elasticflow/internal/elastic"
 	"github.com/elasticflow/elasticflow/internal/faults"
 	"github.com/elasticflow/elasticflow/internal/obs"
+	"github.com/elasticflow/elasticflow/internal/obs/tracing"
 	"github.com/elasticflow/elasticflow/internal/transfer"
 )
 
@@ -333,7 +334,7 @@ func (c *Controller) call(agentName, method string, args, reply any) error {
 	for attempt := 0; attempt <= c.opts.MaxRetries; attempt++ {
 		if attempt > 0 {
 			c.opts.Obs.EventNow(obs.KindRetry, "",
-				obs.F("agent", agentName), obs.F("op", op), obs.F("attempt", attempt))
+				tracing.A("agent", agentName), tracing.A("op", op), tracing.A("attempt", attempt))
 			c.opts.Sleep(c.backoff(attempt))
 		}
 		cl, err := c.clientOrRedial(agentName)

@@ -3,8 +3,8 @@
 // Exact float equality there is almost always a latent bug: slot
 // arithmetic, throughput curves and deadline slack all accumulate rounding,
 // so two mathematically equal quantities compare unequal — and a scheduling
-// decision silently flips. Use core.AlmostEqual (the shared epsilon helper)
-// for closeness, or rewrite comparators with < and > so ties fall through to
+// decision silently flips. Use core.AtMost (the shared epsilon helper) for
+// "fits within", or rewrite comparators with < and > so ties fall through to
 // a deterministic key.
 //
 // Comparisons against compile-time constants (x == 0 sentinels, option
@@ -23,7 +23,7 @@ import (
 // Analyzer is the floatlint analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "floatlint",
-	Doc:  "reports ==/!= between computed floating-point expressions in deadline/GPU-time math; use core.AlmostEqual or ordered comparisons",
+	Doc:  "reports ==/!= between computed floating-point expressions in deadline/GPU-time math; use core.AtMost or ordered comparisons",
 	Scope: analysis.ScopePackages(
 		"internal/core", "internal/sched", "internal/plan",
 	),
@@ -40,7 +40,7 @@ func run(pass *analysis.Pass) error {
 			if !isComputedFloat(pass, be.X) || !isComputedFloat(pass, be.Y) {
 				return true
 			}
-			pass.Reportf(be.OpPos, "float %s float compares exact binary representations; use core.AlmostEqual or ordered comparisons (< / >)", be.Op)
+			pass.Reportf(be.OpPos, "float %s float compares exact binary representations; use core.AtMost or ordered comparisons (< / >)", be.Op)
 			return true
 		})
 	}

@@ -27,11 +27,13 @@
 // tracing convention: every span name is a Span* string constant declared
 // in the package that declares the Tracer type, so trace consumers
 // (the Chrome encoder, dashboards, the golden-trail tests) can rely on a
-// closed name set. Two checks:
+// closed name set. Point spans are derived from events through package
+// obs's kind→span table, so the call sites left to check open interval
+// spans. Two checks:
 //
-//   - The name argument of Begin/Emit/EmitLSN calls on a Tracer, outside
-//     the tracer's own package, must be a constant whose value is cataloged
-//     there. Dynamic names and novel literals are both errors.
+//   - The name argument of a Begin call on a Tracer, outside the tracer's
+//     own package, must be a constant whose value is cataloged there.
+//     Dynamic names and novel literals are both errors.
 //   - A Begin call whose Ref result is discarded (statement position or
 //     assigned to _) is an error: the span can never be ended, so it leaks
 //     open in every trail.
@@ -351,22 +353,11 @@ func (c *catalog) checkWithCalls() {
 	}
 }
 
-// spanMethods maps each Tracer span-emitting method to the argument index
-// of its span name.
-var spanMethods = map[string]int{
-	"Begin":   1,
-	"Emit":    1,
-	"EmitLSN": 1,
-}
-
-// tracerCallee resolves a call to a Tracer span method and returns the
-// method object, or nil.
-func tracerCallee(info *types.Info, call *ast.CallExpr) *types.Func {
+// tracerBegin resolves a call to Tracer.Begin and returns the method
+// object, or nil.
+func tracerBegin(info *types.Info, call *ast.CallExpr) *types.Func {
 	fn := analysis.CalleeOf(info, call)
-	if fn == nil || fn.Pkg() == nil {
-		return nil
-	}
-	if _, ok := spanMethods[fn.Name()]; !ok {
+	if fn == nil || fn.Pkg() == nil || fn.Name() != "Begin" {
 		return nil
 	}
 	sig, ok := fn.Type().(*types.Signature)
@@ -442,22 +433,15 @@ func (c *catalog) checkSpanCalls() {
 	}
 }
 
-// checkSpanName validates the name argument of one span call: outside the
+// checkSpanName validates the name argument of one Begin call: outside the
 // tracer's own package it must be a constant whose value the tracer package
 // catalogs.
 func (c *catalog) checkSpanName(info *types.Info, local *types.Package, call *ast.CallExpr) {
-	m := tracerCallee(info, call)
-	if m == nil {
+	m := tracerBegin(info, call)
+	if m == nil || local == m.Pkg() || len(call.Args) < 2 {
 		return
 	}
-	if local == m.Pkg() {
-		return // the tracer package forwards dynamic names internally
-	}
-	idx := spanMethods[m.Name()]
-	if len(call.Args) <= idx {
-		return
-	}
-	arg := call.Args[idx]
+	arg := call.Args[1]
 	tv, ok := info.Types[arg]
 	if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
 		c.pass.Reportf(arg.Pos(), "span name must be a catalog constant from package %s so trace consumers can rely on a closed name set", m.Pkg().Name())
@@ -471,9 +455,8 @@ func (c *catalog) checkSpanName(info *types.Info, local *types.Package, call *as
 // checkDiscardedBegin reports a Begin call whose Ref result is thrown away:
 // nothing can End that span, so it leaks open in every trail.
 func (c *catalog) checkDiscardedBegin(info *types.Info, call *ast.CallExpr) {
-	m := tracerCallee(info, call)
-	if m == nil || m.Name() != "Begin" {
+	if tracerBegin(info, call) == nil {
 		return
 	}
-	c.pass.Reportf(call.Pos(), "Begin result discarded: the span can never be ended and leaks open in the trail — keep the Ref and End it, or use Emit for an instantaneous event")
+	c.pass.Reportf(call.Pos(), "Begin result discarded: the span can never be ended and leaks open in the trail — keep the Ref and End it, or publish an obs event for an instantaneous transition")
 }

@@ -22,12 +22,9 @@ func (t *Tracer) Begin(now float64, name, jobID string) Ref { return 0 }
 // End closes a span.
 func (t *Tracer) End(now float64, ref Ref) {}
 
-// Emit records an instantaneous span. Forwarding the dynamic name to
-// EmitLSN here is legal: the tracer's own package is exempt from the
+// BeginRoot opens a span with no job. Forwarding the dynamic name to Begin
+// here is legal: the tracer's own package is exempt from the
 // catalog-constant rule.
-func (t *Tracer) Emit(now float64, name, jobID string) {
-	t.EmitLSN(now, name, jobID, 0)
+func (t *Tracer) BeginRoot(now float64, name string) Ref {
+	return t.Begin(now, name, "")
 }
-
-// EmitLSN records an instantaneous span stamped with a journal LSN.
-func (t *Tracer) EmitLSN(now float64, name, jobID string, lsn uint64) {}

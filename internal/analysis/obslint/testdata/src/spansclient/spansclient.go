@@ -1,5 +1,5 @@
 // Package spansclient is the consumer half of the obslint span fixture:
-// it emits spans across the package boundary, where names must be catalog
+// it opens spans across the package boundary, where names must be catalog
 // constants and Begin results must be kept.
 package spansclient
 
@@ -10,18 +10,20 @@ import "spans"
 func Good(tr *spans.Tracer) {
 	ref := tr.Begin(0, spans.SpanAdmit, "job-0001")
 	tr.End(1, ref)
-	tr.Emit(1, spans.SpanRescale, "job-0001")
-	tr.EmitLSN(2, spans.SpanHeartbeat, "", 7)
+	hb := tr.Begin(2, spans.SpanHeartbeat, "")
+	tr.End(3, hb)
 }
 
 // DynamicName defeats the catalog with a name computed at runtime.
 func DynamicName(tr *spans.Tracer, name string) {
-	tr.Emit(0, name, "job-0001") // want "span name must be a catalog constant"
+	ref := tr.Begin(0, name, "job-0001") // want "span name must be a catalog constant"
+	tr.End(1, ref)
 }
 
 // NovelLiteral invents a span name the catalog never registered.
 func NovelLiteral(tr *spans.Tracer) {
-	tr.Emit(0, "made-up", "job-0001") // want "uncataloged span name"
+	ref := tr.Begin(0, "made-up", "job-0001") // want "uncataloged span name"
+	tr.End(1, ref)
 }
 
 // LeakedBegin drops the Ref, so nothing can ever End the span.
@@ -32,5 +34,6 @@ func LeakedBegin(tr *spans.Tracer) {
 
 // Suppressed documents a deliberate exception.
 func Suppressed(tr *spans.Tracer, name string) {
-	tr.Emit(0, name, "job-0001") //eflint:ignore obslint fixture: name validated by the caller before emission
+	ref := tr.Begin(0, name, "job-0001") //eflint:ignore obslint fixture: name validated by the caller before emission
+	tr.End(1, ref)
 }

@@ -314,7 +314,7 @@ func (o *Orchestrator) mirrorLocked(ids []string) {
 		}
 		o.mirrors[id] = ck
 		sink.IncMirror()
-		sink.EventNow(obs.KindMirror, id, obs.F("step", ck.Step), obs.F("agent", o.homes[id]))
+		sink.EventNow(obs.KindMirror, id, tracing.A("step", ck.Step), tracing.A("agent", o.homes[id]))
 		tr.End(sink.Now(), span,
 			tracing.A("ok", true), tracing.A("step", ck.Step), tracing.A("agent", o.homes[id]))
 	}

@@ -80,7 +80,7 @@ func (o *Orchestrator) agentDown(name string) {
 
 	sink := o.platform.Obs()
 	elapsed := sink.Timer()
-	sink.EventNow(obs.KindAgentDown, "", obs.F("agent", name))
+	sink.EventNow(obs.KindAgentDown, "", tracing.A("agent", name))
 
 	// Sever the control connection and the listener (a real monitor cannot
 	// tell a hung process from a dead one; both are fenced off), then drop
@@ -117,12 +117,12 @@ func (o *Orchestrator) agentDown(name string) {
 			o.parked[id] = ck
 			o.restoring[id] = true
 			sink.IncRestore()
-			sink.EventNow(obs.KindRestore, id, obs.F("step", ck.Step), obs.F("from", name))
+			sink.EventNow(obs.KindRestore, id, tracing.A("step", ck.Step), tracing.A("from", name))
 		} else {
 			// No mirror yet (the agent died before the first snapshot):
 			// the job restarts from scratch rather than being lost.
 			delete(o.parked, id)
-			sink.EventNow(obs.KindLost, id, obs.F("from", name))
+			sink.EventNow(obs.KindLost, id, tracing.A("from", name))
 		}
 	}
 	o.mu.Unlock()
@@ -149,7 +149,7 @@ func (o *Orchestrator) AgentUp(name, addr string) error {
 	o.missed[name] = 0
 	o.mu.Unlock()
 	sink := o.platform.Obs()
-	sink.EventNow(obs.KindAgentUp, "", obs.F("agent", name))
+	sink.EventNow(obs.KindAgentUp, "", tracing.A("agent", name))
 	if err := o.platform.NodeUp(s); err != nil {
 		return err
 	}

@@ -6,6 +6,7 @@ import (
 	"github.com/elasticflow/elasticflow/internal/agent"
 	"github.com/elasticflow/elasticflow/internal/elastic"
 	"github.com/elasticflow/elasticflow/internal/obs"
+	"github.com/elasticflow/elasticflow/internal/obs/tracing"
 	"github.com/elasticflow/elasticflow/internal/serverless"
 	"github.com/elasticflow/elasticflow/internal/topology"
 )
@@ -154,7 +155,7 @@ func (o *Orchestrator) adoptLocked() {
 			o.workers[id] = st.Workers
 			o.homes[id] = name
 			sink.EventNow(obs.KindRestore, id,
-				obs.F("op", "adopt"), obs.F("agent", name), obs.F("step", st.Step))
+				tracing.A("op", "adopt"), tracing.A("agent", name), tracing.A("step", st.Step))
 			if ck, err := o.ctrl.Snapshot(id); err == nil {
 				o.mirrors[id] = ck
 				sink.IncMirror()

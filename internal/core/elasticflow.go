@@ -356,7 +356,9 @@ func (e *ElasticFlow) verdictGiven(now float64, cand *job.Job, slo []*job.Job, g
 	return admitVerdict{ok: true, reason: "ok", mss: mss}
 }
 
-// traceAdmit publishes the admission decision trace.
+// traceAdmit publishes the admission decision trace. Its span is the plan
+// behind the verdict, under the candidate's lifecycle root (the host opens
+// the root before calling Admit).
 func (e *ElasticFlow) traceAdmit(now float64, cand *job.Job, v admitVerdict) {
 	o := e.opts.Obs
 	if o == nil {
@@ -366,31 +368,17 @@ func (e *ElasticFlow) traceAdmit(now float64, cand *job.Job, v admitVerdict) {
 	if v.ok {
 		verdict = "admit"
 	}
-	fields := []obs.Field{obs.F("verdict", verdict), obs.F("reason", v.reason)}
+	fields := []tracing.Attr{tracing.A("verdict", verdict), tracing.A("reason", v.reason)}
 	if v.victim != "" {
-		fields = append(fields, obs.F("victim", v.victim))
+		fields = append(fields, tracing.A("victim", v.victim))
 	}
 	if len(v.mss.Levels) > 0 {
 		fields = append(fields,
-			obs.F("mss_gpus", v.mss.GPUsAt(0)),
-			obs.F("mss_satisfied", v.mss.Satisfied),
-			obs.F("mss_finish_slot", v.mss.FinishSlot))
-	}
-	o.Event(now, obs.KindSchedAdmit, cand.ID, fields...)
-	// The plan span records the feasibility plan behind the verdict under
-	// the candidate's lifecycle root (the platform opens the root before
-	// calling Admit, so auto-parenting lands it there).
-	attrs := []tracing.Attr{tracing.A("reason", v.reason)}
-	if v.victim != "" {
-		attrs = append(attrs, tracing.A("victim", v.victim))
-	}
-	if len(v.mss.Levels) > 0 {
-		attrs = append(attrs,
 			tracing.A("mss_gpus", v.mss.GPUsAt(0)),
 			tracing.A("mss_satisfied", v.mss.Satisfied),
 			tracing.A("mss_finish_slot", v.mss.FinishSlot))
 	}
-	o.Tracer().Emit(now, tracing.SpanPlan, cand.ID, attrs...)
+	o.Event(obs.Event{Time: now, Kind: obs.KindSchedAdmit, JobID: cand.ID, Fields: fields})
 }
 
 // AdmitBatch amortizes Algorithm 1 across one admission batch — a sequence
@@ -847,19 +835,19 @@ func (e *ElasticFlow) traceSchedule(now float64, g int, entries []prioJob, adopt
 	}
 	e.winners = winners
 	e.mu.Unlock()
-	fields := []obs.Field{
-		obs.F("jobs", len(entries)),
-		obs.F("slo", len(entries)-nBE),
-		obs.F("best_effort", nBE),
-		obs.F("late", nLate),
-		obs.F("spare_rounds", adoptions),
-		obs.F("used_gpus", used),
-		obs.F("capacity", g),
+	fields := []tracing.Attr{
+		tracing.A("jobs", len(entries)),
+		tracing.A("slo", len(entries)-nBE),
+		tracing.A("best_effort", nBE),
+		tracing.A("late", nLate),
+		tracing.A("spare_rounds", adoptions),
+		tracing.A("used_gpus", used),
+		tracing.A("capacity", g),
 	}
 	if len(winners) > 0 {
-		fields = append(fields, obs.Field{Key: "winners", Value: string(winners)})
+		fields = append(fields, tracing.Attr{Key: "winners", Value: string(winners)})
 	}
-	o.Event(now, obs.KindSchedAlloc, "", fields...)
+	o.Event(obs.Event{Time: now, Kind: obs.KindSchedAlloc, Fields: fields})
 }
 
 // Plans returns the full allocation plan Algorithm 2 computes for each

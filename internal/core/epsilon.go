@@ -1,7 +1,5 @@
 package core
 
-import "math"
-
 // Epsilon is the shared absolute tolerance for deadline and GPU-time
 // arithmetic. Simulated times in this repo are seconds accumulated by
 // repeated addition of slot-sized increments, so two quantities that are
@@ -9,17 +7,9 @@ import "math"
 // simulated time is far below anything the scheduler resolves, and far above
 // accumulated rounding error at realistic magnitudes. Exact == / != on
 // computed float64s is rejected by eflint's floatlint analyzer — compare
-// through AlmostEqual / AtMost instead, or restructure the comparison to be
-// ordered (< / >).
+// through AtMost instead, or restructure the comparison to be ordered
+// (< / >).
 const Epsilon = 1e-9
-
-// AlmostEqual reports whether a and b are equal up to Epsilon. Use it
-// wherever a scheduling decision would otherwise hinge on exact binary
-// equality of computed values (remaining iterations hitting zero, a finish
-// time landing exactly on a deadline).
-func AlmostEqual(a, b float64) bool {
-	return math.Abs(a-b) <= Epsilon
-}
 
 // AtMost reports a ≤ b up to Epsilon: a exceeds b only if it does so by more
 // than the tolerance. This is the comparison shape of every deadline check

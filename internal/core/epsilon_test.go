@@ -12,37 +12,6 @@ func TestEpsilonPinned(t *testing.T) {
 	}
 }
 
-func TestAlmostEqual(t *testing.T) {
-	cases := []struct {
-		name string
-		a, b float64
-		want bool
-	}{
-		{"identical", 1.5, 1.5, true},
-		{"within tolerance", 1, 1 + 5e-10, true},
-		{"beyond tolerance", 1, 1 + 2e-9, false},
-		{"symmetric", 1 + 5e-10, 1, true},
-		{"negative values", -2, -2 - 5e-10, true},
-		{"clearly different", 1, 2, false},
-	}
-	for _, c := range cases {
-		if got := AlmostEqual(c.a, c.b); got != c.want {
-			t.Errorf("%s: AlmostEqual(%v, %v) = %v, want %v", c.name, c.a, c.b, got, c.want)
-		}
-	}
-	// The motivating case: exact == disagrees with AlmostEqual on values
-	// that are mathematically equal. Variables force runtime float64
-	// arithmetic — as untyped constants, 0.1+0.2 == 0.3 would be folded
-	// exactly at compile time.
-	x, y, z := 0.1, 0.2, 0.3
-	if x+y == z {
-		t.Fatal("0.1+0.2 == 0.3 held exactly at runtime; expected IEEE 754 rounding")
-	}
-	if !AlmostEqual(x+y, z) {
-		t.Fatal("AlmostEqual(0.1+0.2, 0.3) = false, want true")
-	}
-}
-
 func TestAtMost(t *testing.T) {
 	cases := []struct {
 		name string

@@ -172,9 +172,9 @@ func transitions(spans []tracing.Span) string {
 		}
 		b.WriteString(" " + s.Name)
 		for _, a := range s.Attrs {
-			switch a.K {
+			switch a.Key {
 			case "gpus", "was", "from", "to", "rescales":
-				b.WriteString(" " + a.K + "=" + a.V)
+				b.WriteString(" " + a.Key + "=" + a.Value)
 			}
 		}
 		b.WriteString(";")

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"github.com/elasticflow/elasticflow/internal/obs"
+	"github.com/elasticflow/elasticflow/internal/obs/tracing"
 )
 
 // Caller is the transport surface the injector wraps: the subset of
@@ -308,7 +309,7 @@ func (in *Injector) decide(agent, op string) (act Kind, delay time.Duration, cra
 	in.mu.Unlock()
 	if act != None {
 		in.o.EventNow(obs.KindFault, "",
-			obs.F("agent", agent), obs.F("op", op), obs.F("kind", act.String()))
+			tracing.A("agent", agent), tracing.A("op", op), tracing.A("kind", act.String()))
 	}
 	if hook != nil {
 		hook(agent)

@@ -239,7 +239,7 @@ func (fd *FrontDoor) abort() {
 	}
 	for _, p := range fd.shards {
 		if err := p.Shutdown(); err != nil {
-			fd.o.EventNow(obs.KindError, "", obs.F("op", "frontdoor-abort"), obs.F("err", err.Error()))
+			fd.o.EventNow(obs.KindError, "", tracing.A("op", "frontdoor-abort"), tracing.A("err", err.Error()))
 		}
 	}
 }

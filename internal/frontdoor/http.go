@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"github.com/elasticflow/elasticflow/internal/obs"
+	"github.com/elasticflow/elasticflow/internal/obs/tracing"
 	"github.com/elasticflow/elasticflow/internal/serverless"
 )
 
@@ -98,7 +99,7 @@ func Handler(fd *FrontDoor) http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		if err := o.Metrics.WritePrometheus(w); err != nil {
 			o.IncEncodeError()
-			o.EventNow(obs.KindError, "", obs.F("op", "metrics-write"), obs.F("err", err.Error()))
+			o.EventNow(obs.KindError, "", tracing.A("op", "metrics-write"), tracing.A("err", err.Error()))
 		}
 	})
 	for k := 0; k < fd.Shards(); k++ {
@@ -173,7 +174,7 @@ func writeJSON(o *obs.Obs, w http.ResponseWriter, code int, v interface{}) {
 
 func encodeFailed(o *obs.Obs, err error) {
 	o.IncEncodeError()
-	o.EventNow(obs.KindError, "", obs.F("op", "http-encode"), obs.F("err", err.Error()))
+	o.EventNow(obs.KindError, "", tracing.A("op", "http-encode"), tracing.A("err", err.Error()))
 }
 
 func writeError(o *obs.Obs, w http.ResponseWriter, code int, err error) {

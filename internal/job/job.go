@@ -278,8 +278,26 @@ func (j *Job) progress(now, dt float64) float64 {
 	return delta
 }
 
-// SlackSeconds returns the time between now and the deadline.
-func (j *Job) SlackSeconds(now float64) float64 { return j.Deadline - now }
+// PredictFinish is the one finish formula: when the job completes if it
+// keeps its current allocation from now on — its remaining rescale freeze
+// first, then the remaining iterations at the current throughput. +Inf while
+// it holds no workers or they make no progress. The simulator schedules its
+// next completion by it and the live platform reports it as a job's
+// estimated finish.
+func (j *Job) PredictFinish(now float64) float64 {
+	if j.GPUs <= 0 {
+		return math.Inf(1)
+	}
+	tput := j.Throughput(j.GPUs)
+	if tput <= 0 {
+		return math.Inf(1)
+	}
+	start := now
+	if j.FrozenUntil > start {
+		start = j.FrozenUntil
+	}
+	return start + j.RemainingIters()/tput
+}
 
 // String implements fmt.Stringer.
 func (j *Job) String() string {

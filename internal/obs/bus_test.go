@@ -3,6 +3,8 @@ package obs
 import (
 	"sync"
 	"testing"
+
+	"github.com/elasticflow/elasticflow/internal/obs/tracing"
 )
 
 func TestBusPublishSince(t *testing.T) {
@@ -67,7 +69,7 @@ func TestBusConcurrentPublish(t *testing.T) {
 }
 
 func TestEventDetailAndField(t *testing.T) {
-	ev := Event{Kind: KindComplete, Fields: []Field{F("met", true), F("gpus", 4)}}
+	ev := Event{Kind: KindComplete, Fields: []tracing.Attr{tracing.A("met", true), tracing.A("gpus", 4)}}
 	if v, ok := ev.Field("gpus"); !ok || v != "4" {
 		t.Errorf("Field(gpus) = %q,%t", v, ok)
 	}

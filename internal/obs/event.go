@@ -2,8 +2,9 @@
 // platform emits into and every frontend reads out of: a structured event
 // bus (a bounded ring buffer), a metrics registry rendered in Prometheus
 // text exposition format whose lifecycle counters are derived from the
-// events, and the catalog of scheduler-decision traces (admission verdicts
-// with reasons, allocation round summaries, rescale/migration accounting).
+// events, the job-lifecycle point spans derived from the same events, and
+// the catalog of scheduler-decision traces (admission verdicts with reasons,
+// allocation round summaries, rescale/migration accounting).
 //
 // Determinism rules (see DESIGN.md §8): events carry domain time supplied
 // by the publisher — the simulator stamps simulated seconds, the live
@@ -13,13 +14,17 @@
 // decision path may read the bus or the registry back.
 package obs
 
-import "fmt"
+import "github.com/elasticflow/elasticflow/internal/obs/tracing"
 
 // Event kinds. The sim/platform job-lifecycle kinds are the events both
 // hosts' engines emit; the sched-* kinds are scheduler decision traces and
 // the error kind carries routed failures (accept loops, encode errors).
+// KindPlace, KindResize and KindEvict are the transitions that record a span
+// and bump no counter: a job's first (or post-eviction) placement, a worker
+// count change of a started job — whether or not it is charged a freeze,
+// which is the separate KindRescale — and a job losing its workers to a
+// failed server.
 const (
-	KindArrival    = "arrival"
 	KindAdmit      = "admit"
 	KindDrop       = "drop"
 	KindComplete   = "complete"
@@ -28,6 +33,9 @@ const (
 	KindFailure    = "failure"
 	KindRecovery   = "recovery"
 	KindCancel     = "cancel"
+	KindPlace      = "place"
+	KindResize     = "resize"
+	KindEvict      = "evict"
 	KindError      = "error"
 	KindSchedAdmit = "sched-admit"
 	KindSchedAlloc = "sched-alloc"
@@ -52,20 +60,6 @@ const (
 	KindBatch = "batch"
 )
 
-// Field is one ordered key/value pair of an event. Values are
-// pre-formatted strings so rendering is deterministic and allocation-free
-// at read time.
-type Field struct {
-	Key   string `json:"k"`
-	Value string `json:"v"`
-}
-
-// F builds a field from any value via fmt.Sprint (deterministic for the
-// bool/int/float/string/Stringer values the emitters use).
-func F(key string, value interface{}) Field {
-	return Field{Key: key, Value: fmt.Sprint(value)}
-}
-
 // Event is one structured observability record.
 type Event struct {
 	// Seq is the bus-assigned sequence number, strictly increasing from 1.
@@ -77,8 +71,15 @@ type Event struct {
 	Kind string `json:"kind"`
 	// JobID names the job the event concerns, when any.
 	JobID string `json:"job_id,omitempty"`
-	// Fields carry kind-specific detail in emission order.
-	Fields []Field `json:"fields,omitempty"`
+	// LSN is the WAL log sequence number of the journal record whose apply
+	// emitted the event (0 in the simulator, without a store, and for
+	// events no record stands behind). The event's span carries it; the
+	// rendered event does not, so a trail reads the same with or without a
+	// journal.
+	LSN uint64 `json:"-"`
+	// Fields carry kind-specific detail in emission order; they are also
+	// the attributes of the event's span.
+	Fields []tracing.Attr `json:"fields,omitempty"`
 }
 
 // Field returns the value of the named field.

@@ -15,7 +15,8 @@ type Options struct {
 	// replays inject a fake; simulated-time emitters never consult it.
 	Clock func() time.Time
 	// Tracer, when set, records causal job-lifecycle span trees
-	// (DESIGN.md §13). Left nil, every span emission site degrades to a
+	// (DESIGN.md §13): Event derives a point span from every event of a
+	// span-bearing kind. Left nil, every span emission site degrades to a
 	// single nil check — tracing disabled is free.
 	Tracer *tracing.Tracer
 }
@@ -178,7 +179,8 @@ func NewDefault() *Obs { return New(Options{}) }
 
 // Tracer returns the span tracer, or nil when tracing is disabled (or the
 // Obs itself is nil). All tracer methods are nil-safe, so call sites chain
-// without guards: o.Tracer().Emit(...).
+// without guards: o.Tracer().Begin(...). Point spans are not recorded
+// through it: Event derives them.
 func (o *Obs) Tracer() *tracing.Tracer {
 	if o == nil {
 		return nil
@@ -195,16 +197,18 @@ func (o *Obs) Now() float64 {
 	return o.clock().Sub(o.start).Seconds()
 }
 
-// Event publishes an event stamped with the given domain time and counts it
-// in the catalog series its kind stands for, so the event is the one record
-// of a transition.
-func (o *Obs) Event(t float64, kind, jobID string, fields ...Field) {
+// Event is the one record of a transition: it publishes ev to the bus,
+// counts it in the catalog series its kind stands for, and records the span
+// its kind stands for. ev.Seq is assigned by the bus.
+func (o *Obs) Event(ev Event) {
 	if o == nil {
 		return
 	}
-	ev := Event{Time: t, Kind: kind, JobID: jobID, Fields: fields}
 	o.Bus.Publish(ev)
 	o.count(ev)
+	if o.tracer != nil {
+		o.trace(ev)
+	}
 }
 
 // count is the one table from event kinds to catalog counters: an event of
@@ -233,13 +237,57 @@ func (o *Obs) count(ev Event) {
 	}
 }
 
+// trace records ev's point span — the table's name, the job's open
+// lifecycle root as parent, ev's time and LSN, ev's fields as attributes —
+// and then closes that root if ev's kind is terminal.
+func (o *Obs) trace(ev Event) {
+	name, outcome := spanOf(ev)
+	if name != "" {
+		o.tracer.EmitLSN(ev.Time, name, ev.JobID, ev.LSN, ev.Fields...)
+	}
+	if outcome.Key != "" {
+		o.tracer.EndJob(ev.Time, ev.JobID, ev.LSN, outcome)
+	}
+}
+
+// spanOf is the one kind→span table: the point span an event records
+// (empty for none) and, for a terminal kind, the attribute its lifecycle
+// root closes with. A completion records complete or miss by its met field.
+func spanOf(ev Event) (name string, outcome tracing.Attr) {
+	switch ev.Kind {
+	case KindSchedAdmit:
+		name = tracing.SpanPlan
+	case KindAdmit:
+		name = tracing.SpanAdmit
+	case KindDrop:
+		name, outcome = tracing.SpanAdmit, tracing.Attr{Key: "outcome", Value: "dropped"}
+	case KindCancel:
+		outcome = tracing.Attr{Key: "outcome", Value: "cancelled"}
+	case KindPlace:
+		name = tracing.SpanPlace
+	case KindResize:
+		name = tracing.SpanRescale
+	case KindMigrate:
+		name = tracing.SpanMigrate
+	case KindEvict:
+		name = tracing.SpanNodeDownRecover
+	case KindComplete:
+		met, _ := ev.Field("met")
+		name, outcome = tracing.SpanComplete, tracing.Attr{Key: "deadline_met", Value: met}
+		if met != "true" {
+			name = tracing.SpanMiss
+		}
+	}
+	return name, outcome
+}
+
 // EventNow publishes an event stamped with the injected clock — for live
 // components (agents, HTTP handlers) with no domain clock of their own.
-func (o *Obs) EventNow(kind, jobID string, fields ...Field) {
+func (o *Obs) EventNow(kind, jobID string, fields ...tracing.Attr) {
 	if o == nil {
 		return
 	}
-	o.Event(o.Now(), kind, jobID, fields...)
+	o.Event(Event{Time: o.Now(), Kind: kind, JobID: jobID, Fields: fields})
 }
 
 // Timer starts a decision-latency measurement; the returned function stops

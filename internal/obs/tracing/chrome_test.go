@@ -67,10 +67,10 @@ func TestChromeShape(t *testing.T) {
 
 func TestChromeTidsGroupByJob(t *testing.T) {
 	tr := New(9)
-	tr.Emit(0, SpanHeartbeat, "")
+	tr.EmitLSN(0, SpanHeartbeat, "", 0)
 	tr.StartJob(0, "a")
 	tr.StartJob(0, "b")
-	tr.Emit(1, SpanRescale, "a")
+	tr.EmitLSN(1, SpanRescale, "a", 0)
 	tr.EndJob(2, "a", 0)
 	tr.EndJob(2, "b", 0)
 	data, err := EncodeChrome(tr.Spans())

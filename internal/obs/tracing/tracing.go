@@ -5,7 +5,10 @@
 // verdict, the plan that justified it, placements, rescales, migrations,
 // checkpoint mirrors, node-failure recoveries, and the terminal
 // complete/miss span. Scheduler epochs (the plan-cache fold) and agent
-// heartbeats record non-job spans alongside.
+// heartbeats record non-job spans alongside. The point spans are not
+// written by their call sites: package obs derives each from the event of
+// the same transition (Obs.Event), so EmitLSN and EndJob have that one
+// caller; interval spans are opened with Begin.
 //
 // Determinism rules mirror package obs: the tracer never reads a wall
 // clock or an RNG. Span IDs are derived from a caller-supplied seed and a
@@ -26,10 +29,11 @@ import (
 	"sync"
 )
 
-// The span-name catalog. obslint enforces that every Begin/Emit call site
-// outside this package names its span with one of these constants — a
-// dynamic or unknown span name would break dashboards and the golden
-// trails the same way an uncataloged ef_* metric would.
+// The span-name catalog. Point spans are named by package obs's kind→span
+// table, from the event they are derived from; obslint enforces that every
+// Begin call site outside this package names its interval span with one of
+// these constants — a dynamic or unknown span name would break dashboards
+// and the golden trails the same way an uncataloged ef_* metric would.
 const (
 	// SpanJobLifecycle is the per-job root span: submission to terminal
 	// complete/miss (or still open for live jobs).
@@ -73,16 +77,19 @@ const (
 	SpanHeartbeat = "heartbeat"
 )
 
-// Attr is one key/value attribute of a span. Values are pre-formatted
-// strings, like obs.Field, so serialization is deterministic.
+// Attr is one ordered key/value pair: a field of an obs event and an
+// attribute of a span — a point span's attributes are its event's fields.
+// Values are pre-formatted strings so rendering is deterministic and
+// allocation-free at read time.
 type Attr struct {
-	K string `json:"k"`
-	V string `json:"v"`
+	Key   string `json:"k"`
+	Value string `json:"v"`
 }
 
-// A builds an attribute from any value via fmt.Sprint.
-func A(key string, value interface{}) Attr {
-	return Attr{K: key, V: fmt.Sprint(value)}
+// A builds an attribute from any value via fmt.Sprint (deterministic for the
+// bool/int/float/string/Stringer values the emitters use).
+func A(key string, value any) Attr {
+	return Attr{Key: key, Value: fmt.Sprint(value)}
 }
 
 // Ref identifies an open span to its End call. The zero Ref is invalid
@@ -286,12 +293,9 @@ func (t *Tracer) EndLSN(now float64, ref Ref, lsn uint64, attrs ...Attr) {
 	t.closeLocked(ref.id, now, lsn, attrs)
 }
 
-// Emit records an instantaneous span (Start == End) under the job's root.
-func (t *Tracer) Emit(now float64, name, jobID string, attrs ...Attr) {
-	t.EmitLSN(now, name, jobID, 0, attrs...)
-}
-
-// EmitLSN records an instantaneous span stamped with a journal LSN.
+// EmitLSN records an instantaneous span (Start == End) under the job's root,
+// stamped with a journal LSN. Its one caller is package obs, which derives
+// every point span from an event.
 func (t *Tracer) EmitLSN(now float64, name, jobID string, lsn uint64, attrs ...Attr) {
 	if t == nil {
 		return

@@ -11,10 +11,10 @@ import (
 func emitLifecycle(tr *Tracer) {
 	tr.StartJob(0, "job-0001")
 	tr.EmitLSN(0, SpanAdmit, "job-0001", 3, A("verdict", "admit"))
-	tr.Emit(0, SpanPlan, "job-0001", A("mss_gpus", 2))
+	tr.EmitLSN(0, SpanPlan, "job-0001", 0, A("mss_gpus", 2))
 	ep := tr.Begin(0, SpanSchedEpoch, "")
 	tr.End(0, ep, A("used_gpus", 2))
-	tr.Emit(0, SpanPlace, "job-0001", A("gpus", "0->2"))
+	tr.EmitLSN(0, SpanPlace, "job-0001", 0, A("gpus", "0->2"))
 	tr.EmitLSN(50, SpanRescale, "job-0001", 7, A("gpus", "2->4"))
 	tr.EndJob(100, "job-0001", 9, A("deadline_met", true))
 }
@@ -105,7 +105,7 @@ func TestOpenSpansExported(t *testing.T) {
 func TestRingEviction(t *testing.T) {
 	tr := New(3).WithCap(4)
 	for i := 0; i < 10; i++ {
-		tr.Emit(float64(i), SpanHeartbeat, "")
+		tr.EmitLSN(float64(i), SpanHeartbeat, "", 0)
 	}
 	if got := len(tr.Spans()); got != 4 {
 		t.Fatalf("ring holds %d spans, want 4", got)
@@ -130,7 +130,6 @@ func TestNilTracer(t *testing.T) {
 		t.Fatal("nil tracer handed out a valid ref")
 	}
 	tr.End(1, ref)
-	tr.Emit(0, SpanAdmit, "j")
 	tr.EmitLSN(0, SpanAdmit, "j", 1)
 	if tr.Spans() != nil || tr.Job("j") != nil || tr.Count() != 0 || tr.Dropped() != 0 || tr.Seed() != 0 {
 		t.Fatal("nil tracer accessors must return zero values")
@@ -165,7 +164,7 @@ func TestConcurrentEmission(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				ref := tr.Begin(float64(i), SpanHeartbeat, "")
 				tr.End(float64(i), ref)
-				tr.Emit(float64(i), SpanRescale, job)
+				tr.EmitLSN(float64(i), SpanRescale, job, 0)
 			}
 			tr.EndJob(100, job, 0)
 		}(g)
@@ -190,7 +189,7 @@ func TestRingWrapAround(t *testing.T) {
 	b := tr.Begin(2, SpanHeartbeat, "")
 	c := tr.Begin(3, SpanSchedEpoch, "")
 	for i := 0; i < 23; i++ {
-		tr.Emit(float64(10+i), SpanRescale, "job-keep", A("i", i))
+		tr.EmitLSN(float64(10+i), SpanRescale, "job-keep", 0, A("i", i))
 		if i == 11 {
 			tr.End(50, b)
 		}
@@ -243,7 +242,7 @@ func TestRingWrapAround(t *testing.T) {
 func TestWithCapShrinkKeepsNewest(t *testing.T) {
 	tr := New(7).WithCap(8)
 	for i := 0; i < 13; i++ { // wrapped: holds 5..12, head mid-ring
-		tr.Emit(float64(i), SpanHeartbeat, "")
+		tr.EmitLSN(float64(i), SpanHeartbeat, "", 0)
 	}
 	tr.WithCap(3)
 	starts := func() (out []float64) {
@@ -258,14 +257,14 @@ func TestWithCapShrinkKeepsNewest(t *testing.T) {
 	if tr.Dropped() != 10 {
 		t.Fatalf("dropped = %d, want 10", tr.Dropped())
 	}
-	tr.Emit(13, SpanHeartbeat, "")
+	tr.EmitLSN(13, SpanHeartbeat, "", 0)
 	if got := starts(); len(got) != 3 || got[0] != 11 || got[2] != 13 {
 		t.Fatalf("after one more emit ring holds %v, want [11 12 13]", got)
 	}
 	tr.WithCap(5) // grow a wrapped ring
-	tr.Emit(14, SpanHeartbeat, "")
-	tr.Emit(15, SpanHeartbeat, "")
-	tr.Emit(16, SpanHeartbeat, "")
+	tr.EmitLSN(14, SpanHeartbeat, "", 0)
+	tr.EmitLSN(15, SpanHeartbeat, "", 0)
+	tr.EmitLSN(16, SpanHeartbeat, "", 0)
 	if got := starts(); len(got) != 5 || got[0] != 12 || got[4] != 16 {
 		t.Fatalf("after growing to 5 ring holds %v, want [12 .. 16]", got)
 	}
@@ -279,7 +278,7 @@ func TestWithCapShrinkKeepsNewest(t *testing.T) {
 // allocates nothing beyond the caller's attrs.
 func TestEmitFullRingDoesNotAllocate(t *testing.T) {
 	tr := New(8).WithCap(64)
-	attrs := []Attr{{K: "k", V: "v"}}
+	attrs := []Attr{{Key: "k", Value: "v"}}
 	for i := 0; i < 64; i++ {
 		tr.EmitLSN(0, SpanHeartbeat, "", 1, attrs...)
 	}
@@ -291,7 +290,7 @@ func TestEmitFullRingDoesNotAllocate(t *testing.T) {
 // BenchmarkTracerEmitFullRing emits into an already-full ring at two
 // capacities; the cost per span must not depend on the capacity.
 func BenchmarkTracerEmitFullRing(b *testing.B) {
-	attrs := []Attr{{K: "k", V: "v"}}
+	attrs := []Attr{{Key: "k", Value: "v"}}
 	for _, capN := range []int{1 << 10, 1 << 15} {
 		b.Run(fmt.Sprintf("cap=%d", capN), func(b *testing.B) {
 			tr := New(9).WithCap(capN)

@@ -11,21 +11,6 @@ import (
 	"github.com/elasticflow/elasticflow/internal/transfer"
 )
 
-// Emitter is the engine's one window on its host: where its deterministic
-// events go, and which journal position its spans belong to.
-type Emitter struct {
-	// Event publishes one event at domain time now. The live platform tees
-	// it to the bus and into the journal's trail hash, in replay as when
-	// live; the simulator feeds the bus and its rescale/migration tallies.
-	// With Engine.Obs nil the engine formats no fields: the host still counts
-	// kinds, but nothing reads the detail.
-	Event func(now float64, kind, jobID string, fields ...obs.Field)
-	// LSN is stamped on every span: the journal record of the mutation
-	// being applied (set at append time live, from the record in replay, so
-	// both produce identical spans); 0 in the simulator and without a store.
-	LSN uint64
-}
-
 // Engine turns scheduling decisions into placements, migrations and freeze
 // charges, retires finished jobs and moves failed servers in and out of the
 // pool. The simulator and the live platform both drive this one
@@ -44,10 +29,16 @@ type Engine struct {
 	PlacementFree bool
 	// NoOverheads disables freeze charging.
 	NoOverheads bool
-	// Obs receives spans, timers and gauges (its counters follow from the
-	// events); nil disables them and event field formatting.
-	Obs  *obs.Obs
-	Emit Emitter
+	// Obs receives timers and gauges (its counters and spans follow from
+	// the events); nil disables them and event field formatting.
+	Obs *obs.Obs
+	// Emit is the engine's one window on its host: it publishes one event
+	// at domain time now. The live platform stamps it with the journal
+	// record being applied, tees it to obs and into the journal's trail hash,
+	// in replay as when live; the simulator feeds its rescale/migration
+	// tallies and obs. With Obs nil the engine formats no fields: the host
+	// still counts kinds, but nothing reads the detail.
+	Emit func(now float64, kind, jobID string, fields ...tracing.Attr)
 }
 
 // change is one job whose worker count a decision alters, with the block it
@@ -92,9 +83,8 @@ func (e *Engine) Apply(now float64, dec Decision, active []*job.Job, g int) {
 	if len(changes) == 0 {
 		return
 	}
-	tr := e.Obs.Tracer()
 	if !e.PlacementFree {
-		e.place(now, tr, changes, active)
+		e.place(now, changes, active)
 	}
 	for _, c := range changes {
 		j := c.j
@@ -103,10 +93,10 @@ func (e *Engine) Apply(now float64, dec Decision, active []*job.Job, g int) {
 			continue
 		}
 		started := j.GPUs > 0 || j.DoneIters > 0
-		if tr != nil && started {
-			tr.EmitLSN(now, tracing.SpanRescale, j.ID, e.Emit.LSN, attrs("gpus", c.gpus, "was", j.GPUs)...)
-		} else if tr != nil {
-			tr.EmitLSN(now, tracing.SpanPlace, j.ID, e.Emit.LSN, attrs("gpus", c.gpus)...)
+		if started {
+			e.event(now, obs.KindResize, j.ID, "gpus", c.gpus, "was", j.GPUs)
+		} else {
+			e.event(now, obs.KindPlace, j.ID, "gpus", c.gpus)
 		}
 		j.GPUs, j.State = c.gpus, job.Running
 		if started && !e.NoOverheads {
@@ -117,7 +107,7 @@ func (e *Engine) Apply(now float64, dec Decision, active []*job.Job, g int) {
 
 // place releases the changed jobs' blocks and allocates their new ones,
 // reordering changes into placement order.
-func (e *Engine) place(now float64, tr *tracing.Tracer, changes []change, active []*job.Job) {
+func (e *Engine) place(now float64, changes []change, active []*job.Job) {
 	for _, c := range changes {
 		if c.from.Size > 0 {
 			must(e.Cluster.Release(c.j.ID))
@@ -139,9 +129,6 @@ func (e *Engine) place(now float64, tr *tracing.Tracer, changes []change, active
 		}
 		for _, m := range migs {
 			e.event(now, obs.KindMigrate, m.JobID, "from", m.From, "to", m.To)
-			if tr != nil {
-				tr.EmitLSN(now, tracing.SpanMigrate, m.JobID, e.Emit.LSN, attrs("from", m.From, "to", m.To)...)
-			}
 			// The bystander's trainer stops, its checkpoint crosses the
 			// m.From→m.To link, and it restores: a charged rescale.
 			if other := find(active, m.JobID); other != nil && !e.NoOverheads {
@@ -181,7 +168,7 @@ func (e *Engine) freeze(now float64, j *job.Job, charge float64) {
 
 // Retire completes job j at now — which instant that is belongs to the host:
 // the exact event time in the simulator, the observing tick live — releasing
-// its block and closing its lifecycle with a complete or miss span. It
+// its block and emitting the complete event that closes its lifecycle. It
 // reports whether the deadline was met; dropping j from active is the host's.
 func (e *Engine) Retire(now float64, j *job.Job) bool {
 	j.State, j.CompletionTime, j.GPUs = job.Completed, now, 0
@@ -189,16 +176,7 @@ func (e *Engine) Retire(now float64, j *job.Job) bool {
 		must(e.Cluster.Release(j.ID))
 	}
 	met := j.MetDeadline()
-	e.event(now, obs.KindComplete, j.ID, "met", met)
-	if tr := e.Obs.Tracer(); tr != nil {
-		work := attrs("iters", j.TotalIters, "rescales", j.Rescales)
-		if met {
-			tr.EmitLSN(now, tracing.SpanComplete, j.ID, e.Emit.LSN, work...)
-		} else {
-			tr.EmitLSN(now, tracing.SpanMiss, j.ID, e.Emit.LSN, work...)
-		}
-		tr.EndJob(now, j.ID, e.Emit.LSN, attrs("deadline_met", met)...)
-	}
+	e.event(now, obs.KindComplete, j.ID, "met", met, "iters", j.TotalIters, "rescales", j.Rescales)
 	if j.HasDeadline() {
 		e.Obs.ObserveDeadline(now, met, obs.DeadlineBudgetRatio(j.SubmitTime, j.Deadline, now))
 	}
@@ -231,7 +209,7 @@ func (e *Engine) Evict(now float64, server int, active []*job.Job) ([]string, er
 		}
 		if j := find(active, id); j != nil {
 			j.GPUs, j.State = 0, job.Admitted
-			e.Obs.Tracer().EmitLSN(now, tracing.SpanNodeDownRecover, id, e.Emit.LSN, attrs("server", server)...)
+			e.event(now, obs.KindEvict, id, "server", server)
 		}
 	}
 	return evicted, e.Cluster.Reserve(downReservation(server), block)
@@ -253,23 +231,14 @@ func (e *Engine) Restore(now float64, server int) error {
 // for a host with a sink: a simulator run without Obs pays for no detail.
 func (e *Engine) event(now float64, kind, jobID string, kv ...any) {
 	if e.Obs == nil {
-		e.Emit.Event(now, kind, jobID)
+		e.Emit(now, kind, jobID)
 		return
 	}
-	fields := make([]obs.Field, 0, len(kv)/2)
+	fields := make([]tracing.Attr, 0, len(kv)/2)
 	for i := 0; i+1 < len(kv); i += 2 {
-		fields = append(fields, obs.F(kv[i].(string), kv[i+1]))
+		fields = append(fields, tracing.A(kv[i].(string), kv[i+1]))
 	}
-	e.Emit.Event(now, kind, jobID, fields...)
-}
-
-// attrs builds span attributes from key/value pairs.
-func attrs(kv ...any) []tracing.Attr {
-	out := make([]tracing.Attr, 0, len(kv)/2)
-	for i := 0; i+1 < len(kv); i += 2 {
-		out = append(out, tracing.A(kv[i].(string), kv[i+1]))
-	}
-	return out
+	e.Emit(now, kind, jobID, fields...)
 }
 
 // Efficiency is job j's term of Eq. 8: its current throughput normalized by

@@ -8,10 +8,11 @@ import (
 	"testing"
 
 	"github.com/elasticflow/elasticflow/internal/job"
+	"github.com/elasticflow/elasticflow/internal/model"
 	"github.com/elasticflow/elasticflow/internal/obs"
+	"github.com/elasticflow/elasticflow/internal/obs/tracing"
 	"github.com/elasticflow/elasticflow/internal/throughput"
 	"github.com/elasticflow/elasticflow/internal/topology"
-	"github.com/elasticflow/elasticflow/internal/transfer"
 )
 
 // fixed is a scheduler that returns one canned decision.
@@ -49,8 +50,8 @@ func newEngine(t *testing.T, seeds []seed) (*Engine, []*job.Job, *[]string) {
 		t.Fatal(err)
 	}
 	log := &[]string{}
-	e := &Engine{Cluster: cluster, Sched: fixed{}, Costs: transfer.DefaultCostModel(), Obs: obs.NewDefault()}
-	e.Emit.Event = func(now float64, kind, jobID string, fields ...obs.Field) {
+	e := &Engine{Cluster: cluster, Sched: fixed{}, Costs: throughput.NewEstimator(model.DefaultA100()).CostModel(), Obs: obs.NewDefault()}
+	e.Emit = func(now float64, kind, jobID string, fields ...tracing.Attr) {
 		kv := make([]string, len(fields))
 		for i, f := range fields {
 			kv[i] = f.Key + "=" + f.Value
@@ -120,20 +121,21 @@ func TestEngineApply(t *testing.T) {
 			seeds:  []seed{{id: "a", block: blk(0, 2), done: 1}, {id: "f1", block: blk(2, 2)}, {id: "f2", block: blk(4, 4)}},
 			dec:    map[string]int{"a": 8, "f1": 2, "f2": 4},
 			wants:  map[string]want{"a": {8, job.Running, blk(8, 8), now + 11, 1}},
-			events: []string{"rescale a gpus=8"},
+			events: []string{"resize a gpus=8 was=2", "rescale a gpus=8"},
 		},
 		{
-			name:  "first placement is free",
-			seeds: []seed{{id: "a"}},
-			dec:   map[string]int{"a": 4},
-			wants: map[string]want{"a": {4, job.Running, blk(0, 4), 0, 0}},
+			name:   "first placement is free",
+			seeds:  []seed{{id: "a"}},
+			dec:    map[string]int{"a": 4},
+			wants:  map[string]want{"a": {4, job.Running, blk(0, 4), 0, 0}},
+			events: []string{"place a gpus=4"},
 		},
 		{
 			name:   "resume from preemption pays the conservative migration price",
 			seeds:  []seed{{id: "a", done: 1}},
 			dec:    map[string]int{"a": 2},
 			wants:  map[string]want{"a": {2, job.Running, blk(0, 2), now + 13, 1}},
-			events: []string{"rescale a gpus=2"},
+			events: []string{"resize a gpus=2 was=0", "rescale a gpus=2"},
 		},
 		{
 			name:          "placement-free models no links and no blocks",
@@ -141,7 +143,7 @@ func TestEngineApply(t *testing.T) {
 			dec:           map[string]int{"a": 3},
 			placementFree: true,
 			wants:         map[string]want{"a": {3, job.Running, topology.Block{}, now + 10, 1}},
-			events:        []string{"rescale a gpus=3"},
+			events:        []string{"resize a gpus=3 was=0", "rescale a gpus=3"},
 		},
 		{
 			name:  "suspension releases the block and charges nothing",
@@ -158,6 +160,7 @@ func TestEngineApply(t *testing.T) {
 				"y": {4, job.Running, blk(8, 4), 0, 0},
 				"z": {4, job.Running, blk(12, 4), 0, 0},
 			},
+			events: []string{"place x gpus=8", "place y gpus=4", "place z gpus=4"},
 		},
 		{
 			name:  "migrated bystander is a charged rescale",
@@ -168,7 +171,7 @@ func TestEngineApply(t *testing.T) {
 				"b": {2, job.Running, blk(4, 2), now + 11, 1},
 				"f": {4, job.Running, blk(0, 4), 0, 0},
 			},
-			events: []string{"migrate b from=[8,10) to=[4,6)", "rescale b gpus=2"},
+			events: []string{"migrate b from=[8,10) to=[4,6)", "rescale b gpus=2", "place a gpus=8"},
 		},
 		{
 			// The bugfix row: b is still frozen until t=200 by an earlier
@@ -178,7 +181,7 @@ func TestEngineApply(t *testing.T) {
 			seeds:  []seed{bystander[0], {id: "b", block: blk(8, 2), done: 1, frozen: 200}, bystander[2]},
 			dec:    bystanderDec,
 			wants:  map[string]want{"b": {2, job.Running, blk(4, 2), 200, 1}},
-			events: []string{"migrate b from=[8,10) to=[4,6)", "rescale b gpus=2"},
+			events: []string{"migrate b from=[8,10) to=[4,6)", "rescale b gpus=2", "place a gpus=8"},
 		},
 		{
 			name:        "NoOverheads still migrates, charges nobody",
@@ -189,7 +192,7 @@ func TestEngineApply(t *testing.T) {
 				"b": {2, job.Running, blk(4, 2), 0, 0},
 				"c": {1, job.Running, blk(6, 1), 0, 0},
 			},
-			events: []string{"migrate b from=[8,10) to=[4,6)"},
+			events: []string{"migrate b from=[8,10) to=[4,6)", "place a gpus=8", "resize c gpus=1 was=2"},
 		},
 	}
 	for _, tc := range cases {
@@ -225,12 +228,12 @@ func TestEngineBareEmitsNoFields(t *testing.T) {
 	e, active, _ := newEngine(t, []seed{{id: "f", block: blk(0, 4), done: 1}, {id: "b", block: blk(8, 2), done: 1}, {id: "a"}})
 	e.Obs = nil
 	var kinds []string
-	e.Emit = Emitter{Event: func(_ float64, kind, _ string, fields ...obs.Field) {
+	e.Emit = func(_ float64, kind, _ string, fields ...tracing.Attr) {
 		if len(fields) != 0 {
 			t.Errorf("%s event carries %d fields with no sink", kind, len(fields))
 		}
 		kinds = append(kinds, kind)
-	}}
+	}
 	e.Apply(1, Decision{Alloc: map[string]int{"f": 4, "b": 2, "a": 8}}, active, 16)
 	e.Retire(2, active[2])
 	if _, err := e.Evict(3, 0, active); err != nil {
@@ -239,10 +242,10 @@ func TestEngineBareEmitsNoFields(t *testing.T) {
 	if err := e.Restore(4, 0); err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{"migrate", "rescale", "complete", "failure", "recovery"}; !reflect.DeepEqual(kinds, want) {
+	if want := []string{"migrate", "rescale", "place", "complete", "failure", "evict", "evict", "recovery"}; !reflect.DeepEqual(kinds, want) {
 		t.Errorf("kinds = %v, want %v", kinds, want)
 	}
-	e.Emit.Event = func(float64, string, string, ...obs.Field) {}
+	e.Emit = func(float64, string, string, ...tracing.Attr) {}
 	if n := testing.AllocsPerRun(100, func() { e.freeze(5, active[1], 1) }); n != 0 {
 		t.Errorf("a charged rescale allocates %v times with no sink wired, want 0", n)
 	}
@@ -274,7 +277,7 @@ func TestEngineRetire(t *testing.T) {
 	if active[0].CompletionTime != 9 || e.Cluster.FreeGPUs() != 16 {
 		t.Errorf("completion %v free %d, want 9 and the whole cluster free", active[0].CompletionTime, e.Cluster.FreeGPUs())
 	}
-	if want := []string{"complete a met=true", "complete late met=false"}; !reflect.DeepEqual(*log, want) {
+	if want := []string{"complete a met=true iters=1000 rescales=0", "complete late met=false iters=1000 rescales=0"}; !reflect.DeepEqual(*log, want) {
 		t.Errorf("events = %q, want %q", *log, want)
 	}
 }
@@ -310,7 +313,7 @@ func TestEngineEvictRestore(t *testing.T) {
 	if err := e.Restore(21, 1); err == nil {
 		t.Error("restoring a server that is up did not fail")
 	}
-	want := []string{"failure  server=1", "rescale a gpus=4", "recovery  server=1"}
+	want := []string{"failure  server=1", "evict a server=1", "resize a gpus=4 was=0", "rescale a gpus=4", "recovery  server=1"}
 	if !reflect.DeepEqual(*log, want) {
 		t.Errorf("events = %q, want %q", *log, want)
 	}

@@ -9,8 +9,8 @@ import (
 
 // TestSubmitPricesCheckpointMovement checks the live platform sizes every
 // job's checkpoint and fixes its conservative migration price at submission,
-// with the estimator's shared cost model — the same transfer.CostModel the
-// simulator defaults to (see sim.TestSimAndLivePriceOneModel).
+// with the estimator's shared cost model — the one the simulator prices
+// with too.
 func TestSubmitPricesCheckpointMovement(t *testing.T) {
 	p, _ := newTestPlatform(t)
 	st, err := p.Submit(SubmitRequest{Model: "resnet50", GlobalBatch: 128, Iterations: 10000, DeadlineSeconds: 7200})

@@ -6,6 +6,7 @@ import (
 
 	"github.com/elasticflow/elasticflow/internal/job"
 	"github.com/elasticflow/elasticflow/internal/obs"
+	"github.com/elasticflow/elasticflow/internal/obs/tracing"
 )
 
 // This file is the platform's §4.4 fault model on the live path. The server
@@ -119,7 +120,7 @@ func (p *Platform) recheckGuaranteesLocked(now float64) {
 		if a, ok := mss[j.ID]; ok && a.Satisfied {
 			if _, wasAtRisk := p.infeasible[j.ID]; wasAtRisk {
 				delete(p.infeasible, j.ID)
-				p.eventLocked(now, obs.KindInfeasible, j.ID, obs.F("cleared", true))
+				p.eventLocked(now, obs.KindInfeasible, j.ID, tracing.A("cleared", true))
 			}
 			continue
 		}
@@ -138,7 +139,7 @@ func (p *Platform) recheckGuaranteesLocked(now float64) {
 		}
 		p.infeasible[j.ID] = offer
 		p.eventLocked(now, obs.KindInfeasible, j.ID,
-			obs.F("deadline", j.Deadline), obs.F("earliest_feasible_sec", offer))
+			tracing.A("deadline", j.Deadline), tracing.A("earliest_feasible_sec", offer))
 	}
 }
 

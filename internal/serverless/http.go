@@ -86,7 +86,7 @@ func Handler(p *Platform) http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		if err := o.Metrics.WritePrometheus(w); err != nil {
 			o.IncEncodeError()
-			o.EventNow(obs.KindError, "", obs.F("op", "metrics-write"), obs.F("err", err.Error()))
+			o.EventNow(obs.KindError, "", tracing.A("op", "metrics-write"), tracing.A("err", err.Error()))
 		}
 	})
 	mux.HandleFunc("/debug/events", func(w http.ResponseWriter, r *http.Request) {
@@ -147,7 +147,7 @@ func Handler(p *Platform) http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		if _, err := w.Write(data); err != nil {
 			o.IncEncodeError()
-			o.EventNow(obs.KindError, "", obs.F("op", "trace-write"), obs.F("err", err.Error()))
+			o.EventNow(obs.KindError, "", tracing.A("op", "trace-write"), tracing.A("err", err.Error()))
 		}
 	})
 	return mux
@@ -199,7 +199,7 @@ func writeJSON(o *obs.Obs, w http.ResponseWriter, code int, v interface{}) {
 
 func encodeFailed(o *obs.Obs, err error) {
 	o.IncEncodeError()
-	o.EventNow(obs.KindError, "", obs.F("op", "http-encode"), obs.F("err", err.Error()))
+	o.EventNow(obs.KindError, "", tracing.A("op", "http-encode"), tracing.A("err", err.Error()))
 }
 
 type errorBody struct {

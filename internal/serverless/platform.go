@@ -149,13 +149,15 @@ type Platform struct {
 	scale   float64
 	// eng applies every decision, completion and server transition to
 	// cluster and the jobs — the same sched.Engine the simulator drives
-	// (DESIGN.md §5.1). Its emitter's LSN is the journal LSN of the mutation
-	// record currently being applied — the flight-recorder correlation
-	// stamped onto every span the apply emits, the platform's own included.
-	// The live path sets it at append time, replay sets it from the record
-	// being replayed, so the two produce identical spans. Zero on a
-	// storeless platform. guarded by mu
+	// (DESIGN.md §5.1). guarded by mu
 	eng sched.Engine
+	// lsn is the journal LSN of the mutation record currently being
+	// applied — the flight-recorder correlation eventLocked stamps onto
+	// every event the apply emits, the engine's included, and so onto their
+	// spans. The live path sets it at append time, replay sets it from the
+	// record being replayed, so the two produce identical spans. Zero on a
+	// storeless platform. guarded by mu
+	lsn uint64
 	// lastTick is the platform time of the latest advance. journaled;
 	// guarded by mu
 	lastTick float64
@@ -277,7 +279,7 @@ func newPlatform(opts Options) (*Platform, error) {
 		snapEvery:   opts.SnapshotEvery,
 	}
 	p.mu.Lock()
-	p.eng.Emit.Event = p.eventLocked
+	p.eng.Emit = p.eventLocked
 	p.mu.Unlock()
 	return p, nil
 }
@@ -398,7 +400,7 @@ func (p *Platform) applySubmitBatchLocked(reqs []SubmitRequest, now float64) []J
 	p.batches++
 	batch := p.batches
 	p.eventLocked(now, obs.KindBatch, "",
-		obs.F("batch", batch), obs.F("size", len(reqs)), obs.F("tenants", tenantList(reqs)))
+		tracing.A("batch", batch), tracing.A("size", len(reqs)), tracing.A("tenants", tenantList(reqs)))
 	ref := p.tr.Begin(now, tracing.SpanFrontdoorBatch, "")
 	out := make([]JobStatus, len(reqs))
 	jobs := make([]*job.Job, len(reqs))
@@ -411,7 +413,7 @@ func (p *Platform) applySubmitBatchLocked(reqs []SubmitRequest, now float64) []J
 			// deterministic in (req, state) and replay reaches the same
 			// verdict; frame it as an event so trails stay comparable.
 			p.eventLocked(now, obs.KindError, "",
-				obs.F("op", "batch-submit"), obs.F("err", err.Error()))
+				tracing.A("op", "batch-submit"), tracing.A("err", err.Error()))
 			out[i] = JobStatus{Model: req.Model, Tenant: req.Tenant, State: "invalid"}
 			continue
 		}
@@ -430,7 +432,7 @@ func (p *Platform) applySubmitBatchLocked(reqs []SubmitRequest, now float64) []J
 			out[i] = p.statusLocked(j)
 		}
 	}
-	p.tr.EndLSN(now, ref, p.eng.Emit.LSN,
+	p.tr.EndLSN(now, ref, p.lsn,
 		tracing.A("batch", batch), tracing.A("size", len(reqs)), tracing.A("admitted", admitted))
 	return out
 }
@@ -518,7 +520,7 @@ func (p *Platform) applySubmitItemLocked(req SubmitRequest, now float64, batch t
 	}
 	p.addJobLocked(j)
 	// Open the lifecycle root before admission so the scheduler's plan
-	// span lands under it; a drop closes the tree immediately. Batched
+	// span lands under it; a drop event closes the tree immediately. Batched
 	// arrivals parent under the batch's frontdoor.batch span.
 	p.tr.StartJobUnder(now, j.ID, batch)
 	stop := p.obs.Timer()
@@ -531,28 +533,24 @@ func (p *Platform) applySubmitItemLocked(req SubmitRequest, now float64, batch t
 		if dl, ok := ba.EarliestDeadline(j, p.active); ok {
 			st.EarliestFeasibleSec = dl - now
 		}
-		fields := []obs.Field{
-			obs.F("model", j.Model.Name), obs.F("reason", "admission control"),
-			obs.F("earliest_feasible_sec", st.EarliestFeasibleSec),
+		fields := []tracing.Attr{
+			tracing.A("verdict", "drop"), tracing.A("model", j.Model.Name),
+			tracing.A("reason", "admission control"),
+			tracing.A("earliest_feasible_sec", st.EarliestFeasibleSec),
 		}
 		if j.Tenant != "" {
-			fields = append(fields, obs.F("tenant", j.Tenant))
+			fields = append(fields, tracing.A("tenant", j.Tenant))
 		}
 		p.eventLocked(now, obs.KindDrop, j.ID, fields...)
-		p.tr.EmitLSN(now, tracing.SpanAdmit, j.ID, p.eng.Emit.LSN,
-			tracing.A("verdict", "drop"), tracing.A("earliest_feasible_sec", st.EarliestFeasibleSec))
-		p.tr.EndJob(now, j.ID, p.eng.Emit.LSN, tracing.A("outcome", "dropped"))
 		return nil, st, nil
 	}
 	j.State = job.Admitted
 	p.active = append(p.active, j)
-	fields := []obs.Field{obs.F("model", j.Model.Name), obs.F("class", j.Class.String())}
+	fields := []tracing.Attr{tracing.A("verdict", "admit"), tracing.A("model", j.Model.Name), tracing.A("class", j.Class)}
 	if j.Tenant != "" {
-		fields = append(fields, obs.F("tenant", j.Tenant))
+		fields = append(fields, tracing.A("tenant", j.Tenant))
 	}
 	p.eventLocked(now, obs.KindAdmit, j.ID, fields...)
-	p.tr.EmitLSN(now, tracing.SpanAdmit, j.ID, p.eng.Emit.LSN,
-		tracing.A("verdict", "admit"), tracing.A("model", j.Model.Name), tracing.A("class", j.Class.String()))
 	return j, JobStatus{}, nil
 }
 
@@ -654,7 +652,6 @@ func (p *Platform) applyCancelLocked(id string, now float64) error {
 	j.GPUs = 0 // a cancelled job holds no workers: status must not show GPUs or an estimated finish
 	delete(p.infeasible, id)
 	p.eventLocked(now, obs.KindCancel, id)
-	p.tr.EndJob(now, id, p.eng.Emit.LSN, tracing.A("outcome", "cancelled"))
 	p.rescheduleLocked(now)
 	return nil
 }
@@ -881,8 +878,8 @@ func (p *Platform) statusLocked(j *job.Job) JobStatus {
 	}
 	if j.GPUs > 0 {
 		s.LocalBatch = j.GlobalBatch / j.GPUs
-		if tput := j.Throughput(j.GPUs); tput > 0 {
-			s.EstimatedDone = p.lastTick + j.RemainingIters()/tput
+		if done := j.PredictFinish(p.lastTick); !math.IsInf(done, 1) {
+			s.EstimatedDone = done
 		}
 		if b, ok := p.cluster.Placement(j.ID); ok {
 			s.Placement = b.String()

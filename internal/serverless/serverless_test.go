@@ -176,6 +176,36 @@ func TestElasticDownscaleOnContention(t *testing.T) {
 	}
 }
 
+// TestFrozenJobStatusWaitsOutTheFreeze: a running job in the middle of a
+// rescale reports its finish after the freeze — FrozenUntil plus the
+// remaining iterations at its new throughput — not from the last tick.
+func TestFrozenJobStatusWaitsOutTheFreeze(t *testing.T) {
+	p, clk := newTestPlatform(t)
+	first, err := p.Submit(SubmitRequest{Model: "resnet50", GlobalBatch: 256, Iterations: 5e6, DeadlineSeconds: 1e6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk.advance(time.Minute)
+	// A tight-deadline arrival shrinks the first job: a charged rescale.
+	if _, err := p.Submit(SubmitRequest{Model: "vgg16", GlobalBatch: 256, Iterations: 50000, DeadlineSeconds: 1800}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := p.Get(first.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.mu.Lock()
+	j := p.all[first.ID]
+	frozen, tick, rem, tput := j.FrozenUntil, p.lastTick, j.RemainingIters(), j.Throughput(j.GPUs)
+	p.mu.Unlock()
+	if got.GPUs == 0 || frozen <= tick {
+		t.Fatalf("first job is not running inside a freeze: gpus %d, frozen until %v at tick %v", got.GPUs, frozen, tick)
+	}
+	if want := frozen + rem/tput; got.EstimatedDone != want {
+		t.Errorf("EstimatedDone = %v, want FrozenUntil + remaining/tput = %v (from the last tick: %v)", got.EstimatedDone, want, tick+rem/tput)
+	}
+}
+
 // TestHTTPEndToEnd drives the shard plane's read routes against a platform
 // with a job on it; the job routes themselves are the front door's.
 func TestHTTPEndToEnd(t *testing.T) {

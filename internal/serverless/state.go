@@ -12,6 +12,7 @@ import (
 	"github.com/elasticflow/elasticflow/internal/job"
 	"github.com/elasticflow/elasticflow/internal/model"
 	"github.com/elasticflow/elasticflow/internal/obs"
+	"github.com/elasticflow/elasticflow/internal/obs/tracing"
 	"github.com/elasticflow/elasticflow/internal/store"
 	"github.com/elasticflow/elasticflow/internal/throughput"
 	"github.com/elasticflow/elasticflow/internal/topology"
@@ -105,12 +106,12 @@ func (p *Platform) journalLocked(kind string, t float64, op any, durable bool) e
 	lsn, err := p.store.Append(kind, t, recordBody{Trail: p.trail, Op: op}, durable)
 	if err != nil {
 		p.broken = fmt.Errorf("serverless: journal failed, refusing further mutations: %w", err)
-		p.obs.EventNow(obs.KindError, "", obs.F("op", "journal-append"), obs.F("err", err.Error()))
+		p.obs.EventNow(obs.KindError, "", tracing.A("op", "journal-append"), tracing.A("err", err.Error()))
 		return p.broken
 	}
-	// The apply that follows stamps its spans with this record's LSN —
-	// replay restores the same value from the record itself.
-	p.eng.Emit.LSN = lsn
+	// The apply that follows stamps its events, and so their spans, with
+	// this record's LSN — replay restores the same value from the record.
+	p.lsn = lsn
 	return nil
 }
 
@@ -126,10 +127,11 @@ func (p *Platform) checkMutableLocked() error {
 }
 
 // eventLocked is the tee every deterministic platform event goes through,
-// live and in replay: it publishes to the bus and folds the event — time bits,
+// live and in replay: it stamps the event with the LSN of the record being
+// applied, records it in obs (bus, counters, span) and folds it — time bits,
 // kind, job, field keys and values — into the trail hash.
-func (p *Platform) eventLocked(t float64, kind, jobID string, fields ...obs.Field) {
-	p.obs.Event(t, kind, jobID, fields...)
+func (p *Platform) eventLocked(t float64, kind, jobID string, fields ...tracing.Attr) {
+	p.obs.Event(obs.Event{Time: t, Kind: kind, JobID: jobID, LSN: p.lsn, Fields: fields})
 	h := (p.trail ^ math.Float64bits(t)) * trailPrime
 	h = foldTrail(foldTrail(h, kind), jobID)
 	for _, f := range fields {
@@ -177,7 +179,7 @@ func (p *Platform) maybeSnapshotLocked() {
 		return
 	}
 	if err := p.snapshotLocked(); err != nil {
-		p.obs.EventNow(obs.KindError, "", obs.F("op", "store-snapshot"), obs.F("err", err.Error()))
+		p.obs.EventNow(obs.KindError, "", tracing.A("op", "store-snapshot"), tracing.A("err", err.Error()))
 	}
 }
 
@@ -503,8 +505,8 @@ func Recover(opts Options) (*Platform, error) {
 	p.obs.AddStoreReplayed(len(tail))
 	p.obs.ObserveStoreRecovery(time.Since(wallStart).Seconds())
 	if n := st.TornTails(); n > 0 {
-		p.obs.EventNow(obs.KindRecovery, "", obs.F("op", "store-recover"),
-			obs.F("replayed", len(tail)), obs.F("torn_tails", n))
+		p.obs.EventNow(obs.KindRecovery, "", tracing.A("op", "store-recover"),
+			tracing.A("replayed", len(tail)), tracing.A("torn_tails", n))
 	}
 	return p, nil
 }
@@ -529,7 +531,7 @@ func (p *Platform) replayRecordLocked(rec store.Record) error {
 	if body.Trail != p.trail {
 		return fmt.Errorf("serverless: replay divergence at LSN %d: the run that journaled this %s record had emitted event trail %d, replaying the records before it emitted %d", rec.LSN, rec.Kind, body.Trail, p.trail)
 	}
-	p.eng.Emit.LSN = rec.LSN
+	p.lsn = rec.LSN
 	switch rec.Kind {
 	case recAdvance:
 		p.applyAdvanceLocked(rec.Time)
@@ -542,7 +544,7 @@ func (p *Platform) replayRecordLocked(rec store.Record) error {
 		// the identical error after journaling, mutating nothing; replay
 		// records it as operational noise and moves on.
 		if _, err := p.applySubmitLocked(req, rec.Time); err != nil {
-			p.obs.EventNow(obs.KindError, "", obs.F("op", "replay-submit"), obs.F("err", err.Error()))
+			p.obs.EventNow(obs.KindError, "", tracing.A("op", "replay-submit"), tracing.A("err", err.Error()))
 		}
 	case recBatch:
 		var reqs []SubmitRequest

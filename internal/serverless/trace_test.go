@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	"github.com/elasticflow/elasticflow/internal/obs"
@@ -164,6 +165,52 @@ func TestSpanLSNsMatchJournal(t *testing.T) {
 	}
 	if stamped == 0 {
 		t.Fatal("no span carries a journal LSN")
+	}
+}
+
+// TestPointSpansMatchEvents is the live half of the simulator's check of the
+// same name: over the journaled crash script, every point span has exactly
+// one bus event at the same time, job and journal LSN whose fields are the
+// span's attributes.
+func TestPointSpansMatchEvents(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk := newStateClock()
+	opts, tr := tracedOptions(clk, st)
+	p, err := NewPlatform(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range crashScript() {
+		applyOp(t, p, clk, op)
+	}
+	events := p.Obs().Bus.Since(0)
+	point := map[string]bool{
+		tracing.SpanAdmit: true, tracing.SpanPlan: true, tracing.SpanPlace: true, tracing.SpanRescale: true,
+		tracing.SpanMigrate: true, tracing.SpanNodeDownRecover: true, tracing.SpanComplete: true, tracing.SpanMiss: true,
+	}
+	stamped := 0
+	for _, s := range tr.Spans() {
+		if !point[s.Name] {
+			continue
+		}
+		if s.LSN != 0 {
+			stamped++
+		}
+		n := 0
+		for _, ev := range events {
+			if ev.Time == s.Start && ev.JobID == s.JobID && ev.LSN == s.LSN && reflect.DeepEqual(ev.Fields, s.Attrs) {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Errorf("span %s/%s at %v (LSN %d) matches %d bus events, want 1", s.JobID, s.Name, s.Start, s.LSN, n)
+		}
+	}
+	if stamped == 0 {
+		t.Fatal("no point span carries a journal LSN")
 	}
 }
 

@@ -195,7 +195,7 @@ func (p *pool) runShard(s int) {
 		now := p.now
 		min := math.Inf(1)
 		for i := s; i < len(jobs); i += p.n {
-			if f := predictFinish(jobs[i], now); f < min {
+			if f := jobs[i].PredictFinish(now); f < min {
 				min = f
 			}
 		}
@@ -257,7 +257,7 @@ func (e *engine) minFinish() float64 {
 	if e.pool == nil || len(e.active) == 0 {
 		min := math.Inf(1)
 		for _, j := range e.active {
-			if f := predictFinish(j, e.now); f < min {
+			if f := j.PredictFinish(e.now); f < min {
 				min = f
 			}
 		}

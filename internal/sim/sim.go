@@ -12,11 +12,12 @@ import (
 	"sort"
 
 	"github.com/elasticflow/elasticflow/internal/job"
+	"github.com/elasticflow/elasticflow/internal/model"
 	"github.com/elasticflow/elasticflow/internal/obs"
 	"github.com/elasticflow/elasticflow/internal/obs/tracing"
 	"github.com/elasticflow/elasticflow/internal/sched"
+	"github.com/elasticflow/elasticflow/internal/throughput"
 	"github.com/elasticflow/elasticflow/internal/topology"
-	"github.com/elasticflow/elasticflow/internal/transfer"
 )
 
 // Config configures one simulation run.
@@ -31,12 +32,6 @@ type Config struct {
 	PlacementFree bool
 	// NoOverheads disables rescale overhead charging (ablation).
 	NoOverheads bool
-	// Costs prices checkpoint movement for freeze charges: a migration's
-	// wire time is the job's CheckpointBytes over the bandwidth of the
-	// link crossed. Nil uses transfer.DefaultCostModel(), which matches
-	// model.DefaultA100 — the same table the live platform's estimator
-	// prices with, so the same move costs the same seconds in both.
-	Costs *transfer.CostModel
 	// SampleSec adds periodic timeline samples between events (0 = only
 	// at events).
 	SampleSec float64
@@ -189,9 +184,9 @@ type engine struct {
 	cfg Config
 	g   int
 	eng sched.Engine
-	// tr is Config.Obs's tracer (nil when tracing is off). Spans carry
-	// LSN 0 here: the simulator has no write-ahead journal to correlate
-	// against.
+	// tr is Config.Obs's tracer (nil when tracing is off); it opens each
+	// job's lifecycle root. Spans carry LSN 0 here: the simulator has no
+	// write-ahead journal to correlate against.
 	tr *tracing.Tracer
 
 	now     float64
@@ -231,9 +226,9 @@ func (e *engine) avail() int { return e.g - e.downGPUs }
 
 // logEvent is the run's one event sink — the simulator's own admissions and
 // drops, and everything the engine emits (it is the engine's
-// sched.Emitter.Event). The rescale and migration tallies count the engine's
+// sched.Engine.Emit). The rescale and migration tallies count the engine's
 // emissions; then the event goes to Config.Obs when wired.
-func (e *engine) logEvent(now float64, kind, jobID string, fields ...obs.Field) {
+func (e *engine) logEvent(now float64, kind, jobID string, fields ...tracing.Attr) {
 	switch kind {
 	case obs.KindRescale:
 		e.res.Rescales++
@@ -241,7 +236,7 @@ func (e *engine) logEvent(now float64, kind, jobID string, fields ...obs.Field) 
 	case obs.KindMigrate:
 		e.res.Migrations++
 	}
-	e.cfg.Obs.Event(now, kind, jobID, fields...)
+	e.cfg.Obs.Event(obs.Event{Time: now, Kind: kind, JobID: jobID, Fields: fields})
 }
 
 // Run simulates jobs (sorted by submission time) under cfg and returns the
@@ -260,17 +255,13 @@ func Run(cfg Config, jobs []*job.Job, traceName string) (Result, error) {
 	pending := append([]*job.Job{}, jobs...)
 	sort.Slice(pending, func(i, k int) bool { return pending[i].SubmitTime < pending[k].SubmitTime })
 
-	costs := transfer.DefaultCostModel()
-	if cfg.Costs != nil {
-		costs = *cfg.Costs
-	}
 	e := &engine{
 		cfg: cfg,
 		g:   cluster.TotalGPUs(),
 		eng: sched.Engine{
 			Cluster:       cluster,
 			Sched:         cfg.Scheduler,
-			Costs:         costs,
+			Costs:         throughput.NewEstimator(model.DefaultA100()).CostModel(),
 			PlacementFree: cfg.PlacementFree,
 			NoOverheads:   cfg.NoOverheads,
 			Obs:           cfg.Obs,
@@ -280,7 +271,7 @@ func Run(cfg Config, jobs []*job.Job, traceName string) (Result, error) {
 		stats:   make(map[string]*JobResult, len(pending)),
 		res:     &Result{Scheduler: cfg.Scheduler.Name(), Trace: traceName},
 	}
-	e.eng.Emit = sched.Emitter{Event: e.logEvent}
+	e.eng.Emit = e.logEvent
 	for _, f := range cfg.Failures {
 		if f.Server < 0 || f.Server >= cfg.Topology.Servers {
 			return Result{}, fmt.Errorf("sim: failure server %d out of range", f.Server)
@@ -406,24 +397,6 @@ func (e *engine) nextEvent() (float64, evKind) {
 	return t, kind
 }
 
-// predictFinish predicts job j's completion under its current allocation at
-// simulated time now. A free function so shard goroutines can call it
-// without touching engine state.
-func predictFinish(j *job.Job, now float64) float64 {
-	if j.GPUs <= 0 {
-		return math.Inf(1)
-	}
-	tput := j.Throughput(j.GPUs)
-	if tput <= 0 {
-		return math.Inf(1)
-	}
-	start := now
-	if j.FrozenUntil > start {
-		start = j.FrozenUntil
-	}
-	return start + j.RemainingIters()/tput
-}
-
 // completeDone retires all active jobs that reached their termination
 // condition. The done scan fans out across shards; retirement stays on the
 // coordinator in canonical admission order, so the emitted stream is
@@ -465,18 +438,15 @@ func (e *engine) admitArrivals() bool {
 		if admitted {
 			j.State = job.Admitted
 			e.active = append(e.active, j)
-			e.logEvent(e.now, obs.KindAdmit, j.ID)
-			e.tr.Emit(e.now, tracing.SpanAdmit, j.ID,
-				tracing.A("verdict", "admit"), tracing.A("class", j.Class.String()))
+			e.logEvent(e.now, obs.KindAdmit, j.ID,
+				tracing.A("verdict", "admit"), tracing.A("class", j.Class))
 			changed = true
 		} else {
 			j.State = job.Dropped
 			st.Dropped = true
 			e.dropped++
-			e.logEvent(e.now, obs.KindDrop, j.ID, obs.F("reason", "admission control"))
-			e.tr.Emit(e.now, tracing.SpanAdmit, j.ID,
-				tracing.A("verdict", "drop"), tracing.A("class", j.Class.String()))
-			e.tr.EndJob(e.now, j.ID, 0, tracing.A("outcome", "dropped"))
+			e.logEvent(e.now, obs.KindDrop, j.ID, tracing.A("verdict", "drop"),
+				tracing.A("class", j.Class), tracing.A("reason", "admission control"))
 		}
 	}
 	return changed

@@ -3,6 +3,7 @@ package sim
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 
 	"github.com/elasticflow/elasticflow/internal/core"
@@ -167,5 +168,43 @@ func TestSpanTreeShape(t *testing.T) {
 	}
 	if recoveries == 0 {
 		t.Error("no node-down.recover spans despite injected failure")
+	}
+}
+
+// pointSpans is the catalog of spans derived from events; the rest are
+// intervals (lifecycle roots, scheduler epochs).
+var pointSpans = map[string]bool{
+	tracing.SpanAdmit: true, tracing.SpanPlan: true, tracing.SpanPlace: true, tracing.SpanRescale: true,
+	tracing.SpanMigrate: true, tracing.SpanNodeDownRecover: true, tracing.SpanComplete: true, tracing.SpanMiss: true,
+}
+
+// TestPointSpansMatchEvents: every point span of a traced run (with a node
+// failure) has exactly one bus event at the same time, job and LSN whose
+// fields are the span's attributes — a span is derived from its event, not
+// written beside it.
+func TestPointSpansMatchEvents(t *testing.T) {
+	_, tr, o := traceRun(t, tracing.New(7))
+	events := o.Bus.Since(0)
+	seen := map[string]int{}
+	for _, s := range tr.Spans() {
+		if !pointSpans[s.Name] {
+			continue
+		}
+		seen[s.Name]++
+		n := 0
+		for _, ev := range events {
+			if ev.Time == s.Start && ev.JobID == s.JobID && ev.LSN == s.LSN && reflect.DeepEqual(ev.Fields, s.Attrs) {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Errorf("span %s/%s at %v matches %d bus events, want 1", s.JobID, s.Name, s.Start, n)
+		}
+	}
+	// The three transitions that used to be spans without events.
+	for _, name := range []string{tracing.SpanPlace, tracing.SpanRescale, tracing.SpanNodeDownRecover} {
+		if seen[name] == 0 {
+			t.Errorf("run recorded no %s span; the check needs one", name)
+		}
 	}
 }

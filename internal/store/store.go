@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 
 	"github.com/elasticflow/elasticflow/internal/obs"
+	"github.com/elasticflow/elasticflow/internal/obs/tracing"
 )
 
 // Options configures a Store.
@@ -162,7 +163,7 @@ func (s *Store) recover() error {
 	for i := len(snaps) - 1; i >= 0; i-- {
 		payload, err := readSnapshot(filepath.Join(s.dir, snapFile(snaps[i])), snaps[i])
 		if err != nil {
-			s.obs.EventNow(obs.KindError, "", obs.F("op", "store-snapshot-read"), obs.F("err", err.Error()))
+			s.obs.EventNow(obs.KindError, "", tracing.A("op", "store-snapshot-read"), tracing.A("err", err.Error()))
 			continue
 		}
 		s.snapPayload, s.snapLSN, s.hasSnap = payload, snaps[i], true

@@ -5,9 +5,8 @@ import "math"
 // Bandwidths gives the per-tier link bandwidth of the fabric, in GB/s.
 // A checkpoint moving between two blocks crosses the slowest link of the
 // smallest subtree containing both, so the transfer level (TransferLevel)
-// picks which of these applies. The defaults match model.DefaultA100's
-// link table so the simulator and the live platform price the same move
-// identically without either importing the other.
+// picks which of these applies. throughput.Estimator.CostModel fills it
+// from the hardware's link table (model.DefaultA100 for both hosts).
 type Bandwidths struct {
 	// NVLinkGBps is the intra-socket link (LevelSocket).
 	NVLinkGBps float64
@@ -17,12 +16,6 @@ type Bandwidths struct {
 	NICGBps float64
 	// CrossRackGBps is the ToR uplink (LevelCluster).
 	CrossRackGBps float64
-}
-
-// DefaultBandwidths returns the paper testbed's link table (A100-class:
-// NVLink 250, PCIe 64, InfiniBand 20, ToR 10 GB/s).
-func DefaultBandwidths() Bandwidths {
-	return Bandwidths{NVLinkGBps: 250, PCIeGBps: 64, NICGBps: 20, CrossRackGBps: 10}
 }
 
 // AtLevel returns the bandwidth of the link a transfer crossing the given

@@ -6,7 +6,7 @@ import (
 )
 
 func TestAtLevel(t *testing.T) {
-	bw := DefaultBandwidths()
+	bw := Bandwidths{NVLinkGBps: 250, PCIeGBps: 64, NICGBps: 20, CrossRackGBps: 10}
 	cases := []struct {
 		l    Level
 		want float64

@@ -4,9 +4,10 @@ import (
 	"github.com/elasticflow/elasticflow/internal/topology"
 )
 
-// CostModel prices checkpoint movement. It is the ONE model both the
-// simulator and the live platform consult, so the same move costs the same
-// seconds in both — the acceptance bar for honest §4.4 numbers.
+// CostModel prices checkpoint movement. Both the simulator and the live
+// platform take it from throughput.Estimator.CostModel, so the same move
+// costs the same seconds in both — the acceptance bar for honest §4.4
+// numbers.
 //
 //   - RescaleCost is the serialize + coordinate + deserialize cost every
 //     worker-count change pays regardless of placement: FixedSec plus one
@@ -22,12 +23,6 @@ type CostModel struct {
 	CheckpointGBps float64
 	// BW is the per-tier link bandwidth table.
 	BW topology.Bandwidths
-}
-
-// DefaultCostModel matches model.DefaultA100's rescale constants and link
-// table (RescaleFixedSec 15, CheckpointGBps 1.0).
-func DefaultCostModel() CostModel {
-	return CostModel{FixedSec: 15, CheckpointGBps: 1, BW: topology.DefaultBandwidths()}
 }
 
 // RescaleCost returns the seconds an in-place rescale of a job with the
@@ -59,13 +54,4 @@ func (m CostModel) TransferTime(bytes int64, lvl topology.Level) float64 {
 // rescale cost plus the wire time at the given transfer level.
 func (m CostModel) MigrateCost(bytes int64, lvl topology.Level) float64 {
 	return m.RescaleCost(bytes) + m.TransferTime(bytes, lvl)
-}
-
-// MoveCost prices a concrete relocation on a concrete fabric: the rescale
-// cost plus the wire time over the link the checkpoint actually crosses
-// moving from block `from` to block `to` in the given topology. Both the
-// simulator's freeze charge and the live platform's FrozenUntil stamp call
-// this — asserted equal by test.
-func (m CostModel) MoveCost(cfg topology.Config, bytes int64, from, to topology.Block) float64 {
-	return m.MigrateCost(bytes, topology.TransferLevel(cfg, from, to))
 }

@@ -362,7 +362,9 @@ func TestIsChunkCRCThroughRPCFlattening(t *testing.T) {
 }
 
 func TestCostModelPricesMoveByTopology(t *testing.T) {
-	m := DefaultCostModel()
+	// model.DefaultA100's constants (the estimator that prices both hosts
+	// imports this package, so they are spelled out).
+	m := CostModel{FixedSec: 15, CheckpointGBps: 1, BW: topology.Bandwidths{NVLinkGBps: 250, PCIeGBps: 64, NICGBps: 20, CrossRackGBps: 10}}
 	const bytes = 2_000_000_000 // 2 GB
 	// In-place rescale: no link crossed.
 	if got, want := m.RescaleCost(bytes), 15+2*2.0/1.0; got != want {
