@@ -6,13 +6,15 @@ GO ?= go
 
 # The wall-time-gated benchmarks CI compares between the PR base and head:
 # two paper experiments end to end, the fill kernel on Philly demands, one
-# Schedule at a moved now over 200 jobs (a full refill; watch its B/op), one
-# refusal and its counter-offer search over 200 active jobs at a fresh
+# fill whose lower levels fall short part-way on a congested grid, one
+# Schedule at a moved now over 200 jobs (a full refill; watch its B/op), the
+# same over 200 running jobs most of which have spent their rescale budget,
+# one refusal and its counter-offer search over 200 active jobs at a fresh
 # instant, one snapshot of a durable platform with 5 000 retained terminal
 # jobs, one durable submission over 200 active jobs (watch its records/op
 # and syncs/op: both 1), and one defragmenting buddy allocation on a
 # fragmented 2 048-GPU cluster.
-BENCH_GATE = BenchmarkFig6aTestbedSmall|BenchmarkFig7aAllocationTimeline|BenchmarkFillPhilly|BenchmarkScheduleMovedNow|BenchmarkCounterOffer|BenchmarkSnapshotRetained|BenchmarkSubmitDurable|BenchmarkBuddyCompact
+BENCH_GATE = BenchmarkFig6aTestbedSmall|BenchmarkFig7aAllocationTimeline|BenchmarkFillPhilly|BenchmarkFillContended|BenchmarkScheduleMovedNow|BenchmarkScheduleRescaled|BenchmarkCounterOffer|BenchmarkSnapshotRetained|BenchmarkSubmitDurable|BenchmarkBuddyCompact
 
 # Where `make bench-real` writes its run files (one JSON per workload, seed
 # and traced/untraced run; see benchmark/README.md).
@@ -28,8 +30,10 @@ build:
 test:
 	$(GO) test ./...
 
+# vet also fails when gofmt would reformat any file, listing the files.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 
 # lint runs the repo's own analyzers (cmd/eflint): the per-package passes
 # (determinism, `guarded by` mutex annotations, float equality, discarded

@@ -174,6 +174,40 @@ func BenchmarkScheduleMovedNow(b *testing.B) {
 	}
 }
 
+// BenchmarkScheduleRescaled measures Schedule at a moved now over 200 jobs
+// that are running at the worker counts the previous decision gave them,
+// three in four with their rescale budget spent. Those jobs' voluntary
+// expansions away from their live counts are refused on the budget alone.
+// Deadlines move with now so that iterations are alike at any -benchtime.
+func BenchmarkScheduleRescaled(b *testing.B) {
+	const gpus, slot = 512, 60.0
+	ef := core.NewDefault()
+	jobs := benchJobs(200, gpus)
+	dec := ef.Schedule(0, jobs, gpus)
+	for i, j := range jobs {
+		j.GPUs, j.DoneIters = dec.Alloc[j.ID], 1
+		if i%4 != 0 {
+			j.Rescales = 5 // core's default SafetyRescales
+		}
+	}
+	now := 0.0
+	step := func() {
+		now += slot
+		for _, j := range jobs {
+			j.Deadline += slot
+		}
+		if dec := ef.Schedule(now, jobs, gpus); len(dec.Alloc) != len(jobs) {
+			b.Fatalf("Schedule placed %d of %d jobs", len(dec.Alloc), len(jobs))
+		}
+	}
+	step() // warm: the scheduler's buffers reach their sizes
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}
+
 // counterOfferRefusal returns one refusal and its counter-offer search
 // (AdmitBatch.EarliestDeadline) for a candidate refused early in the deadline
 // order of 200 active jobs, eight of them demoted (far more work than their
@@ -282,6 +316,29 @@ func BenchmarkFillPhilly(b *testing.B) {
 		}
 		if satisfied == 0 {
 			b.Fatal("no Philly demand satisfiable on an empty cluster")
+		}
+	}
+}
+
+// BenchmarkFillContended measures one fill on a congested grid: 2 048 GPUs
+// of which only 32 are free in the first 720 of 1 440 slots. Levels 32 and 64
+// are ruled out before their walks, level 128 gets 32 GPUs in the congested
+// slots and falls short part-way through them, and level 256 finishes.
+func BenchmarkFillContended(b *testing.B) {
+	const gpus, slot = 2048, 60.0
+	f := plan.NewFiller(gpus, slot, true)
+	f.Commit(plan.Allocation{Levels: []plan.Run{{Level: gpus - 32, End: 720}}})
+	d := plan.Demand{
+		Curve:        throughput.MustCurve(map[int]float64{32: 10, 64: 16, 128: 24, 256: 30}),
+		Remaining:    1.6e6,
+		DeadlineSlot: 1440,
+		MinGPUs:      32,
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if a := f.Fill(d); !a.Satisfied || a.GPUsAt(0) != 32 {
+			b.Fatalf("fill %+v, want satisfied at 32 GPUs in slot 0", a)
 		}
 	}
 }

@@ -9,7 +9,6 @@
 package core
 
 import (
-	"container/heap"
 	"math"
 	"slices"
 	"sort"
@@ -658,8 +657,10 @@ func (e *ElasticFlow) MinimumSatisfactoryShare(now float64, active []*job.Job, g
 	f := plan.NewFiller(g, e.opts.SlotSec, e.opts.PowerOfTwo)
 	out := make(map[string]plan.Allocation, len(slo))
 	for _, j := range slo {
-		a := f.Fill(e.demand(j, now))
-		f.Commit(a)
+		a := f.FillCommit(e.demand(j, now))
+		if !a.Satisfied {
+			f.Commit(a)
+		}
 		out[j.ID] = a
 	}
 	return out
@@ -676,21 +677,49 @@ type prioJob struct {
 	priority   float64         // GPU time saved by the probe
 	won        int             // spare-GPU rounds won (adopted probes)
 	late       bool            // admitted job racing its expired deadline
-	index      int
 }
 
+// prioQueue is Algorithm 2's max-heap of probes by priority. push and pop
+// sift exactly as container/heap's Push and Pop do, comparison for
+// comparison, so entries of equal priority pop in the order they always have.
 type prioQueue []*prioJob
 
-func (q prioQueue) Len() int            { return len(q) }
-func (q prioQueue) Less(i, k int) bool  { return q[i].priority > q[k].priority }
-func (q prioQueue) Swap(i, k int)       { q[i], q[k] = q[k], q[i]; q[i].index = i; q[k].index = k }
-func (q *prioQueue) Push(x interface{}) { p := x.(*prioJob); p.index = len(*q); *q = append(*q, p) }
-func (q *prioQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	p := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
+// push adds p to the queue.
+func (q *prioQueue) push(p *prioJob) {
+	h := append(*q, p)
+	for k := len(h) - 1; ; {
+		i := (k - 1) / 2 // parent
+		if i == k || !(h[k].priority > h[i].priority) {
+			break
+		}
+		h[i], h[k] = h[k], h[i]
+		k = i
+	}
+	*q = h
+}
+
+// pop removes and returns the entry of highest priority.
+func (q *prioQueue) pop() *prioJob {
+	h := *q
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		k := 2*i + 1 // left child
+		if k >= n {
+			break
+		}
+		if r := k + 1; r < n && h[r].priority > h[k].priority {
+			k = r
+		}
+		if !(h[k].priority > h[i].priority) {
+			break
+		}
+		h[i], h[k] = h[k], h[i]
+		i = k
+	}
+	p := h[n]
+	h[n] = nil
+	*q = h[:n]
 	return p
 }
 
@@ -727,14 +756,9 @@ func (e *ElasticFlow) nextStep(j *job.Job, cur int) int {
 // reads the usage grid at slot 0 only, where p's own share counts as free.
 // Returns false when no beneficial probe exists.
 func (e *ElasticFlow) probe(f *plan.Filler, p *prioJob) bool {
-	step := e.nextStep(p.j, p.cur.GPUsAt(0))
+	cur0 := p.cur.GPUsAt(0)
+	step := e.nextStep(p.j, cur0)
 	if step == 0 {
-		return false
-	}
-	alt, ok := f.RaiseSlot0(p.d, p.cur, step, f.FreeAt(0)+p.cur.GPUsAt(0))
-	if !ok {
-		// The raised level does not fit slot 0 or is not a feasible
-		// worker count: no usable probe.
 		return false
 	}
 	// Line 10: only consider probes that actually finish the job earlier.
@@ -744,16 +768,23 @@ func (e *ElasticFlow) probe(f *plan.Filler, p *prioJob) bool {
 	// stall for are churn, and churn is what erodes deadline guarantees.
 	need := 1e-12
 	started := p.j.GPUs > 0 || p.j.DoneIters > 0
-	if started && p.cur.GPUsAt(0) == p.j.GPUs && step != p.j.GPUs {
+	if started && cur0 == p.j.GPUs && step != p.j.GPUs {
 		// A guaranteed job that has already consumed its SafetyRescales
 		// budget stops volunteering for expansions: what margin remains
-		// is reserved for mandatory replans (contention, failures).
+		// is reserved for mandatory replans (contention, failures). The
+		// refusal reads no price, so it comes before the probe is priced.
 		if !p.bestEffort && e.opts.SafetyRescales >= 0 && float64(p.j.Rescales) >= e.opts.SafetyRescales {
 			return false
 		}
 		// The expansion may relocate the job, so the gain must beat the
 		// migration-priced cost, not just the in-place rescale.
 		need = p.j.MoveOverheadSec()
+	}
+	alt, ok := f.RaiseSlot0(p.d, p.cur, step, f.FreeAt(0)+cur0)
+	if !ok {
+		// The raised level does not fit slot 0 or is not a feasible
+		// worker count: no usable probe.
+		return false
 	}
 	if !(p.cur.FinishTime(e.opts.SlotSec)-alt.FinishTime(e.opts.SlotSec) > need) {
 		return false
@@ -909,15 +940,15 @@ func (e *ElasticFlow) allocate(now float64, active []*job.Job, g int) ([]prioJob
 	q := e.queue // never outgrows the buffer: at most one element per entry
 	for i := range entries {
 		if p := &entries[i]; e.probe(f, p) {
-			heap.Push(&q, p)
+			q.push(p)
 		}
 	}
 
 	// Lines 12–24: greedy adoption with lazy re-evaluation. Each adoption
 	// strictly increases committed slot-0 usage, bounding the loop.
 	adoptions := 0
-	for q.Len() > 0 && f.FreeAt(0) > 0 {
-		p := heap.Pop(&q).(*prioJob)
+	for len(q) > 0 && f.FreeAt(0) > 0 {
+		p := q.pop()
 		// The probe was priced against p.cur, which has not changed since;
 		// only slot 0 may have: other adoptions can have consumed the
 		// capacity it assumed, and then it is no probe any more.
@@ -931,7 +962,7 @@ func (e *ElasticFlow) allocate(now float64, active []*job.Job, g int) ([]prioJob
 		adoptions++
 		// Compute the next probe for this job.
 		if e.probe(f, p) {
-			heap.Push(&q, p)
+			q.push(p)
 		}
 	}
 	return entries, adoptions

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
@@ -513,6 +514,65 @@ func TestSplitJobsOrderIndependent(t *testing.T) {
 		slo, be := splitJobs(shuffled)
 		if !slices.Equal(slo, wantSLO) || !slices.Equal(be, wantBE) {
 			t.Fatalf("shuffle %d changed the order", n)
+		}
+	}
+}
+
+// refQueue is Algorithm 2's queue as it was, through container/heap's
+// interface: the reference the typed prioQueue must pop in the same order as.
+type refQueue []*prioJob
+
+func (q refQueue) Len() int            { return len(q) }
+func (q refQueue) Less(i, k int) bool  { return q[i].priority > q[k].priority }
+func (q refQueue) Swap(i, k int)       { q[i], q[k] = q[k], q[i] }
+func (q *refQueue) Push(x interface{}) { *q = append(*q, x.(*prioJob)) }
+func (q *refQueue) Pop() interface{} {
+	old := *q
+	n := len(old)
+	p := old[n-1]
+	old[n-1] = nil
+	*q = old[:n-1]
+	return p
+}
+
+// TestPrioQueuePopsAsContainerHeap drives the typed queue and container/heap
+// over the same entries — priorities drawn from a handful of values, so most
+// pushes tie, interleaved with pops as allocate interleaves them — and
+// requires the same entry from every pop: equal priorities must leave in the
+// order they always have, or Algorithm 2 would adopt another job's probe.
+func TestPrioQueuePopsAsContainerHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for round := 0; round < 200; round++ {
+		var q prioQueue
+		var ref refQueue
+		n := 1 + rng.Intn(300)
+		entries := make([]prioJob, n)
+		pops := 0
+		for i := range entries {
+			p := &entries[i]
+			p.priority = float64(rng.Intn(4))
+			if rng.Intn(8) == 0 {
+				p.priority = rng.Float64()
+			}
+			q.push(p)
+			heap.Push(&ref, p)
+			for len(q) > 0 && rng.Intn(3) == 0 {
+				got, want := q.pop(), heap.Pop(&ref).(*prioJob)
+				if got != want {
+					t.Fatalf("round %d, pop %d: entry %p (priority %v), container/heap pops %p (priority %v)",
+						round, pops, got, got.priority, want, want.priority)
+				}
+				pops++
+			}
+		}
+		for len(q) > 0 {
+			if got, want := q.pop(), heap.Pop(&ref).(*prioJob); got != want {
+				t.Fatalf("round %d, draining pop %d: entry %p, container/heap pops %p", round, pops, got, want)
+			}
+			pops++
+		}
+		if ref.Len() != 0 || pops != n {
+			t.Fatalf("round %d: %d pops of %d pushes, %d left in the reference", round, pops, n, ref.Len())
 		}
 	}
 }

@@ -423,12 +423,9 @@ func (e *ElasticFlow) extendFill(st *fillState, f *plan.Filler, now float64, slo
 		if i < len(slo) {
 			j := slo[i]
 			d := e.demand(j, now)
-			a := f.Fill(d)
+			a := f.FillCommit(d) // a satisfied fill is committed as it is walked
 			r = fillRec{id: j.ID, fp: fps[i], mode: fillSLO, d: d, fill: a, satisfied: a.Satisfied}
-			switch {
-			case a.Satisfied:
-				f.Commit(a)
-			case j.ID != skipCand:
+			if !a.Satisfied && j.ID != skipCand {
 				// An already-admitted job whose guarantee slipped races
 				// to its earliest finish; its recovery plan reserves
 				// capacity. The admission candidate's does not.
@@ -438,8 +435,10 @@ func (e *ElasticFlow) extendFill(st *fillState, f *plan.Filler, now float64, slo
 		} else {
 			j := be[i-len(slo)]
 			d := e.demandBestEffort(j)
-			a := f.Fill(d)
-			f.Commit(a)
+			a := f.FillCommit(d)
+			if !a.Satisfied {
+				f.Commit(a)
+			}
 			r = fillRec{id: j.ID, fp: fps[i], mode: fillBE, d: d, fill: a, satisfied: a.Satisfied}
 		}
 		st.recs = append(st.recs, r)

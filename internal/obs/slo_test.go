@@ -16,8 +16,8 @@ func TestDeadlineBudgetRatio(t *testing.T) {
 		{0, 100, 100, 1},
 		{0, 100, 150, 1.5},
 		{10, 110, 60, 0.5},
-		{0, 100, -5, 0},             // clock skew clamps at zero
-		{0, 0, 50, BudgetRatioCap},  // degenerate budget
+		{0, 100, -5, 0},              // clock skew clamps at zero
+		{0, 0, 50, BudgetRatioCap},   // degenerate budget
 		{50, 40, 60, BudgetRatioCap}, // deadline before submit
 	}
 	for _, c := range cases {

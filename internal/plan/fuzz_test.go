@@ -10,9 +10,11 @@ import (
 // FuzzFill drives progressive filling with arbitrary demands and background
 // usage: it must never panic, never overcommit, and a satisfied plan must
 // finish within its deadline horizon. It is also a reference fuzz: Fill and
-// FillFixedSlot0 must equal the slot-by-slot refFill, and RaiseSlot0 of the
-// committed plan must equal refRaiseSlot0, Allocation for Allocation; every
-// plan's runs are canonical and expand to the oracle's levels.
+// FillFixedSlot0 must equal the slot-by-slot refFill, FillCommit must return
+// what Fill does and leave the grid as Fill and Commit would (unchanged when
+// the fill is unsatisfied), and RaiseSlot0 of the committed plan must equal
+// refRaiseSlot0, Allocation for Allocation; every plan's runs are canonical
+// and expand to the oracle's levels.
 func FuzzFill(f *testing.F) {
 	f.Add(int64(1), uint16(10), uint8(4), uint8(1), uint8(8), false)
 	f.Add(int64(2), uint16(1000), uint8(16), uint8(2), uint8(0), true)
@@ -45,6 +47,9 @@ func FuzzFill(f *testing.F) {
 		want, levels := refFill(fl, d, 0, -1)
 		if diff := matchesDense(a, want, levels); diff != "" {
 			t.Fatalf("Fill = %+v, slot by slot %+v %v: %s (grid %v, d %+v)", a, want, levels, diff, bg, d)
+		}
+		if diff := fillCommitDiff(fl, d, a); diff != "" {
+			t.Fatalf("%s (grid %v, d %+v)", diff, bg, d)
 		}
 		pin := int(uint64(seed)>>8) % (g + 1)
 		pinned := fl.FillFixedSlot0(d, pin)

@@ -376,6 +376,15 @@ func (f *Filler) Fill(d Demand) Allocation {
 	return f.fill(&d, 0, -1)
 }
 
+// FillCommit is Fill followed, when the fill is satisfied, by Commit of it,
+// in one walk: the level walk that succeeds adds its grants to the usage grid
+// as it goes, and a walk that comes out short gives back what it added. The
+// grid ends exactly as Fill and Commit would leave it when the result is
+// satisfied, and as it was when it is not.
+func (f *Filler) FillCommit(d Demand) Allocation {
+	return f.own(f.search(&d, 0, -1, true))
+}
+
 // FillFixedSlot0 runs progressive filling with slot 0 pinned to exactly
 // slot0 workers (Algorithm 2's marginal-return probe: x_i(0) ← a_i(0)+1,
 // then ProgressiveFilling(i, 1)). slot0 may be 0.
@@ -390,11 +399,20 @@ func (f *Filler) FillFixedSlot0(d Demand, slot0 int) Allocation {
 // This is the recovery plan for an admitted job whose guarantee slipped —
 // it must race to the finish, not idle at its memory floor.
 // Only the plan returned is copied out of the walk buffer; a horizon that
-// falls short is discarded where it was walked.
+// falls short is discarded where it was walked, and one that even the top
+// level's throughput in every slot cannot fill — the search's first bound,
+// taken over every level it visits — is not walked at all.
 func (f *Filler) FillEarliest(d Demand, maxSlots int) Allocation {
+	top := 0.0
+	for j := 1; j <= f.maxLevel(&d); j = f.nextLevel(j) {
+		top = max(top, d.Curve.At(j))
+	}
 	for h := max(d.DeadlineSlot, 1); h < maxSlots; h *= 2 {
+		if reach(0, h, top*f.SlotDur) < d.Remaining-1e-9 {
+			continue
+		}
 		d.DeadlineSlot = h
-		if a, buffered := f.search(&d, 0, -1); a.Satisfied {
+		if a, buffered := f.search(&d, 0, -1, false); a.Satisfied {
 			return f.own(a, buffered)
 		}
 	}
@@ -513,15 +531,33 @@ func (f *Filler) Raise(cur, priced Allocation, slot0 int) Allocation {
 	return priced
 }
 
-// pruneGuard inflates the level-pruning bound of fill: a sum of up to 2^20
-// per-slot additions can exceed horizon × delta by a relative 2^20 × 2^-53 ≈
-// 1e-10, and a level must never be skipped that the slot walk would accept.
+// pruneGuard inflates the bound by which a level walk gives up: a sum of up
+// to 2^20 per-slot additions can exceed its exact value by a relative 2^20 ×
+// 2^-53 ≈ 1e-10, and a walk must never give up on a level it would accept.
 const pruneGuard = 1e-6
 
-// fill is the common implementation of the fills, its plan copied out of the
-// walk buffer.
+// reach bounds what a walk with progress so far can still reach in left more
+// slots of at most top each, inflated by pruneGuard.
+func reach(progress float64, left int, top float64) float64 {
+	return (progress + float64(left)*top) * (1 + pruneGuard)
+}
+
+// pause returns the slot, at most lim, at which a walk in slot t whose bound
+// there is r, adding delta per slot, next takes its bound: in exact
+// arithmetic the bound falls by (top − delta)·(1+pruneGuard) a slot, so it
+// cannot fall below floor before. Where it is taken decides only how early a
+// short level stops, never whether it does.
+func pause(t, lim int, r, floor, top, delta float64) int {
+	if k := (r - floor) / ((top - delta) * (1 + pruneGuard)); k < float64(lim-t-1) {
+		return t + 1 + int(k)
+	}
+	return lim
+}
+
+// fill is the common implementation of the fills that do not commit, its
+// plan copied out of the walk buffer.
 func (f *Filler) fill(d *Demand, startSlot, fixed0 int) Allocation {
-	return f.own(f.search(d, startSlot, fixed0))
+	return f.own(f.search(d, startSlot, fixed0, false))
 }
 
 // own returns a with its runs copied out of the walk buffer when buffered
@@ -533,29 +569,39 @@ func (f *Filler) own(a Allocation, buffered bool) Allocation {
 	return a
 }
 
-// search runs the level search of fill. startSlot is the first slot whose
+// maxLevel returns the highest level the search tries: the capacity, capped
+// by MaxGPUs.
+func (f *Filler) maxLevel(d *Demand) int {
+	if d.MaxGPUs > 0 && d.MaxGPUs < f.G {
+		return d.MaxGPUs
+	}
+	return f.G
+}
+
+// search runs the level search of the fills. startSlot is the first slot whose
 // level the candidate j controls; slots before it are pinned to fixed0 (only
-// slot 0 can be pinned). fixed0 < 0 means no pin. buffered reports that the
+// slot 0 can be pinned). fixed0 < 0 means no pin. With commit set (never with
+// a pin), a satisfied result is left committed in the usage grid and an
+// unsatisfied one leaves the grid as it was. buffered reports that the
 // result's Levels alias the walk buffer, valid until the buffer's next use.
 //
 // Levels are tried in ascending order with one early-exiting walk per level,
 // so a job satisfiable at a low level costs O(finish slot) rather than
-// O(horizon), and a level is not walked at all when even horizon slots at
-// the best throughput seen so far fall short of the demand: level j grants
-// every slot a level visited at or before j (clampLevel only caps, floors to
-// a power of two or zeroes), so the running maximum of Curve.At over visited
-// levels bounds every slot's progress, monotone curve or not. A pinned slot 0
-// may hold more than any visited level, so pinned fills walk every level.
-// The highest level is always walked: it doubles as the maximal-progress
-// fallback when no level satisfies the demand.
-func (f *Filler) search(d *Demand, startSlot, fixed0 int) (a Allocation, buffered bool) {
+// O(horizon), and a level that cannot be satisfied gives up as soon as the
+// progress so far plus the slots left at the best throughput seen so far fall
+// short of the demand — before its first slot when even the whole horizon
+// does. Level j grants every unpinned slot a level visited at or before j
+// (clampLevel only caps, floors to a power of two or zeroes), so the running
+// maximum of Curve.At over visited levels bounds every such slot's progress,
+// monotone curve or not; a pinned slot 0, which may hold more, is already in
+// the progress when the bound is first taken. The highest level is always
+// walked in full: it doubles as the maximal-progress fallback when no level
+// satisfies the demand.
+func (f *Filler) search(d *Demand, startSlot, fixed0 int, commit bool) (a Allocation, buffered bool) {
 	horizon := max(d.DeadlineSlot, 0)
-	maxJ := f.G
-	if d.MaxGPUs > 0 && d.MaxGPUs < maxJ {
-		maxJ = d.MaxGPUs
-	}
-	// No upfront ensure: FreeAt treats slots beyond the usage grid as
-	// fully free, and Commit grows the grid to the (finish-trimmed) plan.
+	maxJ := f.maxLevel(d)
+	// No upfront ensure: FreeAt treats slots beyond the usage grid as fully
+	// free, and committing grows the grid to the (finish-trimmed) plan.
 	switch {
 	case maxJ < 1:
 		// No level to try: the empty plan over the whole horizon.
@@ -566,6 +612,9 @@ func (f *Filler) search(d *Demand, startSlot, fixed0 int) (a Allocation, buffere
 		a := Allocation{Levels: f.scratch, FinishSlot: horizon}
 		if d.Remaining <= 1e-9 {
 			a.Satisfied, a.FinishSlot = true, 0
+			if commit {
+				f.Commit(a)
+			}
 		}
 		return a, true
 	case d.Remaining <= 1e-9:
@@ -574,14 +623,14 @@ func (f *Filler) search(d *Demand, startSlot, fixed0 int) (a Allocation, buffere
 	}
 	best := 0.0 // highest Curve.At over the levels visited so far
 	for j := 1; ; j = f.nextLevel(j) {
-		last := f.nextLevel(j) > maxJ
-		if fixed0 < 0 && !last {
-			best = max(best, d.Curve.At(j))
-			if float64(horizon)*best*f.SlotDur*(1+pruneGuard) < d.Remaining-1e-9 {
-				continue
-			}
+		best = max(best, d.Curve.At(j))
+		top, floor, last := best*f.SlotDur, d.Remaining-1e-9, f.nextLevel(j) > maxJ
+		if last {
+			floor = math.Inf(-1)
+		} else if fixed0 < 0 && reach(0, horizon, top) < floor {
+			continue // the walk would give up before its first slot
 		}
-		if a := f.walk(d, j, startSlot, fixed0, horizon); a.Satisfied || last {
+		if a := f.walk(d, j, startSlot, fixed0, horizon, top, floor, commit); a.Satisfied || last {
 			return a, true
 		}
 	}
@@ -665,7 +714,23 @@ func (f *Filler) grant(d *Demand, j, u int) (x, lo, hi int) {
 // slot in slot order — stretches only hoist the (identical) level and
 // throughput computation, keeping results bit-identical to a slot-by-slot
 // walk; a closed form per stretch rounds differently and moves finish slots.
-func (f *Filler) walk(d *Demand, j, startSlot, fixed0, horizon int) Allocation {
+//
+// A level that falls short stops early. At the start of every stretch the
+// walk takes its bound — progress so far plus the slots left at top each, top
+// bounding every unpinned slot's progress (search's argument) — and gives up,
+// unsatisfied with the runs walked so far, when it is below floor. A stretch
+// is cut where the bound could first fall below floor (pause) and resumed as
+// a new one, merged into the same run, so the progress loop carries no test
+// of its own for it. A floor of −∞ walks the whole horizon.
+//
+// With commit set, each stretch's grant is added to the usage grid as soon
+// as the stretch is walked, in a loop of its own (an integer store in the
+// progress loop slows its float chain), and the free tail's when the walk
+// finishes in it, growing the grid to the finish slot; a walk that comes out
+// short gives back what it added. grant's interval holds the usage u of every
+// slot of a stretch to u + x ≤ G, which a committing walk asserts once per
+// stretch, as Commit would check it.
+func (f *Filler) walk(d *Demand, j, startSlot, fixed0, horizon int, top, floor float64, commit bool) Allocation {
 	runs := f.scratch[:0]
 	need := d.Remaining - 1e-9
 	progress, gpuTime := 0.0, 0.0
@@ -675,7 +740,7 @@ func (f *Filler) walk(d *Demand, j, startSlot, fixed0, horizon int) Allocation {
 		if x != 0 {
 			delta := d.Curve.At(x) * f.SlotDur
 			if progress+delta >= need {
-				return f.finished(d, runs, x, 0, progress, gpuTime, delta)
+				return f.finished(d, runs, x, 0, 0, delta, progress, gpuTime, false)
 			}
 			progress += delta
 			gpuTime += float64(x) * f.SlotDur
@@ -685,37 +750,54 @@ func (f *Filler) walk(d *Demand, j, startSlot, fixed0, horizon int) Allocation {
 	}
 	used := f.used[:min(len(f.used), horizon)]
 	for t < len(used) {
+		r := reach(progress, horizon-t, top)
+		if r < floor {
+			return f.short(runs, gpuTime, horizon, commit)
+		}
 		x, lo, hi := f.grant(d, j, used[t])
 		span := uint(hi - lo)
+		delta := d.Curve.At(x) * f.SlotDur
+		end := pause(t, len(used), r, floor, top, delta)
 		if x == 0 {
-			for t++; t < len(used) && uint(used[t]-lo) <= span; t++ {
+			for t++; t < end && uint(used[t]-lo) <= span; t++ {
 			}
 			runs = appendRun(runs, 0, t)
 			continue
 		}
-		delta := d.Curve.At(x) * f.SlotDur
+		if commit && hi > f.G-x {
+			panic(fmt.Sprintf("plan: slot %d overcommitted: %d > %d", t, hi+x, f.G))
+		}
 		slotTime := float64(x) * f.SlotDur
+		from, seg := t, used[:end]
 		for {
 			if progress+delta >= need {
-				return f.finished(d, runs, x, t, progress, gpuTime, delta)
+				return f.finished(d, runs, x, from, t, delta, progress, gpuTime, commit)
 			}
 			progress += delta
 			gpuTime += slotTime
-			if t++; t == len(used) || uint(used[t]-lo) > span {
+			if t++; t == len(seg) || uint(seg[t]-lo) > span {
 				break
 			}
+		}
+		if commit {
+			f.add(from, t, x)
 		}
 		runs = appendRun(runs, x, t)
 	}
 	if t < horizon {
 		// The free tail past the grid: usage 0 in every slot.
 		x := f.clampLevel(min(j, f.G), d)
-		if x != 0 {
-			delta := d.Curve.At(x) * f.SlotDur
-			slotTime := float64(x) * f.SlotDur
-			for ; t < horizon; t++ {
+		delta := d.Curve.At(x) * f.SlotDur
+		slotTime := float64(x) * f.SlotDur
+		from := t
+		for t < horizon && x != 0 {
+			r := reach(progress, horizon-t, top)
+			if r < floor {
+				return f.short(runs, gpuTime, horizon, commit)
+			}
+			for end := pause(t, horizon, r, floor, top, delta); t < end; t++ {
 				if progress+delta >= need {
-					return f.finished(d, runs, x, t, progress, gpuTime, delta)
+					return f.finished(d, runs, x, from, t, delta, progress, gpuTime, commit)
 				}
 				progress += delta
 				gpuTime += slotTime
@@ -723,18 +805,48 @@ func (f *Filler) walk(d *Demand, j, startSlot, fixed0, horizon int) Allocation {
 		}
 		runs = appendRun(runs, x, horizon)
 	}
-	f.scratch = runs
-	return Allocation{Levels: runs, FinishSlot: horizon, GPUTime: gpuTime}
+	return f.short(runs, gpuTime, horizon, commit)
 }
 
 // finished is walk's result when the demand completes in slot t at x
 // workers, progress and gpuTime having accumulated over the slots before it.
-func (f *Filler) finished(d *Demand, runs []Run, x, t int, progress, gpuTime, delta float64) Allocation {
+// A committing walk adds x to the slots of the stretch it finishes in, from
+// slot from through t, growing the grid when they lie past it. (delta comes
+// first: in this order the compiler keeps the sum of walk's progress loop in
+// one register instead of moving it there each slot.)
+func (f *Filler) finished(d *Demand, runs []Run, x, from, t int, delta, progress, gpuTime float64, commit bool) Allocation {
 	runs = appendRun(runs, x, t+1)
 	f.scratch = runs
+	if commit {
+		f.ensure(t + 1)
+		f.add(from, t+1, x)
+	}
 	frac := finishFrac(d.Remaining, progress, delta)
 	gpuTime += float64(x) * frac * f.SlotDur
 	return Allocation{Levels: runs, Satisfied: true, FinishSlot: t, FinishFrac: frac, GPUTime: gpuTime}
+}
+
+// add adds x to the usage of every slot of [from, end).
+func (f *Filler) add(from, end, x int) {
+	seg := f.used[from:end]
+	for i := range seg {
+		seg[i] += x
+	}
+}
+
+// short is walk's result when level j falls short of the demand: the runs
+// walked, unsatisfied. A committing walk gives back what it added — every run
+// inside the grid; the free tail was never added.
+func (f *Filler) short(runs []Run, gpuTime float64, horizon int, commit bool) Allocation {
+	f.scratch = runs
+	if commit {
+		t := 0
+		for _, r := range runs {
+			f.release(t, min(int(r.End), len(f.used)), int(r.Level))
+			t = int(r.End)
+		}
+	}
+	return Allocation{Levels: runs, FinishSlot: horizon, GPUTime: gpuTime}
 }
 
 // TotalCommitted returns the committed GPU·slots across all slots, a debug

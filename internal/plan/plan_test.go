@@ -820,6 +820,154 @@ func TestFillEarliestCopiesOnlyItsPlan(t *testing.T) {
 	}
 }
 
+// TestShortLevelsStopEarly holds fills over congested early grids — where
+// the levels below the one that succeeds get the congested share first and
+// fall short part-way — to the slot-by-slot oracle, and checks that the
+// early stop fired: every level the search walks and gives up on, the last
+// level excepted, covers fewer slots than the horizon. FillCommit must return
+// the same plan and leave the grid as Fill and Commit would.
+func TestShortLevelsStopEarly(t *testing.T) {
+	curve := throughput.MustCurve(map[int]float64{1: 1, 2: 1.8, 4: 3, 8: 4.5, 16: 5.5})
+	unit := throughput.MustCurve(map[int]float64{1: 1, 2: 1.8, 3: 2.5, 4: 3, 5: 3.4, 6: 3.7})
+	congested := func(n, u, rest int) []int { // n slots at usage u, then rest free ones
+		grid := make([]int, n+rest)
+		for i := range grid[:n] {
+			grid[i] = u
+		}
+		return grid
+	}
+	for i, tc := range []struct {
+		g       int
+		pow2    bool
+		slotDur float64
+		grid    []int
+		d       Demand
+		stopped int // levels expected to give up part-way
+	}{
+		// Level 4 gets 2 GPUs in the 20 congested slots and gives up in
+		// them; level 8 finishes past them.
+		{16, true, 1, congested(20, 14, 0), Demand{Curve: curve, Remaining: 110, DeadlineSlot: 40, MinGPUs: 1}, 1},
+		// The same over a grid that goes on past the congestion.
+		{16, true, 1, congested(20, 14, 10), Demand{Curve: curve, Remaining: 110, DeadlineSlot: 40, MinGPUs: 1}, 1},
+		// A full early grid grants nothing: levels 4 and 8 give up inside the
+		// zero stretch, and level 16 finishes in the free slots after it.
+		{16, true, 0.5, congested(30, 16, 0), Demand{Curve: curve, Remaining: 80, DeadlineSlot: 60, MinGPUs: 1}, 2},
+		// One stretch to the horizon: no level gets more than 2 GPUs, so
+		// levels 4 and 8 give up inside it and level 16 fails in full.
+		{16, true, 1, congested(40, 13, 0), Demand{Curve: curve, Remaining: 100, DeadlineSlot: 40, MinGPUs: 1}, 2},
+		// Unit increments, a worker cap, slots off one second.
+		{8, false, 1.5, congested(25, 6, 5), Demand{Curve: unit, Remaining: 250, DeadlineSlot: 60, MinGPUs: 1, MaxGPUs: 6}, 2},
+	} {
+		f := NewFiller(tc.g, tc.slotDur, tc.pow2)
+		f.used = tc.grid
+		got := f.Fill(tc.d)
+		want, levels := refFill(f, tc.d, 0, -1)
+		if diff := matchesDense(got, want, levels); diff != "" {
+			t.Fatalf("case %d: %s", i, diff)
+		}
+		if diff := fillCommitDiff(f, tc.d, got); diff != "" {
+			t.Fatalf("case %d: %s", i, diff)
+		}
+		// The levels search walks, as it walks them, and where each gave up.
+		stopped, best, d := 0, 0.0, tc.d
+		for j := 1; f.nextLevel(j) <= f.maxLevel(&d); j = f.nextLevel(j) {
+			best = max(best, d.Curve.At(j))
+			top, floor := best*f.SlotDur, d.Remaining-1e-9
+			if reach(0, d.DeadlineSlot, top) < floor {
+				continue
+			}
+			a := f.walk(&d, j, 0, -1, d.DeadlineSlot, top, floor, false)
+			if a.Satisfied {
+				break
+			}
+			if a.Slots() >= d.DeadlineSlot {
+				t.Errorf("case %d: level %d fell short over all %d slots", i, j, d.DeadlineSlot)
+			}
+			stopped++
+		}
+		if stopped != tc.stopped {
+			t.Errorf("case %d: %d levels gave up part-way, want %d", i, stopped, tc.stopped)
+		}
+	}
+}
+
+// refFillEarliest is FillEarliest as it was before it skipped the horizons
+// the top level cannot fill: every doubled horizon is searched.
+func refFillEarliest(f *Filler, d Demand, maxSlots int) Allocation {
+	for h := max(d.DeadlineSlot, 1); h < maxSlots; h *= 2 {
+		d.DeadlineSlot = h
+		if a := f.Fill(d); a.Satisfied {
+			return a
+		}
+	}
+	d.DeadlineSlot = maxSlots
+	return f.Fill(d)
+}
+
+// TestFillEarliestMatchesUnskipped holds FillEarliest to the loop that
+// searches every doubled horizon, on demands whose first horizons cannot fit
+// even at the top level's throughput, over random grids, caps and both
+// disciplines.
+func TestFillEarliestMatchesUnskipped(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	curves := []throughput.Curve{
+		fig4Curve(),
+		throughput.MustCurve(map[int]float64{1: 1, 2: 2.2, 4: 1.6, 8: 2.1, 16: 0.9}),
+		throughput.MustCurve(map[int]float64{2: 1, 4: 1.3, 8: 1.5}),
+	}
+	skipped := 0
+	for i := 0; i < 3000; i++ {
+		g := 1 + rng.Intn(16)
+		f := NewFiller(g, 0.5+rng.Float64(), rng.Intn(2) == 0)
+		used := make([]int, rng.Intn(40))
+		for s := range used {
+			used[s] = rng.Intn(g + 1)
+		}
+		f.used = used
+		d := Demand{
+			Curve:        curves[rng.Intn(len(curves))],
+			DeadlineSlot: rng.Intn(4),
+			MinGPUs:      1 + rng.Intn(2),
+			MaxGPUs:      rng.Intn(2) * (1 + rng.Intn(g)),
+		}
+		_, peak := d.Curve.Peak()
+		d.Remaining = peak * f.SlotDur * float64(1+rng.Intn(60))
+		maxSlots := 1 + rng.Intn(200)
+		if float64(max(d.DeadlineSlot, 1))*peak*f.SlotDur < d.Remaining {
+			skipped++
+		}
+		got, want := f.FillEarliest(d, maxSlots), refFillEarliest(f, d, maxSlots)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("case %d: FillEarliest = %+v, every horizon searched %+v (grid %v, G=%d pow2=%v d=%+v max %d)",
+				i, got, want, used, g, f.PowerOfTwo, d, maxSlots)
+		}
+	}
+	if skipped < 1000 {
+		t.Errorf("only %d of 3000 demands had a first horizon short of the top level", skipped)
+	}
+}
+
+// fillCommitDiff returns "" when FillCommit, run on a copy of f, returns
+// want — what Fill returns on f — and leaves the copy's grid exactly as Fill
+// and Commit of want leave it when want is satisfied, and as it was when it
+// is not; what differs otherwise.
+func fillCommitDiff(f *Filler, d Demand, want Allocation) string {
+	copyOf := func() *Filler {
+		return &Filler{G: f.G, SlotDur: f.SlotDur, PowerOfTwo: f.PowerOfTwo, used: slices.Clone(f.used)}
+	}
+	one, two := copyOf(), copyOf()
+	if got := one.FillCommit(d); !reflect.DeepEqual(got, want) {
+		return fmt.Sprintf("FillCommit = %+v, Fill = %+v", got, want)
+	}
+	if want.Satisfied {
+		two.Commit(want)
+	}
+	if !slices.Equal(one.used, two.used) {
+		return fmt.Sprintf("grid after FillCommit %v, want %v (satisfied %v)", one.used, two.used, want.Satisfied)
+	}
+	return ""
+}
+
 // refFill is progressive filling slot by slot — every level walked in full,
 // levelAt and Curve.At computed afresh in every slot — kept as the reference
 // oracle: the production fill prunes levels and computes level and throughput
@@ -934,6 +1082,11 @@ func TestRunFillMatchesSlotBySlot(t *testing.T) {
 		if diff := matchesDense(got, want, levels); diff != "" {
 			t.Fatalf("case %d: fill mismatch: %s\n grid=%v G=%d pow2=%v slot=%v d=%+v start=%d fixed0=%d\n got  %+v\n want %+v %v",
 				i, diff, f.used, f.G, f.PowerOfTwo, f.SlotDur, d, startSlot, fixed0, got, want, levels)
+		}
+		if startSlot == 0 {
+			if diff := fillCommitDiff(f, d, got); diff != "" {
+				t.Fatalf("case %d: %s\n grid=%v G=%d pow2=%v slot=%v d=%+v", i, diff, f.used, f.G, f.PowerOfTwo, f.SlotDur, d)
+			}
 		}
 	}
 	for i := 0; i < 6000; i++ {
