@@ -36,14 +36,14 @@ vet:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 
 # lint runs the repo's own analyzers (cmd/eflint): the per-package passes
-# (determinism, `guarded by` mutex annotations, float equality, discarded
-# errors) and the whole-program passes (record-then-apply journaling,
-# interprocedural lock discipline, the ef_* metric catalog) — see DESIGN.md
-# §12. Suppress a finding with `//eflint:ignore <analyzer> <reason>` on the
-# same or preceding line. The second invocation exercises the machine
-# interface (-json) that editor and bot integrations consume. nilness is a
-# gated extra: scripts/nilness.sh runs the x/tools analyzer when the
-# environment provides it and skips cleanly offline.
+# (determinism, float equality, discarded errors) and the whole-program
+# passes (`guarded by` mutex annotations and lock discipline, the ef_* metric
+# catalog and spans) — see DESIGN.md §7 and §12. Suppress a finding with
+# `//eflint:ignore <analyzer> <reason>` on the same or preceding line. The
+# second invocation exercises the machine interface (-json) that editor and
+# bot integrations consume. nilness is a gated extra: scripts/nilness.sh runs
+# the x/tools analyzer when the environment provides it and skips cleanly
+# offline.
 lint:
 	$(GO) run ./cmd/eflint ./...
 	$(GO) run ./cmd/eflint -json ./internal/analysis/...
@@ -69,6 +69,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzParallelSimEquivalence -fuzztime=10s ./internal/sim/
 	$(GO) test -run=^$$ -fuzz=FuzzSubmitRequest -fuzztime=10s ./internal/frontdoor/
 	$(GO) test -run=^$$ -fuzz=FuzzCompact -fuzztime=10s ./internal/topology/
+	$(GO) test -run=^$$ -fuzz=FuzzReplayRecord -fuzztime=10s ./internal/serverless/
 
 # obs-check exercises the observability core under the race detector (the
 # bus and registry are the only pieces shared across goroutines by design)

@@ -1,8 +1,8 @@
 // Command eflint is the repo's multichecker: it runs the custom analyzers
-// under internal/analysis — the per-package passes (detlint, guardlint,
-// floatlint, errlint) and the whole-program passes (journalint, locklint,
-// obslint) — over package patterns and exits non-zero when any finding
-// survives its //eflint:ignore suppressions.
+// under internal/analysis — the per-package passes (detlint, floatlint,
+// errlint) and the whole-program passes (locklint, obslint) — over package
+// patterns and exits non-zero when any finding survives its //eflint:ignore
+// suppressions.
 //
 // Usage:
 //
@@ -25,8 +25,6 @@ import (
 	"github.com/elasticflow/elasticflow/internal/analysis/detlint"
 	"github.com/elasticflow/elasticflow/internal/analysis/errlint"
 	"github.com/elasticflow/elasticflow/internal/analysis/floatlint"
-	"github.com/elasticflow/elasticflow/internal/analysis/guardlint"
-	"github.com/elasticflow/elasticflow/internal/analysis/journalint"
 	"github.com/elasticflow/elasticflow/internal/analysis/locklint"
 	"github.com/elasticflow/elasticflow/internal/analysis/obslint"
 )
@@ -35,8 +33,6 @@ var all = []*analysis.Analyzer{
 	detlint.Analyzer,
 	errlint.Analyzer,
 	floatlint.Analyzer,
-	guardlint.Analyzer,
-	journalint.Analyzer,
 	locklint.Analyzer,
 	obslint.Analyzer,
 }

@@ -4,8 +4,8 @@
 // ElasticFlow's value proposition is a guarantee — admitted jobs meet their
 // deadlines — and guarantees die by a thousand nondeterminisms and data
 // races that no amount of diff-reading catches reliably. The analyzers under
-// internal/analysis/{detlint,guardlint,floatlint,errlint} encode the repo's
-// scheduler invariants; cmd/eflint is the multichecker driver.
+// internal/analysis/{detlint,floatlint,errlint,locklint,obslint} encode the
+// repo's invariants; cmd/eflint is the multichecker driver.
 //
 // # Suppressions
 //

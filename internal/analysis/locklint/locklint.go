@@ -1,5 +1,13 @@
-// Package locklint extends guardlint's "// guarded by <mutex>" convention
-// from one function to the whole program. Three interprocedural checks:
+// Package locklint checks the repo's "// guarded by <mutex>" convention, from
+// the access up through the whole program. The annotation names a sibling
+// field of the same struct (sync.Mutex or sync.RWMutex); an annotation whose
+// mutex does not exist is itself reported.
+//
+// Guarded access (L0). A guarded field may only be read or written in a
+// function whose body locks the named mutex (x.<mutex>.Lock() or .RLock()),
+// or whose name ends in "Locked" — the convention for helpers documented as
+// requiring the caller to hold the lock. The check proves the function is
+// at least aware of the lock, not that the Lock dominates the access.
 //
 // Contract propagation (L1). A function whose name ends in "Locked"
 // promises its callers hold the locks guarding the state it touches. The
@@ -7,8 +15,8 @@
 // function (or any *Locked helper it calls) accesses without locking them
 // itself — and verifies every call site: the caller must lock the mutex in
 // its own body, inherit the obligation by being *Locked itself, or be
-// reachable only from call sites that do. guardlint checks the leaf access;
-// locklint checks the chain of custody above it.
+// reachable only from call sites that do. L0 checks the leaf access; L1
+// the chain of custody above it.
 //
 // Escape detection (L2). Holding the right lock at the access is worthless
 // if the guarded value leaks out of the critical section: returning a
@@ -44,7 +52,7 @@ import (
 // Analyzer is the locklint analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name:       "locklint",
-	Doc:        "interprocedural guarded-by checking: *Locked contracts at call sites, guarded values escaping critical sections, declared lock-order violations",
+	Doc:        "guarded-by checking: guarded fields touched without their mutex, *Locked contracts at call sites, guarded values escaping critical sections, declared lock-order violations",
 	RunProgram: run,
 }
 
@@ -90,7 +98,7 @@ type scope struct {
 
 // heldAt returns the mutexes positionally held at pos: lock events before
 // pos minus non-deferred unlocks. Branch-insensitive by design, matching
-// guardlint's "aware of the lock" philosophy.
+// L0's "aware of the lock" philosophy.
 func (sc *scope) heldAt(pos token.Pos) stringSet {
 	held := stringSet{}
 	for _, e := range sc.events {
@@ -127,7 +135,7 @@ func run(pass *analysis.ProgramPass) error {
 	c := &checker{
 		pass:      pass,
 		prog:      pass.Program,
-		guards:    pass.Program.GuardedFields(),
+		guards:    make(map[types.Object]analysis.GuardedField),
 		scopes:    make(map[*analysis.FuncNode][]*scope),
 		siteScope: make(map[*ast.CallExpr]*scope),
 		lockedIn:  make(map[*analysis.FuncNode]stringSet),
@@ -138,11 +146,19 @@ func run(pass *analysis.ProgramPass) error {
 		order:     make(map[string]stringSet),
 		declared:  stringSet{},
 	}
+	for obj, gf := range pass.Program.GuardedFields() {
+		if gf.Orphan {
+			pass.Reportf(obj.Pos(), "'guarded by %s' names no field of this struct", gf.MutexField)
+			continue
+		}
+		c.guards[obj] = gf
+	}
 	c.collectScopes()
 	c.computeNeeds()
 	c.collectOrder()
 	c.computeMayEntry()
 	for _, fn := range c.prog.Funcs() {
+		c.checkAccesses(fn)
 		c.checkContracts(fn)
 		c.checkEscapes(fn)
 		c.checkOrder(fn)
@@ -284,6 +300,23 @@ func (c *checker) computeNeeds() {
 			}
 		}
 	}
+}
+
+// checkAccesses reports guarded fields fn touches when fn neither locks the
+// guarding mutex anywhere in its body nor is a *Locked helper (L0).
+func (c *checker) checkAccesses(fn *analysis.FuncNode) {
+	if fn.Decl.Body == nil || isLockedName(fn) {
+		return
+	}
+	info := fn.Pkg.Info
+	ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
+		if sel, ok := n.(*ast.SelectorExpr); ok {
+			if obj, gf, ok := c.guardedAccess(info, sel); ok && !c.lockedIn[fn][gf.Mutex] {
+				c.pass.Reportf(sel.Sel.Pos(), "%s is guarded by %s, but %s neither locks it nor is a *Locked helper", obj.Name(), gf.MutexField, fn.Name())
+			}
+		}
+		return true
+	})
 }
 
 // awareOf is the set of mutexes fn can assume: locks in its own body, its

@@ -10,3 +10,7 @@ import (
 func TestFixture(t *testing.T) {
 	analysistest.Run(t, "testdata", locklint.Analyzer, "locks")
 }
+
+func TestGuardFixture(t *testing.T) {
+	analysistest.Run(t, "testdata", locklint.Analyzer, "guard")
+}

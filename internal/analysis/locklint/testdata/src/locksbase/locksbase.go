@@ -74,13 +74,13 @@ func (c *Counter) Steal() []int {
 
 // Addr publishes a pointer into the critical section.
 func (c *Counter) Addr() *int {
-	return &c.N // want "taking the address"
+	return &c.N // want "taking the address" "N is guarded by Mu, but Addr neither locks it"
 }
 
 // SpawnBad touches guarded state from a goroutine that never locks.
 func (c *Counter) SpawnBad() {
 	go func() {
-		c.N++ // want "goroutine captures N"
+		c.N++ // want "goroutine captures N" "N is guarded by Mu, but SpawnBad neither locks it"
 	}()
 }
 

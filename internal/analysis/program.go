@@ -10,17 +10,17 @@ import (
 	"strings"
 )
 
-// guardedByRe matches the "guarded by <mutex>" field annotation shared by
-// guardlint (intraprocedural) and locklint (interprocedural).
+// guardedByRe matches the "guarded by <mutex>" field annotation locklint
+// checks.
 var guardedByRe = regexp.MustCompile(`guarded by (\w+)`)
 
 // This file is the whole-program side of the framework: where analysis.go
 // models one analyzer over one package, Program ties every package of one
-// load into a single view with a static call graph and a cross-package fact
-// store. The interprocedural analyzers (journalint, locklint, obslint) run
-// once per load through Analyzer.RunProgram and report through a
-// ProgramPass, which routes each diagnostic through the suppression comments
-// of whichever package owns the position.
+// load into a single view with a static call graph and the indexes the
+// passes share. The interprocedural analyzers (locklint, obslint) run once per
+// load through Analyzer.RunProgram and report through a ProgramPass, which
+// routes each diagnostic through the suppression comments of whichever
+// package owns the position.
 
 // Program is the whole-program view over one loader's packages.
 type Program struct {
@@ -34,12 +34,7 @@ type Program struct {
 	byFile map[string]*Package
 	// funcs indexes every declared function and method.
 	funcs map[*types.Func]*FuncNode
-	// facts is the cross-package fact store: analyzers attach derived
-	// facts to type-checker objects so later passes (or later phases of
-	// the same pass) can consume them without re-deriving.
-	facts map[factKey]interface{}
-	// memo caches program-level computations by name (e.g. the guarded
-	// field index shared by locklint and guardlint-style checks).
+	// memo caches program-level computations by name (Memo).
 	memo map[string]interface{}
 }
 
@@ -67,11 +62,6 @@ type CallSite struct {
 	Site   *ast.CallExpr
 }
 
-type factKey struct {
-	obj  types.Object
-	name string
-}
-
 // NewProgram builds the whole-program view (function index + call graph)
 // over the given packages.
 func NewProgram(pkgs []*Package) *Program {
@@ -79,7 +69,6 @@ func NewProgram(pkgs []*Package) *Program {
 		Packages: append([]*Package{}, pkgs...),
 		byFile:   make(map[string]*Package),
 		funcs:    make(map[*types.Func]*FuncNode),
-		facts:    make(map[factKey]interface{}),
 		memo:     make(map[string]interface{}),
 	}
 	sort.Slice(pr.Packages, func(i, k int) bool { return pr.Packages[i].PkgPath < pr.Packages[k].PkgPath })
@@ -149,10 +138,6 @@ func CalleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// FuncOf returns the call-graph node of a declared function, or nil if the
-// object was not declared inside the loaded program.
-func (pr *Program) FuncOf(obj *types.Func) *FuncNode { return pr.funcs[obj] }
-
 // Funcs returns every declared function, sorted by source position — the
 // deterministic iteration order program analyzers must use.
 func (pr *Program) Funcs() []*FuncNode {
@@ -178,17 +163,6 @@ func (pr *Program) PackageOf(pos token.Pos) *Package {
 	return pr.byFile[pr.Fset.Position(pos).Filename]
 }
 
-// SetFact attaches a named fact to an object in the cross-package store.
-func (pr *Program) SetFact(obj types.Object, name string, v interface{}) {
-	pr.facts[factKey{obj, name}] = v
-}
-
-// Fact retrieves a named fact attached to an object.
-func (pr *Program) Fact(obj types.Object, name string) (interface{}, bool) {
-	v, ok := pr.facts[factKey{obj, name}]
-	return v, ok
-}
-
 // Memo caches a program-level computation under a name: the first call runs
 // build and stores the result, later calls return it. Shared indexes (the
 // guarded-field table, the directive table) are built this way so several
@@ -208,7 +182,7 @@ func (pr *Program) Memo(name string, build func() interface{}) interface{} {
 // declaration (other than the suppression directive, which analysis.go owns).
 type Directive struct {
 	// Name is the directive name without the "eflint:" prefix, e.g.
-	// "journal" or "lockorder".
+	// "lockorder".
 	Name string
 	// Args are the whitespace-separated arguments after the name.
 	Args []string
@@ -250,43 +224,22 @@ func (pr *Program) Directives() []Directive {
 	return v.([]Directive)
 }
 
-// FuncDirective returns the arguments of the first //eflint:<name> directive
-// in fn's doc comment, and whether one exists.
-func FuncDirective(fn *FuncNode, name string) ([]string, bool) {
-	if fn.Decl.Doc == nil {
-		return nil, false
-	}
-	for _, c := range fn.Decl.Doc.List {
-		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-		rest, ok := strings.CutPrefix(text, "eflint:"+name)
-		if !ok {
-			continue
-		}
-		if rest != "" && !strings.HasPrefix(rest, " ") && !strings.HasPrefix(rest, "\t") {
-			continue // eflint:journalx is a different directive
-		}
-		return strings.Fields(rest), true
-	}
-	return nil, false
-}
-
 // --- Guarded-field index ----------------------------------------------------
 
-// GuardedField is the cross-package fact for one "guarded by <mutex>" field:
+// GuardedField is the index entry for one "guarded by <mutex>" field:
 // the qualified name of the mutex that must be held to touch it.
 type GuardedField struct {
 	// Mutex is the qualified mutex name, e.g. "serverless.Platform.mu".
 	Mutex string
 	// MutexField is the bare sibling field name the annotation names.
 	MutexField string
-	// Struct is the qualified struct name, e.g. "serverless.Platform".
-	Struct string
+	// Orphan marks an annotation that names no sibling field: a typo no
+	// lock can satisfy, which locklint reports instead of checking.
+	Orphan bool
 }
 
 // GuardedFields indexes every "guarded by <mutex>" annotation across the
-// program, keyed by the field object. It is memoized and shared between
-// analyzers, and each entry is also published into the fact store under the
-// fact name "guarded".
+// program, keyed by the field object. It is memoized.
 func (pr *Program) GuardedFields() map[types.Object]GuardedField {
 	v := pr.Memo("guarded-fields", func() interface{} {
 		out := make(map[types.Object]GuardedField)
@@ -316,6 +269,12 @@ func collectGuardedInFile(pr *Program, pkg *Package, f *ast.File, out map[types.
 				continue
 			}
 			structQ := pkg.Types.Name() + "." + ts.Name.Name
+			siblings := map[string]bool{}
+			for _, field := range st.Fields.List {
+				for _, name := range field.Names {
+					siblings[name.Name] = true
+				}
+			}
 			for _, field := range st.Fields.List {
 				mutex := guardAnnotationOf(field)
 				if mutex == "" {
@@ -329,10 +288,9 @@ func collectGuardedInFile(pr *Program, pkg *Package, f *ast.File, out map[types.
 					gf := GuardedField{
 						Mutex:      structQ + "." + mutex,
 						MutexField: mutex,
-						Struct:     structQ,
+						Orphan:     !siblings[mutex],
 					}
 					out[obj] = gf
-					pr.SetFact(obj, "guarded", gf)
 				}
 			}
 		}
@@ -340,7 +298,7 @@ func collectGuardedInFile(pr *Program, pkg *Package, f *ast.File, out map[types.
 }
 
 // guardAnnotationOf extracts the mutex name from a field's doc or trailing
-// comment (same convention guardlint checks intraprocedurally).
+// comment.
 func guardAnnotationOf(f *ast.Field) string {
 	for _, cg := range []*ast.CommentGroup{f.Doc, f.Comment} {
 		if cg == nil {

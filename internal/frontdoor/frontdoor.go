@@ -17,7 +17,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -369,13 +368,12 @@ func (fd *FrontDoor) Cancel(id string) error {
 	return fd.shards[k].Cancel(id)
 }
 
-// List merges every shard's job list, newest-first per shard ID order.
+// List joins the shards' job lists in shard order, each newest first.
 func (fd *FrontDoor) List() []serverless.JobStatus {
 	var out []serverless.JobStatus
 	for _, p := range fd.shards {
 		out = append(out, p.List()...)
 	}
-	sort.Slice(out, func(i, k int) bool { return out[i].ID > out[k].ID })
 	return out
 }
 

@@ -8,9 +8,9 @@ import (
 	"github.com/elasticflow/elasticflow/internal/store"
 )
 
-// batchOp is one step of the batched-admission workload: advance the clock
+// batchStep is one step of the batched-admission workload: advance the clock
 // by Dt seconds, then submit a whole batch (or tick).
-type batchOp struct {
+type batchStep struct {
 	Dt   float64
 	Tick bool
 	Reqs []SubmitRequest
@@ -19,8 +19,8 @@ type batchOp struct {
 // batchScript mixes multi-tenant batches of every size and class with ticks
 // long enough to retire jobs, so replay crosses batch records, completions
 // and per-item drops.
-func batchScript() []batchOp {
-	return []batchOp{
+func batchScript() []batchStep {
+	return []batchStep{
 		{Reqs: []SubmitRequest{
 			{Tenant: "acme", Model: "resnet50", GlobalBatch: 128, Iterations: 50000, DeadlineSeconds: 4000},
 			{Tenant: "acme", Model: "bert", GlobalBatch: 64, Iterations: 20000, DeadlineSeconds: 3000},
@@ -46,7 +46,7 @@ func batchScript() []batchOp {
 }
 
 // applyBatchOp runs one op and renders its outcome as a transcript line.
-func applyBatchOp(t *testing.T, p *Platform, clk *stateClock, op batchOp) string {
+func applyBatchOp(t *testing.T, p *Platform, clk *stateClock, op batchStep) string {
 	t.Helper()
 	clk.Advance(op.Dt)
 	var out string

@@ -48,8 +48,6 @@ func (p *Platform) NodeUp(server int) error {
 
 // setNode journals and applies one server transition; a call that names no
 // server or changes nothing is a read of the clock.
-//
-//eflint:journal entry
 func (p *Platform) setNode(server int, down bool) ([]string, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -64,45 +62,53 @@ func (p *Platform) setNode(server int, down bool) ([]string, error) {
 		p.advanceLocked()
 		return nil, nil
 	}
-	kind := recNodeUp
-	if down {
-		kind = recNodeDown
-	}
-	now, err := p.recordLocked(kind, nodeBody{Server: server})
-	if err != nil {
-		return nil, err
-	}
-	evicted, err := p.applyNodeLocked(server, down, now)
-	p.maybeSnapshotLocked()
-	return evicted, err
+	o := &nodeOp{Server: server, down: down}
+	err := p.mutateLocked(o)
+	return o.evicted, err
 }
 
-// applyNodeLocked performs the failure (down) or recovery transition at time
-// now — shared by the live path and journal replay. Idempotent on a server
-// already in that state.
-//
-//eflint:journal apply
-func (p *Platform) applyNodeLocked(server int, down bool, now float64) (evicted []string, err error) {
-	p.applyAdvanceLocked(now)
-	if p.down[server] == down {
-		return nil, nil
+// nodeOp is a server failure (down) or recovery; evicted lists the jobs a
+// failure evicted.
+type nodeOp struct {
+	Server  int `json:"server"`
+	down    bool
+	evicted []string
+}
+
+func (o *nodeOp) kind() string {
+	if o.down {
+		return recNodeDown
 	}
-	if down {
-		if evicted, err = p.eng.Evict(now, server, p.active); err != nil {
-			return nil, err
+	return recNodeUp
+}
+
+func (o *nodeOp) body() any { return o }
+
+// applyLocked performs the transition at time now. Idempotent on a server
+// already in that state.
+func (o *nodeOp) applyLocked(p *Platform, now float64) error {
+	p.applyAdvanceLocked(now)
+	if p.down[o.Server] == o.down {
+		return nil
+	}
+	if o.down {
+		evicted, err := p.eng.Evict(now, o.Server, p.active)
+		if err != nil {
+			return err
 		}
-		p.down[server] = true
+		o.evicted = evicted
+		p.down[o.Server] = true
 		p.downGPUs += p.cluster.Config().GPUsPerServer
 	} else {
-		if err = p.eng.Restore(now, server); err != nil {
-			return nil, err
+		if err := p.eng.Restore(now, o.Server); err != nil {
+			return err
 		}
-		delete(p.down, server)
+		delete(p.down, o.Server)
 		p.downGPUs -= p.cluster.Config().GPUsPerServer
 	}
 	p.recheckGuaranteesLocked(now)
 	p.rescheduleLocked(now)
-	return evicted, nil
+	return nil
 }
 
 // recheckGuaranteesLocked re-runs the admission feasibility check over the

@@ -334,8 +334,6 @@ func (p *Platform) validateSubmitFull(req SubmitRequest) error {
 // reports whether the job was admitted or dropped. Invalid requests are
 // rejected before they reach the journal; a valid request is journaled
 // durably before the admission decision is applied (record-then-apply).
-//
-//eflint:journal entry
 func (p *Platform) Submit(req SubmitRequest) (JobStatus, error) {
 	if err := p.validateSubmitFull(req); err != nil {
 		return JobStatus{}, err
@@ -343,16 +341,9 @@ func (p *Platform) Submit(req SubmitRequest) (JobStatus, error) {
 
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if err := p.checkMutableLocked(); err != nil {
-		return JobStatus{}, err
-	}
-	now, err := p.recordLocked(recSubmit, req)
-	if err != nil {
-		return JobStatus{}, err
-	}
-	st, err := p.applySubmitLocked(req, now)
-	p.maybeSnapshotLocked()
-	return st, err
+	o := &submitOp{req: req}
+	err := p.mutateLocked(o)
+	return o.st, err
 }
 
 // SubmitBatch admits a batch of pre-validated submissions as ONE journaled
@@ -363,8 +354,6 @@ func (p *Platform) Submit(req SubmitRequest) (JobStatus, error) {
 // in arrival order. An invalid item fails the whole batch before the journal
 // is touched: the front door validates with ValidateSubmit before batching,
 // so a rejection here is a caller bug, not a tenant error.
-//
-//eflint:journal entry
 func (p *Platform) SubmitBatch(reqs []SubmitRequest) ([]JobStatus, error) {
 	if len(reqs) == 0 {
 		return nil, nil
@@ -377,36 +366,37 @@ func (p *Platform) SubmitBatch(reqs []SubmitRequest) ([]JobStatus, error) {
 
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if err := p.checkMutableLocked(); err != nil {
+	o := &batchOp{reqs: reqs}
+	if err := p.mutateLocked(o); err != nil {
 		return nil, err
 	}
-	now, err := p.recordLocked(recBatch, reqs)
-	if err != nil {
-		return nil, err
-	}
-	out := p.applySubmitBatchLocked(reqs, now)
-	p.maybeSnapshotLocked()
-	return out, nil
+	return o.out, nil
 }
 
-// applySubmitBatchLocked runs the batched admission decision at time now —
-// shared by the live path and journal replay. One batch event frames the
-// group, one frontdoor.batch span parents every admitted job's lifecycle,
-// and at most one rescheduling pass runs for the whole batch.
-//
-//eflint:journal apply
-func (p *Platform) applySubmitBatchLocked(reqs []SubmitRequest, now float64) []JobStatus {
+// batchOp is one admission batch; out are its verdicts in arrival order.
+type batchOp struct {
+	reqs []SubmitRequest
+	out  []JobStatus
+}
+
+func (o *batchOp) kind() string { return recBatch }
+func (o *batchOp) body() any    { return &o.reqs }
+
+// applyLocked runs the batched admission decision at time now. One batch
+// event frames the group, one frontdoor.batch span parents every admitted
+// job's lifecycle, and at most one rescheduling pass runs for the whole batch.
+func (o *batchOp) applyLocked(p *Platform, now float64) error {
 	p.applyAdvanceLocked(now)
 	p.batches++
 	batch := p.batches
 	p.eventLocked(now, obs.KindBatch, "",
-		tracing.A("batch", batch), tracing.A("size", len(reqs)), tracing.A("tenants", tenantList(reqs)))
+		tracing.A("batch", batch), tracing.A("size", len(o.reqs)), tracing.A("tenants", tenantList(o.reqs)))
 	ref := p.tr.Begin(now, tracing.SpanFrontdoorBatch, "")
-	out := make([]JobStatus, len(reqs))
-	jobs := make([]*job.Job, len(reqs))
+	o.out = make([]JobStatus, len(o.reqs))
+	jobs := make([]*job.Job, len(o.reqs))
 	admitted := 0
 	ba := p.ef.BeginAdmitBatch(now, p.capLocked())
-	for i, req := range reqs {
+	for i, req := range o.reqs {
 		j, st, err := p.applySubmitItemLocked(req, now, ref, ba)
 		if err != nil {
 			// Validation passed before journaling, so an apply error is
@@ -414,7 +404,7 @@ func (p *Platform) applySubmitBatchLocked(reqs []SubmitRequest, now float64) []J
 			// verdict; frame it as an event so trails stay comparable.
 			p.eventLocked(now, obs.KindError, "",
 				tracing.A("op", "batch-submit"), tracing.A("err", err.Error()))
-			out[i] = JobStatus{Model: req.Model, Tenant: req.Tenant, State: "invalid"}
+			o.out[i] = JobStatus{Model: req.Model, Tenant: req.Tenant, State: "invalid"}
 			continue
 		}
 		if j != nil {
@@ -422,19 +412,19 @@ func (p *Platform) applySubmitBatchLocked(reqs []SubmitRequest, now float64) []J
 			admitted++
 			continue
 		}
-		out[i] = st
+		o.out[i] = st
 	}
 	if admitted > 0 {
 		p.rescheduleLocked(now)
 	}
 	for i, j := range jobs {
 		if j != nil {
-			out[i] = p.statusLocked(j)
+			o.out[i] = p.statusLocked(j)
 		}
 	}
 	p.tr.EndLSN(now, ref, p.lsn,
-		tracing.A("batch", batch), tracing.A("size", len(reqs)), tracing.A("admitted", admitted))
-	return out
+		tracing.A("batch", batch), tracing.A("size", len(o.reqs)), tracing.A("admitted", admitted))
+	return nil
 }
 
 // tenantList renders the distinct tenants of a batch in first-appearance
@@ -455,22 +445,29 @@ func tenantList(reqs []SubmitRequest) string {
 	return strings.Join(names, ",")
 }
 
-// applySubmitLocked runs a single submission decision at time now — the
-// shared apply function of the live path and journal replay. Everything it
-// does is deterministic in (req, now, platform state).
-//
-//eflint:journal apply
-func (p *Platform) applySubmitLocked(req SubmitRequest, now float64) (JobStatus, error) {
+// submitOp is one submission; st is its verdict.
+type submitOp struct {
+	req SubmitRequest
+	st  JobStatus
+}
+
+func (o *submitOp) kind() string { return recSubmit }
+func (o *submitOp) body() any    { return &o.req }
+
+// applyLocked runs the submission decision at time now. Everything it does
+// is deterministic in (req, now, platform state).
+func (o *submitOp) applyLocked(p *Platform, now float64) error {
 	p.applyAdvanceLocked(now)
-	j, st, err := p.applySubmitItemLocked(req, now, tracing.Ref{}, p.ef.BeginAdmitBatch(now, p.capLocked()))
+	j, st, err := p.applySubmitItemLocked(o.req, now, tracing.Ref{}, p.ef.BeginAdmitBatch(now, p.capLocked()))
 	if err != nil {
-		return JobStatus{}, err
+		return err
 	}
-	if j == nil {
-		return st, nil
+	o.st = st
+	if j != nil {
+		p.rescheduleLocked(now)
+		o.st = p.statusLocked(j)
 	}
-	p.rescheduleLocked(now)
-	return p.statusLocked(j), nil
+	return nil
 }
 
 // applySubmitItemLocked builds, profiles and admission-checks one submission
@@ -583,7 +580,9 @@ func (p *Platform) Get(id string) (JobStatus, error) {
 	return p.statusLocked(j), nil
 }
 
-// List returns all jobs, newest first.
+// List returns all jobs, newest first. IDs are the prefix and a sequence
+// number of at least four digits, so the newer of two IDs is the longer one,
+// or at equal length the greater string.
 func (p *Platform) List() []JobStatus {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -592,15 +591,16 @@ func (p *Platform) List() []JobStatus {
 	for _, j := range p.all {
 		out = append(out, p.statusLocked(j))
 	}
-	sort.Slice(out, func(i, k int) bool { return out[i].ID > out[k].ID })
+	sort.Slice(out, func(i, k int) bool {
+		a, b := out[i].ID, out[k].ID
+		return len(a) > len(b) || len(a) == len(b) && a > b
+	})
 	return out
 }
 
 // Cancel removes a job from the platform. Only a cancel that can change
 // state — the job is admitted or running when the call arrives — is journaled;
 // anything else is a read of the clock.
-//
-//eflint:journal entry
 func (p *Platform) Cancel(id string) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -616,42 +616,39 @@ func (p *Platform) Cancel(id string) error {
 		p.advanceLocked()
 		return nil
 	}
-	now, err := p.recordLocked(recCancel, cancelBody{ID: id})
-	if err != nil {
-		return err
-	}
-	if err := p.applyCancelLocked(id, now); err != nil {
-		return err
-	}
-	p.maybeSnapshotLocked()
-	return nil
+	return p.mutateLocked(&cancelOp{ID: id})
 }
 
-// applyCancelLocked removes the job at time now — shared by the live path
-// and journal replay. Idempotent on an already-inactive job, which is what a
-// job that finishes inside this record's own advance is, live and in replay
-// alike.
-//
-//eflint:journal apply
-func (p *Platform) applyCancelLocked(id string, now float64) error {
+// cancelOp removes one job.
+type cancelOp struct {
+	ID string `json:"id"`
+}
+
+func (o *cancelOp) kind() string { return recCancel }
+func (o *cancelOp) body() any    { return o }
+
+// applyLocked removes the job at time now. Idempotent on an already-inactive
+// job, which is what a job that finishes inside this record's own advance is,
+// live and in replay alike.
+func (o *cancelOp) applyLocked(p *Platform, now float64) error {
 	p.applyAdvanceLocked(now)
-	j, ok := p.all[id]
+	j, ok := p.all[o.ID]
 	if !ok {
-		return fmt.Errorf("serverless: unknown job %q", id)
+		return fmt.Errorf("serverless: unknown job %q", o.ID)
 	}
 	if j.State != job.Admitted && j.State != job.Running {
 		return nil
 	}
-	p.removeActiveLocked(id)
-	if _, owned := p.cluster.Placement(id); owned {
-		if err := p.cluster.Release(id); err != nil {
+	p.removeActiveLocked(o.ID)
+	if _, owned := p.cluster.Placement(o.ID); owned {
+		if err := p.cluster.Release(o.ID); err != nil {
 			return err
 		}
 	}
 	j.State = job.Dropped
 	j.GPUs = 0 // a cancelled job holds no workers: status must not show GPUs or an estimated finish
-	delete(p.infeasible, id)
-	p.eventLocked(now, obs.KindCancel, id)
+	delete(p.infeasible, o.ID)
+	p.eventLocked(now, obs.KindCancel, o.ID)
 	p.rescheduleLocked(now)
 	return nil
 }
@@ -734,9 +731,7 @@ func (p *Platform) Tick() {
 // applying it will retire a job or run a due wake-up (scheduling state
 // changes), non-durable for a pure time observation, whose loss on power
 // failure only rewinds idle time nothing was acknowledged against. A mutation
-// does not come through here: its own record is its advance (recordLocked).
-//
-//eflint:journal entry
+// does not come through here: its own record is its advance (mutateLocked).
 func (p *Platform) advanceLocked() {
 	now := p.Now()
 	if now <= p.lastTick || p.closing || p.broken != nil {
@@ -745,20 +740,15 @@ func (p *Platform) advanceLocked() {
 		// record-then-apply. Either way, time stops.
 		return
 	}
-	if p.journalingLocked() {
-		if err := p.journalLocked(recAdvance, now, nil, p.advanceReschedulesLocked(now)); err != nil {
-			return
-		}
+	if err := p.commitLocked(advanceOp{}, now); err != nil {
+		return // the journal failed and wedged the platform: time stops here
 	}
-	p.applyAdvanceLocked(now)
 }
 
 // applyAdvanceLocked accrues progress since the last tick up to now, retires
 // completed jobs, and reschedules if anything changed or the last decision's
-// wake-up has come. Every apply function begins with it: a journal record at
+// wake-up has come. Every op's apply begins with it: a journal record at
 // time t means "advance to t, then apply".
-//
-//eflint:journal apply
 func (p *Platform) applyAdvanceLocked(now float64) {
 	dt := now - p.lastTick
 	if dt <= 0 {

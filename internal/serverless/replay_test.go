@@ -1,9 +1,12 @@
 package serverless
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 
@@ -243,4 +246,167 @@ func storeFsyncs(t *testing.T, o *obs.Obs) int {
 	}
 	t.Fatal("ef_store_fsyncs_total is not on /metrics")
 	return 0
+}
+
+// TestJournalFailureAppliesNothing holds record-then-apply from the failing
+// side: once the journal refuses a record, the op that record carried must
+// not be applied, whichever entry point it came through. Each case closes the
+// store under a platform mid-script, moves the clock, and calls one entry;
+// the call must fail with the wedge error or do nothing, and every job, plan
+// and cluster figure must read as it did before the failure.
+func TestJournalFailureAppliesNothing(t *testing.T) {
+	req := SubmitRequest{Model: "resnet50", GlobalBatch: 128, Iterations: 50000, DeadlineSeconds: 4000}
+	for _, c := range []struct {
+		name string
+		do   func(p *Platform) error
+	}{
+		{"submit", func(p *Platform) error { _, err := p.Submit(req); return err }},
+		{"batch", func(p *Platform) error { _, err := p.SubmitBatch([]SubmitRequest{req, req}); return err }},
+		{"cancel", func(p *Platform) error { return p.Cancel("job-0001") }},
+		{"node-down", func(p *Platform) error { _, err := p.NodeDown(0); return err }},
+		{"node-up", func(p *Platform) error { return p.NodeUp(1) }}, // the script's fifth op took server 1 down
+		{"tick", func(p *Platform) error { p.Tick(); return nil }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			clk := newStateClock()
+			p, st := openDurable(t, t.TempDir(), clk, nil)
+			for _, op := range crashScript()[:5] {
+				applyOp(t, p, clk, op)
+			}
+			if s, err := p.Get("job-0001"); err != nil || s.State != "running" && s.State != "admitted" {
+				t.Fatalf("job-0001 = %+v, %v; the case needs it active", s, err)
+			}
+			before := finalState(p)
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			clk.Advance(30)
+			if err := c.do(p); err != nil && !strings.Contains(err.Error(), "journal failed") {
+				t.Fatalf("err = %v, want the wedge error", err)
+			}
+			if after := finalState(p); after != before {
+				t.Fatalf("an op the journal refused was applied:\nbefore %s\nafter  %s", before, after)
+			}
+		})
+	}
+}
+
+// journaledState renders everything a snapshot holds: head, every job, tail.
+func journaledState(t *testing.T, p *Platform) string {
+	t.Helper()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	st := platformState{stateHead: p.stateHeadLocked(), stateTail: p.stateTailLocked()}
+	for _, j := range p.all {
+		var js jobState
+		fillJobState(&js, j)
+		st.Jobs = append(st.Jobs, js)
+	}
+	sort.Slice(st.Jobs, func(i, k int) bool { return st.Jobs[i].ID < st.Jobs[k].ID })
+	b, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestReadsChangeNoJournaledState: a read is a clock observation and nothing
+// else. At a frozen clock, no read may change what a snapshot would hold —
+// a change there is state no journal record carries, which replay would not
+// reproduce.
+func TestReadsChangeNoJournaledState(t *testing.T) {
+	clk := newStateClock()
+	p, _ := openDurable(t, t.TempDir(), clk, nil)
+	for _, op := range crashScript()[:9] {
+		applyOp(t, p, clk, op)
+	}
+	before := journaledState(t, p)
+	for _, r := range []struct {
+		name string
+		read func()
+	}{
+		{"Get", func() { p.Get("job-0001") }},
+		{"Get-unknown", func() { p.Get("job-9999") }},
+		{"List", func() { p.List() }},
+		{"Cluster", func() { p.Cluster() }},
+		{"Plans", func() { p.Plans() }},
+		{"TenantUsage", func() { p.TenantUsage() }},
+	} {
+		r.read()
+		if after := journaledState(t, p); after != before {
+			t.Errorf("%s at a frozen clock changed journaled state:\nbefore %s\nafter  %s", r.name, before, after)
+		}
+	}
+}
+
+// FuzzReplayRecord feeds replay's decode arbitrary records — any kind, any
+// time, any op body — on a platform part-way through the crash script. The
+// envelope carries the trail the platform holds, so every input gets past
+// the divergence check to the decode and the apply. Each must return an
+// error or apply; none may panic, and an applied one must leave a state a
+// snapshot can encode.
+func FuzzReplayRecord(f *testing.F) {
+	dir := f.TempDir()
+	clk := newStateClock()
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	p, err := NewPlatform(Options{Clock: clk.Now, Store: st})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, op := range crashScript() {
+		applyOp(f, p, clk, op)
+	}
+	if err := st.Close(); err != nil {
+		f.Fatal(err)
+	}
+	st, err = store.Open(dir, store.Options{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer st.Close()
+	tail := st.RecoveredTail()
+	const prefix = 5 // three submissions, a clock reading and a node failure
+	for _, rec := range tail {
+		var body struct {
+			Op json.RawMessage `json:"op"`
+		}
+		if err := json.Unmarshal(rec.Data, &body); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(rec.Kind, rec.Time, []byte(body.Op))
+	}
+	f.Add("cancel", 1e300, []byte(`{"id":"job-0001"}`))
+	f.Add("node-down", 200.0, []byte(`{"server":-3}`))
+	f.Add("advance", math.NaN(), []byte(nil))
+	f.Add("submit", -1.0, []byte(`{"model":"bert","global_batch":64,"iterations":1,"best_effort":true}`))
+	f.Fuzz(func(t *testing.T, kind string, at float64, op []byte) {
+		p, err := newPlatform(Options{Clock: newStateClock().Now})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		for _, rec := range tail[:prefix] {
+			if err := p.replayRecordLocked(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		data := fmt.Sprintf(`{"trail":%d}`, p.trail)
+		if len(op) > 0 {
+			data = fmt.Sprintf(`{"trail":%d,"op":%s}`, p.trail, op)
+		}
+		rec := store.Record{LSN: prefix + 1, Time: at, Kind: kind, Data: []byte(data)}
+		if err := p.replayRecordLocked(rec); err != nil {
+			return
+		}
+		if p.lsn != rec.LSN {
+			t.Fatalf("record %d replayed without error but not applied (lsn %d)", rec.LSN, p.lsn)
+		}
+		if _, err := json.Marshal(platformState{stateHead: p.stateHeadLocked(), stateTail: p.stateTailLocked()}); err != nil {
+			t.Fatalf("replaying %s at %v left a state no snapshot can hold: %v", kind, at, err)
+		}
+	})
 }

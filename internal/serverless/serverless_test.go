@@ -106,6 +106,28 @@ func TestBestEffortAdmitted(t *testing.T) {
 	}
 }
 
+// TestListNewestFirstPastJob9999 pins List's order where the zero-padded
+// sequence number gains a digit: job-10000 is newer than job-9999, though it
+// sorts before it as a string.
+func TestListNewestFirstPastJob9999(t *testing.T) {
+	p, _ := newTestPlatform(t)
+	p.mu.Lock()
+	p.seq = 9998
+	p.mu.Unlock()
+	for i := 0; i < 3; i++ {
+		if _, err := p.Submit(SubmitRequest{Model: "resnet50", GlobalBatch: 128, Iterations: 100, BestEffort: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var ids []string
+	for _, st := range p.List() {
+		ids = append(ids, st.ID)
+	}
+	if got, want := strings.Join(ids, " "), "job-10001 job-10000 job-9999"; got != want {
+		t.Fatalf("List order = %s, want %s", got, want)
+	}
+}
+
 func TestCancelFreesGPUs(t *testing.T) {
 	p, _ := newTestPlatform(t)
 	st, err := p.Submit(SubmitRequest{Model: "resnet50", GlobalBatch: 128, Iterations: 1e8, DeadlineSeconds: 1e6})

@@ -41,7 +41,7 @@ const (
 	recNodeDown = "node-down"
 	recNodeUp   = "node-up"
 	// recAdvance is a clock reading no mutation carried: a read, a tick, or
-	// a mutation call with nothing to record (advanceLocked). It has no op.
+	// a mutation call with nothing to record (advanceLocked).
 	recAdvance = "advance"
 )
 
@@ -62,57 +62,84 @@ var errForeignState = errors.New("the state directory was written by a release w
 var ErrShuttingDown = errors.New("serverless: platform is shutting down")
 
 // recordBody is the body of every journal record: the trail hash the platform
-// held when it appended the record, and the op — a SubmitRequest, a batch's
-// []SubmitRequest, a cancelBody, a nodeBody, or nothing for an advance. Replay
-// decodes a body with a *json.RawMessage in Op, which json fills in place.
+// held when it appended the record, and the op's body. Replay decodes a body
+// with a *json.RawMessage in Op, which json fills in place.
 type recordBody struct {
 	Trail uint64 `json:"trail"`
 	Op    any    `json:"op,omitempty"`
 }
 
-type cancelBody struct {
-	ID string `json:"id"`
-}
-type nodeBody struct {
-	Server int `json:"server"`
+// An op is one journaled decision: the record kind it is written under, the
+// body that record carries, and the apply that runs it at the record's time.
+// Every apply starts with the advance to that time. The live path reaches an
+// apply only through commitLocked, which records the op first; replay decodes
+// a record into the same op (opOf) and runs the same apply.
+type op interface {
+	kind() string
+	// body is what the record carries: a pointer replay decodes into in
+	// place, or nil for an op that carries nothing but its time.
+	body() any
+	applyLocked(p *Platform, now float64) error
 }
 
-// journalingLocked reports whether mutations should be recorded: a store is
+// opOf is replay's decode table: a record kind to an empty op of that kind.
+var opOf = map[string]func() op{
+	recSubmit:   func() op { return &submitOp{} },
+	recBatch:    func() op { return &batchOp{} },
+	recCancel:   func() op { return &cancelOp{} },
+	recNodeDown: func() op { return &nodeOp{down: true} },
+	recNodeUp:   func() op { return &nodeOp{} },
+	recAdvance:  func() op { return advanceOp{} },
+}
+
+// advanceOp is the op of an advance record.
+type advanceOp struct{}
+
+func (advanceOp) kind() string { return recAdvance }
+func (advanceOp) body() any    { return nil }
+func (advanceOp) applyLocked(p *Platform, now float64) error {
+	p.applyAdvanceLocked(now)
+	return nil
+}
+
+// journalingLocked reports whether ops should be recorded: a store is
 // attached, shutdown has not begun, and the journal has not failed.
 func (p *Platform) journalingLocked() bool {
 	return p.store != nil && !p.closing && p.broken == nil
 }
 
-// recordLocked is the record half of record-then-apply, shared by every
-// mutation entry: it reads the clock, appends the op durably at that time and
-// returns the time for the apply half. There is no advance ahead of it — the
-// apply starts with one, exactly as replay of this record will.
-//
-//eflint:journal append
-func (p *Platform) recordLocked(kind string, op any) (now float64, err error) {
-	now = math.Max(p.Now(), p.lastTick)
-	if p.journalingLocked() {
-		err = p.journalLocked(kind, now, op, true)
+// mutateLocked runs a mutation entry's op: refused once shutdown has begun or
+// the journal has failed, otherwise committed at the current time — there is
+// no advance ahead of it; the apply starts with one, exactly as replay of its
+// record will — and followed by a snapshot if one is due.
+func (p *Platform) mutateLocked(o op) error {
+	if err := p.checkMutableLocked(); err != nil {
+		return err
 	}
-	return now, err
+	err := p.commitLocked(o, math.Max(p.Now(), p.lastTick))
+	p.maybeSnapshotLocked()
+	return err
 }
 
-// journalLocked appends one record. On failure the platform wedges: the
-// mutation must not be applied (record-then-apply) and no later one can be
-// either, or the journal would have a hole.
-//
-//eflint:journal append
-func (p *Platform) journalLocked(kind string, t float64, op any, durable bool) error {
-	lsn, err := p.store.Append(kind, t, recordBody{Trail: p.trail, Op: op}, durable)
-	if err != nil {
-		p.broken = fmt.Errorf("serverless: journal failed, refusing further mutations: %w", err)
-		p.obs.EventNow(obs.KindError, "", tracing.A("op", "journal-append"), tracing.A("err", err.Error()))
-		return p.broken
+// commitLocked is record-then-apply, and the live path's only way to an apply:
+// it appends o at time now, then applies o at that time. A mutation's record is
+// fsynced; an advance's only when applying it will reschedule. On failure the
+// platform wedges: o must not be applied and no later op can be either, or
+// the journal would have a hole.
+func (p *Platform) commitLocked(o op, now float64) error {
+	if p.journalingLocked() {
+		durable := o.kind() != recAdvance || p.advanceReschedulesLocked(now)
+		lsn, err := p.store.Append(o.kind(), now, recordBody{Trail: p.trail, Op: o.body()}, durable)
+		if err != nil {
+			p.broken = fmt.Errorf("serverless: journal failed, refusing further mutations: %w", err)
+			p.obs.EventNow(obs.KindError, "", tracing.A("op", "journal-append"), tracing.A("err", err.Error()))
+			return p.broken
+		}
+		// The apply stamps its events, and so their spans, with this
+		// record's LSN — replay restores the same value from the record.
+		p.lsn = lsn
 	}
-	// The apply that follows stamps its events, and so their spans, with
-	// this record's LSN — replay restores the same value from the record.
-	p.lsn = lsn
-	return nil
+	return o.applyLocked(p, now)
 }
 
 // checkMutableLocked gates every mutation entry point.
@@ -379,8 +406,6 @@ func (p *Platform) stateTailLocked() stateTail {
 
 // restoreStateLocked rebuilds the platform from a snapshot payload onto the
 // freshly constructed (empty) platform.
-//
-//eflint:journal init
 func (p *Platform) restoreStateLocked(payload []byte) error {
 	var st platformState
 	if err := json.Unmarshal(payload, &st); err != nil {
@@ -511,18 +536,16 @@ func Recover(opts Options) (*Platform, error) {
 	return p, nil
 }
 
-// replayRecordLocked applies one journal record during recovery: the apply
-// function the live path ran, at the record's time, each starting with the
-// advance to that time. Before it does, the trail hash of everything replay
-// has emitted so far must equal the one the live run held when it appended
-// the record — a scheduler change that would alter history is refused here,
-// not absorbed. The events of the journal's last record are checked by no
-// later record; losing that check is what a crash costs.
-//
-//eflint:journal replay
+// replayRecordLocked applies one journal record during recovery: the op the
+// live path committed, decoded through opOf and applied at the record's time.
+// Before it does, the trail hash of everything replay has emitted so far must
+// equal the one the live run held when it appended the record — a scheduler
+// change that would alter history is refused here, not absorbed. The events
+// of the journal's last record are checked by no later record; losing that
+// check is what a crash costs.
 func (p *Platform) replayRecordLocked(rec store.Record) error {
-	var op json.RawMessage
-	body := recordBody{Op: &op}
+	var raw json.RawMessage
+	body := recordBody{Op: &raw}
 	dec := json.NewDecoder(bytes.NewReader(rec.Data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&body); err != nil {
@@ -531,45 +554,24 @@ func (p *Platform) replayRecordLocked(rec store.Record) error {
 	if body.Trail != p.trail {
 		return fmt.Errorf("serverless: replay divergence at LSN %d: the run that journaled this %s record had emitted event trail %d, replaying the records before it emitted %d", rec.LSN, rec.Kind, body.Trail, p.trail)
 	}
-	p.lsn = rec.LSN
-	switch rec.Kind {
-	case recAdvance:
-		p.applyAdvanceLocked(rec.Time)
-	case recSubmit:
-		var req SubmitRequest
-		if err := json.Unmarshal(op, &req); err != nil {
-			return fmt.Errorf("serverless: decoding submit record %d: %w", rec.LSN, err)
-		}
-		// An apply error is deterministic in the request: the live run hit
-		// the identical error after journaling, mutating nothing; replay
-		// records it as operational noise and moves on.
-		if _, err := p.applySubmitLocked(req, rec.Time); err != nil {
-			p.obs.EventNow(obs.KindError, "", tracing.A("op", "replay-submit"), tracing.A("err", err.Error()))
-		}
-	case recBatch:
-		var reqs []SubmitRequest
-		if err := json.Unmarshal(op, &reqs); err != nil {
-			return fmt.Errorf("serverless: decoding batch record %d: %w", rec.LSN, err)
-		}
-		p.applySubmitBatchLocked(reqs, rec.Time)
-	case recCancel:
-		var c cancelBody
-		if err := json.Unmarshal(op, &c); err != nil {
-			return fmt.Errorf("serverless: decoding cancel record %d: %w", rec.LSN, err)
-		}
-		if err := p.applyCancelLocked(c.ID, rec.Time); err != nil {
-			return fmt.Errorf("serverless: replaying cancel of %s (LSN %d): %w", c.ID, rec.LSN, err)
-		}
-	case recNodeDown, recNodeUp:
-		var n nodeBody
-		if err := json.Unmarshal(op, &n); err != nil {
+	if !(rec.Time >= p.lastTick) || math.IsInf(rec.Time, 1) {
+		return fmt.Errorf("serverless: %s record %d has time %v, but replay stands at %v and a record's time is finite and never earlier", rec.Kind, rec.LSN, rec.Time, p.lastTick)
+	}
+	newOp, ok := opOf[rec.Kind]
+	if !ok {
+		return fmt.Errorf("serverless: journal record %d has unknown kind %q: %w", rec.LSN, rec.Kind, errForeignState)
+	}
+	o := newOp()
+	if b := o.body(); b != nil {
+		if err := json.Unmarshal(raw, b); err != nil {
 			return fmt.Errorf("serverless: decoding %s record %d: %w", rec.Kind, rec.LSN, err)
 		}
-		if _, err := p.applyNodeLocked(n.Server, rec.Kind == recNodeDown, rec.Time); err != nil {
-			return fmt.Errorf("serverless: replaying %s of %d (LSN %d): %w", rec.Kind, n.Server, rec.LSN, err)
-		}
-	default:
-		return fmt.Errorf("serverless: journal record %d has unknown kind %q: %w", rec.LSN, rec.Kind, errForeignState)
+	}
+	p.lsn = rec.LSN
+	// An apply error is deterministic in (op, state): the live run met the
+	// same one after journaling, returned it to its caller and carried on.
+	if err := o.applyLocked(p, rec.Time); err != nil {
+		p.obs.EventNow(obs.KindError, "", tracing.A("op", "replay-"+rec.Kind), tracing.A("err", err.Error()))
 	}
 	return nil
 }

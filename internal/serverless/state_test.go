@@ -74,7 +74,7 @@ func crashScript() []scriptOp {
 // applyOp runs one op and renders its outcome as a transcript line: the
 // op's result plus the cluster summary after it. Byte equality of these
 // lines across runs is the decision-equality bar.
-func applyOp(t *testing.T, p *Platform, clk *stateClock, op scriptOp) string {
+func applyOp(t testing.TB, p *Platform, clk *stateClock, op scriptOp) string {
 	t.Helper()
 	clk.Advance(op.Dt)
 	var out string
