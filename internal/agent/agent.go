@@ -1,10 +1,10 @@
 // Package agent is the worker-side control plane of Fig. 1: each simulated
-// server runs an Agent exposing Launch/Step/Stop/Status over net/rpc (the
-// stdlib stand-in for the prototype's gRPC control messages, §5), and a
+// server runs an Agent exposing Launch/Step/Rescale/Stop/Status over net/rpc
+// (the stdlib stand-in for the prototype's gRPC control messages, §5), and a
 // Controller orchestrates jobs across agents — launching serverless
 // training functions, rescaling them in place, and migrating them between
-// agents by shipping checkpoints, exactly the stop-free discipline the
-// paper implements on PyTorch.
+// agents by moving checkpoints over the chunked data plane (transfer.go),
+// exactly the stop-free discipline the paper implements on PyTorch.
 package agent
 
 import (
@@ -66,12 +66,9 @@ type LaunchArgs struct {
 	JobID   string
 	Spec    TaskSpec
 	Workers int
-	// Resume, when non-nil, restores training from a checkpoint — the
-	// migration path (§5).
-	Resume *elastic.Checkpoint
 	// ResumeStaged restores from the checkpoint a chunked push staged on
-	// this agent (CommitPush) instead of carrying the state inline — the
-	// data-plane migration path. The staged entry is consumed.
+	// this agent (CommitPush) — the one way a checkpoint enters an agent.
+	// The staged entry is consumed.
 	ResumeStaged bool
 }
 
@@ -95,19 +92,16 @@ type StepReply struct {
 }
 
 // StopArgs checkpoints and removes a job from the agent.
-type StopArgs struct {
-	JobID string
-	// Detach pins the final checkpoint's sized encoding on the agent for
-	// chunked fetch instead of shipping it inline: StopReply.Offer
-	// describes the pinned bytes and Checkpoint stays zero.
-	Detach bool
-}
+type StopArgs struct{ JobID string }
 
-// StopReply carries the final checkpoint — inline, or as a transfer offer
-// when the stop detached it for chunked fetch.
-type StopReply struct {
-	Checkpoint elastic.Checkpoint
-	Offer      *TransferOffer
+// StopReply describes the final checkpoint, pinned on the agent for
+// chunked fetch.
+type StopReply struct{ Offer TransferOffer }
+
+// RescaleArgs changes a running job's worker count in place.
+type RescaleArgs struct {
+	JobID   string
+	Workers int
 }
 
 // PingArgs is the empty heartbeat request.
@@ -118,12 +112,6 @@ type PingReply struct {
 	Agent string
 	Jobs  int
 }
-
-// SnapshotArgs requests a checkpoint copy of a running job.
-type SnapshotArgs struct{ JobID string }
-
-// SnapshotReply carries the checkpoint; the job keeps running.
-type SnapshotReply struct{ Checkpoint elastic.Checkpoint }
 
 // StatusArgs queries a job.
 type StatusArgs struct{ JobID string }
@@ -190,11 +178,6 @@ func (a *Agent) Launch(args LaunchArgs, reply *LaunchReply) error {
 	if err != nil {
 		return err
 	}
-	if args.Resume != nil {
-		if err := tr.Restore(*args.Resume); err != nil {
-			return err
-		}
-	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if _, ok := a.tasks[args.JobID]; ok {
@@ -245,24 +228,34 @@ func (a *Agent) Step(args StepArgs, reply *StepReply) error {
 	return nil
 }
 
-// Stop implements the RPC: checkpoint the job and remove it. With Detach
-// the checkpoint stays on the agent, pinned for chunked fetch, and only
-// its offer travels inline.
+// Stop implements the RPC: checkpoint the job and remove it. The
+// checkpoint stays on the agent, pinned for chunked fetch; only its offer
+// travels in the reply.
 func (a *Agent) Stop(args StopArgs, reply *StopReply) error {
 	t, err := a.get(args.JobID)
 	if err != nil {
 		return err
 	}
-	ck := t.trainer.Checkpoint()
+	data := t.trainer.Checkpoint().EncodeBytes()
 	a.mu.Lock()
 	delete(a.tasks, args.JobID)
-	if args.Detach {
-		offer := a.pinLocked(args.JobID, ck.EncodeBytes())
-		reply.Offer = &offer
-	} else {
-		reply.Checkpoint = ck
-	}
+	reply.Offer = a.pinLocked(args.JobID, data)
 	a.mu.Unlock()
+	return nil
+}
+
+// Rescale implements the RPC: change the worker count of a running job in
+// place (§5's stop-free rescale). The trainer keeps its parameters and
+// step, so no checkpoint leaves the agent.
+func (a *Agent) Rescale(args RescaleArgs, reply *LaunchReply) error {
+	t, err := a.get(args.JobID)
+	if err != nil {
+		return err
+	}
+	if _, err := t.trainer.Rescale(args.Workers); err != nil {
+		return err
+	}
+	*reply = LaunchReply{Workers: t.trainer.Workers(), LocalBatch: t.trainer.LocalBatch(), Step: t.trainer.Step()}
 	return nil
 }
 
@@ -272,18 +265,6 @@ func (a *Agent) Ping(args PingArgs, reply *PingReply) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	*reply = PingReply{Agent: a.name, Jobs: len(a.tasks)}
-	return nil
-}
-
-// Snapshot implements the RPC: checkpoint a job in place, leaving it
-// running — the checkpoint-mirroring path that lets the orchestrator
-// restart the job elsewhere if this agent dies.
-func (a *Agent) Snapshot(args SnapshotArgs, reply *SnapshotReply) error {
-	t, err := a.get(args.JobID)
-	if err != nil {
-		return err
-	}
-	reply.Checkpoint = t.trainer.Checkpoint()
 	return nil
 }
 

@@ -20,10 +20,10 @@ import (
 
 // Controller is the scheduler-side endpoint of the control plane: it tracks
 // which agent runs which job and turns scheduling decisions into
-// Launch/Stop RPCs, including cross-agent migration by checkpoint transfer
-// (§5 "sends the parameters of the running jobs to the workers based on the
-// scheduling decision and then restarts the jobs from the received
-// parameters").
+// Launch/Rescale/Stop RPCs, including cross-agent migration by checkpoint
+// transfer (§5 "sends the parameters of the running jobs to the workers
+// based on the scheduling decision and then restarts the jobs from the
+// received parameters").
 //
 // Every RPC observes a per-call deadline and a bounded retry policy with
 // exponential backoff + jitter (DESIGN.md §9): errors the agent itself
@@ -424,99 +424,62 @@ func (c *Controller) Adopt(agentName, jobID string, spec TaskSpec) (StatusReply,
 
 // Launch starts a fresh job on the named agent with the given worker count.
 func (c *Controller) Launch(jobID string, spec TaskSpec, agentName string, workers int) (LaunchReply, error) {
-	return c.launch(jobID, spec, agentName, workers, nil)
+	return c.launch(LaunchArgs{JobID: jobID, Spec: spec, Workers: workers}, agentName)
 }
 
-func (c *Controller) launch(jobID string, spec TaskSpec, agentName string, workers int, resume *elastic.Checkpoint) (LaunchReply, error) {
+// launch sends one Launch RPC and records the job's route on success.
+func (c *Controller) launch(args LaunchArgs, agentName string) (LaunchReply, error) {
 	var reply LaunchReply
-	if err := c.call(agentName, "Agent.Launch", LaunchArgs{JobID: jobID, Spec: spec, Workers: workers, Resume: resume}, &reply); err != nil {
+	if err := c.call(agentName, "Agent.Launch", args, &reply); err != nil {
 		return LaunchReply{}, err
 	}
 	c.mu.Lock()
-	c.specs[jobID] = spec
-	c.homes[jobID] = agentName
+	c.specs[args.JobID] = args.Spec
+	c.homes[args.JobID] = agentName
 	c.mu.Unlock()
 	return reply, nil
 }
 
-// Resume launches a job on an agent from a previously captured checkpoint
-// (e.g. one returned by Stop when the scheduler suspended the job, or a
-// mirrored copy after its agent died).
-func (c *Controller) Resume(jobID string, spec TaskSpec, agentName string, workers int, ck elastic.Checkpoint) (LaunchReply, error) {
-	return c.launch(jobID, spec, agentName, workers, &ck)
-}
-
-// Rescale changes a job's worker count in place: checkpoint, relaunch on
-// the same agent from the checkpoint (§5's stop-free rescale).
+// Rescale changes a job's worker count in place on its home agent (§5's
+// stop-free rescale): the trainer keeps its state, no checkpoint moves.
 func (c *Controller) Rescale(jobID string, workers int) (LaunchReply, error) {
-	c.mu.Lock()
-	home, ok := c.homes[jobID]
-	spec := c.specs[jobID]
-	c.mu.Unlock()
+	home, ok := c.Home(jobID)
 	if !ok {
 		return LaunchReply{}, fmt.Errorf("agent: job %q is not running anywhere", jobID)
 	}
-	return c.move(jobID, spec, home, home, workers)
+	var reply LaunchReply
+	err := c.call(home, "Agent.Rescale", RescaleArgs{JobID: jobID, Workers: workers}, &reply)
+	return reply, err
 }
 
-// Migrate moves a job to another agent (the defragmentation path of §4.3):
-// checkpoint on the source, relaunch from the checkpoint on the target.
+// Migrate moves a job to another agent (the defragmentation path of §4.3)
+// over the data plane: the source stops the job and pins its final
+// checkpoint, the controller fetches it as CRC-framed chunks and pushes it
+// to the target, and the target launches from its staged copy.
 func (c *Controller) Migrate(jobID, toAgent string, workers int) (LaunchReply, error) {
 	c.mu.Lock()
-	home, ok := c.homes[jobID]
+	from, ok := c.homes[jobID]
 	spec := c.specs[jobID]
 	c.mu.Unlock()
 	if !ok {
 		return LaunchReply{}, fmt.Errorf("agent: job %q is not running anywhere", jobID)
 	}
-	return c.move(jobID, spec, home, toAgent, workers)
-}
-
-func (c *Controller) move(jobID string, spec TaskSpec, from, to string, workers int) (LaunchReply, error) {
-	if from == to {
-		// In-place rescale: no link is crossed, the checkpoint travels
-		// inline with the stop/launch pair.
-		var stopped StopReply
-		if err := c.call(from, "Agent.Stop", StopArgs{JobID: jobID}, &stopped); err != nil {
-			return LaunchReply{}, err
-		}
-		c.mu.Lock()
-		delete(c.homes, jobID)
-		c.mu.Unlock()
-		ck := stopped.Checkpoint
-		return c.launch(jobID, spec, to, workers, &ck)
-	}
-	// Cross-agent migration rides the data plane: the source pins the
-	// final checkpoint (Detach), the controller fetches it as CRC-framed
-	// chunks and pushes it to the target, and the target launches from
-	// its staged copy — real bytes move, with resumption and per-chunk
-	// verification, instead of one opaque inline blob.
-	var stopped StopReply
-	if err := c.call(from, "Agent.Stop", StopArgs{JobID: jobID, Detach: true}, &stopped); err != nil {
+	ck, err := c.Stop(jobID)
+	if err != nil {
 		return LaunchReply{}, err
 	}
-	c.mu.Lock()
-	delete(c.homes, jobID)
-	c.mu.Unlock()
-	if stopped.Offer == nil {
-		return LaunchReply{}, fmt.Errorf("agent: %s detached %s but offered no transfer", from, jobID)
-	}
-	ck, _, err := c.fetchOffer(jobID, from, *stopped.Offer, false)
-	if err != nil {
-		return LaunchReply{}, fmt.Errorf("agent: fetching checkpoint of %s from %s: %w", jobID, from, err)
-	}
-	reply, err := c.ResumeStaged(jobID, spec, to, workers, ck, false)
+	reply, err := c.ResumeStaged(jobID, spec, toAgent, workers, ck, false)
 	if err == nil {
 		return reply, nil
 	}
 	// The target refused the job but the checkpoint is still in hand: roll
 	// back to the source so a failed migration doesn't strand the job.
-	if _, rbErr := c.launch(jobID, spec, from, workers, &ck); rbErr != nil {
+	if _, rbErr := c.ResumeStaged(jobID, spec, from, workers, ck, false); rbErr != nil {
 		return LaunchReply{}, errors.Join(
-			fmt.Errorf("agent: migrating %s to %s: %w", jobID, to, err),
+			fmt.Errorf("agent: migrating %s to %s: %w", jobID, toAgent, err),
 			fmt.Errorf("agent: rollback of %s to %s: %w", jobID, from, rbErr))
 	}
-	return LaunchReply{}, fmt.Errorf("agent: migrating %s to %s (rolled back to %s): %w", jobID, to, from, err)
+	return LaunchReply{}, fmt.Errorf("agent: migrating %s to %s (rolled back to %s): %w", jobID, toAgent, from, err)
 }
 
 // Step advances a job by up to iters iterations on its home agent.
@@ -541,21 +504,8 @@ func (c *Controller) Status(jobID string) (StatusReply, error) {
 	return reply, err
 }
 
-// Snapshot checkpoints a job in place on its home agent, leaving it
-// running — the mirroring read the orchestrator stores against agent loss.
-func (c *Controller) Snapshot(jobID string) (elastic.Checkpoint, error) {
-	home, ok := c.Home(jobID)
-	if !ok {
-		return elastic.Checkpoint{}, fmt.Errorf("agent: job %q is not running anywhere", jobID)
-	}
-	var reply SnapshotReply
-	if err := c.call(home, "Agent.Snapshot", SnapshotArgs{JobID: jobID}, &reply); err != nil {
-		return elastic.Checkpoint{}, err
-	}
-	return reply.Checkpoint, nil
-}
-
-// Stop checkpoints and removes a job, returning its final state.
+// Stop checkpoints and removes a job, fetching its final state off the
+// agent over the data plane.
 func (c *Controller) Stop(jobID string) (elastic.Checkpoint, error) {
 	home, ok := c.Home(jobID)
 	if !ok {
@@ -568,7 +518,11 @@ func (c *Controller) Stop(jobID string) (elastic.Checkpoint, error) {
 	c.mu.Lock()
 	delete(c.homes, jobID)
 	c.mu.Unlock()
-	return reply.Checkpoint, nil
+	ck, _, err := c.fetchOffer(jobID, home, reply.Offer, false)
+	if err != nil {
+		return elastic.Checkpoint{}, fmt.Errorf("agent: fetching checkpoint of %s from %s: %w", jobID, home, err)
+	}
+	return ck, nil
 }
 
 // Close tears down every connection.

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/elasticflow/elasticflow/internal/elastic"
 	"github.com/elasticflow/elasticflow/internal/faults"
 	"github.com/elasticflow/elasticflow/internal/obs"
 )
@@ -29,8 +30,15 @@ func (h *hungCaller) Close() error {
 	return nil
 }
 
-// liveAgent starts one agent and returns its name and address.
+// liveAgent starts one agent and returns its address.
 func liveAgent(t *testing.T, name string) (addr string) {
+	t.Helper()
+	_, addr = startAgent(t, name)
+	return addr
+}
+
+// startAgent starts one agent and returns it with its address.
+func startAgent(t *testing.T, name string) (*Agent, string) {
 	t.Helper()
 	a := NewAgent(name)
 	addr, stop, err := a.Listen("127.0.0.1:0")
@@ -38,7 +46,18 @@ func liveAgent(t *testing.T, name string) (addr string) {
 		t.Fatal(err)
 	}
 	t.Cleanup(stop)
-	return addr
+	return a, addr
+}
+
+// checkpointOn reads a job's live checkpoint straight off the agent, with
+// no RPC — the reference the data-plane tests hold moved bytes against.
+func checkpointOn(t *testing.T, a *Agent, jobID string) elastic.Checkpoint {
+	t.Helper()
+	tk, err := a.get(jobID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tk.trainer.Checkpoint()
 }
 
 func noSleep(time.Duration) {}
@@ -223,14 +242,14 @@ func TestSnapshotLeavesJobRunning(t *testing.T) {
 	if _, err := c.Step("j", 10); err != nil {
 		t.Fatal(err)
 	}
-	ck, err := c.Snapshot("j")
+	ck, _, err := c.FetchCheckpoint("j", false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ck.Step != 10 || len(ck.Params) == 0 {
 		t.Fatalf("snapshot %+v want step 10 with params", ck)
 	}
-	// The job is still live and steppable — Snapshot is a read, not a Stop.
+	// The job is still live and steppable — a fetch is a read, not a Stop.
 	st, err := c.Step("j", 10)
 	if err != nil {
 		t.Fatal(err)

@@ -9,7 +9,7 @@ import (
 
 // This file is the agent side of the checkpoint data plane (DESIGN.md
 // §14): checkpoints leave an agent as CRC-framed chunks pinned under a
-// transfer ID (OpenTransfer/Stop-with-Detach → ReadChunk → CloseTransfer)
+// transfer ID (OpenTransfer or Stop → ReadChunk → CloseTransfer)
 // and arrive as chunks appended to an inbound buffer with idempotent
 // offset acknowledgment (BeginPush → PushChunk → CommitPush), so a
 // dropped stream resumes from the receiver's committed offset and a

@@ -210,21 +210,11 @@ func (c *Controller) PushCheckpoint(jobID, toAgent string, ck elastic.Checkpoint
 }
 
 // ResumeStaged launches jobID on agentName from a checkpoint moved over
-// the data plane: chunked push, commit, launch from the staged copy — the
-// mirror-restore path, with the bytes actually crossing the wire instead
-// of riding inline in the launch RPC.
+// the data plane: chunked push, commit, launch from the staged copy. It is
+// the one resume — after a suspension, an agent loss or a migration.
 func (c *Controller) ResumeStaged(jobID string, spec TaskSpec, agentName string, workers int, ck elastic.Checkpoint, urgent bool) (LaunchReply, error) {
 	if _, err := c.PushCheckpoint(jobID, agentName, ck, urgent); err != nil {
 		return LaunchReply{}, err
 	}
-	var reply LaunchReply
-	args := LaunchArgs{JobID: jobID, Spec: spec, Workers: workers, ResumeStaged: true}
-	if err := c.call(agentName, "Agent.Launch", args, &reply); err != nil {
-		return LaunchReply{}, err
-	}
-	c.mu.Lock()
-	c.specs[jobID] = spec
-	c.homes[jobID] = agentName
-	c.mu.Unlock()
-	return reply, nil
+	return c.launch(LaunchArgs{JobID: jobID, Spec: spec, Workers: workers, ResumeStaged: true}, agentName)
 }

@@ -2,6 +2,7 @@ package agent
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -38,7 +39,8 @@ func TestFetchCheckpointResumesAfterDropAndCorrupt(t *testing.T) {
 		{Kind: faults.Corrupt, Op: "ReadChunk", At: 4},
 	})
 	defer c.Close()
-	if err := c.Connect("A", liveAgent(t, "A")); err != nil {
+	a, addr := startAgent(t, "A")
+	if err := c.Connect("A", addr); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Launch("j", testSpec(), "A", 2); err != nil {
@@ -47,10 +49,7 @@ func TestFetchCheckpointResumesAfterDropAndCorrupt(t *testing.T) {
 	if _, err := c.Step("j", 10); err != nil {
 		t.Fatal(err)
 	}
-	want, err := c.Snapshot("j")
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := checkpointOn(t, a, "j")
 
 	ck, stats, err := c.FetchCheckpoint("j", false)
 	if err != nil {
@@ -86,7 +85,8 @@ func TestResumeStagedSurvivesDropAndCorruptOnPush(t *testing.T) {
 	if err := c.Connect("A", liveAgent(t, "A")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Connect("B", liveAgent(t, "B")); err != nil {
+	b, addrB := startAgent(t, "B")
+	if err := c.Connect("B", addrB); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Launch("j", testSpec(), "A", 2); err != nil {
@@ -107,10 +107,7 @@ func TestResumeStagedSurvivesDropAndCorruptOnPush(t *testing.T) {
 	if rep.Step != 10 {
 		t.Fatalf("resumed at step %d, want 10", rep.Step)
 	}
-	got, err := c.Snapshot("j")
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := checkpointOn(t, b, "j")
 	if !bytes.Equal(got.EncodeBytes(), ck.EncodeBytes()) {
 		t.Fatal("staged checkpoint is not byte-identical to the pushed one")
 	}
@@ -120,8 +117,8 @@ func TestResumeStagedSurvivesDropAndCorruptOnPush(t *testing.T) {
 }
 
 func TestMigrateChunkedByteIdenticalUnderFaults(t *testing.T) {
-	// Cross-agent migration rides the data plane end to end: detach on the
-	// source, chunked fetch, chunked push, staged launch — with drops and
+	// Cross-agent migration rides the data plane end to end: stop and pin
+	// on the source, chunked fetch, chunked push, staged launch — with drops and
 	// corruption on both directions. The job lands byte-identical and
 	// keeps training; every injected fault shows up in ef_transfer_*.
 	o := obs.New(obs.Options{Tracer: tracing.New(42)})
@@ -132,10 +129,12 @@ func TestMigrateChunkedByteIdenticalUnderFaults(t *testing.T) {
 		{Kind: faults.Corrupt, Op: "PushChunk", At: 4},
 	})
 	defer c.Close()
-	if err := c.Connect("A", liveAgent(t, "A")); err != nil {
+	src, addrA := startAgent(t, "A")
+	if err := c.Connect("A", addrA); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Connect("B", liveAgent(t, "B")); err != nil {
+	dst, addrB := startAgent(t, "B")
+	if err := c.Connect("B", addrB); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Launch("j", testSpec(), "A", 2); err != nil {
@@ -144,10 +143,7 @@ func TestMigrateChunkedByteIdenticalUnderFaults(t *testing.T) {
 	if _, err := c.Step("j", 10); err != nil {
 		t.Fatal(err)
 	}
-	want, err := c.Snapshot("j")
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := checkpointOn(t, src, "j")
 
 	rep, err := c.Migrate("j", "B", 2)
 	if err != nil {
@@ -159,10 +155,7 @@ func TestMigrateChunkedByteIdenticalUnderFaults(t *testing.T) {
 	if home, _ := c.Home("j"); home != "B" {
 		t.Fatalf("home after migration = %q, want B", home)
 	}
-	got, err := c.Snapshot("j")
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := checkpointOn(t, dst, "j")
 	if !bytes.Equal(got.EncodeBytes(), want.EncodeBytes()) {
 		t.Fatal("migrated checkpoint is not byte-identical to the source")
 	}
@@ -222,5 +215,87 @@ func TestFetchCheckpointRefusesPersistentCorruption(t *testing.T) {
 	// The job is untouched: OpenTransfer snapshots, it does not stop.
 	if st, err := c.Step("j", 5); err != nil || st.Step != 5 {
 		t.Fatalf("job damaged by a failed fetch: %+v, %v", st, err)
+	}
+}
+
+// transferBytes reads ef_transfer_bytes_total{dir} off o's exposition.
+func transferBytes(t *testing.T, o *obs.Obs, dir string) float64 {
+	t.Helper()
+	var b strings.Builder
+	if err := o.Metrics.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	prefix := `ef_transfer_bytes_total{dir="` + dir + `"} `
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, prefix); ok {
+			n, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}
+	}
+	return 0
+}
+
+// TestCheckpointsMoveOnlyOverTheDataPlane: every checkpoint that leaves or
+// enters an agent is counted by the data plane — a suspend and a mirror as
+// fetched bytes, a resume as pushed bytes — and an in-place rescale moves
+// none while the trainer keeps its step and parameters.
+func TestCheckpointsMoveOnlyOverTheDataPlane(t *testing.T) {
+	o := obs.NewDefault()
+	c := transferController(o, nil)
+	defer c.Close()
+	a, addr := startAgent(t, "A")
+	if err := c.Connect("A", addr); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Launch("j", testSpec(), "A", 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Step("j", 10); err != nil {
+		t.Fatal(err)
+	}
+
+	fetched, pushed := transferBytes(t, o, "fetch"), transferBytes(t, o, "push")
+	before := checkpointOn(t, a, "j")
+	rep, err := c.Rescale("j", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Workers != 4 || rep.Step != 10 {
+		t.Fatalf("rescale reply %+v, want 4 workers at step 10", rep)
+	}
+	if !bytes.Equal(checkpointOn(t, a, "j").EncodeBytes(), before.EncodeBytes()) {
+		t.Fatal("in-place rescale changed the trainer's state")
+	}
+	if f, p := transferBytes(t, o, "fetch"), transferBytes(t, o, "push"); f != fetched || p != pushed {
+		t.Fatalf("in-place rescale moved bytes: fetch %v→%v, push %v→%v", fetched, f, pushed, p)
+	}
+
+	if _, _, err := c.FetchCheckpoint("j", false); err != nil {
+		t.Fatal(err)
+	}
+	if f := transferBytes(t, o, "fetch"); f <= fetched {
+		t.Fatalf("mirror fetched no bytes: %v→%v", fetched, f)
+	}
+	fetched = transferBytes(t, o, "fetch")
+
+	ck, err := c.Stop("j")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := transferBytes(t, o, "fetch"); f <= fetched {
+		t.Fatalf("suspend fetched no bytes: %v→%v", fetched, f)
+	}
+
+	if _, err := c.ResumeStaged("j", testSpec(), "A", 2, ck, false); err != nil {
+		t.Fatal(err)
+	}
+	if p := transferBytes(t, o, "push"); p <= pushed {
+		t.Fatalf("resume pushed no bytes: %v→%v", pushed, p)
+	}
+	if got := checkpointOn(t, a, "j"); got.Step != 10 || !bytes.Equal(got.EncodeBytes(), before.EncodeBytes()) {
+		t.Fatalf("resumed at step %d, want the suspended state at step 10", got.Step)
 	}
 }

@@ -7,14 +7,13 @@ import (
 
 	"github.com/elasticflow/elasticflow/internal/agent"
 	"github.com/elasticflow/elasticflow/internal/faults"
+	"github.com/elasticflow/elasticflow/internal/frontdoor"
 	"github.com/elasticflow/elasticflow/internal/obs"
 	"github.com/elasticflow/elasticflow/internal/serverless"
-	"github.com/elasticflow/elasticflow/internal/topology"
 )
 
 // chaosSeed fixes every random source in the chaos runs so the whole
-// failure/recovery sequence replays identically (the same seed is wired
-// into `make faults-check`).
+// failure/recovery sequence replays identically.
 const chaosSeed = 42
 
 // runChaosScenario is one full chaos run: two jobs training, a seeded crash
@@ -31,26 +30,18 @@ func runChaosScenario(t *testing.T) []string {
 	inj := faults.New(chaosSeed, []faults.Rule{
 		{Kind: faults.Crash, Op: "Step", At: 3},
 	})
-	o, err := New(Options{
-		Platform: serverless.Options{
-			Topology: topology.Config{Servers: 2, GPUsPerServer: 8},
-			Clock:    clk.now,
-		},
+	fd, o := newStack(t, clk, frontdoor.Options{}, Options{
 		Faults:          inj,
 		Controller:      agent.ControllerOptions{Seed: chaosSeed, Sleep: func(time.Duration) {}},
 		HeartbeatMisses: 2,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer o.Close()
 
 	var ids []string
 	for i, req := range []serverless.SubmitRequest{
 		{Model: "resnet50", GlobalBatch: 256, Iterations: 1e7, DeadlineSeconds: 1e6},
 		{Model: "bert", GlobalBatch: 64, Iterations: 1e7, DeadlineSeconds: 1e6},
 	} {
-		st, err := o.Submit(req, testTask(int64(i+1), 60))
+		st, err := submit(fd, o, req, testTask(int64(i+1), 60))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +82,7 @@ func runChaosScenario(t *testing.T) []string {
 	if !inj.Crashed(victim) {
 		t.Fatalf("monitor blamed %s, which the injector did not crash", victim)
 	}
-	if ds := o.Platform().DownServers(); len(ds) != 1 || ds[0] != serverIndex(victim) {
+	if ds := fd.Shard(0).DownServers(); len(ds) != 1 || ds[0] != serverIndex(victim) {
 		t.Fatalf("platform down servers %v, want [%d]", ds, serverIndex(victim))
 	}
 
@@ -134,7 +125,7 @@ func runChaosScenario(t *testing.T) []string {
 	// the same seed, identical.
 	var sigs []string
 	counts := map[string]int{}
-	for _, ev := range o.Platform().Obs().Bus.Since(0) {
+	for _, ev := range fd.Shard(0).Obs().Bus.Since(0) {
 		switch ev.Kind {
 		case obs.KindFault, obs.KindAgentDown, obs.KindRestore, obs.KindLost, obs.KindMirror, obs.KindRetry:
 			sigs = append(sigs, fmt.Sprintf("%s %s", ev.Kind, ev.JobID))
@@ -182,11 +173,7 @@ func TestHungAgentDoesNotBlockOrchestrator(t *testing.T) {
 	inj := faults.New(chaosSeed, []faults.Rule{
 		{Kind: faults.Delay, Agent: "server-1", After: 1, Times: 1 << 20, Delay: 10 * time.Minute},
 	})
-	o, err := New(Options{
-		Platform: serverless.Options{
-			Topology: topology.Config{Servers: 2, GPUsPerServer: 8},
-			Clock:    clk.now,
-		},
+	fd, o := newStack(t, clk, frontdoor.Options{}, Options{
 		Faults: inj,
 		Controller: agent.ControllerOptions{
 			CallTimeout: 50 * time.Millisecond,
@@ -195,12 +182,8 @@ func TestHungAgentDoesNotBlockOrchestrator(t *testing.T) {
 		},
 		HeartbeatMisses: 2,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer o.Close()
 
-	st, err := o.Submit(serverless.SubmitRequest{
+	st, err := submit(fd, o, serverless.SubmitRequest{
 		Model: "resnet50", GlobalBatch: 256, Iterations: 1e7, DeadlineSeconds: 1e6,
 	}, testTask(9, 80))
 	if err != nil {

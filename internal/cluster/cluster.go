@@ -1,9 +1,12 @@
-// Package cluster is the full-stack orchestrator: it runs the serverless
-// platform (admission + elastic scheduling + buddy placement) side by side
-// with the worker-agent control plane (real elastic trainers over net/rpc)
-// and continuously reconciles the two — every scheduling decision becomes a
-// launch, rescale, migration or suspension of a live training job. It is
-// the composition of every box in Fig. 1.
+// Package cluster is the full-stack orchestrator: it carries out one
+// front-door shard's scheduling decisions (admission + elastic scheduling +
+// buddy placement) on the worker-agent control plane (real elastic trainers
+// over net/rpc) and continuously reconciles the two — every scheduling
+// decision becomes a launch, rescale, migration or suspension of a live
+// training job. Like the paper's elastic executor (§5) it only executes:
+// jobs enter through the front door, the shard owns the clock, and the
+// orchestrator reads the shard's decisions and reports agent loss and
+// return. It is the composition of every box in Fig. 1.
 package cluster
 
 import (
@@ -23,8 +26,6 @@ import (
 
 // Options configures an Orchestrator.
 type Options struct {
-	// Platform configures the scheduling side.
-	Platform serverless.Options
 	// Faults, when non-nil, wraps the controller↔agent transport so chaos
 	// schedules fire deterministically (DESIGN.md §9). A crash fault also
 	// closes the victim agent's listener, so redials fail like a dead
@@ -32,19 +33,19 @@ type Options struct {
 	Faults *faults.Injector
 	// Controller tunes the RPC robustness policy (per-call deadline,
 	// retry budget, backoff). Its Obs and Dial fields default to the
-	// platform's sink and the (possibly fault-wrapped) dialer.
+	// shard's sink and the (possibly fault-wrapped) dialer.
 	Controller agent.ControllerOptions
 	// HeartbeatMisses is K: consecutive failed pings before the health
 	// monitor declares an agent down (default 3).
 	HeartbeatMisses int
 }
 
-// Orchestrator binds the platform to the agents.
+// Orchestrator binds one front-door shard to the agents of its servers.
 type Orchestrator struct {
 	platform *serverless.Platform
 	ctrl     *agent.Controller
 	topo     topology.Config
-	// heartbeatK is the miss threshold K; immutable after New.
+	// heartbeatK is the miss threshold K; immutable after construction.
 	heartbeatK int
 	// listenStops closes one agent's listener; written only in New and
 	// read-only afterwards.
@@ -66,8 +67,7 @@ type Orchestrator struct {
 	// agent — the state recovery restores from. guarded by mu
 	mirrors map[string]elastic.Checkpoint
 	// restoring marks jobs parked from a mirror after an agent loss:
-	// their resume pushes the checkpoint over the data plane as an
-	// urgent transfer instead of riding inline. guarded by mu
+	// their resume push is an urgent transfer. guarded by mu
 	restoring map[string]bool
 	// missed counts consecutive failed heartbeats per agent. guarded by mu
 	missed map[string]int
@@ -76,26 +76,19 @@ type Orchestrator struct {
 	stops      []func()
 }
 
-// New starts one in-process agent per (virtual) server, speaking net/rpc
-// over loopback TCP exactly as they would across machines, and a platform
-// whose scheduling decisions the orchestrator reconciles onto them.
-func New(opts Options) (*Orchestrator, error) {
-	if opts.Platform.Topology.Servers == 0 {
-		opts.Platform.Topology = topology.Config{Servers: 2, GPUsPerServer: 8}
-	}
-	platform, err := serverless.NewPlatform(opts.Platform)
-	if err != nil {
-		return nil, err
-	}
+// bind is the constructor body New and NewRecovered share: the
+// controller, wired to the shard's sink and the (possibly fault-wrapped)
+// dialer, and empty per-job state. The server layout is the shard's own.
+func bind(shard *serverless.Platform, opts Options) *Orchestrator {
 	copts := opts.Controller
 	if copts.Obs == nil {
-		copts.Obs = platform.Obs()
+		copts.Obs = shard.Obs()
 	}
 	if opts.Faults != nil {
-		// The injector shares the platform's sink so injected faults land
-		// in the same event log as the recovery they trigger, and wraps
-		// the dialer so crashed agents refuse reconnection.
-		opts.Faults.WithObs(platform.Obs())
+		// The injector shares the shard's sink so injected faults land in
+		// the same event log as the recovery they trigger, and wraps the
+		// dialer so crashed agents refuse reconnection.
+		opts.Faults.WithObs(shard.Obs())
 		dial := copts.Dial
 		if dial == nil {
 			dial = agent.DefaultDial
@@ -105,10 +98,10 @@ func New(opts Options) (*Orchestrator, error) {
 	if opts.HeartbeatMisses <= 0 {
 		opts.HeartbeatMisses = 3
 	}
-	o := &Orchestrator{
-		platform:    platform,
+	return &Orchestrator{
+		platform:    shard,
 		ctrl:        agent.NewControllerWith(copts),
-		topo:        opts.Platform.Topology,
+		topo:        shard.Topology(),
 		heartbeatK:  opts.HeartbeatMisses,
 		listenStops: make(map[string]func()),
 		specs:       make(map[string]agent.TaskSpec),
@@ -120,11 +113,19 @@ func New(opts Options) (*Orchestrator, error) {
 		missed:      make(map[string]int),
 		downAgents:  make(map[string]bool),
 	}
-	for i := 0; i < opts.Platform.Topology.Servers; i++ {
+}
+
+// New starts one in-process agent per server of the shard, speaking
+// net/rpc over loopback TCP exactly as they would across machines, and
+// reconciles the shard's decisions onto them. shard is a front-door shard
+// (frontdoor.FrontDoor.Shard); jobs reach it only through the front door.
+func New(shard *serverless.Platform, opts Options) (*Orchestrator, error) {
+	o := bind(shard, opts)
+	for i := 0; i < o.topo.Servers; i++ {
 		name := agentName(i)
-		// Agents share the platform's obs sink so accept-loop failures
-		// land in the same event log the scheduler writes to.
-		a := agent.NewAgent(name).WithObs(platform.Obs())
+		// Agents share the shard's obs sink so accept-loop failures land
+		// in the same event log the scheduler writes to.
+		a := agent.NewAgent(name).WithObs(shard.Obs())
 		addr, stop, err := a.Listen("127.0.0.1:0")
 		if err != nil {
 			o.Close()
@@ -151,10 +152,6 @@ func New(opts Options) (*Orchestrator, error) {
 
 func agentName(server int) string { return fmt.Sprintf("server-%d", server) }
 
-// Platform exposes the scheduling side (submit via Submit below so the
-// training task is registered too).
-func (o *Orchestrator) Platform() *serverless.Platform { return o.platform }
-
 // AgentAddrs returns the dial address of every agent the controller knows,
 // keyed by name — the piece of wiring a recovery driver persists and hands
 // back to NewRecovered after a controller crash.
@@ -168,24 +165,14 @@ func (o *Orchestrator) Close() {
 	}
 }
 
-// Submit sends the serverless function to the platform and registers the
-// concrete training task to run if admitted. The first reconciliation
-// launches it.
-func (o *Orchestrator) Submit(req serverless.SubmitRequest, task agent.TaskSpec) (serverless.JobStatus, error) {
-	st, err := o.platform.Submit(req)
-	if err != nil {
-		return st, err
-	}
-	if st.State == "dropped" {
-		return st, nil
-	}
+// Register attaches the concrete training task to a job the front door
+// admitted and reconciles, so the job launches on its agent. A task for a
+// job the shard does not hold active is forgotten by that reconciliation.
+func (o *Orchestrator) Register(id string, task agent.TaskSpec) error {
 	o.mu.Lock()
-	o.specs[st.ID] = task
+	o.specs[id] = task
 	o.mu.Unlock()
-	if err := o.Reconcile(); err != nil {
-		return st, err
-	}
-	return st, nil
+	return o.Reconcile()
 }
 
 // Reconcile drives the agent side to match the platform's current decision:
@@ -197,7 +184,6 @@ func (o *Orchestrator) Submit(req serverless.SubmitRequest, task agent.TaskSpec)
 // each live job's checkpoint off its agent (best effort) so recovery can
 // restart the job elsewhere if that agent dies.
 func (o *Orchestrator) Reconcile() error {
-	o.platform.Tick()
 	desired := o.platform.Allocations()
 
 	o.mu.Lock()
@@ -241,18 +227,13 @@ func (o *Orchestrator) Reconcile() error {
 				delete(o.restoring, id)
 			}
 		case cur == 0:
-			// Fresh launch, or resume from the parked checkpoint. A job
-			// parked by agent loss resumes over the data plane: its
-			// mirrored checkpoint is pushed to the new agent in
-			// CRC-verified chunks as an urgent transfer (recovery outranks
-			// best-effort mirroring at the transfer gate).
+			// Fresh launch, or resume from the parked checkpoint, pushed
+			// to the new agent in CRC-verified chunks. A job parked by
+			// agent loss pushes urgently: recovery outranks best-effort
+			// mirroring at the transfer gate.
 			var err error
 			if ck, suspended := o.parked[id]; suspended {
-				if o.restoring[id] {
-					_, err = o.ctrl.ResumeStaged(id, spec, wantAgent, want, ck, true)
-				} else {
-					_, err = o.ctrl.Resume(id, spec, wantAgent, want, ck)
-				}
+				_, err = o.ctrl.ResumeStaged(id, spec, wantAgent, want, ck, o.restoring[id])
 			} else {
 				_, err = o.ctrl.Launch(id, spec, wantAgent, want)
 			}
@@ -284,16 +265,8 @@ func (o *Orchestrator) Reconcile() error {
 }
 
 // mirrorLocked copies each live job's current checkpoint into the
-// orchestrator's mirror store, streaming it off the agent in CRC-verified
-// chunks over the data plane. Failures — including a source agent dying
-// mid-stream — are recorded on the obs sink but do not fail the
-// reconciliation: a missed mirror only widens the restart window, the
-// previous mirror still bounds the loss. Jobs the platform marks
-// deadline-at-risk fetch urgently, overtaking queued best-effort
-// transfers at the agent's gate.
+// orchestrator's mirror store (mirrorOneLocked).
 func (o *Orchestrator) mirrorLocked(ids []string) {
-	sink := o.platform.Obs()
-	tr := sink.Tracer()
 	for _, id := range ids {
 		if o.workers[id] == 0 {
 			continue
@@ -301,23 +274,35 @@ func (o *Orchestrator) mirrorLocked(ids []string) {
 		if _, still := o.specs[id]; !still {
 			continue
 		}
-		span := tr.Begin(sink.Now(), tracing.SpanCheckpointMirror, id)
-		urgent := false
-		if st, err := o.platform.Get(id); err == nil {
-			urgent = st.DeadlineAtRisk
-		}
-		ck, _, err := o.ctrl.FetchCheckpoint(id, urgent)
-		if err != nil {
-			sink.IncError("checkpoint-mirror")
-			tr.End(sink.Now(), span, tracing.A("ok", false))
-			continue
-		}
-		o.mirrors[id] = ck
-		sink.IncMirror()
-		sink.EventNow(obs.KindMirror, id, tracing.A("step", ck.Step), tracing.A("agent", o.homes[id]))
-		tr.End(sink.Now(), span,
-			tracing.A("ok", true), tracing.A("step", ck.Step), tracing.A("agent", o.homes[id]))
+		o.mirrorOneLocked(id)
 	}
+}
+
+// mirrorOneLocked streams one live job's checkpoint off its agent in
+// CRC-verified chunks over the data plane into the mirror store. A failure —
+// including a source agent dying mid-stream — is recorded on the obs sink
+// but fails nothing: a missed mirror only widens the restart window, the
+// previous mirror still bounds the loss. Jobs the shard marks
+// deadline-at-risk fetch urgently, overtaking queued best-effort transfers
+// at the agent's gate.
+func (o *Orchestrator) mirrorOneLocked(id string) {
+	sink := o.platform.Obs()
+	tr := sink.Tracer()
+	span := tr.Begin(sink.Now(), tracing.SpanCheckpointMirror, id)
+	urgent := false
+	if st, err := o.platform.Get(id); err == nil {
+		urgent = st.DeadlineAtRisk
+	}
+	ck, _, err := o.ctrl.FetchCheckpoint(id, urgent)
+	if err != nil {
+		sink.IncError("checkpoint-mirror")
+		tr.End(sink.Now(), span, tracing.A("ok", false))
+		return
+	}
+	o.mirrors[id] = ck
+	sink.EventNow(obs.KindMirror, id, tracing.A("step", ck.Step), tracing.A("agent", o.homes[id]))
+	tr.End(sink.Now(), span,
+		tracing.A("ok", true), tracing.A("step", ck.Step), tracing.A("agent", o.homes[id]))
 }
 
 // agentForLocked maps a job's buddy placement to the agent hosting its first

@@ -2,32 +2,78 @@ package cluster
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"time"
 
 	"github.com/elasticflow/elasticflow/internal/agent"
 	"github.com/elasticflow/elasticflow/internal/elastic"
+	"github.com/elasticflow/elasticflow/internal/frontdoor"
 	"github.com/elasticflow/elasticflow/internal/serverless"
 	"github.com/elasticflow/elasticflow/internal/topology"
 )
 
-type fakeClock struct{ t time.Time }
+// fakeClock is a hand-advanced clock, safe to read from the front door's
+// and the HTTP server's goroutines.
+type fakeClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
 
-func (c *fakeClock) now() time.Time          { return c.t }
-func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
+func (c *fakeClock) now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t
+}
 
-func newOrchestrator(t *testing.T) (*Orchestrator, *fakeClock) {
+func (c *fakeClock) advance(d time.Duration) {
+	c.mu.Lock()
+	c.t = c.t.Add(d)
+	c.mu.Unlock()
+}
+
+// newStack builds a one-shard front door of 2 servers × 8 GPUs on clk —
+// with fdOpts' tenants and state directory — and an orchestrator over its
+// shard. Both are torn down when the test ends.
+func newStack(t *testing.T, clk *fakeClock, fdOpts frontdoor.Options, opts Options) (*frontdoor.FrontDoor, *Orchestrator) {
 	t.Helper()
-	clk := &fakeClock{t: time.Unix(0, 0)}
-	o, err := New(Options{Platform: serverless.Options{
-		Topology: topology.Config{Servers: 2, GPUsPerServer: 8},
-		Clock:    clk.now,
-	}})
+	fd := newFrontDoor(t, clk, fdOpts)
+	o, err := New(fd.Shard(0), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(o.Close)
-	return o, clk
+	return fd, o
+}
+
+// newFrontDoor builds the one-shard front door of newStack alone.
+func newFrontDoor(t *testing.T, clk *fakeClock, fdOpts frontdoor.Options) *frontdoor.FrontDoor {
+	t.Helper()
+	fdOpts.ShardTopology = topology.Config{Servers: 2, GPUsPerServer: 8}
+	fdOpts.Clock = clk.now
+	fd, err := frontdoor.New(fdOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = fd.Shutdown() })
+	return fd
+}
+
+// submit sends req through the front door and registers task for the job
+// it admits — the one way a job reaches the orchestrator.
+func submit(fd *frontdoor.FrontDoor, o *Orchestrator, req serverless.SubmitRequest, task agent.TaskSpec) (serverless.JobStatus, error) {
+	st, err := fd.Submit(req)
+	if err != nil || st.State == "dropped" {
+		return st, err
+	}
+	return st, o.Register(st.ID, task)
+}
+
+func newOrchestrator(t *testing.T) (*frontdoor.FrontDoor, *Orchestrator, *fakeClock) {
+	t.Helper()
+	clk := &fakeClock{t: time.Unix(0, 0)}
+	fd, o := newStack(t, clk, frontdoor.Options{}, Options{})
+	return fd, o, clk
 }
 
 func testTask(seed int64, iters int) agent.TaskSpec {
@@ -43,11 +89,11 @@ func testTask(seed int64, iters int) agent.TaskSpec {
 // training steps, elastic rescale when contention arrives and departs, and
 // a final trajectory check against an undisturbed run.
 func TestFullStackLifecycle(t *testing.T) {
-	o, clk := newOrchestrator(t)
+	fd, o, clk := newOrchestrator(t)
 
 	task := testTask(7, 120)
 	task.GlobalBatch = 256 // scales to all 16 GPUs when alone
-	st, err := o.Submit(serverless.SubmitRequest{
+	st, err := submit(fd, o, serverless.SubmitRequest{
 		Model: "resnet50", GlobalBatch: 256, Iterations: 1e7, DeadlineSeconds: 1e6,
 	}, task)
 	if err != nil {
@@ -76,7 +122,7 @@ func TestFullStackLifecycle(t *testing.T) {
 	// A second job arrives: the first must shrink (elastic scaling), and
 	// the agent-side trainer must follow.
 	clk.advance(time.Minute)
-	st2, err := o.Submit(serverless.SubmitRequest{
+	st2, err := submit(fd, o, serverless.SubmitRequest{
 		Model: "bert", GlobalBatch: 64, Iterations: 1e7, DeadlineSeconds: 1e6,
 	}, testTask(8, 120))
 	if err != nil {
@@ -100,7 +146,7 @@ func TestFullStackLifecycle(t *testing.T) {
 	}
 
 	// Cancel the second job; reconciliation regrows the first.
-	if err := o.Platform().Cancel(st2.ID); err != nil {
+	if err := fd.Cancel(st2.ID); err != nil {
 		t.Fatal(err)
 	}
 	if err := o.Reconcile(); err != nil {
@@ -165,9 +211,9 @@ func refParams(spec agent.TaskSpec) ([]float64, error) {
 // TestSuspendResumeAcrossReconciliation: a job squeezed to zero GPUs parks
 // its checkpoint and resumes from it when capacity returns.
 func TestSuspendResumeAcrossReconciliation(t *testing.T) {
-	o, _ := newOrchestrator(t)
+	fd, o, _ := newOrchestrator(t)
 
-	st, err := o.Submit(serverless.SubmitRequest{
+	st, err := submit(fd, o, serverless.SubmitRequest{
 		Model: "resnet50", GlobalBatch: 64, Iterations: 1e7, DeadlineSeconds: 1e6,
 	}, testTask(3, 200))
 	if err != nil {

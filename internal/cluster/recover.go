@@ -4,31 +4,28 @@ import (
 	"sort"
 
 	"github.com/elasticflow/elasticflow/internal/agent"
-	"github.com/elasticflow/elasticflow/internal/elastic"
 	"github.com/elasticflow/elasticflow/internal/obs"
 	"github.com/elasticflow/elasticflow/internal/obs/tracing"
 	"github.com/elasticflow/elasticflow/internal/serverless"
-	"github.com/elasticflow/elasticflow/internal/topology"
 )
 
 // This file is the orchestrator's crash-restart path (DESIGN.md §11): the
-// platform side recovers from its journal + snapshot store, and the agent
-// side is reconciled against reality — the agents are separate processes, so
-// a controller crash leaves their trainers running. NewRecovered re-dials
-// the survivors, adopts the jobs still training on them, and routes every
-// agent that vanished during the downtime through the same agentDown path
-// the health monitor uses (§4.4), so the two failure styles converge on one
-// recovery mechanism.
+// front door recovers the shard from its journal + snapshot store, and the
+// agent side is reconciled against reality — the agents are separate
+// processes, so a controller crash leaves their trainers running.
+// NewRecovered re-dials the survivors, adopts the jobs still training on
+// them, and routes every agent that vanished during the downtime through the
+// same agentDown path the health monitor uses (§4.4), so the two failure
+// styles converge on one recovery mechanism.
 
-// NewRecovered rebuilds an orchestrator from a state directory after a
-// controller crash. opts.Platform.Store must be freshly opened on the state
-// directory; the platform is recovered from it (snapshot restore + journal
-// replay — re-admission never revokes a journaled admission). addrs maps
-// agent names to dial addresses (the Controller.Addrs() of the previous
-// incarnation); tasks re-registers the concrete training task per job — the
-// spec table is controller memory and died with it. An active job with no
-// task entry stays admitted on the platform but cannot be relaunched until
-// one is registered.
+// NewRecovered rebuilds an orchestrator after a controller crash over shard,
+// a front-door shard the front door recovered from its state directory
+// (snapshot restore + journal replay — re-admission never revokes a
+// journaled admission). addrs maps agent names to dial addresses (the
+// Controller.Addrs() of the previous incarnation); tasks re-registers the
+// concrete training task per job — the spec table is controller memory and
+// died with it. An active job with no task entry stays admitted on the
+// shard but cannot be relaunched until one is registered.
 //
 // Each agent gets a single Ping probe: reachable agents have their jobs
 // adopted (Status probe per job, then a checkpoint mirror), and unreachable
@@ -37,51 +34,15 @@ import (
 // restart from mirrors where available. Servers the journal already recorded
 // as down stay fenced until AgentUp. Returns the vanished agent names,
 // sorted.
-func NewRecovered(opts Options, addrs map[string]string, tasks map[string]agent.TaskSpec) (*Orchestrator, []string, error) {
-	if opts.Platform.Topology.Servers == 0 {
-		opts.Platform.Topology = topology.Config{Servers: 2, GPUsPerServer: 8}
-	}
-	platform, err := serverless.Recover(opts.Platform)
-	if err != nil {
-		return nil, nil, err
-	}
-	copts := opts.Controller
-	if copts.Obs == nil {
-		copts.Obs = platform.Obs()
-	}
-	if opts.Faults != nil {
-		opts.Faults.WithObs(platform.Obs())
-		dial := copts.Dial
-		if dial == nil {
-			dial = agent.DefaultDial
-		}
-		copts.Dial = opts.Faults.WrapDial(dial)
-	}
-	if opts.HeartbeatMisses <= 0 {
-		opts.HeartbeatMisses = 3
-	}
-	o := &Orchestrator{
-		platform:    platform,
-		ctrl:        agent.NewControllerWith(copts),
-		topo:        opts.Platform.Topology,
-		heartbeatK:  opts.HeartbeatMisses,
-		listenStops: make(map[string]func()),
-		specs:       make(map[string]agent.TaskSpec),
-		workers:     make(map[string]int),
-		homes:       make(map[string]string),
-		parked:      make(map[string]elastic.Checkpoint),
-		mirrors:     make(map[string]elastic.Checkpoint),
-		restoring:   make(map[string]bool),
-		missed:      make(map[string]int),
-		downAgents:  make(map[string]bool),
-	}
+func NewRecovered(shard *serverless.Platform, opts Options, addrs map[string]string, tasks map[string]agent.TaskSpec) (*Orchestrator, []string) {
+	o := bind(shard, opts)
 	// Servers the journal recorded as down before the crash stay fenced:
 	// their capacity is already out of the pool, and AgentUp is the one
 	// path that returns it.
-	for _, s := range platform.DownServers() {
+	for _, s := range shard.DownServers() {
 		o.downAgents[agentName(s)] = true
 	}
-	sink := platform.Obs()
+	sink := shard.Obs()
 
 	// One ping sweep decides which agents survived the downtime.
 	var vanished []string
@@ -117,14 +78,14 @@ func NewRecovered(opts Options, addrs map[string]string, tasks map[string]agent.
 	if err := o.Reconcile(); err != nil {
 		sink.IncError("recovery-reconcile")
 	}
-	return o, vanished, nil
+	return o, vanished
 }
 
 // adoptLocked probes the connected agents for each registered job still
-// active on the recovered platform and adopts the trainers found live: the
+// active on the recovered shard and adopts the trainers found live: the
 // controller re-learns the route, the orchestrator re-learns worker counts,
-// and a fresh checkpoint mirror is taken so a follow-up agent death does not
-// restart the job from scratch.
+// and a fresh checkpoint mirror is taken — over the data plane, like every
+// mirror — so a follow-up agent death does not restart the job from scratch.
 func (o *Orchestrator) adoptLocked() {
 	sink := o.platform.Obs()
 	desired := o.platform.Allocations()
@@ -156,10 +117,7 @@ func (o *Orchestrator) adoptLocked() {
 			o.homes[id] = name
 			sink.EventNow(obs.KindRestore, id,
 				tracing.A("op", "adopt"), tracing.A("agent", name), tracing.A("step", st.Step))
-			if ck, err := o.ctrl.Snapshot(id); err == nil {
-				o.mirrors[id] = ck
-				sink.IncMirror()
-			}
+			o.mirrorOneLocked(id)
 			break
 		}
 	}

@@ -1,32 +1,35 @@
 package cluster
 
 import (
+	"path/filepath"
 	"testing"
 	"time"
 
 	"github.com/elasticflow/elasticflow/internal/agent"
+	"github.com/elasticflow/elasticflow/internal/frontdoor"
 	"github.com/elasticflow/elasticflow/internal/serverless"
 	"github.com/elasticflow/elasticflow/internal/store"
-	"github.com/elasticflow/elasticflow/internal/topology"
 )
 
-// newDurableOrchestrator builds an orchestrator journaling into dir.
-func newDurableOrchestrator(t *testing.T, dir string, clk *fakeClock) *Orchestrator {
+// newDurableOrchestrator builds the stack journaling into dir.
+func newDurableOrchestrator(t *testing.T, dir string, clk *fakeClock) (*frontdoor.FrontDoor, *Orchestrator) {
 	t.Helper()
-	st, err := store.Open(dir, store.Options{})
+	return newStack(t, clk, frontdoor.Options{StateDir: dir}, Options{})
+}
+
+// reopenShard runs the store's recovery scan over the shard's journal the
+// way a restarted controller finds it, and closes it again: the front door
+// recovers the shard from the same directory.
+func reopenShard(t *testing.T, dir string) *store.Store {
+	t.Helper()
+	st, err := store.Open(filepath.Join(dir, "shard-0"), store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := New(Options{Platform: serverless.Options{
-		Topology: topology.Config{Servers: 2, GPUsPerServer: 8},
-		Clock:    clk.now,
-		Store:    st,
-	}})
-	if err != nil {
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(o.Close)
-	return o
+	return st
 }
 
 // TestControllerCrashAdoptsLiveTrainers: the controller process dies but the
@@ -37,16 +40,16 @@ func newDurableOrchestrator(t *testing.T, dir string, clk *fakeClock) *Orchestra
 func TestControllerCrashAdoptsLiveTrainers(t *testing.T) {
 	dir := t.TempDir()
 	clk := &fakeClock{t: time.Unix(0, 0)}
-	o1 := newDurableOrchestrator(t, dir, clk)
+	fd1, o1 := newDurableOrchestrator(t, dir, clk)
 
-	st1, err := o1.Submit(serverless.SubmitRequest{
+	st1, err := submit(fd1, o1, serverless.SubmitRequest{
 		Model: "resnet50", GlobalBatch: 64, Iterations: 1e7, DeadlineSeconds: 1e6,
 	}, testTask(7, 500))
 	if err != nil {
 		t.Fatal(err)
 	}
 	clk.advance(time.Minute)
-	st2, err := o1.Submit(serverless.SubmitRequest{
+	st2, err := submit(fd1, o1, serverless.SubmitRequest{
 		Model: "bert", GlobalBatch: 64, Iterations: 1e7, DeadlineSeconds: 1e6,
 	}, testTask(8, 500))
 	if err != nil {
@@ -63,21 +66,13 @@ func TestControllerCrashAdoptsLiveTrainers(t *testing.T) {
 	// platform's memory are gone; the agents and the state directory remain.
 	o1.ctrl.Close()
 
-	reopened, err := store.Open(dir, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	reopened := reopenShard(t, dir)
 	if n := reopened.TornTails(); n != 0 {
 		t.Fatalf("clean crash produced %d torn tails", n)
 	}
-	o2, vanished, err := NewRecovered(Options{Platform: serverless.Options{
-		Topology: topology.Config{Servers: 2, GPUsPerServer: 8},
-		Clock:    clk.now,
-		Store:    reopened,
-	}}, addrs, tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fd2 := newFrontDoor(t, clk, frontdoor.Options{StateDir: dir})
+	o2, vanished := NewRecovered(fd2.Shard(0), Options{}, addrs, tasks)
+	t.Cleanup(o2.Close)
 	if len(vanished) != 0 {
 		t.Fatalf("all agents alive, yet vanished=%v", vanished)
 	}
@@ -103,7 +98,7 @@ func TestControllerCrashAdoptsLiveTrainers(t *testing.T) {
 
 	// The journaled admissions keep their deadlines across recovery.
 	for id, want := range map[string]float64{st1.ID: preDeadline1, st2.ID: preDeadline2} {
-		got, err := o2.Platform().Get(id)
+		got, err := fd2.Get(id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,9 +131,9 @@ func TestControllerCrashAdoptsLiveTrainers(t *testing.T) {
 func TestRecoveryRoutesVanishedAgentThroughNodeDown(t *testing.T) {
 	dir := t.TempDir()
 	clk := &fakeClock{t: time.Unix(0, 0)}
-	o1 := newDurableOrchestrator(t, dir, clk)
+	fd1, o1 := newDurableOrchestrator(t, dir, clk)
 
-	st1, err := o1.Submit(serverless.SubmitRequest{
+	st1, err := submit(fd1, o1, serverless.SubmitRequest{
 		Model: "resnet50", GlobalBatch: 64, Iterations: 1e7, DeadlineSeconds: 1e6,
 	}, testTask(7, 500))
 	if err != nil {
@@ -153,22 +148,13 @@ func TestRecoveryRoutesVanishedAgentThroughNodeDown(t *testing.T) {
 	o1.ctrl.Close()
 	o1.listenStops[agentName(1)]()
 
-	reopened, err := store.Open(dir, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	o2, vanished, err := NewRecovered(Options{Platform: serverless.Options{
-		Topology: topology.Config{Servers: 2, GPUsPerServer: 8},
-		Clock:    clk.now,
-		Store:    reopened,
-	}}, addrs, map[string]agent.TaskSpec{st1.ID: testTask(7, 500)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fd2 := newFrontDoor(t, clk, frontdoor.Options{StateDir: dir})
+	o2, vanished := NewRecovered(fd2.Shard(0), Options{}, addrs, map[string]agent.TaskSpec{st1.ID: testTask(7, 500)})
+	t.Cleanup(o2.Close)
 	if len(vanished) != 1 || vanished[0] != agentName(1) {
 		t.Fatalf("vanished = %v, want [%s]", vanished, agentName(1))
 	}
-	downs := o2.Platform().DownServers()
+	downs := fd2.Shard(0).DownServers()
 	if len(downs) != 1 || downs[0] != 1 {
 		t.Fatalf("down servers = %v after vanish, want [1]", downs)
 	}
@@ -182,7 +168,7 @@ func TestRecoveryRoutesVanishedAgentThroughNodeDown(t *testing.T) {
 	if home != agentName(0) {
 		t.Errorf("job %s on %s, want the surviving %s", st1.ID, home, agentName(0))
 	}
-	got, err := o2.Platform().Get(st1.ID)
+	got, err := fd2.Get(st1.ID)
 	if err != nil {
 		t.Fatal(err)
 	}

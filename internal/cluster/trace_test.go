@@ -6,26 +6,18 @@ import (
 	"testing"
 	"time"
 
-	"github.com/elasticflow/elasticflow/internal/obs"
+	"github.com/elasticflow/elasticflow/internal/frontdoor"
 	"github.com/elasticflow/elasticflow/internal/obs/tracing"
 	"github.com/elasticflow/elasticflow/internal/serverless"
-	"github.com/elasticflow/elasticflow/internal/topology"
 )
 
-func newTracedOrchestrator(t *testing.T) (*Orchestrator, *fakeClock, *tracing.Tracer) {
+// newTracedOrchestrator builds the stack and returns the shard's tracer —
+// the front door gives every shard one.
+func newTracedOrchestrator(t *testing.T) (*frontdoor.FrontDoor, *Orchestrator, *fakeClock, *tracing.Tracer) {
 	t.Helper()
 	clk := &fakeClock{t: time.Unix(0, 0)}
-	tr := tracing.New(1)
-	o, err := New(Options{Platform: serverless.Options{
-		Topology: topology.Config{Servers: 2, GPUsPerServer: 8},
-		Clock:    clk.now,
-		Obs:      obs.New(obs.Options{Clock: clk.now, Tracer: tr}),
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(o.Close)
-	return o, clk, tr
+	fd, o := newStack(t, clk, frontdoor.Options{}, Options{})
+	return fd, o, clk, fd.Shard(0).Obs().Tracer()
 }
 
 // TestClusterSpans drives the full stack with a tracer wired and checks the
@@ -33,9 +25,9 @@ func newTracedOrchestrator(t *testing.T) (*Orchestrator, *fakeClock, *tracing.Tr
 // checkpoint.mirror span under the job's lifecycle root, and every health
 // probe records a heartbeat span.
 func TestClusterSpans(t *testing.T) {
-	o, clk, tr := newTracedOrchestrator(t)
+	fd, o, clk, tr := newTracedOrchestrator(t)
 
-	st, err := o.Submit(serverless.SubmitRequest{
+	st, err := submit(fd, o, serverless.SubmitRequest{
 		Model: "resnet50", GlobalBatch: 64, Iterations: 1e7, DeadlineSeconds: 1e6,
 	}, testTask(7, 120))
 	if err != nil {
@@ -85,7 +77,7 @@ func TestClusterSpans(t *testing.T) {
 // interleaving the live deployment produces. Run under -race (CI's
 // test-race job does) this is the data-race check for span emission.
 func TestConcurrentSpanEmission(t *testing.T) {
-	o, _, tr := newTracedOrchestrator(t)
+	fd, o, _, tr := newTracedOrchestrator(t)
 
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -101,7 +93,7 @@ func TestConcurrentSpanEmission(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
-				st, err := o.Submit(serverless.SubmitRequest{
+				st, err := submit(fd, o, serverless.SubmitRequest{
 					Model: "resnet50", GlobalBatch: 64, Iterations: 1e7,
 					DeadlineSeconds: 1e6, User: fmt.Sprintf("w-%d", w),
 				}, testTask(int64(w*100+i), 60))
@@ -110,7 +102,7 @@ func TestConcurrentSpanEmission(t *testing.T) {
 					return
 				}
 				if st.State != "dropped" {
-					if err := o.Platform().Cancel(st.ID); err != nil {
+					if err := fd.Cancel(st.ID); err != nil {
 						t.Error(err)
 						return
 					}

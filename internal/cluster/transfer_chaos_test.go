@@ -7,8 +7,8 @@ import (
 	"github.com/elasticflow/elasticflow/internal/agent"
 	"github.com/elasticflow/elasticflow/internal/elastic"
 	"github.com/elasticflow/elasticflow/internal/faults"
+	"github.com/elasticflow/elasticflow/internal/frontdoor"
 	"github.com/elasticflow/elasticflow/internal/serverless"
-	"github.com/elasticflow/elasticflow/internal/topology"
 )
 
 // TestMirrorSourceDiesMidTransfer is the two-failure overlap: the agent
@@ -28,17 +28,13 @@ func TestMirrorSourceDiesMidTransfer(t *testing.T) {
 	}
 
 	clk := &fakeClock{t: time.Unix(0, 0)}
-	// Mirror passes run at submit (step 0) and after each Reconcile. The
+	// Mirror passes run at registration (step 0) and after each Reconcile. The
 	// crash fires on the second chunk of the third fetch: two mirrors have
 	// completed (step 0, then step 10), the third dies mid-stream.
 	inj := faults.New(chaosSeed, []faults.Rule{
 		{Kind: faults.Crash, Op: "ReadChunk", At: 2*perFetch + 2},
 	})
-	o, err := New(Options{
-		Platform: serverless.Options{
-			Topology: topology.Config{Servers: 2, GPUsPerServer: 8},
-			Clock:    clk.now,
-		},
+	fd, o := newStack(t, clk, frontdoor.Options{}, Options{
 		Faults: inj,
 		Controller: agent.ControllerOptions{
 			Seed:      chaosSeed,
@@ -47,12 +43,8 @@ func TestMirrorSourceDiesMidTransfer(t *testing.T) {
 		},
 		HeartbeatMisses: 2,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer o.Close()
 
-	st, err := o.Submit(serverless.SubmitRequest{
+	st, err := submit(fd, o, serverless.SubmitRequest{
 		Model: "resnet50", GlobalBatch: 256, Iterations: 1e7, DeadlineSeconds: 1e6,
 	}, testTask(3, 60))
 	if err != nil {

@@ -6,8 +6,8 @@
 // same faults (randomness is consulted only for probabilistic rules, in
 // call order, from a private seeded source).
 //
-// Schedules are built programmatically ([]Rule) or parsed from the compact
-// flag syntax accepted by efcluster -faults (see Parse):
+// Schedules are built programmatically ([]Rule) or parsed from a compact
+// spec (see Parse):
 //
 //	crash:agent=server-1,at=40;delay:op=Step,p=0.5,ms=100
 //

@@ -76,7 +76,7 @@ func (c *Client) do(method, path string, in, out interface{}) error {
 		return &apiError{Status: resp.StatusCode, Msg: "submission dropped by admission control"}
 	}
 	if resp.StatusCode >= 400 {
-		var eb errorBody
+		var eb serverless.ErrorBody
 		msg := resp.Status
 		if json.NewDecoder(resp.Body).Decode(&eb) == nil && eb.Error != "" {
 			msg = eb.Error

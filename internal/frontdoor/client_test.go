@@ -56,8 +56,8 @@ func TestClientSubmitGetCancel(t *testing.T) {
 	if err := c.Cancel(st.ID); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := c.Get(st.ID); err != nil || got.State != "dropped" || got.GPUs != 0 {
-		t.Errorf("after cancel: %+v, %v; want dropped holding no GPUs", got, err)
+	if got, err := c.Get(st.ID); err != nil || got.State != "cancelled" || got.GPUs != 0 {
+		t.Errorf("after cancel: %+v, %v; want cancelled holding no GPUs", got, err)
 	}
 }
 

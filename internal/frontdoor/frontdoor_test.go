@@ -274,7 +274,7 @@ func TestGetCancelRouting(t *testing.T) {
 	if err := fd.Cancel(st.ID); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := fd.Get(st.ID); got.State != "dropped" {
+	if got, _ := fd.Get(st.ID); got.State != "cancelled" {
 		t.Fatalf("cancelled job state %s", got.State)
 	}
 	for _, bad := range []string{"job-0001", "s9-job-0001", "sx-job-0001", ""} {

@@ -37,62 +37,62 @@ func Handler(fd *FrontDoor) http.Handler {
 		case http.MethodPost:
 			req, status, err := decodeSubmit(w, r)
 			if err != nil {
-				writeError(o, w, status, err)
+				serverless.WriteError(o, w, status, err)
 				return
 			}
 			st, err := fd.Submit(req)
 			if err != nil {
-				writeError(o, w, errorCode(err, http.StatusBadRequest), err)
+				serverless.WriteError(o, w, errorCode(err, http.StatusBadRequest), err)
 				return
 			}
 			code := http.StatusCreated
 			if st.State == "dropped" {
 				code = http.StatusConflict
 			}
-			writeJSON(o, w, code, st)
+			serverless.WriteJSON(o, w, code, st)
 		case http.MethodGet:
-			writeJSON(o, w, http.StatusOK, fd.List())
+			serverless.WriteJSON(o, w, http.StatusOK, fd.List())
 		default:
-			writeError(o, w, http.StatusMethodNotAllowed, errors.New("use GET or POST"))
+			serverless.WriteError(o, w, http.StatusMethodNotAllowed, errors.New("use GET or POST"))
 		}
 	})
 	mux.HandleFunc("/v1/jobs/", func(w http.ResponseWriter, r *http.Request) {
 		id := strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
 		if id == "" {
-			writeError(o, w, http.StatusBadRequest, errors.New("missing job id"))
+			serverless.WriteError(o, w, http.StatusBadRequest, errors.New("missing job id"))
 			return
 		}
 		switch r.Method {
 		case http.MethodGet:
 			st, err := fd.Get(id)
 			if err != nil {
-				writeError(o, w, http.StatusNotFound, err)
+				serverless.WriteError(o, w, http.StatusNotFound, err)
 				return
 			}
-			writeJSON(o, w, http.StatusOK, st)
+			serverless.WriteJSON(o, w, http.StatusOK, st)
 		case http.MethodDelete:
 			if err := fd.Cancel(id); err != nil {
-				writeError(o, w, errorCode(err, http.StatusNotFound), err)
+				serverless.WriteError(o, w, errorCode(err, http.StatusNotFound), err)
 				return
 			}
 			w.WriteHeader(http.StatusNoContent)
 		default:
-			writeError(o, w, http.StatusMethodNotAllowed, errors.New("use GET or DELETE"))
+			serverless.WriteError(o, w, http.StatusMethodNotAllowed, errors.New("use GET or DELETE"))
 		}
 	})
 	mux.HandleFunc("/v1/tenants", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
-			writeError(o, w, http.StatusMethodNotAllowed, errors.New("use GET"))
+			serverless.WriteError(o, w, http.StatusMethodNotAllowed, errors.New("use GET"))
 			return
 		}
 		// Refresh the epoch caches so the reported usage is current even
 		// between periodic ticks.
 		fd.Tick()
-		writeJSON(o, w, http.StatusOK, fd.TenantUsage())
+		serverless.WriteJSON(o, w, http.StatusOK, fd.TenantUsage())
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
-			writeError(o, w, http.StatusMethodNotAllowed, errors.New("use GET"))
+			serverless.WriteError(o, w, http.StatusMethodNotAllowed, errors.New("use GET"))
 			return
 		}
 		fd.Tick()
@@ -148,35 +148,4 @@ func errorCode(err error, fallback int) int {
 	default:
 		return fallback
 	}
-}
-
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-// writeJSON / writeError mirror the serverless HTTP helpers: v is encoded
-// before the status goes out, so a value that cannot be encoded answers 500
-// with an error body, and the failure is counted and logged rather than
-// silently dropped.
-func writeJSON(o *obs.Obs, w http.ResponseWriter, code int, v interface{}) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		encodeFailed(o, err)
-		code = http.StatusInternalServerError
-		body, _ = json.Marshal(errorBody{Error: err.Error()})
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	if _, err := w.Write(append(body, '\n')); err != nil {
-		encodeFailed(o, err)
-	}
-}
-
-func encodeFailed(o *obs.Obs, err error) {
-	o.IncEncodeError()
-	o.EventNow(obs.KindError, "", tracing.A("op", "http-encode"), tracing.A("err", err.Error()))
-}
-
-func writeError(o *obs.Obs, w http.ResponseWriter, code int, err error) {
-	writeJSON(o, w, code, errorBody{Error: err.Error()})
 }

@@ -62,6 +62,8 @@ const (
 	Completed
 	// Dropped: rejected by admission control (§4.1).
 	Dropped
+	// Cancelled: withdrawn by its submitter after admission.
+	Cancelled
 )
 
 // String implements fmt.Stringer.
@@ -77,6 +79,8 @@ func (s State) String() string {
 		return "completed"
 	case Dropped:
 		return "dropped"
+	case Cancelled:
+		return "cancelled"
 	default:
 		return fmt.Sprintf("state(%d)", int(s))
 	}

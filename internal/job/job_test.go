@@ -180,7 +180,7 @@ func TestStrings(t *testing.T) {
 			t.Errorf("empty string for class %d", c)
 		}
 	}
-	for _, s := range []State{Pending, Admitted, Running, Completed, Dropped, State(9)} {
+	for _, s := range []State{Pending, Admitted, Running, Completed, Dropped, Cancelled, State(9)} {
 		if s.String() == "" {
 			t.Errorf("empty string for state %d", s)
 		}

@@ -213,9 +213,8 @@ func (o *Obs) Event(ev Event) {
 
 // count is the one table from event kinds to catalog counters: an event of
 // these kinds bumps its series, and no emitter counts them by hand. The
-// checkpoint mirror and restore counters stay explicit (IncMirror,
-// IncRestore): agent adoption counts a mirror it emits no event for, and emits
-// a restore event it does not count.
+// restore counter stays explicit (IncRestore): agent adoption emits a
+// restore event it does not count.
 func (o *Obs) count(ev Event) {
 	switch ev.Kind {
 	case KindAdmit, KindDrop:
@@ -231,6 +230,8 @@ func (o *Obs) count(ev Event) {
 		o.retries.Inc()
 	case KindAgentDown:
 		o.agentDowns.Inc()
+	case KindMirror:
+		o.mirrors.Inc()
 	case KindFault:
 		kind, _ := ev.Field("kind")
 		o.faults.With(kind).Inc()
@@ -345,14 +346,6 @@ func (o *Obs) AddPlanCache(hits, misses int) {
 	}
 	o.planCacheHits.Add(float64(hits))
 	o.planCacheMisses.Add(float64(misses))
-}
-
-// IncMirror counts one checkpoint mirrored to the orchestrator.
-func (o *Obs) IncMirror() {
-	if o == nil {
-		return
-	}
-	o.mirrors.Inc()
 }
 
 // IncRestore counts one job restored from a mirrored checkpoint.

@@ -85,8 +85,9 @@ func TestObsCatalogRenders(t *testing.T) {
 }
 
 // TestFaultEventsCount: the fault-tolerance kinds count through the same
-// table, the injected-fault series labelled by the event's kind field; a
-// restore event counts nothing (IncRestore is explicit).
+// table, the injected-fault series labelled by the event's kind field, a
+// mirror event counts one mirror; a restore event counts nothing
+// (IncRestore is explicit).
 func TestFaultEventsCount(t *testing.T) {
 	o := NewDefault()
 	o.EventNow(KindRetry, "", tracing.A("agent", "a"), tracing.A("op", "Launch"), tracing.A("attempt", 1))
@@ -94,6 +95,7 @@ func TestFaultEventsCount(t *testing.T) {
 	o.EventNow(KindFault, "", tracing.A("agent", "a"), tracing.A("op", "Launch"), tracing.A("kind", "drop"))
 	o.EventNow(KindFault, "", tracing.A("agent", "b"), tracing.A("op", "Stop"), tracing.A("kind", "drop"))
 	o.EventNow(KindRestore, "j", tracing.A("step", 3), tracing.A("from", "a"))
+	o.EventNow(KindMirror, "j", tracing.A("step", 3), tracing.A("agent", "a"))
 
 	var b strings.Builder
 	if err := o.Metrics.WritePrometheus(&b); err != nil {
@@ -105,6 +107,7 @@ func TestFaultEventsCount(t *testing.T) {
 		"ef_agent_down_total 1",
 		`ef_faults_injected_total{kind="drop"} 2`,
 		"ef_checkpoint_restores_total 0",
+		"ef_checkpoint_mirrors_total 1",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("catalog missing %q", want)

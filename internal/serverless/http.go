@@ -32,52 +32,52 @@ func Handler(p *Platform) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/plan", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
-			writeError(o, w, http.StatusMethodNotAllowed, errors.New("use GET"))
+			WriteError(o, w, http.StatusMethodNotAllowed, errors.New("use GET"))
 			return
 		}
-		writeJSON(o, w, http.StatusOK, p.Plans())
+		WriteJSON(o, w, http.StatusOK, p.Plans())
 	})
 	mux.HandleFunc("/v1/cluster", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
-			writeError(o, w, http.StatusMethodNotAllowed, errors.New("use GET"))
+			WriteError(o, w, http.StatusMethodNotAllowed, errors.New("use GET"))
 			return
 		}
-		writeJSON(o, w, http.StatusOK, p.Cluster())
+		WriteJSON(o, w, http.StatusOK, p.Cluster())
 	})
 	mux.HandleFunc("/v1/cluster/servers/", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
-			writeError(o, w, http.StatusMethodNotAllowed, errors.New("use POST"))
+			WriteError(o, w, http.StatusMethodNotAllowed, errors.New("use POST"))
 			return
 		}
 		rest := strings.TrimPrefix(r.URL.Path, "/v1/cluster/servers/")
 		idStr, action, ok := strings.Cut(rest, "/")
 		if !ok || (action != "down" && action != "up") {
-			writeError(o, w, http.StatusNotFound, errors.New("use /v1/cluster/servers/{id}/down or .../up"))
+			WriteError(o, w, http.StatusNotFound, errors.New("use /v1/cluster/servers/{id}/down or .../up"))
 			return
 		}
 		server, err := strconv.Atoi(idStr)
 		if err != nil {
-			writeError(o, w, http.StatusBadRequest, errors.New("server id must be an integer"))
+			WriteError(o, w, http.StatusBadRequest, errors.New("server id must be an integer"))
 			return
 		}
 		if action == "down" {
 			evicted, err := p.NodeDown(server)
 			if err != nil {
-				writeError(o, w, mutationErrorCode(err, http.StatusBadRequest), err)
+				WriteError(o, w, mutationErrorCode(err, http.StatusBadRequest), err)
 				return
 			}
-			writeJSON(o, w, http.StatusOK, nodeTransition{Server: server, State: "down", Evicted: evicted})
+			WriteJSON(o, w, http.StatusOK, nodeTransition{Server: server, State: "down", Evicted: evicted})
 			return
 		}
 		if err := p.NodeUp(server); err != nil {
-			writeError(o, w, mutationErrorCode(err, http.StatusBadRequest), err)
+			WriteError(o, w, mutationErrorCode(err, http.StatusBadRequest), err)
 			return
 		}
-		writeJSON(o, w, http.StatusOK, nodeTransition{Server: server, State: "up"})
+		WriteJSON(o, w, http.StatusOK, nodeTransition{Server: server, State: "up"})
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
-			writeError(o, w, http.StatusMethodNotAllowed, errors.New("use GET"))
+			WriteError(o, w, http.StatusMethodNotAllowed, errors.New("use GET"))
 			return
 		}
 		// Refresh platform-time-derived state so gauges are current even
@@ -91,14 +91,14 @@ func Handler(p *Platform) http.Handler {
 	})
 	mux.HandleFunc("/debug/events", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
-			writeError(o, w, http.StatusMethodNotAllowed, errors.New("use GET"))
+			WriteError(o, w, http.StatusMethodNotAllowed, errors.New("use GET"))
 			return
 		}
 		var since uint64
 		if s := r.URL.Query().Get("since"); s != "" {
 			v, err := strconv.ParseUint(s, 10, 64)
 			if err != nil {
-				writeError(o, w, http.StatusBadRequest, errors.New("since must be a sequence number"))
+				WriteError(o, w, http.StatusBadRequest, errors.New("since must be a sequence number"))
 				return
 			}
 			since = v
@@ -107,7 +107,7 @@ func Handler(p *Platform) http.Handler {
 		if s := r.URL.Query().Get("limit"); s != "" {
 			v, err := strconv.Atoi(s)
 			if err != nil || v < 1 {
-				writeError(o, w, http.StatusBadRequest, errors.New("limit must be a positive integer"))
+				WriteError(o, w, http.StatusBadRequest, errors.New("limit must be a positive integer"))
 				return
 			}
 			limit = v
@@ -122,16 +122,16 @@ func Handler(p *Platform) http.Handler {
 		if len(events) > 0 {
 			next = events[len(events)-1].Seq
 		}
-		writeJSON(o, w, http.StatusOK, EventsPage{Events: events, Next: next})
+		WriteJSON(o, w, http.StatusOK, EventsPage{Events: events, Next: next})
 	})
 	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
-			writeError(o, w, http.StatusMethodNotAllowed, errors.New("use GET"))
+			WriteError(o, w, http.StatusMethodNotAllowed, errors.New("use GET"))
 			return
 		}
 		tr := o.Tracer()
 		if tr == nil {
-			writeError(o, w, http.StatusNotFound, errors.New("tracing is not enabled"))
+			WriteError(o, w, http.StatusNotFound, errors.New("tracing is not enabled"))
 			return
 		}
 		spans := tr.Spans()
@@ -141,7 +141,7 @@ func Handler(p *Platform) http.Handler {
 		data, err := tracing.EncodeChrome(spans)
 		if err != nil {
 			o.IncEncodeError()
-			writeError(o, w, http.StatusInternalServerError, err)
+			WriteError(o, w, http.StatusInternalServerError, err)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -179,16 +179,17 @@ type EventsPage struct {
 	Next   uint64      `json:"next"`
 }
 
-// writeJSON encodes v before it sends the status, so a value that cannot be
+// WriteJSON encodes v before it sends the status, so a value that cannot be
 // encoded answers 500 with an error body instead of code with an empty one.
-// Encode and write failures are counted in ef_http_encode_errors_total and
+// It is the one JSON reply writer of both HTTP surfaces, the front door's and
+// each shard's. Encode and write failures are counted in ef_http_encode_errors_total and
 // logged as one event each instead of being silently dropped.
-func writeJSON(o *obs.Obs, w http.ResponseWriter, code int, v interface{}) {
+func WriteJSON(o *obs.Obs, w http.ResponseWriter, code int, v interface{}) {
 	body, err := json.Marshal(v)
 	if err != nil {
 		encodeFailed(o, err)
 		code = http.StatusInternalServerError
-		body, _ = json.Marshal(errorBody{Error: err.Error()})
+		body, _ = json.Marshal(ErrorBody{Error: err.Error()})
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -202,10 +203,12 @@ func encodeFailed(o *obs.Obs, err error) {
 	o.EventNow(obs.KindError, "", tracing.A("op", "http-encode"), tracing.A("err", err.Error()))
 }
 
-type errorBody struct {
+// ErrorBody is the {"error": ...} body of every non-2xx JSON reply.
+type ErrorBody struct {
 	Error string `json:"error"`
 }
 
-func writeError(o *obs.Obs, w http.ResponseWriter, code int, err error) {
-	writeJSON(o, w, code, errorBody{Error: err.Error()})
+// WriteError answers code with err as an ErrorBody.
+func WriteError(o *obs.Obs, w http.ResponseWriter, code int, err error) {
+	WriteJSON(o, w, code, ErrorBody{Error: err.Error()})
 }

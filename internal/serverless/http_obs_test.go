@@ -203,8 +203,8 @@ func TestDebugEventsCursorUnderLoad(t *testing.T) {
 func TestWriteJSONEncodeError(t *testing.T) {
 	o := obs.NewDefault()
 	rec := httptest.NewRecorder()
-	writeJSON(o, rec, http.StatusOK, make(chan int))
-	var e errorBody
+	WriteJSON(o, rec, http.StatusOK, make(chan int))
+	var e ErrorBody
 	if rec.Code != http.StatusInternalServerError || json.Unmarshal(rec.Body.Bytes(), &e) != nil || !strings.Contains(e.Error, "unsupported type") {
 		t.Fatalf("writeJSON of a channel = %d %q, want 500 with the encoding error", rec.Code, rec.Body.String())
 	}

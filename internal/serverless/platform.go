@@ -98,10 +98,6 @@ type ClusterStatus struct {
 type Options struct {
 	// Topology describes the virtual cluster (default 2 servers × 8).
 	Topology topology.Config
-	// Scheduler overrides the ElasticFlow configuration.
-	Scheduler *core.ElasticFlow
-	// Hardware sets the performance model (default DefaultA100).
-	Hardware *model.Hardware
 	// TimeScale is how many platform-seconds elapse per wall second
 	// (default 1). Large values fast-forward demo runs.
 	TimeScale float64
@@ -109,9 +105,8 @@ type Options struct {
 	Clock func() time.Time
 	// Obs is the observability sink (event bus + metrics registry) behind
 	// GET /metrics and GET /debug/events. Nil creates a fresh one sharing
-	// the platform's Clock. When the platform builds its own default
-	// scheduler it wires this sink into it for decision tracing; a caller
-	// supplying Scheduler wires core.Options.Obs (or WithObs) themselves.
+	// the platform's Clock. The platform wires it into its scheduler for
+	// decision tracing.
 	Obs *obs.Obs
 	// Store, when non-nil, makes the control plane durable: every mutation
 	// is recorded in the journal (record-then-apply) before it is applied,
@@ -231,10 +226,6 @@ func newPlatform(opts Options) (*Platform, error) {
 	if err != nil {
 		return nil, err
 	}
-	hw := model.DefaultA100()
-	if opts.Hardware != nil {
-		hw = *opts.Hardware
-	}
 	clock := opts.Clock
 	if clock == nil {
 		clock = time.Now
@@ -250,15 +241,12 @@ func newPlatform(opts Options) (*Platform, error) {
 		// the platform's are scraped.
 		opts.Store.SetObs(o)
 	}
-	ef := opts.Scheduler
-	if ef == nil {
-		ef = core.NewDefault().WithObs(o)
-	}
+	ef := core.NewDefault().WithObs(o)
 	scale := opts.TimeScale
 	if scale <= 0 {
 		scale = 1
 	}
-	est := throughput.NewEstimator(hw)
+	est := throughput.NewEstimator(model.DefaultA100())
 	p := &Platform{
 		obs:         o,
 		tr:          o.Tracer(),
@@ -287,6 +275,14 @@ func newPlatform(opts Options) (*Platform, error) {
 // Now returns the platform clock in seconds.
 func (p *Platform) Now() float64 {
 	return p.clock().Sub(p.start).Seconds() * p.scale
+}
+
+// Topology returns the server layout of the platform's cluster — the one
+// source an executor sizes its agents from.
+func (p *Platform) Topology() topology.Config {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.cluster.Config()
 }
 
 // Obs returns the platform's observability sink (never nil); the HTTP
@@ -645,7 +641,7 @@ func (o *cancelOp) applyLocked(p *Platform, now float64) error {
 			return err
 		}
 	}
-	j.State = job.Dropped
+	j.State = job.Cancelled
 	j.GPUs = 0 // a cancelled job holds no workers: status must not show GPUs or an estimated finish
 	delete(p.infeasible, o.ID)
 	p.eventLocked(now, obs.KindCancel, o.ID)

@@ -165,8 +165,8 @@ func TestCancelledStatusHoldsNoGPUs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range append(p.List(), got) {
-		if s.State != "dropped" || s.GPUs != 0 || s.LocalBatch != 0 || s.EstimatedDone != 0 || s.Placement != "" {
-			t.Errorf("cancelled job status = %+v, want dropped with no GPUs, local batch, placement or estimated_done", s)
+		if s.State != "cancelled" || s.GPUs != 0 || s.LocalBatch != 0 || s.EstimatedDone != 0 || s.Placement != "" {
+			t.Errorf("cancelled job status = %+v, want cancelled with no GPUs, local batch, placement or estimated_done", s)
 		}
 	}
 }

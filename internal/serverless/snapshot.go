@@ -10,7 +10,7 @@ import (
 
 // This file assembles snapshot payloads (DESIGN.md §11 "Snapshots"). The
 // payload is json.Marshal of a platformState, but it is never built as one:
-// a job that is Completed or Dropped has left p.active and nothing mutates
+// a job that is Completed, Dropped or Cancelled has left p.active and nothing mutates
 // it again, so its jobState JSON is encoded once, at the first snapshot that
 // sees it terminal, and kept. Each snapshot then encodes only the head, the
 // jobs that can still change and the tail, and hands the store a list of
@@ -55,7 +55,9 @@ type encodedSpan struct {
 	off, end int
 }
 
-func terminal(j *job.Job) bool { return j.State == job.Completed || j.State == job.Dropped }
+func terminal(j *job.Job) bool {
+	return j.State == job.Completed || j.State == job.Dropped || j.State == job.Cancelled
+}
 
 // assemble returns the snapshot payload as consecutive pieces, valid until
 // the next call; their concatenation is byte-identical to json.Marshal of

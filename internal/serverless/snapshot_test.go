@@ -148,7 +148,7 @@ func TestSnapshotOracle(t *testing.T) {
 	if c := p.Cluster(); c.Completed == 0 || c.Dropped == 0 {
 		t.Fatalf("phase 1 ended with %+v, want a completion and a refusal", c)
 	}
-	if st, err := p.Get("job-0003"); err != nil || st.State != "dropped" || st.Class != "best-effort" {
+	if st, err := p.Get("job-0003"); err != nil || st.State != "cancelled" || st.Class != "best-effort" {
 		t.Fatalf("cancelled best-effort job-0003 = %+v, %v", st, err)
 	}
 	if n := snapshotsChecked.Load() - before; n < int64(len(ops)) {

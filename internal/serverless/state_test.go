@@ -521,6 +521,57 @@ func TestShutdownRejectsMutations(t *testing.T) {
 	}
 }
 
+// TestCancelIsNotADrop: a cancelled job lists as "cancelled", not as an
+// admission refusal — dropped_jobs counts refusals only — and a snapshot +
+// Recover round trip keeps the state.
+func TestCancelIsNotADrop(t *testing.T) {
+	dir := t.TempDir()
+	clk := newStateClock()
+	st1, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p1, err := NewPlatform(Options{Clock: clk.Now, Store: st1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := p1.Submit(SubmitRequest{Model: "resnet50", GlobalBatch: 128, Iterations: 50000, DeadlineSeconds: 4000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(10)
+	if err := p1.Cancel(sub.ID); err != nil {
+		t.Fatal(err)
+	}
+	check := func(p *Platform, when string) {
+		t.Helper()
+		list := p.List()
+		if len(list) != 1 || list[0].State != "cancelled" {
+			t.Fatalf("%s: list = %+v, want the one job cancelled", when, list)
+		}
+		if n := p.Cluster().Dropped; n != 0 {
+			t.Fatalf("%s: dropped_jobs = %d, want 0 (a cancel is not a refusal)", when, n)
+		}
+	}
+	check(p1, "live")
+	if err := p1.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := st2.RecoveredSnapshot(); !ok {
+		t.Fatal("shutdown left no snapshot")
+	}
+	p2, err := Recover(Options{Clock: clk.Now, Store: st2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(p2, "recovered")
+}
+
 // TestNewPlatformRefusesRecoveredState: silently ignoring a non-empty state
 // directory would void every guarantee it records.
 func TestNewPlatformRefusesRecoveredState(t *testing.T) {

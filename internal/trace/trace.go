@@ -358,7 +358,7 @@ func PhillyTrace(jobs int) Trace {
 }
 
 // PhillyScale synthesizes the million-job-class trace the parallel simulator
-// is benchmarked against (the `scale` experiment and `make sim-check`): the
+// is benchmarked against (the `scale` experiment and the `sim_philly` benchmark): the
 // Philly duration/size shape replayed over a 2,048-GPU cluster with a large
 // user population and daily submission bursts. At the nominal 1e6 jobs the
 // arrival span is ~100 simulated days, so callers must size MaxSimSec
