@@ -53,8 +53,8 @@ lint:
 	$(GO) run ./cmd/eflint -json ./internal/analysis/...
 	./scripts/nilness.sh
 
-# loc prints the non-test Go line count of every internal/* package and the
-# module total. CI prints it in the lint job's log, so the ROADMAP's LOC
+# loc prints the non-test Go line count of every internal/* package, every
+# cmd/* command and benchmark, and the module total. CI prints it in the lint job's log, so the ROADMAP's LOC
 # trend has a recorded source per commit.
 loc:
 	./scripts/loc.sh

@@ -62,7 +62,6 @@ func BenchmarkFig12aProfilingOverhead(b *testing.B)   { benchExperiment(b, "fig1
 func BenchmarkFig12bScalingOverhead(b *testing.B)     { benchExperiment(b, "fig12b") }
 
 func BenchmarkFidelitySimVsLive(b *testing.B) { benchExperiment(b, "fidelity") }
-func BenchmarkStoreDurability(b *testing.B)   { benchExperiment(b, "store") }
 
 // Ablation benches for the design choices DESIGN.md calls out.
 
@@ -209,7 +208,7 @@ func BenchmarkScheduleRescaled(b *testing.B) {
 }
 
 // counterOfferRefusal returns one refusal and its counter-offer search
-// (AdmitBatch.EarliestDeadline) for a candidate refused early in the deadline
+// (CounterOffer) for a candidate refused early in the deadline
 // order of 200 active jobs, eight of them demoted (far more work than their
 // deadlines allow), on a scheduler that has already run it once, so its
 // block and buffers are at their sizes. Every call is a fresh instant — now
@@ -234,11 +233,10 @@ func counterOfferRefusal(tb testing.TB) func() {
 		for _, j := range jobs {
 			j.Deadline += slot
 		}
-		ba := ef.BeginAdmitBatch(now, gpus)
-		if ba.Admit(cand, jobs) {
+		if ef.Admit(now, cand, jobs, gpus) {
 			tb.Fatal("the candidate was admitted")
 		}
-		if _, ok := ba.EarliestDeadline(cand, jobs); !ok {
+		if _, ok := ef.CounterOffer(now, cand, jobs, gpus); !ok {
 			tb.Fatal("no counter-offer")
 		}
 	}

@@ -44,9 +44,7 @@ func main() {
 	if *exp != "" {
 		ids = strings.Split(*exp, ",")
 	}
-	// efbench is the measurement harness, so it injects the real wall clock;
-	// the experiments package itself stays deterministic (detlint-enforced).
-	opts := experiments.Options{Quick: *quick, Clock: time.Now}
+	opts := experiments.Options{Quick: *quick}
 	for _, id := range ids {
 		gen, ok := experiments.Registry[id]
 		if !ok {

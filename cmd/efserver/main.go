@@ -5,7 +5,7 @@
 // Usage:
 //
 //	efserver [-addr :8080] [-servers 2] [-gpus-per-server 8] [-timescale 1]
-//	         [-shards 1] [-tenants SPEC] [-batch-max 64]
+//	         [-shards 1] [-tenants SPEC]
 //	         [-state-dir DIR] [-snapshot-every 256] [-pprof]
 //
 // Submit a training function with:
@@ -18,7 +18,7 @@
 // the per-tenant token-bucket rate limit and GPU quota named by -tenants
 // ("name:rate=R,burst=B,gpus=G" specs, semicolon-separated; tenants not named
 // are unconstrained), then it is routed to one of -shards K shards and
-// admitted in a batch of at most -batch-max. Each shard owns its own -servers
+// admitted in a batch of at most 64. Each shard owns its own -servers
 // × -gpus-per-server partition, and job IDs carry their shard ("s0-job-0001").
 // GET/DELETE /v1/jobs/{id}, GET /v1/jobs and GET /v1/tenants are served at the
 // root; each shard's operator and observability plane — /v1/cluster, /v1/plan,
@@ -103,7 +103,6 @@ func run(args []string, stdout io.Writer) error {
 	pprofOn := fs.Bool("pprof", false, "serve net/http/pprof profiling endpoints under /debug/pprof/")
 	shards := fs.Int("shards", 1, "control-plane shards behind the front door, each owning its own -servers × -gpus-per-server partition and WAL")
 	tenantSpec := fs.String("tenants", "", "per-tenant policy, e.g. acme:rate=100,burst=200,gpus=32;globex:gpus=16")
-	batchMax := fs.Int("batch-max", 64, "max submissions one admission batch may carry")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -116,7 +115,6 @@ func run(args []string, stdout io.Writer) error {
 		Shards:        *shards,
 		ShardTopology: shardTopology,
 		Tenants:       tenants,
-		MaxBatch:      *batchMax,
 		TimeScale:     *timescale,
 		StateDir:      *stateDir,
 		SnapshotEvery: *snapEvery,

@@ -41,6 +41,7 @@ type Controller struct {
 	down    map[string]bool           // agents explicitly Disconnected. guarded by mu
 	specs   map[string]TaskSpec       // job → spec. guarded by mu
 	homes   map[string]string         // job → agent name. guarded by mu
+	stopped map[string]TransferOffer  // job → offer of a Stop whose fetch failed. guarded by mu
 	rng     *rand.Rand                // backoff jitter. guarded by mu
 	gates   map[string]*transfer.Gate // agent name → transfer admission. guarded by mu
 }
@@ -153,6 +154,7 @@ func NewControllerWith(opts ControllerOptions) *Controller {
 		down:    make(map[string]bool),
 		specs:   make(map[string]TaskSpec),
 		homes:   make(map[string]string),
+		stopped: make(map[string]TransferOffer),
 		rng:     rand.New(rand.NewSource(opts.Seed)),
 		gates:   make(map[string]*transfer.Gate),
 	}
@@ -223,6 +225,7 @@ func (c *Controller) DropJobs(agentName string) []string {
 		if home == agentName {
 			ids = append(ids, id)
 			delete(c.homes, id)
+			delete(c.stopped, id)
 		}
 	}
 	sort.Strings(ids)
@@ -418,6 +421,7 @@ func (c *Controller) Adopt(agentName, jobID string, spec TaskSpec) (StatusReply,
 	c.mu.Lock()
 	c.specs[jobID] = spec
 	c.homes[jobID] = agentName
+	delete(c.stopped, jobID)
 	c.mu.Unlock()
 	return reply, true, nil
 }
@@ -436,6 +440,7 @@ func (c *Controller) launch(args LaunchArgs, agentName string) (LaunchReply, err
 	c.mu.Lock()
 	c.specs[args.JobID] = args.Spec
 	c.homes[args.JobID] = agentName
+	delete(c.stopped, args.JobID)
 	c.mu.Unlock()
 	return reply, nil
 }
@@ -505,23 +510,36 @@ func (c *Controller) Status(jobID string) (StatusReply, error) {
 }
 
 // Stop checkpoints and removes a job, fetching its final state off the
-// agent over the data plane.
+// agent over the data plane. The job keeps its home until the fetch
+// succeeds: a Stop whose fetch failed leaves the checkpoint pinned on the
+// agent, and a repeated Stop fetches that offer again rather than asking the
+// agent to stop a task it no longer has.
 func (c *Controller) Stop(jobID string) (elastic.Checkpoint, error) {
-	home, ok := c.Home(jobID)
+	c.mu.Lock()
+	home, ok := c.homes[jobID]
+	offer, stopped := c.stopped[jobID]
+	c.mu.Unlock()
 	if !ok {
 		return elastic.Checkpoint{}, fmt.Errorf("agent: job %q is not running anywhere", jobID)
 	}
-	var reply StopReply
-	if err := c.call(home, "Agent.Stop", StopArgs{JobID: jobID}, &reply); err != nil {
-		return elastic.Checkpoint{}, err
+	if !stopped {
+		var reply StopReply
+		if err := c.call(home, "Agent.Stop", StopArgs{JobID: jobID}, &reply); err != nil {
+			return elastic.Checkpoint{}, err
+		}
+		offer = reply.Offer
+		c.mu.Lock()
+		c.stopped[jobID] = offer
+		c.mu.Unlock()
 	}
-	c.mu.Lock()
-	delete(c.homes, jobID)
-	c.mu.Unlock()
-	ck, _, err := c.fetchOffer(jobID, home, reply.Offer, false)
+	ck, _, err := c.fetchOffer(jobID, home, offer, false)
 	if err != nil {
 		return elastic.Checkpoint{}, fmt.Errorf("agent: fetching checkpoint of %s from %s: %w", jobID, home, err)
 	}
+	c.mu.Lock()
+	delete(c.homes, jobID)
+	delete(c.stopped, jobID)
+	c.mu.Unlock()
 	return ck, nil
 }
 

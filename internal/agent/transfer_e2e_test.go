@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/elasticflow/elasticflow/internal/faults"
@@ -216,6 +217,74 @@ func TestFetchCheckpointRefusesPersistentCorruption(t *testing.T) {
 	if st, err := c.Step("j", 5); err != nil || st.Step != 5 {
 		t.Fatalf("job damaged by a failed fetch: %+v, %v", st, err)
 	}
+}
+
+func TestStopRetriesAFailedFetch(t *testing.T) {
+	// A Stop whose fetch fails keeps the job's home and the pinned offer:
+	// the repeated Stop fetches the same checkpoint without stopping the
+	// task again, and only then does the agent let go of the job.
+	var armed atomic.Bool
+	inj := faults.New(1, []faults.Rule{{Kind: faults.Corrupt, Op: "ReadChunk"}})
+	c := NewControllerWith(ControllerOptions{
+		Dial: func(name, addr string) (faults.Caller, error) {
+			cl, err := DefaultDial(name, addr)
+			if err != nil {
+				return nil, err
+			}
+			return armedCaller{Caller: cl, faulty: inj.Wrap(name, cl), armed: &armed}, nil
+		},
+		Sleep:     noSleep,
+		ChunkSize: 8,
+	})
+	defer c.Close()
+	a, addr := startAgent(t, "A")
+	if err := c.Connect("A", addr); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Launch("j", testSpec(), "A", 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Step("j", 10); err != nil {
+		t.Fatal(err)
+	}
+	want := checkpointOn(t, a, "j")
+
+	armed.Store(true)
+	if _, err := c.Stop("j"); err == nil {
+		t.Fatal("Stop succeeded with every chunk corrupted")
+	}
+	armed.Store(false)
+	ck, err := c.Stop("j")
+	if err != nil {
+		t.Fatalf("Stop after the corruption cleared: %v", err)
+	}
+	if !bytes.Equal(ck.EncodeBytes(), want.EncodeBytes()) {
+		t.Fatal("the retried Stop returned a different checkpoint")
+	}
+	if _, ok := c.Home("j"); ok {
+		t.Error("the job still has a home after a successful Stop")
+	}
+	a.mu.Lock()
+	tasks, reads := len(a.tasks), len(a.reads)
+	a.mu.Unlock()
+	if tasks != 0 || reads != 0 {
+		t.Errorf("agent holds %d tasks and %d pinned reads after Stop, want 0 and 0", tasks, reads)
+	}
+}
+
+// armedCaller routes calls through faulty while armed is set and straight
+// to the connection otherwise: a fault rule that can be cleared.
+type armedCaller struct {
+	faults.Caller
+	faulty faults.Caller
+	armed  *atomic.Bool
+}
+
+func (c armedCaller) Call(method string, args, reply any) error {
+	if c.armed.Load() {
+		return c.faulty.Call(method, args, reply)
+	}
+	return c.Caller.Call(method, args, reply)
 }
 
 // transferBytes reads ef_transfer_bytes_total{dir} off o's exposition.

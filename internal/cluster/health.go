@@ -3,8 +3,6 @@ package cluster
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"time"
 
 	"github.com/elasticflow/elasticflow/internal/obs"
 	"github.com/elasticflow/elasticflow/internal/obs/tracing"
@@ -154,24 +152,4 @@ func (o *Orchestrator) AgentUp(name, addr string) error {
 		return err
 	}
 	return o.Reconcile()
-}
-
-// StartHealth runs HealthCheck every interval until the returned stop
-// function is called. Stop is idempotent and safe to call concurrently.
-func (o *Orchestrator) StartHealth(interval time.Duration) func() {
-	done := make(chan struct{})
-	var once sync.Once
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				o.HealthCheck()
-			}
-		}
-	}()
-	return func() { once.Do(func() { close(done) }) }
 }

@@ -97,9 +97,9 @@ func (o Options) withDefaults() Options {
 //
 // A scheduler is single-goroutine, and what it computes lives as long as the
 // cache would keep it: plans reachable from an unexported result (fillPass
-// records, a verdict's mss, allocate's entries, an AdmitBatch's memos) are
-// valid until the scheduler is asked about another instant or
-// InvalidatePlanCache is called — see "Where plans live" in plancache.go.
+// records, a verdict's mss, allocate's entries) are valid until the
+// scheduler is asked about another instant or InvalidatePlanCache is called —
+// see "Where plans live" in plancache.go.
 // What the exported methods return is the caller's to keep: Schedule's
 // Decision holds no plan, and Plans copies its levels out.
 type ElasticFlow struct {
@@ -216,7 +216,11 @@ func (e *ElasticFlow) demandBestEffort(j *job.Job) plan.Demand {
 
 // splitJobs returns the SLO jobs of active sorted by deadline (ties by ID for
 // determinism), and the best-effort/soft-deadline jobs in submission order.
+// slo is sized once from active: a refusal splits the active set twice, once
+// for its verdict and once for its counter-offer, and appends would allocate
+// per doubling each time.
 func splitJobs(active []*job.Job) (slo, be []*job.Job) {
+	slo = make([]*job.Job, 0, len(active))
 	for _, j := range active {
 		if j.Class == job.SLO {
 			slo = append(slo, j)
@@ -271,9 +275,16 @@ func position(slo []*job.Job, j *job.Job) int {
 // A previously admitted job whose own deadline has become unsatisfiable
 // (it runs demoted, §4.4) must not poison future admissions: the check
 // rejects cand only when cand itself cannot be satisfied or when admitting
-// cand turns a currently satisfiable job unsatisfiable.
+// cand turns a currently satisfiable job unsatisfiable. A refused candidate's
+// offer is CounterOffer's.
 func (e *ElasticFlow) Admit(now float64, cand *job.Job, active []*job.Job, g int) bool {
-	return e.BeginAdmitBatch(now, g).Admit(cand, active)
+	v := admitVerdict{ok: true, reason: "no-guarantee-needed"}
+	if cand.Class == job.SLO {
+		slo, _ := splitJobs(active)
+		v = e.verdict(now, cand, slo, e.admitCapacity(g))
+	}
+	e.traceAdmit(now, cand, v)
+	return v.ok
 }
 
 // admitVerdict is the explained outcome of one Algorithm 1 run: whether the
@@ -380,132 +391,10 @@ func (e *ElasticFlow) traceAdmit(now float64, cand *job.Job, v admitVerdict) {
 	o.Event(obs.Event{Time: now, Kind: obs.KindSchedAdmit, JobID: cand.ID, Fields: fields})
 }
 
-// AdmitBatch amortizes Algorithm 1 across one admission batch — a sequence
-// of candidates decided at a single timestamp against an append-only active
-// set (the serverless platform's batched submit path; a lone Admit is a
-// one-item batch). Two things are reused:
-//
-//   - The deadline order of the active SLO jobs, sorted once per active-set
-//     length instead of once per verdict. The fills themselves are shared
-//     through the plan cache: every verdict of the batch is a fold at the
-//     same timestamp and resumes from the longest prefix already filled.
-//   - A rejected candidate's verdict and counter-offer depend only on its
-//     shape (model, batch geometry, work, deadline, GPU bounds) — never its
-//     ID, because every batch candidate carries a later sequence number than
-//     any active job, so same-shape candidates occupy the same fill
-//     position. Later same-shape candidates reuse the memoized drop.
-//
-// Both invalidate when an admission grows the active set. Sessions are
-// single-goroutine, like the scheduler itself, and end with their instant:
-// the memoized verdicts point into the scheduler's block.
-type AdmitBatch struct {
-	e   *ElasticFlow
-	now float64
-	g   int // admission capacity (reserve already withheld)
-
-	slo    []*job.Job              // active SLO jobs in deadline order, valid at sloLen
-	sloLen int                     // active length slo and the memos were built at (-1: not yet)
-	drops  map[string]admitVerdict // shape → memoized rejection
-	offers map[string]offerMemo    // shape → memoized counter-offer
-}
-
-// offerMemo is a memoized EarliestDeadline answer.
-type offerMemo struct {
-	deadline float64
-	ok       bool
-}
-
-// BeginAdmitBatch opens an admission session for one batch decided at now
-// against capacity g.
-func (e *ElasticFlow) BeginAdmitBatch(now float64, g int) *AdmitBatch {
-	return &AdmitBatch{e: e, now: now, g: e.admitCapacity(g), sloLen: -1}
-}
-
 // admitCapacity is the capacity admission plans against: the failure reserve
 // is withheld so that guarantees survive losing that much (§4.4).
 func (e *ElasticFlow) admitCapacity(g int) int {
 	return max(g-e.opts.ReserveGPUs, 1)
-}
-
-// shapeKey identifies the candidate fields the feasibility fill reads. IDs
-// are deliberately excluded (see the AdmitBatch contract). It is built with
-// strconv rather than fmt, whose pooled printer state the race detector drops
-// at random, so a refusal allocates the same under -race as without.
-func shapeKey(j *job.Job) string {
-	b := make([]byte, 0, 96)
-	b = append(append(b, j.Model.Name...), '|')
-	b = append(strconv.AppendInt(b, int64(j.GlobalBatch), 10), '|')
-	b = append(strconv.AppendFloat(b, j.TotalIters, 'g', -1, 64), '|')
-	b = append(strconv.AppendFloat(b, j.Deadline, 'g', -1, 64), '|')
-	b = append(strconv.AppendInt(b, int64(j.MinGPUs), 10), '|')
-	b = append(strconv.AppendInt(b, int64(j.MaxGPUs), 10), '|')
-	b = strconv.AppendFloat(b, j.RescaleOverheadSec, 'g', -1, 64)
-	return string(b)
-}
-
-// refresh re-sorts the active SLO jobs and clears the shape memos when the
-// active set has changed since they were built.
-func (b *AdmitBatch) refresh(active []*job.Job) {
-	if len(active) == b.sloLen {
-		return
-	}
-	b.slo, _ = splitJobs(active)
-	b.sloLen = len(active)
-	b.drops = nil
-	b.offers = nil
-}
-
-// Admit is Algorithm 1 for one candidate of the batch. active must reflect
-// every admission the batch has made so far (append-only between calls).
-func (b *AdmitBatch) Admit(cand *job.Job, active []*job.Job) bool {
-	v := b.decide(cand, active)
-	b.e.traceAdmit(b.now, cand, v)
-	return v.ok
-}
-
-// decide is Admit without the decision count and trace: class, memoized
-// rejection, then Algorithm 1.
-func (b *AdmitBatch) decide(cand *job.Job, active []*job.Job) admitVerdict {
-	if cand.Class != job.SLO {
-		return admitVerdict{ok: true, reason: "no-guarantee-needed"}
-	}
-	b.refresh(active)
-	key := shapeKey(cand)
-	if v, ok := b.drops[key]; ok {
-		return v
-	}
-	v := b.e.verdict(b.now, cand, b.slo, b.g)
-	if !v.ok {
-		if b.drops == nil {
-			b.drops = make(map[string]admitVerdict)
-		}
-		b.drops[key] = v
-	}
-	return v
-}
-
-// EarliestDeadline is the memoized counter-offer for a rejected candidate:
-// the search is shape-determined, so same-shape drops in one batch pay for it
-// once. A candidate this batch just refused is searched from its refused
-// deadline's slot on, never from zero: with demoted jobs in the active set
-// feasibility is not strictly monotone in the deadline, and an offer earlier
-// than the deadline just refused would contradict the refusal.
-func (b *AdmitBatch) EarliestDeadline(cand *job.Job, active []*job.Job) (float64, bool) {
-	b.refresh(active)
-	key := shapeKey(cand)
-	if m, ok := b.offers[key]; ok {
-		return m.deadline, m.ok
-	}
-	lo := 0
-	if _, refused := b.drops[key]; refused {
-		lo = b.e.demand(cand, b.now).DeadlineSlot
-	}
-	dl, ok := b.e.earliestDeadline(b.now, cand, b.slo, b.g, lo)
-	if b.offers == nil {
-		b.offers = make(map[string]offerMemo)
-	}
-	b.offers[key] = offerMemo{deadline: dl, ok: ok}
-	return dl, ok
 }
 
 // EarliestDeadline returns the soonest deadline admission control could
@@ -517,6 +406,16 @@ func (b *AdmitBatch) EarliestDeadline(cand *job.Job, active []*job.Job) (float64
 func (e *ElasticFlow) EarliestDeadline(now float64, cand *job.Job, active []*job.Job, g int) (float64, bool) {
 	slo, _ := splitJobs(active)
 	return e.earliestDeadline(now, cand, slo, e.admitCapacity(g), 0)
+}
+
+// CounterOffer is the offer for a candidate Admit has just refused at now:
+// EarliestDeadline searched from the refused deadline's slot on, never from
+// zero. With demoted jobs in the active set feasibility is not strictly
+// monotone in the deadline, and an offer earlier than the deadline just
+// refused would contradict the refusal.
+func (e *ElasticFlow) CounterOffer(now float64, cand *job.Job, active []*job.Job, g int) (float64, bool) {
+	slo, _ := splitJobs(active)
+	return e.earliestDeadline(now, cand, slo, e.admitCapacity(g), e.demand(cand, now).DeadlineSlot)
 }
 
 // earliestDeadline searches the planning slots from lo up, against slo (the

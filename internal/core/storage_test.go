@@ -90,7 +90,6 @@ func storageScript(t *testing.T, e *ElasticFlow, seed int64) string {
 	for step := 0; step < 300; step++ {
 		switch rng.Intn(6) {
 		case 0, 1, 2: // a batch of arrivals decided at one instant
-			ba := e.BeginAdmitBatch(now, g)
 			for c := 1 + rng.Intn(3); c > 0; c-- {
 				nextID++
 				cand := randomSLOJob(rng, fmt.Sprintf("j%03d", nextID), now)
@@ -105,13 +104,13 @@ func storageScript(t *testing.T, e *ElasticFlow, seed int64) string {
 					v := e.verdict(now, cand, slo, e.admitCapacity(g))
 					emit("verdict %s ok=%v reason=%s victim=%s mss=%s fin=%d frac=%v", cand.ID, v.ok, v.reason, v.victim, levelsDigest(v.mss.PerSlot()), v.mss.FinishSlot, v.mss.FinishFrac)
 				}
-				ok := ba.Admit(cand, active)
+				ok := e.Admit(now, cand, active, g)
 				emit("admit %s -> %v", cand.ID, ok)
 				if ok {
 					active = append(active, cand)
 					continue
 				}
-				dl, found := ba.EarliestDeadline(cand, active)
+				dl, found := e.CounterOffer(now, cand, active, g)
 				emit("offer %s %v %v", cand.ID, dl, found)
 				offers++
 			}
@@ -319,11 +318,10 @@ func TestSchedulerRetention(t *testing.T) {
 		if ev%50 == 0 {
 			refused := small(3*n+ev, now)
 			refused.TotalIters = 1e9
-			ba := e.BeginAdmitBatch(now, g)
-			if ba.Admit(refused, active) {
+			if e.Admit(now, refused, active, g) {
 				t.Fatalf("event %d: an impossible job was admitted", ev)
 			}
-			ba.EarliestDeadline(refused, active) // dozens of passes at this instant
+			e.CounterOffer(now, refused, active, g) // dozens of passes at this instant
 		}
 		e.Schedule(now, active, g)
 	}

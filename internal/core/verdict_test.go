@@ -113,22 +113,22 @@ func (e *ElasticFlow) VerdictMismatch(now float64, cand *job.Job, active []*job.
 	return ""
 }
 
-// OfferMismatch asks a one-candidate admission batch for cand's verdict and,
-// when it is a refusal, for the counter-offer a platform would send back, and
+// OfferMismatch asks for cand's verdict, untraced, and, when it is a refusal,
+// CounterOffer for the offer a platform would send back, and
 // describes how that offer breaks its contract (see offerMismatch) — or
 // returns "" when it keeps it. Exported (to tests only) for the
 // external-package fuzz target.
 func (e *ElasticFlow) OfferMismatch(now float64, cand *job.Job, active []*job.Job, g int) string {
-	ba := e.BeginAdmitBatch(now, g)
-	if ba.decide(cand, active).ok {
+	slo, _ := splitJobs(active)
+	if cand.Class != job.SLO || e.verdict(now, cand, slo, e.admitCapacity(g)).ok {
 		return ""
 	}
-	dl, ok := ba.EarliestDeadline(cand, active)
+	dl, ok := e.CounterOffer(now, cand, active, g)
 	return offerMismatch(e, now, cand, active, g, dl, ok)
 }
 
-// offerMismatch checks a batch's counter-offer (dl, ok) for a candidate it
-// just refused: the offered deadline is admissible by the two-pass reference,
+// offerMismatch checks a counter-offer (dl, ok) for a candidate Admit just
+// refused: the offered deadline is admissible by the two-pass reference,
 // it is not earlier than the refused deadline's slot (where the search
 // starts), and unless it sits on that slot the deadline one slot earlier is
 // refused — the boundary property every offer keeps. With no demoted job in
@@ -211,21 +211,20 @@ func TestAdmitVerdictMatchesTwoPass(t *testing.T) {
 			var active []*job.Job
 			now, g, nextID := 0.0, 16, 0
 			for step := 0; step < 40; step++ {
-				ba := e.BeginAdmitBatch(now, g)
 				for c := 0; c < 3; c++ {
 					nextID++
 					cand := randomSLOJob(rng, fmt.Sprintf("j%03d", nextID), now)
 					if msg := e.VerdictMismatch(now, cand, active, g); msg != "" {
 						t.Fatalf("seed %d step %d: %s", seed, step, msg)
 					}
-					admitted := ba.Admit(cand, active)
+					admitted := e.Admit(now, cand, active, g)
 					v := twoPassVerdict(e, now, cand, active, g)
 					reasons[v.reason]++
 					if admitted != v.ok {
 						t.Fatalf("seed %d step %d: Admit(%s)=%v, reference %+v", seed, step, cand.ID, admitted, v)
 					}
 					if !admitted {
-						checkCounterOffer(t, e, ba, now, cand, active, g)
+						checkCounterOffer(t, e, now, cand, active, g)
 					}
 					// Forcing a refused job in now and then plants demoted
 					// jobs in the active set.
@@ -254,11 +253,11 @@ func TestAdmitVerdictMatchesTwoPass(t *testing.T) {
 	}
 }
 
-// checkCounterOffer holds the batch's counter-offer for a candidate it just
+// checkCounterOffer holds the counter-offer for a candidate Admit just
 // refused to its contract (offerMismatch).
-func checkCounterOffer(t *testing.T, e *ElasticFlow, ba *AdmitBatch, now float64, cand *job.Job, active []*job.Job, g int) {
+func checkCounterOffer(t *testing.T, e *ElasticFlow, now float64, cand *job.Job, active []*job.Job, g int) {
 	t.Helper()
-	dl, ok := ba.EarliestDeadline(cand, active)
+	dl, ok := e.CounterOffer(now, cand, active, g)
 	if msg := offerMismatch(e, now, cand, active, g, dl, ok); msg != "" {
 		t.Fatal(msg)
 	}
@@ -284,15 +283,14 @@ func TestCounterOfferMatchesBisection(t *testing.T) {
 			var active []*job.Job
 			now, g, nextID := 0.0, 8, 0
 			for step := 0; step < 40; step++ {
-				ba := e.BeginAdmitBatch(now, g)
 				for c := 0; c < 5; c++ {
 					nextID++
 					cand := randomSLOJob(rng, fmt.Sprintf("j%03d", nextID), now)
-					if ba.Admit(cand, active) {
+					if e.Admit(now, cand, active, g) {
 						active = append(active, cand)
 						continue
 					}
-					dl, ok := ba.EarliestDeadline(cand, active)
+					dl, ok := e.CounterOffer(now, cand, active, g)
 					if msg := offerMismatch(e, now, cand, active, g, dl, ok); msg != "" {
 						t.Fatalf("seed %d step %d: %s", seed, step, msg)
 					}
@@ -416,12 +414,11 @@ func TestAdmitFillCounts(t *testing.T) {
 		})
 	}
 	late := &job.Job{ID: "late", TotalIters: 3600, Deadline: now + 700, Class: job.SLO, Curve: curve, MinGPUs: 1, MaxGPUs: 8}
-	ba := e.BeginAdmitBatch(now, 16)
-	if ba.Admit(late, spread) {
+	if e.Admit(now, late, spread, 16) {
 		t.Fatal("a job that needs 30 slots was admitted with 11")
 	}
 	ResetPlanCacheStats()
-	dl, found := ba.EarliestDeadline(late, spread)
+	dl, found := e.CounterOffer(now, late, spread, 16)
 	_, m := PlanCacheStats()
 	if msg := offerMismatch(e, now, late, spread, 16, dl, found); msg != "" {
 		t.Fatal(msg)

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"github.com/elasticflow/elasticflow/internal/baselines"
 	"github.com/elasticflow/elasticflow/internal/core"
@@ -214,12 +213,6 @@ func IDs() []string {
 // (used by tests); the default reproduces the paper's scales.
 type Options struct {
 	Quick bool
-	// Clock supplies the monotonic wall clock to the experiments that
-	// measure the harness's own cost (store, transfer). It must be injected
-	// by the caller — this package is simulation-facing, so detlint forbids
-	// it from reading wall clocks itself. Nil freezes the clock: such
-	// experiments still run but report zero wall time and zero rates.
-	Clock func() time.Time
 }
 
 // scale returns full when !Quick, else quick.
@@ -228,23 +221,6 @@ func (o Options) scale(full, quick int) int {
 		return quick
 	}
 	return full
-}
-
-// now reads the injected clock; without one, time stands still.
-func (o Options) now() time.Time {
-	if o.Clock == nil {
-		return time.Time{}
-	}
-	return o.Clock()
-}
-
-// perSec turns an op count over a wall duration into a rate, 0 when the
-// clock was not injected (or the interval was immeasurably small).
-func perSec(ops int, wall float64) float64 {
-	if wall <= 0 {
-		return 0
-	}
-	return float64(ops) / wall
 }
 
 // mkJob builds a toy job for the motivating examples.

@@ -96,23 +96,16 @@ type FrontDoor struct {
 	stats   Stats                   // guarded by mu
 }
 
-// Stats is a point-in-time snapshot of the front door's admission counters.
-// The same counts flow to the ef_frontdoor_* / ef_tenant_* series; this form
-// exists so load generators can read them without scraping Prometheus text.
+// Stats is a point-in-time snapshot of the front door's batch count, which
+// load generators read without scraping Prometheus text. Every other count
+// is an ef_frontdoor_* / ef_tenant_* series.
 type Stats struct {
 	// Batches is the number of flushed admission batches (one journal
-	// record and one plan-cache fold each); MaxBatch is the largest.
-	Batches  int
-	MaxBatch int
-	// RateLimited and QuotaRejected count arrivals the tenant token bucket
-	// or GPU quota turned away; Rebalanced counts arrivals routed off their
-	// home shard by the spare-GPU rebalancer.
-	RateLimited   int
-	QuotaRejected int
-	Rebalanced    int
+	// record each).
+	Batches int
 }
 
-// Stats returns a copy of the admission counters.
+// Stats returns a copy of the counters.
 func (fd *FrontDoor) Stats() Stats {
 	fd.mu.Lock()
 	defer fd.mu.Unlock()
@@ -293,14 +286,12 @@ func (fd *FrontDoor) gateAndRoute(tenant string, now time.Time) (int, error) {
 	ts := fd.tenants[tenant]
 	if ts != nil {
 		if !ts.allow(now) {
-			fd.stats.RateLimited++
 			fd.mu.Unlock()
 			fd.o.IncTenantRateLimited(tenant)
 			fd.o.IncFrontdoorSubmission("rate-limited")
 			return 0, ErrRateLimited
 		}
 		if ts.cfg.MaxGPUs > 0 && fd.usage[tenant] >= ts.cfg.MaxGPUs {
-			fd.stats.QuotaRejected++
 			fd.mu.Unlock()
 			fd.o.IncTenantQuotaRejection(tenant)
 			fd.o.IncFrontdoorSubmission("quota")
@@ -309,9 +300,6 @@ func (fd *FrontDoor) gateAndRoute(tenant string, now time.Time) (int, error) {
 	}
 	home := homeShard(tenant, len(fd.shards))
 	shard, rebalanced := pickShard(home, fd.free, fd.total, fd.below)
-	if rebalanced {
-		fd.stats.Rebalanced++
-	}
 	fd.mu.Unlock()
 	if rebalanced {
 		fd.o.IncFrontdoorRebalanced()
@@ -326,9 +314,6 @@ func (fd *FrontDoor) delivered(batch []*Ticket, sts []serverless.JobStatus, err 
 	now := fd.clock()
 	fd.mu.Lock()
 	fd.stats.Batches++
-	if len(batch) > fd.stats.MaxBatch {
-		fd.stats.MaxBatch = len(batch)
-	}
 	fd.mu.Unlock()
 	fd.o.ObserveFrontdoorBatch(len(batch))
 	for i, t := range batch {

@@ -391,9 +391,8 @@ func (o *batchOp) applyLocked(p *Platform, now float64) error {
 	o.out = make([]JobStatus, len(o.reqs))
 	jobs := make([]*job.Job, len(o.reqs))
 	admitted := 0
-	ba := p.ef.BeginAdmitBatch(now, p.capLocked())
 	for i, req := range o.reqs {
-		j, st, err := p.applySubmitItemLocked(req, now, ref, ba)
+		j, st, err := p.applySubmitItemLocked(req, now, ref)
 		if err != nil {
 			// Validation passed before journaling, so an apply error is
 			// deterministic in (req, state) and replay reaches the same
@@ -454,7 +453,7 @@ func (o *submitOp) body() any    { return &o.req }
 // is deterministic in (req, now, platform state).
 func (o *submitOp) applyLocked(p *Platform, now float64) error {
 	p.applyAdvanceLocked(now)
-	j, st, err := p.applySubmitItemLocked(o.req, now, tracing.Ref{}, p.ef.BeginAdmitBatch(now, p.capLocked()))
+	j, st, err := p.applySubmitItemLocked(o.req, now, tracing.Ref{})
 	if err != nil {
 		return err
 	}
@@ -471,10 +470,7 @@ func (o *submitOp) applyLocked(p *Platform, now float64) error {
 // reschedule and compute its post-schedule status (possibly amortized over a
 // whole batch); a dropped submission returns (nil, dropStatus, nil) with the
 // counter-offer filled in. The lifecycle root parents under batch when set.
-// ba is the batch's admission session: one deadline sort and one counter-offer
-// search amortize across same-shape arrivals (a single submission passes a
-// fresh one-item session, which computes exactly what Admit would).
-func (p *Platform) applySubmitItemLocked(req SubmitRequest, now float64, batch tracing.Ref, ba *core.AdmitBatch) (*job.Job, JobStatus, error) {
+func (p *Platform) applySubmitItemLocked(req SubmitRequest, now float64, batch tracing.Ref) (*job.Job, JobStatus, error) {
 	spec, err := model.ByName(req.Model)
 	if err != nil {
 		return nil, JobStatus{}, err
@@ -517,13 +513,13 @@ func (p *Platform) applySubmitItemLocked(req SubmitRequest, now float64, batch t
 	// arrivals parent under the batch's frontdoor.batch span.
 	p.tr.StartJobUnder(now, j.ID, batch)
 	stop := p.obs.Timer()
-	admitted := ba.Admit(j, p.active)
+	admitted := p.ef.Admit(now, j, p.active, p.capLocked())
 	p.obs.ObserveDecision("admit", stop())
 	if !admitted {
 		j.State = job.Dropped
 		p.dropped++
 		st := p.statusLocked(j)
-		if dl, ok := ba.EarliestDeadline(j, p.active); ok {
+		if dl, ok := p.ef.CounterOffer(now, j, p.active, p.capLocked()); ok {
 			st.EarliestFeasibleSec = dl - now
 		}
 		fields := []tracing.Attr{
