@@ -1,6 +1,6 @@
 // Command eflint is the repo's multichecker: it runs the custom analyzers
 // under internal/analysis — the per-package passes (detlint, floatlint,
-// errlint) and the whole-program passes (locklint, obslint) — over package
+// errlint) and the whole-program pass (locklint) — over package
 // patterns and exits non-zero when any finding survives its //eflint:ignore
 // suppressions.
 //
@@ -26,7 +26,6 @@ import (
 	"github.com/elasticflow/elasticflow/internal/analysis/errlint"
 	"github.com/elasticflow/elasticflow/internal/analysis/floatlint"
 	"github.com/elasticflow/elasticflow/internal/analysis/locklint"
-	"github.com/elasticflow/elasticflow/internal/analysis/obslint"
 )
 
 var all = []*analysis.Analyzer{
@@ -34,7 +33,6 @@ var all = []*analysis.Analyzer{
 	errlint.Analyzer,
 	floatlint.Analyzer,
 	locklint.Analyzer,
-	obslint.Analyzer,
 }
 
 func main() {

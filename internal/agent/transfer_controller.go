@@ -174,7 +174,7 @@ func (c *Controller) FetchCheckpoint(jobID string, urgent bool) (elastic.Checkpo
 // chunked fetch with resumption, decode, observability.
 func (c *Controller) fetchOffer(jobID, agentName string, offer TransferOffer, urgent bool) (elastic.Checkpoint, transfer.Stats, error) {
 	sink := c.opts.Obs
-	span := sink.Tracer().Begin(sink.Now(), tracing.SpanCheckpointTransfer, jobID)
+	span := sink.Tracer().Begin(sink.Now(), tracing.CheckpointTransfer, jobID)
 	slot := c.gate(agentName).Acquire(urgent)
 	m := c.mover(slot)
 	data, err := m.Fetch(peerAdapter{c: c, agent: agentName},
@@ -198,7 +198,7 @@ func (c *Controller) fetchOffer(jobID, agentName string, offer TransferOffer, ur
 // and commits it there, staged for a ResumeStaged launch under jobID.
 func (c *Controller) PushCheckpoint(jobID, toAgent string, ck elastic.Checkpoint, urgent bool) (transfer.Stats, error) {
 	sink := c.opts.Obs
-	span := sink.Tracer().Begin(sink.Now(), tracing.SpanCheckpointTransfer, jobID)
+	span := sink.Tracer().Begin(sink.Now(), tracing.CheckpointTransfer, jobID)
 	slot := c.gate(toAgent).Acquire(urgent)
 	m := c.mover(slot)
 	err := m.Push(peerAdapter{c: c, agent: toAgent}, jobID, ck.EncodeBytes())

@@ -180,11 +180,15 @@ func TestMigrateChunkedByteIdenticalUnderFaults(t *testing.T) {
 		}
 	}
 
-	// Both legs traced as checkpoint.transfer spans under the job.
+	// Both legs traced as checkpoint.transfer spans under the job, and
+	// both ended: no lifecycle root is opened here, so nothing stays open.
 	spans := 0
 	for _, s := range o.Tracer().Spans() {
 		if s.Name == tracing.SpanCheckpointTransfer && s.JobID == "j" {
 			spans++
+		}
+		if s.Open {
+			t.Errorf("span %s (job %q) left open", s.Name, s.JobID)
 		}
 	}
 	if spans != 2 {

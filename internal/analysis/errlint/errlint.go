@@ -5,6 +5,11 @@
 // a silently dropped error means a job that thinks it migrated but didn't,
 // or a placement that half-happened.
 //
+// A tracing.Ref — the named type Ref of a package whose path ends in
+// /obs/tracing — is held to the same rule: it is the only handle that can
+// End the interval span Begin opened, so a discarded one leaves that span
+// open in every trail.
+//
 // Two shapes are flagged, whether the callee is module-local:
 //
 //	pool.Apply(alloc)            // call statement discarding all results
@@ -17,6 +22,7 @@ package errlint
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 
 	"github.com/elasticflow/elasticflow/internal/analysis"
 )
@@ -24,7 +30,7 @@ import (
 // Analyzer is the errlint analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "errlint",
-	Doc:  "reports discarded error results from functions defined in this module",
+	Doc:  "reports discarded error and tracing.Ref results from functions defined in this module",
 	Run:  run,
 }
 
@@ -68,38 +74,56 @@ func moduleCallee(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// errorResults returns the indices of error-typed results of fn's signature.
-func errorResults(fn *types.Func) []int {
+// mustUseKinds returns, per result of fn's signature, the name of its type
+// if no caller may drop it ("error" or "tracing.Ref"), else "".
+func mustUseKinds(fn *types.Func) []string {
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok {
 		return nil
 	}
-	var out []int
-	for i := 0; i < sig.Results().Len(); i++ {
-		if isErrorType(sig.Results().At(i).Type()) {
-			out = append(out, i)
-		}
+	kinds := make([]string, sig.Results().Len())
+	for i := range kinds {
+		kinds[i] = mustUse(sig.Results().At(i).Type())
 	}
-	return out
+	return kinds
 }
 
 var errorType = types.Universe.Lookup("error").Type()
 
-func isErrorType(t types.Type) bool { return types.Identical(t, errorType) }
-
-// checkDiscardedCall flags a statement-position call (plain, go or defer)
-// whose module-local callee returns an error nobody looks at.
-func checkDiscardedCall(pass *analysis.Pass, call *ast.CallExpr) {
-	fn := moduleCallee(pass, call)
-	if fn == nil || len(errorResults(fn)) == 0 {
-		return
+// mustUse names t if a result of that type must not be dropped, else "".
+func mustUse(t types.Type) string {
+	if types.Identical(t, errorType) {
+		return "error"
 	}
-	pass.Reportf(call.Pos(), "%s.%s returns an error that is discarded", fn.Pkg().Name(), fn.Name())
+	if n, ok := t.(*types.Named); ok && n.Obj().Name() == "Ref" && n.Obj().Pkg() != nil &&
+		strings.HasSuffix(n.Obj().Pkg().Path(), "/obs/tracing") {
+		return "tracing.Ref"
+	}
+	return ""
 }
 
-// checkBlankAssign flags assignments that route a module-local error result
-// into the blank identifier: _ = f() and v, _ := f() where the _ position is
-// the error.
+// checkDiscardedCall flags a statement-position call (plain, go or defer)
+// whose module-local callee returns an error or a Ref nobody looks at.
+func checkDiscardedCall(pass *analysis.Pass, call *ast.CallExpr) {
+	fn := moduleCallee(pass, call)
+	if fn == nil {
+		return
+	}
+	for _, kind := range mustUseKinds(fn) {
+		if kind != "" {
+			what := "a " + kind
+			if kind == "error" {
+				what = "an error"
+			}
+			pass.Reportf(call.Pos(), "%s.%s returns %s that is discarded", fn.Pkg().Name(), fn.Name(), what)
+			return
+		}
+	}
+}
+
+// checkBlankAssign flags assignments that route a module-local error or Ref
+// result into the blank identifier: _ = f() and v, _ := f() where the _
+// position is that result.
 func checkBlankAssign(pass *analysis.Pass, as *ast.AssignStmt) {
 	if len(as.Rhs) != 1 {
 		return
@@ -112,27 +136,10 @@ func checkBlankAssign(pass *analysis.Pass, as *ast.AssignStmt) {
 	if fn == nil {
 		return
 	}
-	errIdx := errorResults(fn)
-	if len(errIdx) == 0 {
-		return
-	}
-	isErr := make(map[int]bool, len(errIdx))
-	for _, i := range errIdx {
-		isErr[i] = true
-	}
+	kinds := mustUseKinds(fn)
 	for i, lhs := range as.Lhs {
-		id, ok := lhs.(*ast.Ident)
-		if !ok || id.Name != "_" {
-			continue
-		}
-		// Single-value form (_ = f()): the sole LHS discards the first
-		// error result regardless of index.
-		if len(as.Lhs) == 1 && len(errIdx) > 0 {
-			pass.Reportf(id.Pos(), "error result of %s.%s assigned to _", fn.Pkg().Name(), fn.Name())
-			return
-		}
-		if isErr[i] {
-			pass.Reportf(id.Pos(), "error result of %s.%s assigned to _", fn.Pkg().Name(), fn.Name())
+		if id, ok := lhs.(*ast.Ident); ok && id.Name == "_" && i < len(kinds) && kinds[i] != "" {
+			pass.Reportf(id.Pos(), "%s result of %s.%s assigned to _", kinds[i], fn.Pkg().Name(), fn.Name())
 		}
 	}
 }

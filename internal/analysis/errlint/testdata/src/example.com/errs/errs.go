@@ -3,7 +3,11 @@
 // real repo packages are.
 package errs
 
-import "fmt"
+import (
+	"fmt"
+
+	"example.com/obs/tracing"
+)
 
 func restore() error { return nil }
 
@@ -56,6 +60,19 @@ func nonError() {
 func suppressed() {
 	//eflint:ignore errlint fixture demonstrating a documented exception
 	restore()
+}
+
+// Ref is not tracing.Ref: dropping it is fine.
+type Ref struct{}
+
+func localRef() Ref { return Ref{} }
+
+func spans(tr *tracing.Tracer) {
+	tr.Begin("epoch")     // want "tracing.Begin returns a tracing.Ref that is discarded"
+	_ = tr.Begin("epoch") // want "tracing.Ref result of tracing.Begin assigned to _"
+	ref := tr.Begin("epoch")
+	tr.End(ref)
+	localRef()
 }
 
 func use(int) {}

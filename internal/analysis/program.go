@@ -17,8 +17,8 @@ var guardedByRe = regexp.MustCompile(`guarded by (\w+)`)
 // This file is the whole-program side of the framework: where analysis.go
 // models one analyzer over one package, Program ties every package of one
 // load into a single view with a static call graph and the indexes the
-// passes share. The interprocedural analyzers (locklint, obslint) run once per
-// load through Analyzer.RunProgram and report through a ProgramPass, which
+// passes share. The interprocedural analyzer (locklint) runs once per
+// load through Analyzer.RunProgram and reports through a ProgramPass, which
 // routes each diagnostic through the suppression comments of whichever
 // package owns the position.
 
@@ -103,7 +103,7 @@ func NewProgram(pkgs []*Package) *Program {
 			if !ok {
 				return true
 			}
-			obj := CalleeOf(info, call)
+			obj := calleeOf(info, call)
 			if obj == nil {
 				return true
 			}
@@ -120,11 +120,11 @@ func NewProgram(pkgs []*Package) *Program {
 	return pr
 }
 
-// CalleeOf statically resolves a call expression to the function or method
+// calleeOf statically resolves a call expression to the function or method
 // object it invokes, or nil for dynamic calls (function values, interface
 // methods resolve to the interface's method object, which has no body in
 // the program and therefore no node).
-func CalleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
+func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		if f, ok := info.Uses[fun].(*types.Func); ok {

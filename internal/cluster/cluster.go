@@ -288,7 +288,7 @@ func (o *Orchestrator) mirrorLocked(ids []string) {
 func (o *Orchestrator) mirrorOneLocked(id string) {
 	sink := o.platform.Obs()
 	tr := sink.Tracer()
-	span := tr.Begin(sink.Now(), tracing.SpanCheckpointMirror, id)
+	span := tr.Begin(sink.Now(), tracing.CheckpointMirror, id)
 	urgent := false
 	if st, err := o.platform.Get(id); err == nil {
 		urgent = st.DeadlineAtRisk

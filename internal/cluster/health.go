@@ -40,7 +40,7 @@ func (o *Orchestrator) HealthCheck() []string {
 	tr := sink.Tracer()
 	var newlyDown []string
 	for _, name := range names {
-		span := tr.Begin(sink.Now(), tracing.SpanHeartbeat, "")
+		span := tr.Begin(sink.Now(), tracing.Heartbeat, "")
 		_, err := o.ctrl.Ping(name)
 		tr.End(sink.Now(), span, tracing.A("agent", name), tracing.A("ok", err == nil))
 		o.mu.Lock()

@@ -48,6 +48,10 @@ func TestClusterSpans(t *testing.T) {
 		names[s.Name]++
 		if s.Name == tracing.SpanJobLifecycle && s.JobID == st.ID {
 			root = s
+		} else if s.Open {
+			// Only the running job's root may still be open: every
+			// interval span (batch, epoch, mirror, heartbeat) has ended.
+			t.Errorf("span %s (job %q) left open", s.Name, s.JobID)
 		}
 		if s.Name == tracing.SpanHeartbeat && s.JobID != "" {
 			t.Errorf("heartbeat span bound to job %q", s.JobID)

@@ -707,7 +707,7 @@ func (e *ElasticFlow) probe(f *plan.Filler, p *prioJob) bool {
 func (e *ElasticFlow) Schedule(now float64, active []*job.Job, g int) sched.Decision {
 	// One sched.epoch span per allocation round — the plan-cache fold over
 	// the active job set (plancache.go runs inside allocate).
-	epoch := e.opts.Obs.Tracer().Begin(now, tracing.SpanSchedEpoch, "")
+	epoch := e.opts.Obs.Tracer().Begin(now, tracing.SchedEpoch, "")
 	entries, adoptions := e.allocate(now, active, g)
 	// Emit slot-0 allocations and the earliest planned change.
 	dec := sched.Decision{Alloc: make(map[string]int, len(entries))}

@@ -2,29 +2,9 @@ package elastic
 
 import (
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
-	"io"
 	"math"
-	"os"
-	"path/filepath"
 )
-
-// Encode serializes the checkpoint with encoding/gob — the wire/disk format
-// used when a suspended job's state outlives its workers (§5: "ElasticFlow
-// checkpoints the parameters until it is restarted").
-func (c Checkpoint) Encode(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(c)
-}
-
-// ReadCheckpoint deserializes a checkpoint written by Encode.
-func ReadCheckpoint(r io.Reader) (Checkpoint, error) {
-	var c Checkpoint
-	if err := gob.NewDecoder(r).Decode(&c); err != nil {
-		return Checkpoint{}, fmt.Errorf("elastic: decoding checkpoint: %w", err)
-	}
-	return c, nil
-}
 
 // encodeVersion tags the sized binary encoding so a future layout change
 // can be detected instead of misparsed.
@@ -38,9 +18,9 @@ func (c Checkpoint) SizeBytes() int64 {
 
 // EncodeBytes serializes the checkpoint into the sized binary layout the
 // transfer plane streams in chunks: a version byte, the step and parameter
-// count as little-endian uint64, then each parameter's float64 bits. Unlike
-// gob the length is known up front (SizeBytes), so a receiver can detect
-// truncation and a mover can resume from a byte offset.
+// count as little-endian uint64, then each parameter's float64 bits. The
+// length is known up front (SizeBytes), so a receiver can detect truncation
+// and a mover can resume from a byte offset.
 func (c Checkpoint) EncodeBytes() []byte {
 	buf := make([]byte, c.SizeBytes())
 	buf[0] = encodeVersion
@@ -72,62 +52,4 @@ func DecodeBytes(data []byte) (Checkpoint, error) {
 		c.Params[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[17+8*i:]))
 	}
 	return c, nil
-}
-
-// syncFile and syncDir are swappable so the crash-durability test can
-// simulate a kernel that loses un-synced writes on power failure.
-var (
-	syncFile = func(f *os.File) error { return f.Sync() }
-	syncDir  = func(dir string) error {
-		d, err := os.Open(dir)
-		if err != nil {
-			return err
-		}
-		if err := d.Sync(); err != nil {
-			d.Close()
-			return err
-		}
-		return d.Close()
-	}
-)
-
-// SaveFile writes the checkpoint to a file, atomically via a temp file.
-// The temp file is fsynced before the rename and the parent directory
-// after it, so a crash at any point leaves either the old file or the new
-// one — never a truncated checkpoint reachable under path.
-func (c Checkpoint) SaveFile(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := c.Encode(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := syncFile(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(filepath.Dir(path))
-}
-
-// LoadCheckpointFile reads a checkpoint written by SaveFile.
-func LoadCheckpointFile(path string) (Checkpoint, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Checkpoint{}, err
-	}
-	defer f.Close()
-	return ReadCheckpoint(f)
 }

@@ -1,9 +1,6 @@
 package elastic
 
 import (
-	"errors"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -54,81 +51,5 @@ func TestDecodeBytesRefusesDamage(t *testing.T) {
 	bad[0] = 99
 	if _, err := DecodeBytes(bad); err == nil {
 		t.Error("DecodeBytes accepted an unknown version byte")
-	}
-}
-
-// TestSaveFileCrashBeforeSync simulates a crash where the temp file's data
-// never reached the disk: with the fsync suppressed and the "kernel" losing
-// unsynced writes, the previous checkpoint under path must stay loadable.
-func TestSaveFileCrashBeforeSync(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "ck")
-
-	old := Checkpoint{Step: 1, Params: []float64{1}}
-	if err := old.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-
-	// A crash-faulty save: the file sync truncates the file instead of
-	// flushing it (the on-disk state a power cut leaves when the page cache
-	// was never written back) and then reports the crash.
-	crash := errors.New("simulated crash before sync")
-	origFile, origDir := syncFile, syncDir
-	syncFile = func(f *os.File) error {
-		if err := f.Truncate(0); err != nil {
-			return err
-		}
-		return crash
-	}
-	syncDir = func(string) error { t.Fatal("dir sync reached despite file-sync crash"); return nil }
-	defer func() { syncFile, syncDir = origFile, origDir }()
-
-	next := Checkpoint{Step: 2, Params: []float64{2}}
-	if err := next.SaveFile(path); !errors.Is(err, crash) {
-		t.Fatalf("SaveFile = %v, want the simulated crash", err)
-	}
-
-	// The rename never happened, so the old checkpoint survives intact.
-	got, err := LoadCheckpointFile(path)
-	if err != nil {
-		t.Fatalf("previous checkpoint unreadable after crash-before-sync: %v", err)
-	}
-	if got.Step != old.Step {
-		t.Errorf("recovered Step = %d, want %d", got.Step, old.Step)
-	}
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Errorf("temp file left behind after failed save: %v", err)
-	}
-}
-
-// TestSaveFileSyncOrdering asserts the durability protocol: file sync
-// before the rename becomes visible, directory sync after.
-func TestSaveFileSyncOrdering(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "ck")
-
-	var order []string
-	origFile, origDir := syncFile, syncDir
-	syncFile = func(f *os.File) error {
-		order = append(order, "file")
-		return origFile(f)
-	}
-	syncDir = func(d string) error {
-		if d != dir {
-			t.Errorf("dir sync on %q, want parent %q", d, dir)
-		}
-		order = append(order, "dir")
-		return origDir(d)
-	}
-	defer func() { syncFile, syncDir = origFile, origDir }()
-
-	if err := (Checkpoint{Step: 5}).SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(order, []string{"file", "dir"}) {
-		t.Errorf("sync order = %v, want [file dir]", order)
-	}
-	if _, err := LoadCheckpointFile(path); err != nil {
-		t.Fatal(err)
 	}
 }

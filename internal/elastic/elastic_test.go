@@ -1,10 +1,8 @@
 package elastic
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
-	"path/filepath"
 	"testing"
 	"testing/quick"
 )
@@ -284,70 +282,6 @@ func TestSyntheticRegressionDeterministic(t *testing.T) {
 		if a.Ys[i] != b.Ys[i] {
 			t.Fatal("labels differ across equal seeds")
 		}
-	}
-}
-
-func TestCheckpointSerializationRoundTrip(t *testing.T) {
-	tr := newTrainer(t, 2, 64)
-	if err := tr.Steps(15); err != nil {
-		t.Fatal(err)
-	}
-	ck := tr.Checkpoint()
-
-	var buf bytes.Buffer
-	if err := ck.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCheckpoint(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Step != ck.Step || len(got.Params) != len(ck.Params) {
-		t.Fatalf("round trip mismatch: %+v vs %+v", got, ck)
-	}
-	for i := range ck.Params {
-		if got.Params[i] != ck.Params[i] {
-			t.Fatalf("param %d differs after gob round trip", i)
-		}
-	}
-	if _, err := ReadCheckpoint(bytes.NewReader([]byte("junk"))); err == nil {
-		t.Error("garbage decoded as checkpoint")
-	}
-}
-
-func TestCheckpointFileRoundTrip(t *testing.T) {
-	tr := newTrainer(t, 4, 64)
-	if err := tr.Steps(7); err != nil {
-		t.Fatal(err)
-	}
-	ck := tr.Checkpoint()
-	path := filepath.Join(t.TempDir(), "ck.gob")
-	if err := ck.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadCheckpointFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Resume from disk and verify it replays identically.
-	tr2 := newTrainer(t, 2, 64)
-	if err := tr2.Restore(got); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Steps(5); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr2.Steps(5); err != nil {
-		t.Fatal(err)
-	}
-	a, b := tr.Params(), tr2.Params()
-	for i := range a {
-		if math.Abs(a[i]-b[i]) > 1e-8 {
-			t.Fatalf("param %d diverged after disk restore", i)
-		}
-	}
-	if _, err := LoadCheckpointFile(filepath.Join(t.TempDir(), "missing")); err == nil {
-		t.Error("loading missing checkpoint succeeded")
 	}
 }
 

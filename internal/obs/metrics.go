@@ -11,9 +11,11 @@ import (
 )
 
 // Registry holds metric families and renders them in Prometheus text
-// exposition format (stdlib only). Registration is idempotent: asking for
-// an existing family with the same type returns it; a type or label-set
-// mismatch panics, since that is a programming error in the catalog.
+// exposition format (stdlib only). Families are registered only by New's
+// catalog — the registration methods are unexported, so no other package
+// can add one. Registration is idempotent: asking for an existing family
+// with the same type and label returns it; a mismatch panics, since that is
+// a programming error in the catalog.
 type Registry struct {
 	mu sync.Mutex
 	// fams maps family name to its state. guarded by mu
@@ -24,12 +26,14 @@ type Registry struct {
 type family struct {
 	name    string
 	help    string
-	typ     string // counter|gauge|histogram
-	labels  []string
+	typ     string    // counter|gauge|histogram
+	label   string    // the one label name; empty for an unlabelled family
 	buckets []float64 // histogram upper bounds, sorted, +Inf implicit
 
 	mu sync.Mutex
-	// series maps the rendered label suffix to its value. guarded by mu
+	// series maps the raw label value (empty for an unlabelled family) to
+	// its value; WritePrometheus renders the {label="v"} suffix. guarded
+	// by mu
 	series map[string]value
 }
 
@@ -37,21 +41,21 @@ type family struct {
 // type.
 type value interface{}
 
-// NewRegistry creates an empty registry.
-func NewRegistry() *Registry {
+// newRegistry creates an empty registry.
+func newRegistry() *Registry {
 	return &Registry{fams: make(map[string]*family)}
 }
 
-func (r *Registry) register(name, help, typ string, labels []string, buckets []float64) *family {
+func (r *Registry) register(name, help, typ, label string, buckets []float64) *family {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if f, ok := r.fams[name]; ok {
-		if f.typ != typ || len(f.labels) != len(labels) {
-			panic(fmt.Sprintf("obs: metric %s re-registered as %s with %d labels (was %s with %d)", name, typ, len(labels), f.typ, len(f.labels)))
+		if f.typ != typ || f.label != label {
+			panic(fmt.Sprintf("obs: metric %s re-registered as %s with label %q (was %s with label %q)", name, typ, label, f.typ, f.label))
 		}
 		return f
 	}
-	f := &family{name: name, help: help, typ: typ, labels: labels, buckets: buckets, series: make(map[string]value)}
+	f := &family{name: name, help: help, typ: typ, label: label, buckets: buckets, series: make(map[string]value)}
 	r.fams[name] = f
 	return f
 }
@@ -144,112 +148,86 @@ func (h *Histogram) Count() uint64 {
 	return h.count
 }
 
-// CounterVec is a counter family partitioned by label values.
+// CounterVec is a counter family partitioned by its one label.
 type CounterVec struct{ f *family }
 
-// With returns the counter for the given label values (created on first
-// use). The number of values must match the registered label names.
-func (cv *CounterVec) With(values ...string) *Counter {
-	v := cv.f.child(values, func() value { return &Counter{} })
-	return v.(*Counter)
-}
+// With returns the counter for the label value v (created on first use).
+func (cv *CounterVec) With(v string) *Counter { return cv.f.child(v).(*Counter) }
 
-// GaugeVec is a gauge family partitioned by label values.
+// GaugeVec is a gauge family partitioned by its one label.
 type GaugeVec struct{ f *family }
 
-// With returns the gauge for the given label values (created on first use).
-func (gv *GaugeVec) With(values ...string) *Gauge {
-	v := gv.f.child(values, func() value { return &Gauge{} })
-	return v.(*Gauge)
-}
+// With returns the gauge for the label value v (created on first use).
+func (gv *GaugeVec) With(v string) *Gauge { return gv.f.child(v).(*Gauge) }
 
-// HistogramVec is a histogram family partitioned by label values.
+// HistogramVec is a histogram family partitioned by its one label.
 type HistogramVec struct{ f *family }
 
-// With returns the histogram for the given label values.
-func (hv *HistogramVec) With(values ...string) *Histogram {
-	v := hv.f.child(values, func() value {
-		return &Histogram{bounds: hv.f.buckets, counts: make([]uint64, len(hv.f.buckets))}
-	})
-	return v.(*Histogram)
-}
+// With returns the histogram for the label value v (created on first use).
+func (hv *HistogramVec) With(v string) *Histogram { return hv.f.child(v).(*Histogram) }
 
-// child returns (creating if needed) the series for the given label values.
-func (f *family) child(values []string, make func() value) value {
-	if len(values) != len(f.labels) {
-		panic(fmt.Sprintf("obs: metric %s takes %d label values, got %d", f.name, len(f.labels), len(values)))
-	}
-	key := labelSuffix(f.labels, values)
+// child returns (creating if needed) the series for the raw label value v.
+func (f *family) child(v string) value {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	v, ok := f.series[key]
+	s, ok := f.series[v]
 	if !ok {
-		v = make()
-		f.series[key] = v
+		switch f.typ {
+		case "counter":
+			s = &Counter{}
+		case "gauge":
+			s = &Gauge{}
+		default:
+			s = &Histogram{bounds: f.buckets, counts: make([]uint64, len(f.buckets))}
+		}
+		f.series[v] = s
 	}
-	return v
+	return s
 }
 
-// Counter registers (or fetches) an unlabeled counter.
-func (r *Registry) Counter(name, help string) *Counter {
-	f := r.register(name, help, "counter", nil, nil)
-	return f.child(nil, func() value { return &Counter{} }).(*Counter)
+// counter registers (or fetches) an unlabelled counter.
+func (r *Registry) counter(name, help string) *Counter {
+	return r.register(name, help, "counter", "", nil).child("").(*Counter)
 }
 
-// CounterVec registers (or fetches) a labeled counter family.
-func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
-	return &CounterVec{f: r.register(name, help, "counter", labels, nil)}
+// counterVec registers (or fetches) a counter family with one label.
+func (r *Registry) counterVec(name, help, label string) *CounterVec {
+	return &CounterVec{f: r.register(name, help, "counter", label, nil)}
 }
 
-// Gauge registers (or fetches) an unlabeled gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	f := r.register(name, help, "gauge", nil, nil)
-	return f.child(nil, func() value { return &Gauge{} }).(*Gauge)
+// gauge registers (or fetches) an unlabelled gauge.
+func (r *Registry) gauge(name, help string) *Gauge {
+	return r.register(name, help, "gauge", "", nil).child("").(*Gauge)
 }
 
-// GaugeVec registers (or fetches) a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{f: r.register(name, help, "gauge", labels, nil)}
+// gaugeVec registers (or fetches) a gauge family with one label.
+func (r *Registry) gaugeVec(name, help, label string) *GaugeVec {
+	return &GaugeVec{f: r.register(name, help, "gauge", label, nil)}
 }
 
-// Histogram registers (or fetches) an unlabeled fixed-bucket histogram.
+// histogram registers (or fetches) an unlabelled fixed-bucket histogram.
 // Buckets must be sorted ascending; the +Inf bucket is implicit.
-func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	f := r.register(name, help, "histogram", nil, buckets)
-	return f.child(nil, func() value {
-		return &Histogram{bounds: f.buckets, counts: make([]uint64, len(f.buckets))}
-	}).(*Histogram)
+func (r *Registry) histogram(name, help string, buckets []float64) *Histogram {
+	return r.register(name, help, "histogram", "", buckets).child("").(*Histogram)
 }
 
-// HistogramVec registers (or fetches) a labeled fixed-bucket histogram
-// family.
-func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...string) *HistogramVec {
-	return &HistogramVec{f: r.register(name, help, "histogram", labels, buckets)}
+// histogramVec registers (or fetches) a fixed-bucket histogram family with
+// one label.
+func (r *Registry) histogramVec(name, help string, buckets []float64, label string) *HistogramVec {
+	return &HistogramVec{f: r.register(name, help, "histogram", label, buckets)}
 }
 
-// labelSuffix renders `{k="v",...}` (empty for unlabeled series), escaping
-// backslash, quote and newline per the exposition format.
-func labelSuffix(labels, values []string) string {
-	if len(labels) == 0 {
+// suffix renders the series key v as `{label="v"}` (empty for an unlabelled
+// family), escaping backslash, quote and newline per the exposition format.
+func (f *family) suffix(v string) string {
+	if f.label == "" {
 		return ""
 	}
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, l := range labels {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(l)
-		b.WriteString(`="`)
-		b.WriteString(escapeLabel(values[i]))
-		b.WriteByte('"')
-	}
-	b.WriteByte('}')
-	return b.String()
+	return "{" + f.label + `="` + escapeLabel(v) + `"}`
 }
 
 // labelEscaper is built once: constructing a Replacer costs more than most
-// label renderings, and family.child renders on every labelled update.
+// label renderings, and a scrape renders every labelled series.
 var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 func escapeLabel(v string) string {
@@ -295,15 +273,20 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 
 func (f *family) write(w io.Writer) error {
 	f.mu.Lock()
-	keys := make([]string, 0, len(f.series))
-	for k := range f.series {
-		keys = append(keys, k)
+	type row struct {
+		suffix string
+		v      value
 	}
-	sort.Strings(keys)
+	rows := make([]row, 0, len(f.series))
+	for k, v := range f.series {
+		rows = append(rows, row{f.suffix(k), v})
+	}
+	sort.Slice(rows, func(i, k int) bool { return rows[i].suffix < rows[k].suffix })
 	var b strings.Builder
 	fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ)
-	for _, k := range keys {
-		switch v := f.series[k].(type) {
+	for _, row := range rows {
+		k := row.suffix
+		switch v := row.v.(type) {
 		case *Counter:
 			fmt.Fprintf(&b, "%s%s %s\n", f.name, k, formatValue(v.Value()))
 		case *Gauge:

@@ -6,15 +6,15 @@ import (
 )
 
 func TestRegistryRender(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("ef_z_total", "Z things.")
+	r := newRegistry()
+	c := r.counter("ef_z_total", "Z things.")
 	c.Add(3)
-	cv := r.CounterVec("ef_a_total", "A things by kind.", "kind")
+	cv := r.counterVec("ef_a_total", "A things by kind.", "kind")
 	cv.With("x").Inc()
 	cv.With("y").Add(2)
-	g := r.Gauge("ef_level", "Current level.")
+	g := r.gauge("ef_level", "Current level.")
 	g.Set(7.5)
-	h := r.Histogram("ef_latency_seconds", "Latency.", []float64{0.1, 1})
+	h := r.histogram("ef_latency_seconds", "Latency.", []float64{0.1, 1})
 	h.Observe(0.05)
 	h.Observe(0.5)
 	h.Observe(5)
@@ -58,9 +58,9 @@ func TestRegistryRender(t *testing.T) {
 }
 
 func TestRegistryIdempotentAndMismatch(t *testing.T) {
-	r := NewRegistry()
-	a := r.Counter("ef_x_total", "X.")
-	b := r.Counter("ef_x_total", "X.")
+	r := newRegistry()
+	a := r.counter("ef_x_total", "X.")
+	b := r.counter("ef_x_total", "X.")
 	if a != b {
 		t.Error("re-registering the same counter returned a new instance")
 	}
@@ -69,17 +69,35 @@ func TestRegistryIdempotentAndMismatch(t *testing.T) {
 			t.Error("type mismatch did not panic")
 		}
 	}()
-	r.Gauge("ef_x_total", "X as gauge.")
+	r.gauge("ef_x_total", "X as gauge.")
 }
 
 func TestLabelEscaping(t *testing.T) {
-	r := NewRegistry()
-	r.CounterVec("ef_e_total", "E.", "msg").With("a\"b\\c\nd").Inc()
+	r := newRegistry()
+	r.counterVec("ef_e_total", "E.", "msg").With("a\"b\\c\nd").Inc()
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
 	want := `ef_e_total{msg="a\"b\\c\nd"} 1`
+	if !strings.Contains(b.String(), want) {
+		t.Errorf("output missing %q:\n%s", want, b.String())
+	}
+}
+
+// TestSeriesSortByRenderedSuffix: series are keyed by raw label value but
+// render in the order of their rendered {label="v"} suffixes — `a!"` sorts
+// before `a"` although "a" sorts before "a!".
+func TestSeriesSortByRenderedSuffix(t *testing.T) {
+	r := newRegistry()
+	cv := r.counterVec("ef_s_total", "S.", "k")
+	cv.With("a").Inc()
+	cv.With("a!").Inc()
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	want := "ef_s_total{k=\"a!\"} 1\nef_s_total{k=\"a\"} 1\n"
 	if !strings.Contains(b.String(), want) {
 		t.Errorf("output missing %q:\n%s", want, b.String())
 	}

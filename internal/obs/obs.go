@@ -111,60 +111,60 @@ func New(opts Options) *Obs {
 	if clock == nil {
 		clock = time.Now
 	}
-	m := NewRegistry()
+	m := newRegistry()
 	o := &Obs{
 		Bus:     NewBus(opts.RingSize),
 		Metrics: m,
 		clock:   clock,
 		start:   clock(),
 
-		admissions:   m.CounterVec("ef_admissions_total", "Admission decisions by verdict.", "verdict"),
-		completions:  m.CounterVec("ef_completions_total", "Job completions by deadline outcome.", "met"),
-		rescales:     m.Counter("ef_rescales_total", "Elastic rescale events (checkpoint/restore freezes charged)."),
-		migrations:   m.Counter("ef_migrations_total", "Cross-server job migrations during defragmentation."),
-		errors:       m.CounterVec("ef_errors_total", "Errors routed into the observability layer, by source.", "source"),
-		encodeErrors: m.Counter("ef_http_encode_errors_total", "HTTP responses whose JSON encoding failed mid-write."),
-		acceptErrors: m.Counter("ef_agent_accept_errors_total", "Agent RPC accept-loop terminal errors."),
-		usedGPUs:     m.Gauge("ef_used_gpus", "GPUs currently allocated to running jobs."),
-		efficiency:   m.Gauge("ef_cluster_efficiency", "Cluster efficiency per Eq. 8, last sample."),
-		decisionSec:  m.HistogramVec("ef_sched_decision_seconds", "Scheduler decision latency by operation.", DecisionBuckets, "op"),
+		admissions:   m.counterVec("ef_admissions_total", "Admission decisions by verdict.", "verdict"),
+		completions:  m.counterVec("ef_completions_total", "Job completions by deadline outcome.", "met"),
+		rescales:     m.counter("ef_rescales_total", "Elastic rescale events (checkpoint/restore freezes charged)."),
+		migrations:   m.counter("ef_migrations_total", "Cross-server job migrations during defragmentation."),
+		errors:       m.counterVec("ef_errors_total", "Errors routed into the observability layer, by source.", "source"),
+		encodeErrors: m.counter("ef_http_encode_errors_total", "HTTP responses whose JSON encoding failed mid-write."),
+		acceptErrors: m.counter("ef_agent_accept_errors_total", "Agent RPC accept-loop terminal errors."),
+		usedGPUs:     m.gauge("ef_used_gpus", "GPUs currently allocated to running jobs."),
+		efficiency:   m.gauge("ef_cluster_efficiency", "Cluster efficiency per Eq. 8, last sample."),
+		decisionSec:  m.histogramVec("ef_sched_decision_seconds", "Scheduler decision latency by operation.", DecisionBuckets, "op"),
 
-		planCacheHits:   m.Counter("ef_sched_plan_cache_hits_total", "Scheduler fill-pass prefix reuses from the plan cache (per job position)."),
-		planCacheMisses: m.Counter("ef_sched_plan_cache_misses_total", "Scheduler fill-pass jobs planned from scratch (per job position)."),
+		planCacheHits:   m.counter("ef_sched_plan_cache_hits_total", "Scheduler fill-pass prefix reuses from the plan cache (per job position)."),
+		planCacheMisses: m.counter("ef_sched_plan_cache_misses_total", "Scheduler fill-pass jobs planned from scratch (per job position)."),
 
-		faults:      m.CounterVec("ef_faults_injected_total", "Faults injected into the control-plane transport, by kind.", "kind"),
-		retries:     m.Counter("ef_rpc_retries_total", "Controller RPC attempts beyond the first (retry policy)."),
-		agentDowns:  m.Counter("ef_agent_down_total", "Agents declared down by the heartbeat monitor."),
-		mirrors:     m.Counter("ef_checkpoint_mirrors_total", "Checkpoints mirrored from agents to the orchestrator."),
-		restores:    m.Counter("ef_checkpoint_restores_total", "Jobs restored from a mirrored checkpoint after an agent loss."),
-		recoverySec: m.Histogram("ef_recovery_seconds", "Latency from declaring an agent down to jobs relaunched.", RecoveryBuckets),
+		faults:      m.counterVec("ef_faults_injected_total", "Faults injected into the control-plane transport, by kind.", "kind"),
+		retries:     m.counter("ef_rpc_retries_total", "Controller RPC attempts beyond the first (retry policy)."),
+		agentDowns:  m.counter("ef_agent_down_total", "Agents declared down by the heartbeat monitor."),
+		mirrors:     m.counter("ef_checkpoint_mirrors_total", "Checkpoints mirrored from agents to the orchestrator."),
+		restores:    m.counter("ef_checkpoint_restores_total", "Jobs restored from a mirrored checkpoint after an agent loss."),
+		recoverySec: m.histogram("ef_recovery_seconds", "Latency from declaring an agent down to jobs relaunched.", RecoveryBuckets),
 
-		storeRecords:     m.CounterVec("ef_store_records_total", "Journal records appended to the durable control-plane store, by record kind.", "kind"),
-		storeFsyncs:      m.Counter("ef_store_fsyncs_total", "Journal fsync calls (group commit batches durable appends, so this lags records)."),
-		storeSnapshots:   m.Counter("ef_store_snapshots_total", "Control-plane snapshots written (each truncates the journal chain)."),
-		storeSnapBytes:   m.Gauge("ef_store_snapshot_bytes", "Size in bytes of the most recent control-plane snapshot."),
-		storeReplayed:    m.Counter("ef_store_replayed_records_total", "Journal records replayed through the scheduler during recovery."),
-		storeRecoverySec: m.Histogram("ef_store_recovery_seconds", "Wall time of control-plane state recovery (snapshot load + journal replay).", RecoveryBuckets),
-		storeTornTails:   m.Counter("ef_store_torn_tails_total", "Torn journal tails (partial final records) detected and truncated during recovery."),
+		storeRecords:     m.counterVec("ef_store_records_total", "Journal records appended to the durable control-plane store, by record kind.", "kind"),
+		storeFsyncs:      m.counter("ef_store_fsyncs_total", "Journal fsync calls (group commit batches durable appends, so this lags records)."),
+		storeSnapshots:   m.counter("ef_store_snapshots_total", "Control-plane snapshots written (each truncates the journal chain)."),
+		storeSnapBytes:   m.gauge("ef_store_snapshot_bytes", "Size in bytes of the most recent control-plane snapshot."),
+		storeReplayed:    m.counter("ef_store_replayed_records_total", "Journal records replayed through the scheduler during recovery."),
+		storeRecoverySec: m.histogram("ef_store_recovery_seconds", "Wall time of control-plane state recovery (snapshot load + journal replay).", RecoveryBuckets),
+		storeTornTails:   m.counter("ef_store_torn_tails_total", "Torn journal tails (partial final records) detected and truncated during recovery."),
 
-		transferBytes:   m.CounterVec("ef_transfer_bytes_total", "Checkpoint bytes moved over the chunked data plane, by direction.", "dir"),
-		transferChunks:  m.CounterVec("ef_transfer_chunks_total", "CRC-verified chunks moved over the data plane, by direction.", "dir"),
-		transferRetries: m.Counter("ef_transfer_chunk_retries_total", "Chunk attempts beyond the first (transport drops and CRC refusals)."),
-		transferResumes: m.Counter("ef_transfer_resumes_total", "Transfers resumed from a verified offset after a dropped stream."),
-		transferCorrupt: m.Counter("ef_transfer_corruptions_total", "Corrupted chunks detected by CRC and re-requested — never applied."),
-		transferStall:   m.Histogram("ef_transfer_stall_seconds", "Seconds a transfer waited at the per-agent admission gate (initial wait plus yields).", RecoveryBuckets),
+		transferBytes:   m.counterVec("ef_transfer_bytes_total", "Checkpoint bytes moved over the chunked data plane, by direction.", "dir"),
+		transferChunks:  m.counterVec("ef_transfer_chunks_total", "CRC-verified chunks moved over the data plane, by direction.", "dir"),
+		transferRetries: m.counter("ef_transfer_chunk_retries_total", "Chunk attempts beyond the first (transport drops and CRC refusals)."),
+		transferResumes: m.counter("ef_transfer_resumes_total", "Transfers resumed from a verified offset after a dropped stream."),
+		transferCorrupt: m.counter("ef_transfer_corruptions_total", "Corrupted chunks detected by CRC and re-requested — never applied."),
+		transferStall:   m.histogram("ef_transfer_stall_seconds", "Seconds a transfer waited at the per-agent admission gate (initial wait plus yields).", RecoveryBuckets),
 
-		sloBudget: m.Histogram("ef_slo_deadline_budget_ratio", "Fraction of a job's deadline budget consumed at completion ((completion-submit)/(deadline-submit)); >1 is a miss.", BudgetBuckets),
-		sloFast:   m.Gauge("ef_slo_burn_rate_fast", "Deadline-SLO burn rate over the fast (5 min domain-time) window: miss fraction / error budget."),
-		sloSlow:   m.Gauge("ef_slo_burn_rate_slow", "Deadline-SLO burn rate over the slow (1 h domain-time) window: miss fraction / error budget."),
+		sloBudget: m.histogram("ef_slo_deadline_budget_ratio", "Fraction of a job's deadline budget consumed at completion ((completion-submit)/(deadline-submit)); >1 is a miss.", BudgetBuckets),
+		sloFast:   m.gauge("ef_slo_burn_rate_fast", "Deadline-SLO burn rate over the fast (5 min domain-time) window: miss fraction / error budget."),
+		sloSlow:   m.gauge("ef_slo_burn_rate_slow", "Deadline-SLO burn rate over the slow (1 h domain-time) window: miss fraction / error budget."),
 
-		frontSubmissions: m.CounterVec("ef_frontdoor_submissions_total", "Front-door submissions by verdict (admit, drop, rate-limited, quota, invalid, error).", "verdict"),
-		frontAdmitSec:    m.Histogram("ef_frontdoor_admission_seconds", "Wall time from a submission entering the front door to its batched verdict.", DecisionBuckets),
-		frontBatchSize:   m.Histogram("ef_frontdoor_batch_size", "Submissions amortized into one shard admission batch (one plan-cache fold each).", BatchBuckets),
-		frontRebalanced:  m.Counter("ef_frontdoor_rebalanced_total", "Submissions routed off their home shard by the spare-GPU rebalancer."),
-		tenantGPUs:       m.GaugeVec("ef_tenant_used_gpus", "GPUs currently allocated to a tenant's running jobs, summed across shards.", "tenant"),
-		tenantQuotaRej:   m.CounterVec("ef_tenant_quota_rejections_total", "Submissions rejected at the front door because the tenant's GPU quota is exhausted.", "tenant"),
-		tenantRateLim:    m.CounterVec("ef_tenant_rate_limited_total", "Submissions rejected at the front door by the tenant's token-bucket rate limit.", "tenant"),
+		frontSubmissions: m.counterVec("ef_frontdoor_submissions_total", "Front-door submissions by verdict (admit, drop, rate-limited, quota, invalid, error).", "verdict"),
+		frontAdmitSec:    m.histogram("ef_frontdoor_admission_seconds", "Wall time from a submission entering the front door to its batched verdict.", DecisionBuckets),
+		frontBatchSize:   m.histogram("ef_frontdoor_batch_size", "Submissions amortized into one shard admission batch (one plan-cache fold each).", BatchBuckets),
+		frontRebalanced:  m.counter("ef_frontdoor_rebalanced_total", "Submissions routed off their home shard by the spare-GPU rebalancer."),
+		tenantGPUs:       m.gaugeVec("ef_tenant_used_gpus", "GPUs currently allocated to a tenant's running jobs, summed across shards.", "tenant"),
+		tenantQuotaRej:   m.counterVec("ef_tenant_quota_rejections_total", "Submissions rejected at the front door because the tenant's GPU quota is exhausted.", "tenant"),
+		tenantRateLim:    m.counterVec("ef_tenant_rate_limited_total", "Submissions rejected at the front door by the tenant's token-bucket rate limit.", "tenant"),
 	}
 	o.tracer = opts.Tracer
 	// Seed the fixed-verdict series so a scrape before the first decision

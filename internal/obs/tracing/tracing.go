@@ -29,11 +29,10 @@ import (
 	"sync"
 )
 
-// The span-name catalog. Point spans are named by package obs's kind→span
-// table, from the event they are derived from; obslint enforces that every
-// Begin call site outside this package names its interval span with one of
-// these constants — a dynamic or unknown span name would break dashboards
-// and the golden trails the same way an uncataloged ef_* metric would.
+// The span-name catalog: the Name of every span the tracer records. Point
+// spans are named by package obs's kind→span table, from the event they are
+// derived from; interval spans by the Interval values below, the only names
+// Begin accepts.
 const (
 	// SpanJobLifecycle is the per-job root span: submission to terminal
 	// complete/miss (or still open for live jobs).
@@ -75,6 +74,21 @@ const (
 	// SpanHeartbeat is one liveness ping from the health monitor to an
 	// agent.
 	SpanHeartbeat = "heartbeat"
+)
+
+// Interval names an interval span — one opened by Begin and closed by End.
+// Its name is unexported, so the values below are the only ones another
+// package can pass to Begin besides the zero Interval, which opens nothing:
+// an interval span's name is always a catalog constant.
+type Interval struct{ name string }
+
+// The interval spans.
+var (
+	CheckpointMirror   = Interval{SpanCheckpointMirror}
+	CheckpointTransfer = Interval{SpanCheckpointTransfer}
+	SchedEpoch         = Interval{SpanSchedEpoch}
+	FrontdoorBatch     = Interval{SpanFrontdoorBatch}
+	Heartbeat          = Interval{SpanHeartbeat}
 )
 
 // Attr is one ordered key/value pair: a field of an obs event and an
@@ -261,17 +275,18 @@ func (t *Tracer) EndJob(now float64, jobID string, lsn uint64, attrs ...Attr) {
 
 // Begin opens a span. When the job's lifecycle root is open the new span
 // becomes its child; otherwise it is a root of its own (scheduler epochs,
-// heartbeats). The returned Ref must be passed to End — obslint flags a
-// discarded ref as a leak.
-func (t *Tracer) Begin(now float64, name, jobID string) Ref {
-	if t == nil {
+// heartbeats). The returned Ref must be passed to End — errlint flags a
+// discarded ref, whose span would stay open for good. The zero Interval
+// opens no span.
+func (t *Tracer) Begin(now float64, iv Interval, jobID string) Ref {
+	if t == nil || iv.name == "" {
 		return Ref{}
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	id := t.nextIDLocked()
 	t.open[id] = &openSpan{
-		Span: Span{ID: id, Parent: t.roots[jobID], Name: name, JobID: jobID, Start: now, End: now, Open: true},
+		Span: Span{ID: id, Parent: t.roots[jobID], Name: iv.name, JobID: jobID, Start: now, End: now, Open: true},
 		seq:  t.count,
 	}
 	return Ref{id: id}

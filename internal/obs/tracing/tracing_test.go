@@ -12,7 +12,7 @@ func emitLifecycle(tr *Tracer) {
 	tr.StartJob(0, "job-0001")
 	tr.EmitLSN(0, SpanAdmit, "job-0001", 3, A("verdict", "admit"))
 	tr.EmitLSN(0, SpanPlan, "job-0001", 0, A("mss_gpus", 2))
-	ep := tr.Begin(0, SpanSchedEpoch, "")
+	ep := tr.Begin(0, SchedEpoch, "")
 	tr.End(0, ep, A("used_gpus", 2))
 	tr.EmitLSN(0, SpanPlace, "job-0001", 0, A("gpus", "0->2"))
 	tr.EmitLSN(50, SpanRescale, "job-0001", 7, A("gpus", "2->4"))
@@ -125,7 +125,7 @@ func TestNilTracer(t *testing.T) {
 	var tr *Tracer
 	tr.StartJob(0, "j")
 	tr.EndJob(1, "j", 0)
-	ref := tr.Begin(0, SpanSchedEpoch, "")
+	ref := tr.Begin(0, SchedEpoch, "")
 	if ref.Valid() {
 		t.Fatal("nil tracer handed out a valid ref")
 	}
@@ -144,11 +144,21 @@ func TestEndUnknownRef(t *testing.T) {
 	tr.End(1, Ref{})          // invalid
 	tr.End(1, Ref{id: 12345}) // never begun
 	tr.EndJob(1, "ghost", 0)  // never started
-	ref := tr.Begin(0, SpanHeartbeat, "")
+	ref := tr.Begin(0, Heartbeat, "")
 	tr.End(1, ref)
 	tr.End(2, ref) // double End is a no-op
 	if n := len(tr.Spans()); n != 1 {
 		t.Fatalf("got %d spans, want 1", n)
+	}
+}
+
+func TestZeroIntervalOpensNothing(t *testing.T) {
+	tr := New(4)
+	if ref := tr.Begin(0, Interval{}, "j"); ref.Valid() {
+		t.Fatal("the zero Interval opened a span")
+	}
+	if len(tr.Spans()) != 0 || tr.Count() != 0 {
+		t.Fatalf("got %d spans (count %d), want none", len(tr.Spans()), tr.Count())
 	}
 }
 
@@ -162,7 +172,7 @@ func TestConcurrentEmission(t *testing.T) {
 			job := "job-" + string(rune('a'+g))
 			tr.StartJob(0, job)
 			for i := 0; i < 100; i++ {
-				ref := tr.Begin(float64(i), SpanHeartbeat, "")
+				ref := tr.Begin(float64(i), Heartbeat, "")
 				tr.End(float64(i), ref)
 				tr.EmitLSN(float64(i), SpanRescale, job, 0)
 			}
@@ -185,9 +195,9 @@ func TestRingWrapAround(t *testing.T) {
 	// Opened in this order, never closed before the final check; b closes
 	// mid-run so the open set has a hole in its begin sequence.
 	tr.StartJob(0, "job-keep")
-	a := tr.Begin(1, SpanSchedEpoch, "")
-	b := tr.Begin(2, SpanHeartbeat, "")
-	c := tr.Begin(3, SpanSchedEpoch, "")
+	a := tr.Begin(1, SchedEpoch, "")
+	b := tr.Begin(2, Heartbeat, "")
+	c := tr.Begin(3, SchedEpoch, "")
 	for i := 0; i < 23; i++ {
 		tr.EmitLSN(float64(10+i), SpanRescale, "job-keep", 0, A("i", i))
 		if i == 11 {

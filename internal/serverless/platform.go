@@ -71,9 +71,11 @@ type JobStatus struct {
 	EstimatedDone float64 `json:"estimated_done,omitempty"`
 	Completion    float64 `json:"completion,omitempty"`
 	Placement     string  `json:"placement,omitempty"`
-	// EarliestFeasibleSec is set on dropped submissions: the relative
+	// EarliestFeasibleSec is the platform's counter-offer: the relative
 	// deadline (seconds from submission) admission control could have
-	// guaranteed instead — the platform's counter-offer. It is also set
+	// guaranteed instead. A dropped submission's offer rides only on the
+	// status its submit returns (the 409 reply) and on its drop event; a
+	// later read of the dropped job does not repeat it. It is also set
 	// alongside DeadlineAtRisk with the re-admission counter-offer.
 	EarliestFeasibleSec float64 `json:"earliest_feasible_sec,omitempty"`
 	// DeadlineAtRisk marks an admitted SLO job whose deadline can no
@@ -387,7 +389,7 @@ func (o *batchOp) applyLocked(p *Platform, now float64) error {
 	batch := p.batches
 	p.eventLocked(now, obs.KindBatch, "",
 		tracing.A("batch", batch), tracing.A("size", len(o.reqs)), tracing.A("tenants", tenantList(o.reqs)))
-	ref := p.tr.Begin(now, tracing.SpanFrontdoorBatch, "")
+	ref := p.tr.Begin(now, tracing.FrontdoorBatch, "")
 	o.out = make([]JobStatus, len(o.reqs))
 	jobs := make([]*job.Job, len(o.reqs))
 	admitted := 0

@@ -214,6 +214,42 @@ func TestPointSpansMatchEvents(t *testing.T) {
 	}
 }
 
+// TestNoIntervalSpanLeaks runs the crash script and one admission batch (the
+// frontdoor.batch span's Begin site) under a tracer: afterwards the only open
+// spans are the lifecycle roots of jobs still active. errlint catches a Ref
+// discarded at its Begin; this catches one kept and never ended.
+func TestNoIntervalSpanLeaks(t *testing.T) {
+	clk := newStateClock()
+	opts, tr := tracedOptions(clk, nil)
+	p, err := NewPlatform(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range crashScript() {
+		applyOp(t, p, clk, op)
+	}
+	req := SubmitRequest{Model: "resnet50", GlobalBatch: 64, Iterations: 20000, DeadlineSeconds: 4000}
+	if _, err := p.SubmitBatch([]SubmitRequest{req, req}); err != nil {
+		t.Fatal(err)
+	}
+	active := map[string]bool{}
+	for _, st := range p.List() {
+		active[st.ID] = st.State != "completed" && st.State != "dropped" && st.State != "cancelled"
+	}
+	batches := 0
+	for _, s := range tr.Spans() {
+		if s.Name == tracing.SpanFrontdoorBatch {
+			batches++
+		}
+		if s.Open && (s.Name != tracing.SpanJobLifecycle || !active[s.JobID]) {
+			t.Errorf("span %s (job %q) left open", s.Name, s.JobID)
+		}
+	}
+	if batches != 1 {
+		t.Errorf("got %d frontdoor.batch spans, want 1", batches)
+	}
+}
+
 // TestDebugTraceEndpoint: GET /debug/trace serves the span trail as Chrome
 // trace-event JSON, ?job= filters to one tree, and a tracerless platform
 // reports 404.

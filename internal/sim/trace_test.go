@@ -85,7 +85,8 @@ func TestSpanTrailDeterminism(t *testing.T) {
 // TestSpanTreeShape checks the causal structure of the simulated trail: each
 // finished job owns a closed job.lifecycle root whose children cover
 // admit → plan → place → … → complete/miss, the dropped job's tree ends at
-// its drop verdict, and scheduler epochs record as standalone roots.
+// its drop verdict, scheduler epochs record as standalone roots, and no
+// interval span is left open.
 func TestSpanTreeShape(t *testing.T) {
 	res, tr, _ := traceRun(t, tracing.New(7))
 
@@ -93,6 +94,9 @@ func TestSpanTreeShape(t *testing.T) {
 	rootOf := map[string]tracing.Span{}
 	epochs := 0
 	for _, s := range tr.Spans() {
+		if s.Open && s.Name != tracing.SpanJobLifecycle {
+			t.Errorf("interval span %s (job %q) left open", s.Name, s.JobID)
+		}
 		if s.Name == tracing.SpanSchedEpoch {
 			epochs++
 			if s.Parent != 0 {
